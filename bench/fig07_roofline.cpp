@@ -9,7 +9,6 @@
 
 #include "bench/bench_common.h"
 #include "operators/laplace_operator.h"
-#include "perfmodel/device_model.h"
 #include "perfmodel/kernel_model.h"
 
 using namespace dgflow;
@@ -35,17 +34,8 @@ int main()
     32. * 2.7e9; // AVX-512: 2 FMA units x 8 lanes x 2 flops, 2.7 GHz
   std::printf("machine roofline: stream bandwidth %.1f GB/s (1 thread), "
               "%.1f GB/s (%u threads), DP peak %.1f "
-              "GFlop/s (1-thread ridge at %.2f flop/byte)\n",
+              "GFlop/s (1-thread ridge at %.2f flop/byte)\n\n",
               bw / 1e9, bw_node / 1e9, node_threads, peak / 1e9, peak / bw);
-
-  // device roof next to the host roofs: what the SoA-backend kernels project
-  // to on an HBM-class APU (same bandwidth-bound regime, higher roof)
-  const DeviceModel apu = DeviceModel::mi300a();
-  std::printf("device roofline: %s - HBM %.1f GB/s, FP64 peak %.1f GFlop/s "
-              "(ridge at %.2f flop/byte, %.0fx node stream bandwidth)\n\n",
-              apu.name.c_str(), apu.hbm_bandwidth / 1e9,
-              apu.dp_peak_flops / 1e9, apu.dp_peak_flops / apu.hbm_bandwidth,
-              apu.projected_speedup_vs_host(bw_node));
 
   const LungMesh lung = lung_mesh_for_generations(3);
 
@@ -56,8 +46,7 @@ int main()
     bc.set(id, BoundaryType::dirichlet);
 
   Table table({"k", "MDoF", "AI ideal", "AI measured", "GFlop/s",
-               "% of BW roof(ideal)", "BW-limited?", "APU GDoF/s",
-               "APU GFlop/s"});
+               "% of BW roof(ideal)", "BW-limited?"});
 
   for (unsigned int degree = 1; degree <= 6; ++degree)
   {
@@ -89,25 +78,18 @@ int main()
     const double gflops = kernel.flops_per_dof() * laplace.n_dofs() / t / 1e9;
     // bandwidth-roof at the kernel's ideal arithmetic intensity
     const double roof = bw / 1e9 * kernel.arithmetic_intensity_ideal();
-    const double apu_dofs = apu.projected_dofs_per_s(
-      kernel.measured_bytes_per_dof(), kernel.flops_per_dof());
     table.add_row(degree, Table::format(laplace.n_dofs() / 1e6, 3),
                   Table::format(kernel.arithmetic_intensity_ideal(), 3),
                   Table::format(kernel.arithmetic_intensity_measured(), 3),
                   Table::format(gflops, 4),
                   Table::format(100. * gflops / roof, 3),
-                  gflops < 0.5 * peak / 1e9 ? "yes" : "no",
-                  Table::format(apu_dofs / 1e9, 3),
-                  Table::format(apu_dofs * kernel.flops_per_dof() / 1e9, 4));
+                  gflops < 0.5 * peak / 1e9 ? "yes" : "no");
   }
   table.print();
 
   std::printf("\nexpected shape (paper): arithmetic intensity grows with k "
               "but all relevant degrees stay left of the ridge "
               "(bandwidth-limited); the achieved GFlop/s track the "
-              "bandwidth roof within the measured-transfer overhead. The APU "
-              "columns project the same measured-transfer model against the "
-              "device HBM roof (every degree stays bandwidth-limited there "
-              "as well).\n");
+              "bandwidth roof within the measured-transfer overhead.\n");
   return 0;
 }

@@ -4,13 +4,9 @@
 //   generic:    runtime-extent kernels, full per-q metric
 //   specialized: compile-time kernel dispatch, full per-q metric
 //   spec+compr: compile-time kernels + per-batch compressed metric
-// and reports DoF/s, bytes/DoF, and the speedup over the generic path.
-//
-// A backend section times the same vmult across the kernel backends of
-// fem/kernel_backend.h (batch / soa / generic, selected per MatrixFree via
-// AdditionalData::backend) and reports the soa-vs-batch ratio - the price of
-// the lane-major staging on the host - plus the projected throughput of the
-// SoA layout on an HBM-class APU (perfmodel DeviceModel).
+// and reports DoF/s, bytes/DoF, and the speedup over the generic path. The
+// kernel flavor is the per-MatrixFree AdditionalData::backend (generic vs
+// batch, fem/kernel_backend.h).
 //
 // A second section times a full Chebyshev smoothing sweep with the solver's
 // BLAS-1 updates fused into the operator's hooked cell loop (contract v2)
@@ -29,15 +25,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "fem/kernel_backend.h"
-#include "fem/kernel_dispatch.h"
 #include "operators/laplace_operator.h"
-#include "perfmodel/device_model.h"
-#include "perfmodel/kernel_model.h"
 #include "solvers/chebyshev.h"
 
 using namespace dgflow;
@@ -79,49 +71,44 @@ std::vector<Result> time_laplace_configs(const Mesh &mesh,
   data.n_q_points_1d = {degree + 1};
   data.geometry_degree = 1;
 
-  data.compress_geometry = false;
-  MatrixFree<double> mf_full;
-  mf_full.reinit(mesh, geom, data);
-  data.compress_geometry = true;
-  MatrixFree<double> mf_compr;
-  mf_compr.reinit(mesh, geom, data);
-
-  LaplaceOperator<double> laplace_full, laplace_compr;
-  laplace_full.reinit(mf_full, 0, 0, all_dirichlet());
-  laplace_compr.reinit(mf_compr, 0, 0, all_dirichlet());
-  Vector<double> src(laplace_full.n_dofs()), dst(laplace_full.n_dofs());
-  for (std::size_t i = 0; i < src.size(); ++i)
-    src[i] = 0.3 + 1e-6 * (i % 1001);
-
   struct Config
   {
     const char *name;
-    LaplaceOperator<double> *op;
-    MatrixFree<double> *mf;
-    bool specialized;
+    KernelBackendType backend;
+    bool compress;
   };
   const Config configs[3] = {
-    {"generic", &laplace_full, &mf_full, false},
-    {"specialized", &laplace_full, &mf_full, true},
-    {"specialized_compressed", &laplace_compr, &mf_compr, true},
+    {"generic", KernelBackendType::generic, false},
+    {"specialized", KernelBackendType::batch, false},
+    {"specialized_compressed", KernelBackendType::batch, true},
   };
+  MatrixFree<double> mf[3];
+  LaplaceOperator<double> ops[3];
+  for (unsigned int c = 0; c < 3; ++c)
+  {
+    data.backend = configs[c].backend;
+    data.compress_geometry = configs[c].compress;
+    mf[c].reinit(mesh, geom, data);
+    ops[c].reinit(mf[c], 0, 0, all_dirichlet());
+  }
+  Vector<double> src(ops[0].n_dofs()), dst(ops[0].n_dofs());
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = 0.3 + 1e-6 * (i % 1001);
 
-  const std::size_t n_dofs = laplace_full.n_dofs();
+  const std::size_t n_dofs = ops[0].n_dofs();
   const unsigned int n_mv = std::max<std::size_t>(2, 4e6 / n_dofs);
   double best[3] = {1e300, 1e300, 1e300};
   for (unsigned int round = 0; round < rounds; ++round)
     for (unsigned int c = 0; c < 3; ++c)
     {
-      set_specialized_kernels_enabled(configs[c].specialized);
       const double t = best_of(1, [&]() {
                          for (unsigned int i = 0; i < n_mv; ++i)
-                           configs[c].op->vmult(dst, src);
+                           ops[c].vmult(dst, src);
                        }) /
                        n_mv;
       if (t < best[c])
         best[c] = t;
     }
-  set_specialized_kernels_enabled(true);
 
   std::vector<Result> results;
   for (unsigned int c = 0; c < 3; ++c)
@@ -133,11 +120,24 @@ std::vector<Result> time_laplace_configs(const Mesh &mesh,
     r.n_dofs = n_dofs;
     r.seconds = best[c];
     r.dofs_per_s = double(n_dofs) / best[c];
-    r.bytes_per_dof = configs[c].mf->estimated_vmult_bytes_per_dof(0, 0);
+    r.bytes_per_dof = mf[c].estimated_vmult_bytes_per_dof(0, 0);
     results.push_back(r);
   }
   return results;
 }
+
+/// Exposes only the plain vmult(dst, src) of @p Op, hiding the contract-v2
+/// hooked overload: the smoother then runs its classic separate sweeps.
+template <typename Op>
+struct UnhookedView
+{
+  const Op &op;
+  template <typename VectorType>
+  void vmult(VectorType &dst, const VectorType &src) const
+  {
+    op.vmult(dst, src);
+  }
+};
 
 /// Times one full Chebyshev smoothing sweep (production degree 3,
 /// point-Jacobi) fused vs unfused, rounds interleaved like the vmult
@@ -167,15 +167,12 @@ std::vector<Result> time_smoother_configs(const Mesh &mesh,
   for (std::size_t i = 0; i < b.size(); ++i)
     b[i] = 0.7 + 1e-6 * (i % 997);
 
-  using Smoother = ChebyshevSmoother<LaplaceOperator<double>, Vector<double>>;
-  ChebyshevData cheb;
-  cheb.fuse_loops = false;
-  Smoother unfused;
-  unfused.reinit(laplace, diag, cheb);
-  cheb.fuse_loops = true;
-  Smoother fused;
-  fused.reinit(laplace, diag, cheb);
-  const Smoother *smoothers[2] = {&unfused, &fused};
+  using ClassicOp = UnhookedView<LaplaceOperator<double>>;
+  const ClassicOp classic_op{laplace};
+  ChebyshevSmoother<ClassicOp, Vector<double>> unfused;
+  unfused.reinit(classic_op, diag);
+  ChebyshevSmoother<LaplaceOperator<double>, Vector<double>> fused;
+  fused.reinit(laplace, diag);
 
   const std::size_t n_dofs = laplace.n_dofs();
   const unsigned int n_sweeps = std::max<std::size_t>(2, 2e6 / n_dofs);
@@ -185,7 +182,8 @@ std::vector<Result> time_smoother_configs(const Mesh &mesh,
     {
       const double t = best_of(1, [&]() {
                          for (unsigned int i = 0; i < n_sweeps; ++i)
-                           smoothers[c]->smooth(x, b, false);
+                           c == 0 ? unfused.smooth(x, b, false)
+                                  : fused.smooth(x, b, false);
                        }) /
                        n_sweeps;
       if (t < best[c])
@@ -211,73 +209,9 @@ std::vector<Result> time_smoother_configs(const Mesh &mesh,
   return results;
 }
 
-/// Times the three kernel backends for one degree, rounds interleaved like
-/// time_laplace_configs. Each backend gets its own MatrixFree (the backend
-/// resolves at reinit through AdditionalData::backend) over the same mesh.
-std::vector<Result> time_backend_configs(const Mesh &mesh,
-                                         const unsigned int degree,
-                                         const unsigned int rounds)
-{
-  TrilinearGeometry geom(mesh.coarse());
-  MatrixFree<double>::AdditionalData data;
-  data.degrees = {degree};
-  data.n_q_points_1d = {degree + 1};
-  data.geometry_degree = 1;
-
-  const KernelBackendType backends[3] = {KernelBackendType::batch,
-                                         KernelBackendType::soa,
-                                         KernelBackendType::generic};
-  MatrixFree<double> mf[3];
-  LaplaceOperator<double> ops[3];
-  for (unsigned int c = 0; c < 3; ++c)
-  {
-    data.backend = backends[c];
-    mf[c].reinit(mesh, geom, data);
-    ops[c].reinit(mf[c], 0, 0, all_dirichlet());
-  }
-
-  Vector<double> src(ops[0].n_dofs()), dst(ops[0].n_dofs());
-  for (std::size_t i = 0; i < src.size(); ++i)
-    src[i] = 0.3 + 1e-6 * (i % 1001);
-
-  const std::size_t n_dofs = ops[0].n_dofs();
-  const unsigned int n_mv = std::max<std::size_t>(2, 4e6 / n_dofs);
-  double best[3] = {1e300, 1e300, 1e300};
-  for (unsigned int round = 0; round < rounds; ++round)
-    for (unsigned int c = 0; c < 3; ++c)
-    {
-      const double t = best_of(1, [&]() {
-                         for (unsigned int i = 0; i < n_mv; ++i)
-                           ops[c].vmult(dst, src);
-                       }) /
-                       n_mv;
-      if (t < best[c])
-        best[c] = t;
-    }
-
-  std::vector<Result> results;
-  for (unsigned int c = 0; c < 3; ++c)
-  {
-    Result r;
-    r.name = "laplace_vmult_backend";
-    r.degree = degree;
-    r.n_q_1d = degree + 1;
-    r.config = std::string("backend_") + kernel_backend_name(backends[c]);
-    r.n_dofs = n_dofs;
-    r.seconds = best[c];
-    r.dofs_per_s = double(n_dofs) / best[c];
-    r.bytes_per_dof = mf[c].estimated_vmult_bytes_per_dof(0, 0);
-    results.push_back(r);
-  }
-  return results;
-}
-
 void write_json(const char *path, const std::vector<Result> &results,
                 const double speedup_k5, const double fused_speedup,
-                const double fused_traffic_ratio,
-                const std::vector<std::pair<unsigned int, double>>
-                  &backend_speedups,
-                const bool smoke)
+                const double fused_traffic_ratio, const bool smoke)
 {
   std::FILE *f = std::fopen(path, "w");
   if (!f)
@@ -294,14 +228,6 @@ void write_json(const char *path, const std::vector<Result> &results,
                fused_speedup);
   std::fprintf(f, "  \"cheby_fused_vs_unfused_bytes_per_dof_ratio\": %.6g,\n",
                fused_traffic_ratio);
-  double best_backend_speedup = 0;
-  for (const auto &[deg, s] : backend_speedups)
-  {
-    std::fprintf(f, "  \"backend_soa_vs_batch_speedup_k%u\": %.6g,\n", deg, s);
-    best_backend_speedup = std::max(best_backend_speedup, s);
-  }
-  std::fprintf(f, "  \"backend_soa_vs_batch_speedup\": %.6g,\n",
-               best_backend_speedup);
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i)
   {
@@ -375,44 +301,6 @@ int main(int argc, char **argv)
               "generic (measured: %.2fx)\n",
               speedup_k5);
 
-  // kernel backends: AoSoA batch vs lane-major SoA vs the generic fallback,
-  // each selected per MatrixFree through AdditionalData::backend, with the
-  // projected SoA throughput on an HBM-class APU next to the host numbers
-  const DeviceModel apu = DeviceModel::mi300a();
-  const std::vector<unsigned int> backend_degrees =
-    smoke ? std::vector<unsigned int>{3} : std::vector<unsigned int>{2, 3, 5};
-  Table backend_table({"k", "MDoF", "batch [DoF/s]", "soa [DoF/s]",
-                       "generic [DoF/s]", "soa/batch", "APU proj [DoF/s]"});
-  std::vector<std::pair<unsigned int, double>> backend_speedups;
-  for (const unsigned int degree : backend_degrees)
-  {
-    Mesh mesh(unit_cube());
-    mesh.refine_uniform(smoke ? 2u : (degree <= 3 ? 5u : 4u));
-    const auto bres = time_backend_configs(mesh, degree, rounds);
-    const Result &batch = bres[0];
-    const Result &soa = bres[1];
-    const Result &generic = bres[2];
-    results.insert(results.end(), bres.begin(), bres.end());
-    const double ratio = soa.dofs_per_s / batch.dofs_per_s;
-    backend_speedups.emplace_back(degree, ratio);
-    KernelModel kernel{degree, 8};
-    const double apu_dofs = apu.projected_dofs_per_s(
-      kernel.measured_bytes_per_dof(), kernel.flops_per_dof());
-    backend_table.add_row(degree, Table::format(batch.n_dofs / 1e6, 3),
-                          Table::sci(batch.dofs_per_s, 3),
-                          Table::sci(soa.dofs_per_s, 3),
-                          Table::sci(generic.dofs_per_s, 3),
-                          Table::format(ratio, 2),
-                          Table::sci(apu_dofs, 3));
-  }
-  std::printf("\nkernel backends (AdditionalData::backend), same mesh and "
-              "operator per degree:\n");
-  backend_table.print();
-  std::printf("\nthe SoA column pays the lane-major staging on the host; the "
-              "APU column projects the layout against the %s HBM roof "
-              "(%.0fx the SuperMUC-NG node stream bandwidth)\n",
-              apu.name.c_str(), apu.projected_speedup_vs_host(2.05e11));
-
   // fused solver loops: Chebyshev sweep with the BLAS-1 updates riding the
   // hooked cell loop vs the classic separate passes
   const std::vector<unsigned int> fused_degrees =
@@ -451,7 +339,7 @@ int main(int argc, char **argv)
 
   if (const char *path = std::getenv("DGFLOW_BENCH_JSON"))
     write_json(path, results, speedup_k5, fused_speedup, fused_traffic_ratio,
-               backend_speedups, smoke);
+               smoke);
 
   // the smoke run is a harness check, not a performance gate
   if (smoke)

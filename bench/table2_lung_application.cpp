@@ -8,12 +8,17 @@
 // comparison.
 //
 // Environment: TABLE2_MAX_G (default 3; set 5 for a longer live run)
-// bounds the generations run live;
-// TABLE2_STEPS (default 200) sets the measured steps per case.
+// bounds the generations run live; a live case whose time step is rejected
+// for good (seen at g >= 4) prints as a rejected row. TABLE2_STEPS (default
+// 120) sets the steps per case; DGFLOW_THREADS sets the pool width the live
+// rows are measured at.
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "bench/bench_common.h"
+#include "concurrency/thread_pool.h"
 #include "lung/lung_application.h"
 #include "perfmodel/scaling_model.h"
 
@@ -50,6 +55,10 @@ int main()
   const double vt_l = VentilatorSettings().target_tidal_volume / liter;
   ScalingModel model;
   model.mesh_efficiency = 0.8;
+  const unsigned int n_threads =
+    concurrency::ThreadPool::instance().n_threads();
+  const std::string width = std::to_string(n_threads) +
+                            (n_threads == 1 ? " thread" : " threads");
 
   for (const auto &row : paper)
   {
@@ -62,15 +71,26 @@ int main()
 
       double wall = 0, dt_sum = 0;
       unsigned int measured = 0;
-      for (unsigned int s = 0; s < n_steps; ++s)
+      try
       {
-        const auto info = app.advance();
-        if (s >= n_steps / 4) // skip the startup transient
+        for (unsigned int s = 0; s < n_steps; ++s)
         {
-          wall += info.wall_time;
-          dt_sum += info.dt;
-          ++measured;
+          const auto info = app.advance();
+          if (s >= n_steps / 4) // skip the startup transient
+          {
+            wall += info.wall_time;
+            dt_sum += info.dt;
+            ++measured;
+          }
         }
+      }
+      catch (const std::runtime_error &e)
+      {
+        // the solver gave up on a step after its rejection budget
+        std::printf("g=%u: %s\n", row.g, e.what());
+        table.add_row(row.g, app.mesh().n_active_cells(), "-", "-", "-", "-",
+                      "-", "rejected (" + width + ")");
+        continue;
       }
       const double t_step = wall / measured;
       const double dt_avg = dt_sum / measured;
@@ -82,7 +102,7 @@ int main()
                                2),
                     Table::sci(n_dt, 2), Table::format(t_step, 3),
                     Table::format(h_cycle, 3),
-                    Table::format(h_cycle / vt_l, 3), "measured (1 core)");
+                    Table::format(h_cycle / vt_l, 3), "measured (" + width + ")");
     }
     else
     {

@@ -162,7 +162,6 @@ int main(int argc, char **argv)
     SolverControl control;
     control.max_iterations = smoke ? 5 : 25;
     control.rel_tol = 1e-12;
-    control.fuse_loops = true;
     Vector<double> x(n_dofs);
     SolveStats stats;
     const double t_cg = best_of(rounds, [&]() {

@@ -39,10 +39,9 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # wire packs/unpacks hand-rolled buffers, and the ABFT guard flips bits in
   # live payloads and checksums raw memory regions; an out-of-range hook
   # range, wire offset or stale artifact region must fail here, not corrupt
-  # a timing run below. The perf smoke label rides along: it drives every
-  # kernel backend (batch AoSoA tables, SoA lane-major staging, generic)
-  # through a full vmult harness, so a staging-buffer overrun in a backend
-  # fails here first.
+  # a timing run below. The perf smoke label rides along: it drives the
+  # batch and generic kernel sweeps through a full vmult harness, so a
+  # scratch-buffer overrun in a sweep fails here first.
   echo "verify pass: mixed_precision|abft|perf under DGFLOW_SANITIZE=address"
   cmake -B build-asan -S . -DDGFLOW_SANITIZE=address > /dev/null
   cmake --build build-asan -j \
@@ -55,12 +54,14 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # 64-bit masks, and the recovery ladder rethrows through several catch
   # layers; any misaligned access, bad shift or invalid enum must surface
   # here with -fno-sanitize-recover rather than silently skew a repair.
-  echo "verify pass: resilience|abft under DGFLOW_SANITIZE=undefined"
+  # The AlignedVector suite (label common) rides along: copying an empty
+  # vector must not hand memcpy a null pointer.
+  echo "verify pass: resilience|abft|common under DGFLOW_SANITIZE=undefined"
   cmake -B build-ubsan -S . -DDGFLOW_SANITIZE=undefined > /dev/null
   cmake --build build-ubsan -j \
     --target test_resilience_vmpi test_resilience_solver test_checkpoint \
-    test_abft abft_microbench > /dev/null
-  (cd build-ubsan && ctest -L "resilience|abft" --output-on-failure)
+    test_abft abft_microbench test_aligned_vector > /dev/null
+  (cd build-ubsan && ctest -L "^(resilience|abft|common)$" --output-on-failure)
 fi
 for b in build/bench/*; do
   if [ -x "$b" ] && [ -f "$b" ]; then
@@ -68,7 +69,6 @@ for b in build/bench/*; do
     # benchmarks that support it also archive machine-readable results;
     # one mapping from binary name to archive name:
     #   kernels     - roofline fast-path comparison (acceptance criteria)
-    #                 + kernel-backend section (backend_soa_vs_batch_speedup*)
     #   distributed - ghost-exchange traffic validation on 1/2/4/8 ranks
     #   recovery    - agreement latency, shard checkpoints, shrink recovery
     #   abft        - SDC-guard overhead (< 3%) and the flip-repair check

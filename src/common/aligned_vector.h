@@ -49,7 +49,10 @@ public:
       return *this;
     resize_without_init(other.size_);
     if constexpr (std::is_trivially_copyable_v<T>)
-      std::memcpy(static_cast<void *>(data_), other.data_, size_ * sizeof(T));
+    {
+      if (size_ > 0) // memcpy from an empty vector's null data_ is UB
+        std::memcpy(static_cast<void *>(data_), other.data_, size_ * sizeof(T));
+    }
     else
       for (std::size_t i = 0; i < size_; ++i)
         data_[i] = other.data_[i];

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
-#include <string>
 
 namespace dgflow
 {
@@ -74,28 +73,6 @@ inline long long env_integer(const char *name, const long long fallback,
       parsed > hi)
     internal::env_var_failure(name, v, expected.str().c_str());
   return parsed;
-}
-
-/// Parses @p name as one of @p n_choices named values (exact, case-sensitive
-/// match) and returns the matched index; unset returns @p fallback. Any
-/// other value throws EnvVarError naming the variable and listing the
-/// accepted names - a typo'd backend or mode name must fail fast instead of
-/// silently running the default configuration.
-inline unsigned int env_choice(const char *name, const unsigned int fallback,
-                               const char *const *choices,
-                               const unsigned int n_choices)
-{
-  const char *v = std::getenv(name);
-  if (!v)
-    return fallback;
-  for (unsigned int i = 0; i < n_choices; ++i)
-    if (std::string(choices[i]) == v)
-      return i;
-  std::ostringstream expected;
-  expected << "one of";
-  for (unsigned int i = 0; i < n_choices; ++i)
-    expected << (i == 0 ? " '" : ", '") << choices[i] << "'";
-  internal::env_var_failure(name, v, expected.str().c_str());
 }
 
 /// Parses @p name as an unsigned 64-bit integer (hash seeds); unset returns

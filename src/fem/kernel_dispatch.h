@@ -6,10 +6,10 @@
 // paper exercises - k = 1..9 with n_q = k+1 (collocated) and
 // ceil(3(k+1)/2) (overintegrated) - dedicated translation units instantiate
 // the fixed-extent kernels of fem/tensor_kernels.h and publish them through
-// small function-pointer tables. FEEvaluation / FEFaceEvaluation look the
-// table up once (construction/reinit) and fall back to the runtime-extent
-// kernels whenever no instantiation exists, so uncovered sizes keep working
-// through the verified generic path.
+// small function-pointer tables. The batch KernelBackend
+// (fem/kernel_backend.h) looks the tables up once at construction and falls
+// back to the runtime-extent kernels whenever no instantiation exists, so
+// uncovered sizes keep working through the verified generic path.
 //
 // Adding a new (degree, n_q_1d) instantiation is a one-line change to
 // DGFLOW_KERNEL_DISPATCH_SIZES in fem/kernel_dispatch_sizes.h; see
@@ -72,50 +72,9 @@ struct FaceKernels
                                      const VA *in, VA *out, VA *tmp);
 };
 
-/// Scalar (single-lane) cell kernels of the SoA backend: identical role to
-/// CellKernels, but each call sweeps ONE lane's contiguous scalar tensor in
-/// the lane-major structure-of-arrays staging area, using the plain (full,
-/// non-even-odd) shape matrices. The fixed-extent template parameters double
-/// as compile-time strides, which is the form a device kernel generator
-/// consumes (fem/kernel_backend.h).
-template <typename Number>
-struct SoACellKernels
-{
-  void (*interpolate_to_quad)(const ShapeInfo<Number> &shape,
-                              const Number *dofs, Number *values_quad,
-                              Number *tmp1, Number *tmp2);
-  void (*integrate_from_quad)(const ShapeInfo<Number> &shape,
-                              const Number *values_quad, Number *dofs,
-                              Number *tmp1, Number *tmp2);
-  void (*collocation_gradients)(const ShapeInfo<Number> &shape,
-                                const Number *values_quad,
-                                Number *gradients_quad);
-  void (*collocation_gradients_transpose)(const ShapeInfo<Number> &shape,
-                                          const Number *gradients_quad,
-                                          Number *values_quad,
-                                          const bool overwrite);
-};
-
-/// Scalar (single-lane) face kernels of the SoA backend; the 1D matrices
-/// stay runtime arguments exactly as in FaceKernels.
-template <typename Number>
-struct SoAFaceKernels
-{
-  void (*contract_to_face[3])(const Number *v, const Number *dofs,
-                              Number *plane);
-  void (*expand_from_face_add[3])(const Number *v, const Number *plane,
-                                  Number *dofs);
-  void (*interp_plane)(const Number *M0, const Number *M1, const Number *in,
-                       Number *out, Number *tmp);
-  void (*interp_plane_transpose)(const Number *M0, const Number *M1,
-                                 const Number *in, Number *out, Number *tmp);
-  void (*interp_plane_transpose_add)(const Number *M0, const Number *M1,
-                                     const Number *in, Number *out,
-                                     Number *tmp);
-};
-
 /// Returns the specialized cell-kernel table for (degree, n_q_1d), or
-/// nullptr when no instantiation exists or the fast path is disabled.
+/// nullptr when no instantiation exists or the process default backend is
+/// generic (set_default_kernel_backend, the ABFT repair).
 /// The returned pointer is valid for the process lifetime.
 template <typename Number>
 const CellKernels<Number> *lookup_cell_kernels(const unsigned int degree,
@@ -125,27 +84,5 @@ const CellKernels<Number> *lookup_cell_kernels(const unsigned int degree,
 template <typename Number>
 const FaceKernels<Number> *lookup_face_kernels(const unsigned int degree,
                                                const unsigned int n_q_1d);
-
-/// SoA-backend analogs of lookup_cell_kernels / lookup_face_kernels; same
-/// size coverage (DGFLOW_KERNEL_DISPATCH_SIZES), same gating on the fast
-/// path (the ABFT table guard routes around corrupted tables by disabling
-/// all fixed-size dispatch, whichever backend owns it).
-template <typename Number>
-const SoACellKernels<Number> *
-lookup_soa_cell_kernels(const unsigned int degree, const unsigned int n_q_1d);
-
-template <typename Number>
-const SoAFaceKernels<Number> *
-lookup_soa_face_kernels(const unsigned int degree, const unsigned int n_q_1d);
-
-/// DEPRECATED shim over the backend-selection API of fem/kernel_backend.h:
-/// set_specialized_kernels_enabled(false) is set_default_kernel_backend
-/// (generic) - lookup_* then return nullptr and every evaluator constructed
-/// afterwards uses the runtime-extent fallback - and (true) restores the
-/// batch default. specialized_kernels_enabled() reports whether fixed-size
-/// dispatch is available (default backend != generic). New code should call
-/// the kernel_backend.h functions directly.
-void set_specialized_kernels_enabled(const bool enabled);
-bool specialized_kernels_enabled();
 
 } // namespace dgflow

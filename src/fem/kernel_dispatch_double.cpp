@@ -1,9 +1,8 @@
-// Explicit instantiation of the fixed-size kernel dispatch tables and the
-// kernel backends for Number = double (the operator-evaluation precision).
+// Explicit instantiation of the fixed-size kernel dispatch tables for
+// Number = double (the operator-evaluation precision).
 // Kept in its own translation unit: the ~18 (degree, n_q_1d) instantiations
 // expand every unrolled sweep exactly once here instead of in each consumer.
 
-#include "fem/kernel_backend_impl.h"
 #include "fem/kernel_dispatch_impl.h"
 
 namespace dgflow
@@ -12,11 +11,4 @@ template const CellKernels<double> *
 lookup_cell_kernels<double>(const unsigned int, const unsigned int);
 template const FaceKernels<double> *
 lookup_face_kernels<double>(const unsigned int, const unsigned int);
-template const SoACellKernels<double> *
-lookup_soa_cell_kernels<double>(const unsigned int, const unsigned int);
-template const SoAFaceKernels<double> *
-lookup_soa_face_kernels<double>(const unsigned int, const unsigned int);
-template std::unique_ptr<KernelBackend<double>>
-make_kernel_backend<double>(const KernelBackendType, const ShapeInfo<double> &,
-                            const bool);
 } // namespace dgflow

@@ -1,7 +1,6 @@
-// Explicit instantiation of the fixed-size kernel dispatch tables and the
-// kernel backends for Number = float (the multigrid smoother precision).
+// Explicit instantiation of the fixed-size kernel dispatch tables for
+// Number = float (the multigrid smoother precision).
 
-#include "fem/kernel_backend_impl.h"
 #include "fem/kernel_dispatch_impl.h"
 
 namespace dgflow
@@ -10,11 +9,4 @@ template const CellKernels<float> *
 lookup_cell_kernels<float>(const unsigned int, const unsigned int);
 template const FaceKernels<float> *
 lookup_face_kernels<float>(const unsigned int, const unsigned int);
-template const SoACellKernels<float> *
-lookup_soa_cell_kernels<float>(const unsigned int, const unsigned int);
-template const SoAFaceKernels<float> *
-lookup_soa_face_kernels<float>(const unsigned int, const unsigned int);
-template std::unique_ptr<KernelBackend<float>>
-make_kernel_backend<float>(const KernelBackendType, const ShapeInfo<float> &,
-                           const bool);
 } // namespace dgflow

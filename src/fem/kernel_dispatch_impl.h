@@ -9,12 +9,13 @@
 // files turn into object code once, keeping the unrolled kernels out of
 // every including TU.
 //
-// The sweep structure mirrors FEEvaluation / FEFaceEvaluation exactly (same
-// kernels, same order, same even-odd decomposition); only the extents are
-// compile-time constants. The fast path is therefore bit-identical to the
+// The sweep structure mirrors the runtime-extent sweeps of KernelBackend
+// exactly (same kernels, same order, same even-odd decomposition); only the
+// extents are compile-time constants. The fast path is therefore bit-identical to the
 // generic path by construction - the equivalence tests in
 // tests/test_tensor_kernels.cpp pin that down.
 
+#include "fem/kernel_backend.h"
 #include "fem/kernel_dispatch.h"
 #include "fem/kernel_dispatch_sizes.h"
 #include "fem/tensor_kernels.h"
@@ -116,110 +117,6 @@ struct FixedFaceKernels
   }
 };
 
-// ---------------------------------------------------------------------------
-// SoA backend kernels: the same fixed-extent sweeps instantiated for scalar
-// data (T = Number instead of VectorizedArray<Number>), applied to ONE
-// lane's contiguous tensor in the lane-major staging area of SoABackend.
-// The template extents double as compile-time strides - exactly the
-// information a device kernel generator needs, which is why the SoA path
-// deliberately uses the plain full matrices instead of the even-odd
-// decomposition: a straight triple-loop FMA chain maps onto GPU/APU thread
-// blocks without the cross-lane shuffles even-odd folding requires. The
-// different summation order is why soa-vs-batch equivalence is <= 1e-13,
-// not bitwise.
-// ---------------------------------------------------------------------------
-
-template <typename Number, int deg, int nq>
-struct FixedSoACellKernels
-{
-  static constexpr int n = deg + 1;
-  static constexpr int nqp = nq * nq * nq;
-
-  static void interpolate_to_quad(const ShapeInfo<Number> &s,
-                                  const Number *dofs, Number *vq, Number *t1,
-                                  Number *t2)
-  {
-    apply_matrix_1d_fixed<false, false, nq, n, 0, n, n, n>(s.values.data(),
-                                                           dofs, t1);
-    apply_matrix_1d_fixed<false, false, nq, n, 1, nq, n, n>(s.values.data(),
-                                                            t1, t2);
-    apply_matrix_1d_fixed<false, false, nq, n, 2, nq, nq, n>(s.values.data(),
-                                                             t2, vq);
-  }
-
-  static void integrate_from_quad(const ShapeInfo<Number> &s, const Number *vq,
-                                  Number *dofs, Number *t1, Number *t2)
-  {
-    apply_matrix_1d_fixed<true, false, nq, n, 2, nq, nq, nq>(s.values.data(),
-                                                             vq, t1);
-    apply_matrix_1d_fixed<true, false, nq, n, 1, nq, nq, n>(s.values.data(),
-                                                            t1, t2);
-    apply_matrix_1d_fixed<true, false, nq, n, 0, nq, n, n>(s.values.data(),
-                                                           t2, dofs);
-  }
-
-  static void collocation_gradients(const ShapeInfo<Number> &s,
-                                    const Number *vq, Number *gq)
-  {
-    apply_matrix_1d_fixed<false, false, nq, nq, 0, nq, nq, nq>(
-      s.grad_colloc.data(), vq, gq);
-    apply_matrix_1d_fixed<false, false, nq, nq, 1, nq, nq, nq>(
-      s.grad_colloc.data(), vq, gq + nqp);
-    apply_matrix_1d_fixed<false, false, nq, nq, 2, nq, nq, nq>(
-      s.grad_colloc.data(), vq, gq + 2 * nqp);
-  }
-
-  static void collocation_gradients_transpose(const ShapeInfo<Number> &s,
-                                              const Number *gq, Number *vq,
-                                              const bool overwrite)
-  {
-    if (overwrite)
-      apply_matrix_1d_fixed<true, false, nq, nq, 0, nq, nq, nq>(
-        s.grad_colloc.data(), gq, vq);
-    else
-      apply_matrix_1d_fixed<true, true, nq, nq, 0, nq, nq, nq>(
-        s.grad_colloc.data(), gq, vq);
-    apply_matrix_1d_fixed<true, true, nq, nq, 1, nq, nq, nq>(
-      s.grad_colloc.data(), gq + nqp, vq);
-    apply_matrix_1d_fixed<true, true, nq, nq, 2, nq, nq, nq>(
-      s.grad_colloc.data(), gq + 2 * nqp, vq);
-  }
-};
-
-template <typename Number, int deg, int nq>
-struct FixedSoAFaceKernels
-{
-  static constexpr int n = deg + 1;
-
-  template <int direction>
-  static void contract(const Number *v, const Number *dofs, Number *plane)
-  {
-    contract_to_face_fixed<false, n, direction, n, n, n>(v, dofs, plane);
-  }
-
-  template <int direction>
-  static void expand_add(const Number *v, const Number *plane, Number *dofs)
-  {
-    expand_from_face_fixed<true, n, direction, n, n, n>(v, plane, dofs);
-  }
-
-  static void interp_plane(const Number *M0, const Number *M1,
-                           const Number *in, Number *out, Number *tmp)
-  {
-    apply_matrix_1d_fixed<false, false, nq, n, 0, n, n, 1>(M0, in, tmp);
-    apply_matrix_1d_fixed<false, false, nq, n, 1, nq, n, 1>(M1, tmp, out);
-  }
-
-  template <bool add>
-  static void interp_plane_transpose(const Number *M0, const Number *M1,
-                                     const Number *in, Number *out,
-                                     Number *tmp)
-  {
-    apply_matrix_1d_fixed<true, false, nq, n, 1, nq, nq, 1>(M1, in, tmp);
-    apply_matrix_1d_fixed<true, add, nq, n, 0, nq, n, 1>(M0, tmp, out);
-  }
-};
-
 template <typename Number, int deg, int nq>
 CellKernels<Number> make_cell_kernels()
 {
@@ -240,32 +137,13 @@ FaceKernels<Number> make_face_kernels()
           &K::template interp_plane_transpose<true>};
 }
 
-template <typename Number, int deg, int nq>
-SoACellKernels<Number> make_soa_cell_kernels()
-{
-  using K = FixedSoACellKernels<Number, deg, nq>;
-  return {&K::interpolate_to_quad, &K::integrate_from_quad,
-          &K::collocation_gradients, &K::collocation_gradients_transpose};
-}
-
-template <typename Number, int deg, int nq>
-SoAFaceKernels<Number> make_soa_face_kernels()
-{
-  using K = FixedSoAFaceKernels<Number, deg, nq>;
-  return {{&K::template contract<0>, &K::template contract<1>,
-           &K::template contract<2>},
-          {&K::template expand_add<0>, &K::template expand_add<1>,
-           &K::template expand_add<2>},
-          &K::interp_plane, &K::template interp_plane_transpose<false>,
-          &K::template interp_plane_transpose<true>};
-}
 } // namespace internal
 
 template <typename Number>
 const CellKernels<Number> *lookup_cell_kernels(const unsigned int degree,
                                                const unsigned int n_q_1d)
 {
-  if (!specialized_kernels_enabled())
+  if (default_kernel_backend() == KernelBackendType::generic)
     return nullptr;
   switch (degree * 100 + n_q_1d)
   {
@@ -287,7 +165,7 @@ template <typename Number>
 const FaceKernels<Number> *lookup_face_kernels(const unsigned int degree,
                                                const unsigned int n_q_1d)
 {
-  if (!specialized_kernels_enabled())
+  if (default_kernel_backend() == KernelBackendType::generic)
     return nullptr;
   switch (degree * 100 + n_q_1d)
   {
@@ -296,50 +174,6 @@ const FaceKernels<Number> *lookup_face_kernels(const unsigned int degree,
   {                                                                           \
     static const FaceKernels<Number> table =                                  \
       internal::make_face_kernels<Number, d, q>();                            \
-    return &table;                                                            \
-  }
-    DGFLOW_KERNEL_DISPATCH_SIZES(DGFLOW_KERNEL_CASE)
-#undef DGFLOW_KERNEL_CASE
-    default:
-      return nullptr;
-  }
-}
-
-template <typename Number>
-const SoACellKernels<Number> *
-lookup_soa_cell_kernels(const unsigned int degree, const unsigned int n_q_1d)
-{
-  if (!specialized_kernels_enabled())
-    return nullptr;
-  switch (degree * 100 + n_q_1d)
-  {
-#define DGFLOW_KERNEL_CASE(d, q)                                              \
-  case d * 100 + q:                                                           \
-  {                                                                           \
-    static const SoACellKernels<Number> table =                               \
-      internal::make_soa_cell_kernels<Number, d, q>();                        \
-    return &table;                                                            \
-  }
-    DGFLOW_KERNEL_DISPATCH_SIZES(DGFLOW_KERNEL_CASE)
-#undef DGFLOW_KERNEL_CASE
-    default:
-      return nullptr;
-  }
-}
-
-template <typename Number>
-const SoAFaceKernels<Number> *
-lookup_soa_face_kernels(const unsigned int degree, const unsigned int n_q_1d)
-{
-  if (!specialized_kernels_enabled())
-    return nullptr;
-  switch (degree * 100 + n_q_1d)
-  {
-#define DGFLOW_KERNEL_CASE(d, q)                                              \
-  case d * 100 + q:                                                           \
-  {                                                                           \
-    static const SoAFaceKernels<Number> table =                               \
-      internal::make_soa_face_kernels<Number, d, q>();                        \
     return &table;                                                            \
   }
     DGFLOW_KERNEL_DISPATCH_SIZES(DGFLOW_KERNEL_CASE)

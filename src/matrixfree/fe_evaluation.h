@@ -12,14 +12,13 @@
 // (n_q_1d == degree+1) the interpolation step disappears entirely.
 //
 // Two fast paths resolve at construction/reinit:
-//  * kernel backend: the sum-factorization sweeps are delegated to the
-//    KernelBackend the MatrixFree resolved at reinit (fem/kernel_backend.h).
-//    The batch backend applies the fixed-size AoSoA dispatch tables when an
-//    instantiation for (degree, n_q_1d) exists and the verified
-//    runtime-extent sweeps otherwise (bit-identical results by
-//    construction); the SoA backend stages into lane-major scalar tensors.
-//    The collocation shortcut (n_q_1d == degree+1 skips interpolation) is
-//    layout-independent and stays here, in front of the backend;
+//  * kernel backend: the sum-factorization sweeps are delegated to a
+//    KernelBackend built for the backend the MatrixFree resolved at reinit
+//    (fem/kernel_backend.h): batch applies the fixed-size dispatch tables
+//    when an instantiation for (degree, n_q_1d) exists, generic (and batch
+//    on uncovered sizes) the verified runtime-extent sweeps. The
+//    collocation shortcut (n_q_1d == degree+1 skips interpolation) stays
+//    here, in front of the backend;
 //  * metric compression: get_gradient/submit_gradient/JxW branch on the
 //    batch's GeometryType - Cartesian batches multiply by the constant
 //    diagonal of J^{-T}, affine batches by the constant full tensor, and
@@ -52,8 +51,7 @@ public:
                const unsigned int quad, const bool use_even_odd = true)
     : mf_(mf), space_(space), quad_(quad), shape_(mf.shape_info(space, quad)),
       n_(shape_.n_dofs_1d), nq_(shape_.n_q_1d),
-      backend_(
-        make_kernel_backend<Number>(mf.kernel_backend(), shape_, use_even_odd)),
+      backend_(mf.kernel_backend(), shape_, use_even_odd),
       q_weight_(mf.cell_metric(quad).q_weight.data())
   {
     n_q_points = nq_ * nq_ * nq_;
@@ -154,7 +152,7 @@ public:
       VA *vq = values_quad_.data() + c * n_q_points;
       interpolate_to_quad(dofs, vq);
       if (gradients)
-        backend_->collocation_gradients(
+        backend_.collocation_gradients(
           vq, gradients_quad_.data() + c * dim * n_q_points);
     }
     (void)values; // values are always produced as part of the chain
@@ -166,7 +164,7 @@ public:
     {
       VA *vq = values_quad_.data() + c * n_q_points;
       if (gradients)
-        backend_->collocation_gradients_transpose(
+        backend_.collocation_gradients_transpose(
           gradients_quad_.data() + c * dim * n_q_points, vq, !values);
       integrate_from_quad(vq, values_dofs_.data() + c * dofs_per_component);
     }
@@ -329,7 +327,7 @@ private:
         vq[i] = dofs[i];
       return;
     }
-    backend_->interpolate_to_quad(dofs, vq);
+    backend_.interpolate_to_quad(dofs, vq);
   }
 
   void integrate_from_quad(const VA *vq, VA *dofs)
@@ -340,7 +338,7 @@ private:
         dofs[i] = vq[i];
       return;
     }
-    backend_->integrate_from_quad(vq, dofs);
+    backend_.integrate_from_quad(vq, dofs);
   }
 
   template <bool add>
@@ -365,8 +363,8 @@ private:
   unsigned int space_, quad_;
   const ShapeInfo<Number> &shape_;
   unsigned int n_, nq_;
-  /// Sum-factorization backend (owns layout, dispatch tables, and scratch).
-  std::unique_ptr<KernelBackend<Number>> backend_;
+  /// Sum-factorization sweeps (dispatch tables and scratch).
+  KernelBackend<Number> backend_;
   /// Tensorized reference quadrature weights (for compressed-metric JxW).
   const Number *q_weight_ = nullptr;
   unsigned int batch_ = 0;

@@ -9,12 +9,11 @@
 // defines the quadrature layout shared by both sides and the stored metric.
 //
 // Mirrors the two fast paths of FEEvaluation: the face sum-factorization
-// sweeps are delegated to the KernelBackend resolved at construction
-// (fem/kernel_backend.h - the batch backend applies the fixed-size face
-// tables, the SoA backend stages lane-major scalar planes), and per-batch
-// constant metric data (normal, surface Jacobian, J^{-T}) cached by reinit
-// for Cartesian/affine face batches. The collocation plane shortcut and the
-// orientation permutation are layout-independent and stay here.
+// sweeps are delegated to the KernelBackend built at construction
+// (fem/kernel_backend.h - batch applies the fixed-size face tables where
+// they exist), and per-batch constant metric data (normal, surface Jacobian,
+// J^{-T}) cached by reinit for Cartesian/affine face batches. The
+// collocation plane shortcut and the orientation permutation stay here.
 
 #include "fem/kernel_backend.h"
 #include "matrixfree/matrix_free.h"
@@ -39,7 +38,7 @@ public:
     : mf_(mf), space_(space), quad_(quad), interior_(interior),
       shape_(mf.shape_info(space, quad)), n_(shape_.n_dofs_1d),
       nq_(shape_.n_q_1d),
-      backend_(make_kernel_backend<Number>(mf.kernel_backend(), shape_)),
+      backend_(mf.kernel_backend(), shape_),
       q_weight_(mf.face_metric(quad).q_weight.data())
   {
     n_q_points = nq_ * nq_;
@@ -182,11 +181,11 @@ public:
       const VA *dofs = values_dofs_.data() + c * dofs_per_component;
       VA *pv = plane_v_.data() + c * plane_stride();
       VA *pdn = plane_dn_.data() + c * plane_stride();
-      backend_->contract_to_face(shape_.face_value[side_].data(), dofs, pv,
-                                 normal_dir_);
+      backend_.contract_to_face(shape_.face_value[side_].data(), dofs, pv,
+                                normal_dir_);
       if (gradients)
-        backend_->contract_to_face(shape_.face_grad[side_].data(), dofs, pdn,
-                                   normal_dir_);
+        backend_.contract_to_face(shape_.face_grad[side_].data(), dofs, pdn,
+                                  normal_dir_);
 
       // 2D interpolation to quadrature points in this side's own ordering
       VA *vq = values_quad_.data() + c * n_q_points;
@@ -260,11 +259,11 @@ public:
         have_pv = true;
       }
       if (have_pv)
-        backend_->expand_from_face_add(shape_.face_value[side_].data(), pv,
-                                       dofs, normal_dir_);
+        backend_.expand_from_face_add(shape_.face_value[side_].data(), pv,
+                                      dofs, normal_dir_);
       if (gradients)
-        backend_->expand_from_face_add(shape_.face_grad[side_].data(), pdn,
-                                       dofs, normal_dir_);
+        backend_.expand_from_face_add(shape_.face_grad[side_].data(), pdn,
+                                      dofs, normal_dir_);
     }
   }
 
@@ -465,7 +464,7 @@ private:
         out[i] = in[i];
       return;
     }
-    backend_->interp_plane(M0, M1, in, out);
+    backend_.interp_plane(M0, M1, in, out);
   }
 
   /// Transpose of interp_plane; accumulates into out when add is set.
@@ -484,7 +483,7 @@ private:
           out[i] = in[i];
       return;
     }
-    backend_->interp_plane_transpose(M0, M1, in, out, add);
+    backend_.interp_plane_transpose(M0, M1, in, out, add);
   }
 
   void permute_to_minus(VA *data)
@@ -508,8 +507,8 @@ private:
   bool interior_;
   const ShapeInfo<Number> &shape_;
   unsigned int n_, nq_;
-  /// Sum-factorization backend (owns layout, dispatch tables, and scratch).
-  std::unique_ptr<KernelBackend<Number>> backend_;
+  /// Sum-factorization sweeps (dispatch tables and scratch).
+  KernelBackend<Number> backend_;
   /// Tensorized 2D reference weights (for compressed-metric JxW).
   const Number *q_weight_ = nullptr;
 

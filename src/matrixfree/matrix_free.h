@@ -93,9 +93,9 @@ public:
     /// (cell_loop.h); 0 = size from the process pool (DGFLOW_THREADS via
     /// concurrency::ThreadPool). 1 forces the serial loop bodies.
     unsigned int n_threads = 0;
-    /// kernel backend the evaluators of this MatrixFree use (see
-    /// fem/kernel_backend.h). Unset = resolve from the DGFLOW_BACKEND
-    /// environment variable, falling back to the process default (batch).
+    /// kernel backend the evaluators of this MatrixFree use, batch or
+    /// generic (see fem/kernel_backend.h). Unset = the process default
+    /// (set_default_kernel_backend, batch unless the ABFT repair ran).
     std::optional<KernelBackendType> backend;
   };
 
@@ -509,9 +509,9 @@ public:
     return (vector_bytes + metric_bytes) / n;
   }
 
-  /// Kernel backend resolved at reinit (AdditionalData::backend, else
-  /// DGFLOW_BACKEND, else the process default). Evaluators constructed on
-  /// this MatrixFree stage their sum-factorization sweeps through it.
+  /// Kernel backend resolved at reinit (AdditionalData::backend, else the
+  /// process default). Evaluators constructed on this MatrixFree run their
+  /// sum-factorization sweeps through it.
   KernelBackendType kernel_backend() const { return backend_; }
 
   double penalty_safety() const { return penalty_safety_; }
@@ -614,10 +614,7 @@ void MatrixFree<Number>::reinit(const Mesh &mesh, const Geometry &geometry,
                        ? data.n_threads
                        : concurrency::ThreadPool::instance().n_threads();
 
-  // strongest selector wins: explicit AdditionalData::backend, then a strict
-  // DGFLOW_BACKEND parse, then the process default of kernel_backend.h
-  backend_ = data.backend ? *data.backend
-                          : kernel_backend_from_env(default_kernel_backend());
+  backend_ = data.backend.value_or(default_kernel_backend());
 
   build_cell_batches();
   build_face_batches();

@@ -116,18 +116,14 @@ void protect_kernel_tables(ArtifactGuard &guard)
   add(lookup_cell_kernels<double>(deg, nq));                                  \
   add(lookup_face_kernels<double>(deg, nq));                                  \
   add(lookup_cell_kernels<float>(deg, nq));                                   \
-  add(lookup_face_kernels<float>(deg, nq));                                   \
-  add(lookup_soa_cell_kernels<double>(deg, nq));                              \
-  add(lookup_soa_face_kernels<double>(deg, nq));                              \
-  add(lookup_soa_cell_kernels<float>(deg, nq));                               \
-  add(lookup_soa_face_kernels<float>(deg, nq));
+  add(lookup_face_kernels<float>(deg, nq));
       DGFLOW_KERNEL_DISPATCH_SIZES(DGFLOW_ABFT_ADD_TABLES)
 #undef DGFLOW_ABFT_ADD_TABLES
       return r;
     },
-    // routing to the generic backend default disables fixed-size dispatch in
-    // every backend: lookup_* and lookup_soa_* return nullptr afterwards, so
-    // batch/soa evaluators degrade to the verified runtime-extent sweeps
+    // routing to the generic backend default disables fixed-size dispatch:
+    // lookup_* return nullptr afterwards, so batch evaluators degrade to the
+    // verified runtime-extent sweeps
     []() { set_default_kernel_backend(KernelBackendType::generic); });
 }
 

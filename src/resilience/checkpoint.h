@@ -202,7 +202,8 @@ private:
                             std::to_string(bytes) + " bytes at offset " +
                             std::to_string(pos_) + ", payload has " +
                             std::to_string(payload_.size()));
-    std::memcpy(data, payload_.data() + pos_, bytes);
+    if (bytes > 0) // an empty field may come with a null destination
+      std::memcpy(data, payload_.data() + pos_, bytes);
     pos_ += bytes;
   }
 

@@ -11,13 +11,12 @@
 // callers can fall back (RecoveringSolver) or reject the time step.
 //
 // Fused loops: when the operator implements the contract-v2 hooked vmult
-// (HookedOperatorFor) and SolverControl::fuse_loops is on, the
-// search-direction update p = beta*p + z rides the next vmult's pre hooks
-// (each cell batch's slice updated right before the operator reads it) and
-// the x/r updates merge into one sweep — the merged solver kernels of
-// Muething et al., saving two full passes of vector traffic per iteration.
-// The arithmetic is element-for-element the classic expressions, so fused
-// and unfused iterates agree bitwise.
+// (HookedOperatorFor), the search-direction update p = beta*p + z rides the
+// next vmult's pre hooks (each cell batch's slice updated right before the
+// operator reads it) and the x/r updates merge into one sweep — the merged
+// solver kernels of Muething et al., saving two full passes of vector
+// traffic per iteration. Operators without hooks run the classic loop; the
+// arithmetic is element-for-element the same, so both agree bitwise.
 //
 // ABFT guard: with SolverControl::abft_replay_interval > 0 the solver
 // periodically replays the true residual and the CG orthogonality relation
@@ -48,9 +47,6 @@ struct SolverControl
   /// declare stagnation after this many consecutive iterations without any
   /// residual improvement (0 disables the check)
   unsigned int stagnation_window = 100;
-  /// fold the solver's BLAS-1 updates into the operator's hooked cell loop
-  /// (no effect on operators without contract-v2 hooks)
-  bool fuse_loops = true;
   /// distributed failure detection: when set, solve_cg calls the hook at
   /// iteration boundaries (honoring its stride) so all ranks agree on
   /// live-or-dead before the next collective; nullptr (the default) costs
@@ -430,32 +426,24 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     const Number alpha = rz / pAp;
     if constexpr (hooked)
     {
-      if (control.fuse_loops)
+      // one merged sweep instead of two (bitwise equal: the element
+      // updates are independent and use the classic expressions)
+      Number *DGFLOW_RESTRICT xd = x.data();
+      Number *DGFLOW_RESTRICT rd = r.data();
+      const Number *DGFLOW_RESTRICT pd = p.data();
+      const Number *DGFLOW_RESTRICT apd = Ap.data();
+      concurrency::ThreadPool::instance().parallel_for(
+        x.size(), [&](const std::size_t i0, const std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i)
+          {
+            xd[i] += alpha * pd[i];
+            rd[i] += (-alpha) * apd[i];
+          }
+        });
+      if constexpr (distributed)
       {
-        // one merged sweep instead of two (bitwise equal: the element
-        // updates are independent and use the classic expressions)
-        Number *DGFLOW_RESTRICT xd = x.data();
-        Number *DGFLOW_RESTRICT rd = r.data();
-        const Number *DGFLOW_RESTRICT pd = p.data();
-        const Number *DGFLOW_RESTRICT apd = Ap.data();
-        concurrency::ThreadPool::instance().parallel_for(
-          x.size(), [&](const std::size_t i0, const std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i)
-            {
-              xd[i] += alpha * pd[i];
-              rd[i] += (-alpha) * apd[i];
-            }
-          });
-        if constexpr (distributed)
-        {
-          x.invalidate_ghosts();
-          r.invalidate_ghosts();
-        }
-      }
-      else
-      {
-        x.add(alpha, p);
-        r.add(-alpha, Ap);
+        x.invalidate_ghosts();
+        r.invalidate_ghosts();
       }
     }
     else
@@ -522,12 +510,7 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     beta = rz_new / rz;
     rz = rz_new;
     if constexpr (hooked)
-    {
-      if (control.fuse_loops)
-        pending_beta = true; // p = beta*p + z rides the next vmult
-      else
-        p.sadd(beta, Number(1), z);
-    }
+      pending_beta = true; // p = beta*p + z rides the next vmult
     else
       p.sadd(beta, Number(1), z);
   }

@@ -35,10 +35,6 @@ struct ChebyshevData
   double smoothing_range = 20.; ///< lambda_max / lambda_min of the smoothed band
   double max_eigenvalue_safety = 1.2;
   unsigned int power_iterations = 20;
-  /// fold the residual/direction/solution updates into the operator's
-  /// hooked cell loop (contract v2); ignored for operators without hooks.
-  /// The fused sweep is bitwise identical to the classic one.
-  bool fuse_loops = true;
   /// distributed failure detection: when set, every smoothing sweep opens
   /// with an agreement boundary so a dead peer is detected before the
   /// sweep's ghost exchanges turn into timeouts on the survivors; nullptr
@@ -119,12 +115,12 @@ public:
   /// One smoothing sweep: improves x for A x = b, starting from the given x
   /// (pass x = 0 for the pre-smoother on the residual equation).
   ///
-  /// With a contract-v2 hooked operator and fuse_loops on, every
-  /// residual/direction/solution update rides the operator's post hooks:
-  /// each cell batch's slice of r = D^{-1}(b - Ax), d and x is updated the
-  /// moment the traversal is done with it, while it is still in cache —
-  /// the whole sweep makes no separate BLAS-1 passes. The per-element
-  /// expressions are the classic ones, so the result is bitwise identical.
+  /// With a contract-v2 hooked operator, every residual/direction/solution
+  /// update rides the operator's post hooks: each cell batch's slice of
+  /// r = D^{-1}(b - Ax), d and x is updated the moment the traversal is done
+  /// with it, while it is still in cache — the whole sweep makes no separate
+  /// BLAS-1 passes. Operators without hooks run the classic sweeps; the
+  /// per-element expressions are the same, so the results agree bitwise.
   void smooth(VectorType &x, const VectorType &b,
               const bool zero_initial_guess) const
   {
@@ -145,13 +141,12 @@ public:
     }
 
     if constexpr (HookedOperatorFor<Operator, VectorType>)
-      if (data_.fuse_loops)
-      {
-        smooth_fused(x, b, zero_initial_guess, theta, delta);
-        if (data_.abft_check)
-          abft_check_result(x, b, zero_initial_guess);
-        return;
-      }
+    {
+      smooth_fused(x, b, zero_initial_guess, theta, delta);
+      if (data_.abft_check)
+        abft_check_result(x, b, zero_initial_guess);
+      return;
+    }
 
     // r = D^{-1} (b - A x)
     if (zero_initial_guess)

@@ -130,7 +130,8 @@ void Communicator::send(const int dest, const int tag, const void *data,
   msg.tag = tag;
   msg.epoch = epoch_;
   msg.data.resize(bytes);
-  std::memcpy(msg.data.data(), data, bytes);
+  if (bytes > 0) // an empty payload may come with null pointers
+    std::memcpy(msg.data.data(), data, bytes);
   if (action.corrupt_bytes > 0)
     for (std::size_t i = 0; i < std::min(action.corrupt_bytes, bytes); ++i)
       msg.data[i] = static_cast<char>(msg.data[i] ^ 0x5A);
@@ -202,8 +203,9 @@ std::size_t Communicator::recv(const int source, const int tag, void *data,
       DGFLOW_ASSERT(it->data.size() <= max_bytes,
                     "receive buffer too small: " << it->data.size() << " > "
                                                  << max_bytes);
-      std::memcpy(data, it->data.data(), it->data.size());
       const std::size_t bytes = it->data.size();
+      if (bytes > 0)
+        std::memcpy(data, it->data.data(), bytes);
       box.messages.erase(it);
       beat();
       return bytes;

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/env.h"
-#include "fem/kernel_dispatch.h"
+#include "fem/kernel_backend.h"
 #include "mesh/generators.h"
 #include "mesh/partition.h"
 #include "multigrid/hybrid_multigrid.h"
@@ -339,7 +339,7 @@ TEST(ArtifactGuard, UnknownArtifactNameThrows)
 
 TEST(ArtifactGuard, KernelDispatchTablesVerifyAndRouteAroundOnCorruption)
 {
-  ASSERT_TRUE(specialized_kernels_enabled());
+  ASSERT_EQ(default_kernel_backend(), KernelBackendType::batch);
   resilience::ArtifactGuard guard;
   resilience::protect_kernel_tables(guard);
   EXPECT_EQ(guard.scrub(), 0u);
@@ -347,13 +347,13 @@ TEST(ArtifactGuard, KernelDispatchTablesVerifyAndRouteAroundOnCorruption)
   // code pointers cannot be rebuilt from primary data; the repair disables
   // the specialized fast path (generic kernels give the same results) and
   // the guard rebaselines onto the safe representation
-  set_specialized_kernels_enabled(false);
+  set_default_kernel_backend(KernelBackendType::generic);
   EXPECT_FALSE(guard.verify("kernel_dispatch_tables"));
   EXPECT_EQ(guard.scrub(), 1u);
-  EXPECT_FALSE(specialized_kernels_enabled());
+  EXPECT_EQ(default_kernel_backend(), KernelBackendType::generic);
   EXPECT_TRUE(guard.verify("kernel_dispatch_tables"));
   EXPECT_EQ(guard.scrub(), 0u);
-  set_specialized_kernels_enabled(true);
+  set_default_kernel_backend(KernelBackendType::batch);
 }
 
 TEST(ArtifactGuard, GeometryBatchFlipIsRebuiltBitIdentically)

@@ -56,6 +56,12 @@ TEST(AlignedVector, CopyAndMove)
   EXPECT_EQ(b[3], 3.);
   c = std::move(b);
   EXPECT_EQ(c[3], 3.);
+  // copies of an empty vector: its data pointer is null
+  const AlignedVector<double> empty;
+  AlignedVector<double> d(empty);
+  EXPECT_TRUE(d.empty());
+  c = empty;
+  EXPECT_TRUE(c.empty());
 }
 
 TEST(AlignedVector, FillAndClear)

@@ -322,7 +322,7 @@ TEST(CGSolver, SolvesDiagonalSystemExactly)
 
 #include <memory>
 
-#include "fem/kernel_dispatch.h"
+#include "fem/kernel_backend.h"
 
 namespace
 {
@@ -334,7 +334,8 @@ Vector<double> laplace_action(const Mesh &mesh, const Geometry &geom,
                               const bool compress, const bool specialized,
                               GeometryType *observed_type = nullptr)
 {
-  set_specialized_kernels_enabled(specialized);
+  set_default_kernel_backend(specialized ? KernelBackendType::batch
+                                         : KernelBackendType::generic);
   MatrixFree<double> mf;
   MatrixFree<double>::AdditionalData data;
   data.degrees = {degree};
@@ -349,7 +350,7 @@ Vector<double> laplace_action(const Mesh &mesh, const Geometry &geom,
   const auto u = random_vec(laplace.n_dofs(), 99);
   Vector<double> au(u.size());
   laplace.vmult(au, u);
-  set_specialized_kernels_enabled(true);
+  set_default_kernel_backend(KernelBackendType::batch);
   return au;
 }
 
@@ -453,16 +454,15 @@ TEST(LaplaceFastPath, FullyGenericPathMatchesFullFastPath)
 
 // ---------------------------------------------------------------------------
 // Kernel backends: the SIP Laplacian selected through AdditionalData::backend
-// must be bitwise-identical to today's default for the batch backend, bitwise
-// identical to the legacy generic toggle for the generic backend, and agree
-// to 1e-13 for the SoA backend — on Cartesian, affine, and deformed meshes,
-// serially and on four vmpi ranks with threads.
+// must be bitwise-identical to the default for the batch backend and to the
+// process-wide generic default (the legacy toggle) for the generic backend —
+// on Cartesian, affine, and deformed meshes, serially and on four vmpi ranks
+// with threads.
 // ---------------------------------------------------------------------------
 
 #include <cstring>
 
 #include "concurrency/thread_pool.h"
-#include "fem/kernel_backend.h"
 #include "mesh/partition.h"
 #include "vmpi/distributed_vector.h"
 #include "vmpi/partitioner.h"
@@ -522,48 +522,12 @@ TEST(LaplaceBackend, GenericIsBitwiseIdenticalToLegacyToggle)
   for (auto &m : fast_path_meshes())
   {
     SCOPED_TRACE(m.name);
-    // the deprecated bool reproduced by its backend equivalent
+    // the process-wide generic default vs the per-MatrixFree request
     const auto legacy = laplace_action(m.mesh, *m.geom, 3, 5, true, false);
     const auto generic = laplace_action_backend(m.mesh, *m.geom, 3, 5,
                                                 KernelBackendType::generic);
     EXPECT_TRUE(vectors_bitwise_equal(generic, legacy));
   }
-}
-
-TEST(LaplaceBackend, SoAMatchesBatchTo1em13)
-{
-  for (auto &m : fast_path_meshes())
-    for (const unsigned int degree : {2u, 3u, 5u})
-      for (const unsigned int n_q_1d : {degree + 1, (3 * (degree + 1)) / 2})
-      {
-        SCOPED_TRACE(std::string(m.name) + " degree " +
-                     std::to_string(degree) + " n_q " + std::to_string(n_q_1d));
-        const auto batch = laplace_action_backend(
-          m.mesh, *m.geom, degree, n_q_1d, KernelBackendType::batch);
-        const auto soa = laplace_action_backend(m.mesh, *m.geom, degree,
-                                                n_q_1d, KernelBackendType::soa);
-        expect_vectors_near(soa, batch, 1e-13);
-      }
-}
-
-TEST(LaplaceBackend, EnvSelectsBackendAtReinit)
-{
-  ASSERT_EQ(setenv("DGFLOW_BACKEND", "soa", 1), 0);
-  Mesh mesh(unit_cube());
-  mesh.refine_uniform(1);
-  TrilinearGeometry geom(mesh.coarse());
-  MatrixFree<double> mf;
-  setup_mf(mf, mesh, geom, 3);
-  EXPECT_EQ(mf.kernel_backend(), KernelBackendType::soa);
-  // an explicit AdditionalData::backend request beats the env variable
-  MatrixFree<double> mf2;
-  MatrixFree<double>::AdditionalData data;
-  data.degrees = {3};
-  data.n_q_points_1d = {4};
-  data.backend = KernelBackendType::batch;
-  mf2.reinit(mesh, geom, data);
-  EXPECT_EQ(mf2.kernel_backend(), KernelBackendType::batch);
-  ASSERT_EQ(unsetenv("DGFLOW_BACKEND"), 0);
 }
 
 namespace
@@ -608,7 +572,7 @@ Vector<double> distributed_threaded_action(const Mesh &mesh,
 }
 } // namespace
 
-TEST(LaplaceBackend, FourRanksThreadedSoAMatchesBatch)
+TEST(LaplaceBackend, FourRanksThreadedGenericMatchesBatch)
 {
   Mesh mesh(unit_cube());
   mesh.refine_uniform(2);
@@ -619,12 +583,11 @@ TEST(LaplaceBackend, FourRanksThreadedSoAMatchesBatch)
   const auto batch_threaded =
     distributed_threaded_action(mesh, degree, 4, KernelBackendType::batch);
   EXPECT_TRUE(vectors_bitwise_equal(batch_threaded, batch_serial));
-  // ...and the SoA backend agrees to 1e-13 under ranks x threads as well
-  for (const unsigned int nt : {1u, 4u})
-  {
-    SCOPED_TRACE(nt);
-    const auto soa =
-      distributed_threaded_action(mesh, degree, nt, KernelBackendType::soa);
-    expect_vectors_near(soa, batch_serial, 1e-13);
-  }
+  // ...and so does generic, which agrees with batch to a few ULPs
+  const auto generic_serial =
+    distributed_threaded_action(mesh, degree, 1, KernelBackendType::generic);
+  const auto generic_threaded =
+    distributed_threaded_action(mesh, degree, 4, KernelBackendType::generic);
+  EXPECT_TRUE(vectors_bitwise_equal(generic_threaded, generic_serial));
+  expect_vectors_near(generic_serial, batch_serial, 1e-13);
 }

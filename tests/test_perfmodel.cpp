@@ -122,58 +122,11 @@ TEST(ScalingModelTest, PoissonSolveFloorsAroundPaperValues)
   EXPECT_LT(best, 1.0);
 }
 
-// ---------------------------------------------------------------------------
-// DeviceModel: the HBM-class APU projection printed next to the host roofs
-// by fig07_roofline and kernels_microbench.
-// ---------------------------------------------------------------------------
-
-#include "perfmodel/device_model.h"
-
-TEST(DeviceModelTest, RooflineIsMinOfBandwidthAndPeak)
+TEST(HostModelTest, PredictionsArePinned)
 {
-  const DeviceModel d = DeviceModel::mi300a();
-  EXPECT_GT(d.hbm_bandwidth, 0.);
-  EXPECT_GT(d.dp_peak_flops, 0.);
-  EXPECT_GT(d.sp_peak_flops, d.dp_peak_flops);
-  // far left of the ridge: bandwidth-bound; far right: compute-bound
-  EXPECT_DOUBLE_EQ(d.roof(1e-3), d.hbm_bandwidth * 1e-3);
-  EXPECT_DOUBLE_EQ(d.roof(1e6), d.dp_peak_flops);
-  const double ridge = d.dp_peak_flops / d.hbm_bandwidth;
-  EXPECT_DOUBLE_EQ(d.roof(ridge), d.dp_peak_flops);
-}
-
-TEST(DeviceModelTest, ProjectionPicksTheBindingResource)
-{
-  const DeviceModel d = DeviceModel::mi300a();
-  // DG kernels sit far left of the ridge: the projection is the bandwidth
-  // bound for every relevant degree
-  for (unsigned int k = 1; k <= 8; ++k)
-  {
-    const KernelModel kernel{k, 8};
-    const double dofs = d.projected_dofs_per_s(kernel.measured_bytes_per_dof(),
-                                               kernel.flops_per_dof());
-    EXPECT_DOUBLE_EQ(dofs, d.hbm_bandwidth / kernel.measured_bytes_per_dof());
-    EXPECT_LE(dofs * kernel.flops_per_dof(), d.dp_peak_flops);
-  }
-  // a hypothetical flop-heavy kernel flips to the compute bound
-  EXPECT_DOUBLE_EQ(d.projected_dofs_per_s(1., 1e9), d.dp_peak_flops / 1e9);
-}
-
-TEST(DeviceModelTest, SpeedupVsHostIsBandwidthRatio)
-{
-  const DeviceModel d = DeviceModel::mi300a();
-  EXPECT_DOUBLE_EQ(d.projected_speedup_vs_host(2.05e11),
-                   d.hbm_bandwidth / 2.05e11);
-  EXPECT_DOUBLE_EQ(d.projected_speedup_vs_host(0.), 0.);
-}
-
-TEST(DeviceModelTest, HostModelPredictionsArePinned)
-{
-  // the device model must not perturb any host-side prediction: these are
-  // the exact pre-DeviceModel numbers of the SuperMUC-NG machine model and
-  // the k=3 kernel model, pinned bit-for-bit (EXPECT_DOUBLE_EQ is exact
-  // equality); any drift in the host constants fails here before it skews a
-  // roofline or a scaling figure
+  // the SuperMUC-NG machine model and the k=3 kernel model, pinned
+  // bit-for-bit (EXPECT_DOUBLE_EQ is exact equality): any drift in the host
+  // constants fails here before it skews a roofline or a scaling figure
   const MachineModel host = MachineModel::supermuc_ng();
   EXPECT_DOUBLE_EQ(host.memory_bandwidth, 2.05e11);
   EXPECT_DOUBLE_EQ(host.effective_bandwidth(1.), 1.28125e10);

@@ -385,11 +385,11 @@ TEST(KernelDispatch, CoversAllListedSizesAndOnlyThose)
 
 TEST(KernelDispatch, DisableSwitchForcesGenericPath)
 {
-  ASSERT_TRUE(specialized_kernels_enabled());
-  set_specialized_kernels_enabled(false);
+  ASSERT_EQ(default_kernel_backend(), KernelBackendType::batch);
+  set_default_kernel_backend(KernelBackendType::generic);
   EXPECT_EQ(lookup_cell_kernels<double>(3, 4), nullptr);
   EXPECT_EQ(lookup_face_kernels<double>(3, 4), nullptr);
-  set_specialized_kernels_enabled(true);
+  set_default_kernel_backend(KernelBackendType::batch);
   EXPECT_NE(lookup_cell_kernels<double>(3, 4), nullptr);
 }
 
@@ -552,16 +552,12 @@ TEST(KernelDispatch, FaceKernelsMatchGeneric)
 
 // ---------------------------------------------------------------------------
 // Kernel backends (fem/kernel_backend.h): every dispatch size x backend pair.
-// The batch backend must be bitwise-identical to the fixed-size AoSoA tables
-// it wraps (and to the generic sweeps where no table exists); the SoA
-// backend's lane-major scalar staging changes the summation order, so it
-// agrees to 1e-13. The strict DGFLOW_BACKEND parse is covered at the end.
+// The batch backend must be bitwise-identical to the fixed-size tables it
+// wraps, and to the generic sweeps where no table exists.
 // ---------------------------------------------------------------------------
 
-#include <cstdlib>
 #include <cstring>
 
-#include "common/env.h"
 #include "fem/kernel_backend.h"
 
 namespace
@@ -584,56 +580,11 @@ AlignedVector<VAd> prefix(const AlignedVector<VAd> &v, unsigned int count)
   return p;
 }
 
-/// Like expect_batches_near, but normalized by the inf-norm of the reference
-/// batch: a 1D contraction's rounding error scales with the largest partial
-/// sum, not with the (possibly cancelled-down) individual entries.
-void expect_batches_close(const AlignedVector<VAd> &a,
-                          const AlignedVector<VAd> &b, const double tol,
-                          const char *what)
-{
-  ASSERT_EQ(a.size(), b.size()) << what;
-  double bmax = 1.;
-  for (std::size_t i = 0; i < b.size(); ++i)
-    for (unsigned int l = 0; l < VAd::width; ++l)
-      bmax = std::max(bmax, std::abs(b[i][l]));
-  for (std::size_t i = 0; i < a.size(); ++i)
-    for (unsigned int l = 0; l < VAd::width; ++l)
-      ASSERT_NEAR(a[i][l], b[i][l], tol * bmax)
-        << what << " entry " << i << " lane " << l;
-}
 } // namespace
-
-TEST(KernelBackend, SoALookupCoversAllListedSizesAndOnlyThose)
-{
-  for (const auto &[deg, nq] : dispatch_sizes())
-  {
-    EXPECT_NE(lookup_soa_cell_kernels<double>(deg, nq), nullptr)
-      << "degree " << deg << " n_q " << nq;
-    EXPECT_NE(lookup_soa_face_kernels<double>(deg, nq), nullptr);
-    EXPECT_NE(lookup_soa_cell_kernels<float>(deg, nq), nullptr);
-    EXPECT_NE(lookup_soa_face_kernels<float>(deg, nq), nullptr);
-  }
-  EXPECT_EQ(lookup_soa_cell_kernels<double>(10, 11), nullptr);
-  EXPECT_EQ(lookup_soa_face_kernels<double>(3, 9), nullptr);
-}
-
-TEST(KernelBackend, DeprecatedShimMapsOntoBackendDefault)
-{
-  ASSERT_EQ(default_kernel_backend(), KernelBackendType::batch);
-  ASSERT_TRUE(specialized_kernels_enabled());
-  set_specialized_kernels_enabled(false);
-  EXPECT_EQ(default_kernel_backend(), KernelBackendType::generic);
-  EXPECT_EQ(lookup_soa_cell_kernels<double>(3, 4), nullptr);
-  EXPECT_EQ(lookup_soa_face_kernels<double>(3, 4), nullptr);
-  set_specialized_kernels_enabled(true);
-  EXPECT_EQ(default_kernel_backend(), KernelBackendType::batch);
-  EXPECT_NE(lookup_soa_cell_kernels<double>(3, 4), nullptr);
-}
 
 TEST(KernelBackend, NamesRoundTrip)
 {
   EXPECT_STREQ(kernel_backend_name(KernelBackendType::batch), "batch");
-  EXPECT_STREQ(kernel_backend_name(KernelBackendType::soa), "soa");
   EXPECT_STREQ(kernel_backend_name(KernelBackendType::generic), "generic");
 }
 
@@ -704,10 +655,8 @@ TEST(KernelBackend, BatchIsBitwiseIdenticalToDispatchTablesEverySize)
     const auto dofs = random_batch(n * n * n);
     const auto acc = random_batch(n * n * n);
 
-    auto batch =
-      make_kernel_backend<double>(KernelBackendType::batch, shape);
-    ASSERT_EQ(batch->type(), KernelBackendType::batch);
-    const BackendSweep got = sweep_backend(*batch, shape, dofs, acc);
+    KernelBackend<double> batch(KernelBackendType::batch, shape);
+    const BackendSweep got = sweep_backend(batch, shape, dofs, acc);
 
     // reference: the raw fixed-size tables, exactly as the pre-backend
     // evaluators called them
@@ -760,45 +709,6 @@ TEST(KernelBackend, BatchIsBitwiseIdenticalToDispatchTablesEverySize)
   }
 }
 
-TEST(KernelBackend, SoAMatchesBatchEverySizeTo1em13)
-{
-  for (const auto &[deg, nq] : dispatch_sizes())
-  {
-    SCOPED_TRACE("degree " + std::to_string(deg) + " n_q " +
-                 std::to_string(nq));
-    const ShapeInfo<double> shape(deg, nq);
-    const unsigned int n = deg + 1;
-    const auto dofs = random_batch(n * n * n);
-    const auto acc = random_batch(n * n * n);
-
-    auto batch = make_kernel_backend<double>(KernelBackendType::batch, shape);
-    auto soa = make_kernel_backend<double>(KernelBackendType::soa, shape);
-    ASSERT_EQ(soa->type(), KernelBackendType::soa);
-    const BackendSweep b = sweep_backend(*batch, shape, dofs, acc);
-    const BackendSweep s = sweep_backend(*soa, shape, dofs, acc, &b);
-
-    // the plain-sweep summation order differs from even-odd, so per entry
-    // point the agreement is a few 1e-12 of the largest partial sum on
-    // random [-1,1] inputs; the ISSUE's 1e-13 acceptance is the mesh-level
-    // LaplaceBackend agreement, where the assembled per-dof results are the
-    // quantity of interest (tests/test_laplace.cpp)
-    const unsigned int n2 = n * n;
-    expect_batches_close(s.vq, b.vq, 1e-11, "soa interpolate_to_quad");
-    expect_batches_close(s.gq, b.gq, 1e-11, "soa collocation_gradients");
-    expect_batches_close(s.vq_acc, b.vq_acc, 1e-11,
-                         "soa collocation_gradients_transpose");
-    expect_batches_close(s.dofs_out, b.dofs_out, 1e-11,
-                         "soa integrate_from_quad");
-    expect_batches_close(prefix(s.plane, n2), prefix(b.plane, n2), 1e-11,
-                         "soa contract_to_face");
-    expect_batches_close(s.cell_acc, b.cell_acc, 1e-11,
-                         "soa expand_from_face_add");
-    expect_batches_close(s.interp, b.interp, 1e-11, "soa interp_plane");
-    expect_batches_close(prefix(s.back, n2), prefix(b.back, n2), 1e-11,
-                         "soa interp_plane_transpose");
-  }
-}
-
 TEST(KernelBackend, GenericMatchesBatchEverySize)
 {
   // the batch backend's tables share the even-odd summation order with the
@@ -812,11 +722,10 @@ TEST(KernelBackend, GenericMatchesBatchEverySize)
     const auto dofs = random_batch(n * n * n);
     const auto acc = random_batch(n * n * n);
 
-    auto batch = make_kernel_backend<double>(KernelBackendType::batch, shape);
-    auto gen = make_kernel_backend<double>(KernelBackendType::generic, shape);
-    ASSERT_EQ(gen->type(), KernelBackendType::generic);
-    const BackendSweep b = sweep_backend(*batch, shape, dofs, acc);
-    const BackendSweep g = sweep_backend(*gen, shape, dofs, acc, &b);
+    KernelBackend<double> batch(KernelBackendType::batch, shape);
+    KernelBackend<double> gen(KernelBackendType::generic, shape);
+    const BackendSweep b = sweep_backend(batch, shape, dofs, acc);
+    const BackendSweep g = sweep_backend(gen, shape, dofs, acc, &b);
 
     expect_batches_near(g.vq, b.vq, 1e-13, "generic interpolate_to_quad");
     expect_batches_near(g.gq, b.gq, 1e-13, "generic collocation_gradients");
@@ -831,55 +740,16 @@ TEST(KernelBackend, GenericMatchesBatchEverySize)
 
 TEST(KernelBackend, UncoveredSizeFallsBackOnEveryBackend)
 {
-  // (degree 10, n_q 11) has no fixed-size instantiation: all three backends
-  // must still produce consistent results through their runtime fallbacks
+  // (degree 10, n_q 11) has no fixed-size instantiation: batch falls back
+  // to exactly the generic sweeps, so the two agree bitwise
   const ShapeInfo<double> shape(10, 11);
   const unsigned int n = 11;
   const auto dofs = random_batch(n * n * n);
   const auto acc = random_batch(n * n * n);
-  auto batch = make_kernel_backend<double>(KernelBackendType::batch, shape);
-  auto soa = make_kernel_backend<double>(KernelBackendType::soa, shape);
-  auto gen = make_kernel_backend<double>(KernelBackendType::generic, shape);
-  const BackendSweep b = sweep_backend(*batch, shape, dofs, acc);
-  const BackendSweep s = sweep_backend(*soa, shape, dofs, acc, &b);
-  const BackendSweep g = sweep_backend(*gen, shape, dofs, acc, &b);
-  // batch falls back to exactly the generic sweeps: bitwise equal
+  KernelBackend<double> batch(KernelBackendType::batch, shape);
+  KernelBackend<double> gen(KernelBackendType::generic, shape);
+  const BackendSweep b = sweep_backend(batch, shape, dofs, acc);
+  const BackendSweep g = sweep_backend(gen, shape, dofs, acc, &b);
   EXPECT_TRUE(batches_bitwise_equal(b.vq, g.vq));
   EXPECT_TRUE(batches_bitwise_equal(b.dofs_out, g.dofs_out));
-  expect_batches_close(s.vq, b.vq, 1e-11, "soa fallback interpolate");
-  expect_batches_close(s.dofs_out, b.dofs_out, 1e-11, "soa fallback integrate");
-}
-
-TEST(KernelBackend, EnvSelectionParsesStrictly)
-{
-  ASSERT_EQ(unsetenv("DGFLOW_BACKEND"), 0);
-  EXPECT_EQ(kernel_backend_from_env(KernelBackendType::batch),
-            KernelBackendType::batch);
-  EXPECT_EQ(kernel_backend_from_env(KernelBackendType::soa),
-            KernelBackendType::soa);
-
-  ASSERT_EQ(setenv("DGFLOW_BACKEND", "batch", 1), 0);
-  EXPECT_EQ(kernel_backend_from_env(KernelBackendType::generic),
-            KernelBackendType::batch);
-  ASSERT_EQ(setenv("DGFLOW_BACKEND", "soa", 1), 0);
-  EXPECT_EQ(kernel_backend_from_env(KernelBackendType::batch),
-            KernelBackendType::soa);
-  ASSERT_EQ(setenv("DGFLOW_BACKEND", "generic", 1), 0);
-  EXPECT_EQ(kernel_backend_from_env(KernelBackendType::batch),
-            KernelBackendType::generic);
-
-  ASSERT_EQ(setenv("DGFLOW_BACKEND", "SOA", 1), 0); // case-sensitive
-  try
-  {
-    kernel_backend_from_env(KernelBackendType::batch);
-    FAIL() << "expected EnvVarError";
-  }
-  catch (const EnvVarError &e)
-  {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("DGFLOW_BACKEND"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'batch', 'soa', 'generic'"), std::string::npos)
-      << msg;
-  }
-  ASSERT_EQ(unsetenv("DGFLOW_BACKEND"), 0);
 }

@@ -236,7 +236,6 @@ ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
   SolverControl control;
   control.rel_tol = 1e-10;
   control.max_iterations = 200;
-  control.fuse_loops = true;
   run.cg_x.reinit(laplace.n_dofs());
   const auto stats = solve_cg(laplace, run.cg_x, src, jacobi, control);
   EXPECT_TRUE(stats.converged);
@@ -244,7 +243,6 @@ ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
   ChebyshevSmoother<LaplaceOperator<double>, Vector<double>> smoother;
   ChebyshevData cdata;
   cdata.degree = 4;
-  cdata.fuse_loops = true;
   smoother.reinit(laplace, diag, cdata);
   run.cheb_x.reinit(laplace.n_dofs());
   smoother.smooth(run.cheb_x, src, /*zero_initial_guess=*/true);
@@ -353,7 +351,6 @@ DistributedRun run_distributed_threaded(const Mesh &mesh,
     SolverControl control;
     control.rel_tol = 1e-10;
     control.max_iterations = 200;
-    control.fuse_loops = true;
     sol.reinit(part, comm, dofs_per_cell);
     const auto stats = solve_cg(laplace, sol, bd, jd, control);
     EXPECT_TRUE(stats.converged);
