@@ -62,6 +62,17 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
     --target test_resilience_vmpi test_resilience_solver test_checkpoint \
     test_abft abft_microbench test_aligned_vector > /dev/null
   (cd build-ubsan && ctest -L "^(resilience|abft|common)$" --output-on-failure)
+
+  # Benchmark smoke: the repository benchmark (dgbench/, the harness behind
+  # BENCHMARK.json) runs every workload for a few steps, untraced and
+  # traced, with its output checks on — the lung state must be bitwise
+  # equal at pool widths 1 and 4, and the window-end observables must match
+  # dgbench/baseline/reference.jsonl — and every metric must be emitted.
+  echo "verify pass: repository benchmark smoke (ctest label bench)"
+  cmake -S dgbench -B .bench_build/dgbench -DCMAKE_BUILD_TYPE=Release \
+    > /dev/null
+  cmake --build .bench_build/dgbench -j > /dev/null
+  ctest --test-dir .bench_build/dgbench -L bench --output-on-failure
 fi
 for b in build/bench/*; do
   if [ -x "$b" ] && [ -f "$b" ]; then

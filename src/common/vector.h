@@ -69,12 +69,32 @@ public:
 
   Vector() = default;
   explicit Vector(const std::size_t n) { reinit(n); }
+  Vector(const Vector &) = default;
+  Vector(Vector &&) noexcept = default;
+  Vector &operator=(Vector &&) noexcept = default;
+
+  /// Copies @p x into this vector's storage (reallocating only when it is
+  /// too small); the copy runs on the pool.
+  Vector &operator=(const Vector &x)
+  {
+    if (this == &x)
+      return *this;
+    data_.resize_without_init(x.size());
+    Number *DGFLOW_RESTRICT d = data_.data();
+    const Number *DGFLOW_RESTRICT xd = x.data_.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] = xd[i];
+      });
+    return *this;
+  }
 
   void reinit(const std::size_t n, const bool fast = false)
   {
     data_.resize_without_init(n);
     if (!fast)
-      data_.fill(Number(0));
+      *this = Number(0);
   }
 
   /// Mirror another vector's layout (part of the vector-space concept the
@@ -101,7 +121,16 @@ public:
   Number *data() { return data_.data(); }
   const Number *data() const { return data_.data(); }
 
-  void operator=(const Number s) { data_.fill(s); }
+  /// Sets every entry to @p s (the operators' dst = 0); runs on the pool.
+  void operator=(const Number s)
+  {
+    Number *DGFLOW_RESTRICT d = data_.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] = s;
+      });
+  }
 
   /// this += a * x
   void add(const Number a, const Vector &x)

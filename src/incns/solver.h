@@ -11,10 +11,13 @@
 //
 // Resilience: the pressure solve runs on a RecoveringSolver fallback ladder
 // (hybrid-multigrid CG, then Jacobi CG with relaxed control); a failed or
-// non-finite substep rejects the whole time step — the BDF state is rolled
-// back, dt halved and the step retried a bounded number of times. The full
-// time-integration state can be checkpointed to a versioned, checksummed
-// binary file and restored for an exact (bit-for-bit) resume.
+// non-finite substep rejects the whole time step — an attempt computes the
+// new velocity and pressure in scratch vectors and commits them (by swaps)
+// only when every substep succeeded, so a rejected attempt leaves the BDF
+// state untouched; dt is halved and the step retried a bounded number of
+// times. The full time-integration state can be checkpointed to a
+// versioned, checksummed binary file and restored for an exact
+// (bit-for-bit) resume.
 
 #include <limits>
 
@@ -156,7 +159,7 @@ public:
         SolverControl control;
         control.max_iterations = 1000;
         control.rel_tol = prm_.rel_tol_pressure;
-        return solve_cg(laplace_, x, b, pressure_mg_, control);
+        return solve_cg(laplace_, x, b, pressure_mg_, control, cg_p_);
       },
       /*demote_on_failure=*/true);
     pressure_solver_.add_rung(
@@ -167,7 +170,7 @@ public:
         // Jacobi CG converges slowly and its residual is not monotone;
         // give the plateau detector a generous window
         control.stagnation_window = 5000;
-        return solve_cg(laplace_, x, b, pressure_jacobi_, control);
+        return solve_cg(laplace_, x, b, pressure_jacobi_, control, cg_p_);
       });
 
     // viscous diagonal is affine in the mass factor: precompute both parts
@@ -244,9 +247,9 @@ public:
 
   /// Advances one time step of the dual splitting scheme. A failed substep
   /// (diverged solve, exhausted pressure ladder or non-finite state) rejects
-  /// the attempt: the BDF state is rolled back, dt is halved and the step is
-  /// retried, at most Parameters::max_step_rejections times before the
-  /// (recoverable) exception of the final rejection propagates.
+  /// the attempt, which has not touched the BDF state: dt is halved and the
+  /// step is retried, at most Parameters::max_step_rejections times before
+  /// the (recoverable) exception of the final rejection propagates.
   StepInfo advance()
   {
     DGFLOW_PROF_SCOPE("ins_step");
@@ -257,7 +260,6 @@ public:
     double dt = compute_time_step();
     DGFLOW_ASSERT(dt > 0, "vanishing time step");
 
-    const StateSnapshot snapshot = save_state();
     StepInfo info;
     for (unsigned int attempt = 0;; ++attempt)
     {
@@ -268,10 +270,9 @@ public:
       DGFLOW_PROF_COUNT("ins_step_rejections", 1);
       DGFLOW_ASSERT(attempt < prm_.max_step_rejections,
                     "time step at t = "
-                      << snapshot.time << " rejected " << (attempt + 1)
+                      << time_ << " rejected " << (attempt + 1)
                       << " times (last failure: " << info.failed_stage
                       << "); giving up at dt = " << dt);
-      restore_state(snapshot);
       dt *= 0.5;
     }
     info.wall_time = total.seconds();
@@ -282,7 +283,10 @@ public:
 private:
   /// One attempt at a step of size dt. Returns info.success == false (with
   /// failed_stage set) instead of throwing/aborting on solver failure, so
-  /// advance() can roll back and retry with a smaller dt.
+  /// advance() can retry with a smaller dt. u^{n+1} and p^{n+1} stay in
+  /// work_u_ and work_p_ until the final commit; before it, the attempt
+  /// writes only scratch state (conv_ and vort_ are recomputed from u^n by
+  /// every attempt).
   StepInfo try_step(const double dt, const unsigned int attempt)
   {
     StepInfo info;
@@ -322,13 +326,11 @@ private:
       rhs_p_.scale(Number(-bdf.gamma0 / dt));
       add_pressure_boundary_rhs(rhs_p_, t_new, bdf);
 
-      // extrapolated initial guess
+      // extrapolated initial guess, solved in place into p^{n+1}
       work_p_.reinit(p_.size(), true);
       work_p_.equ(Number(bdf.beta[0]), p_);
       if (step_count_ > 0)
         work_p_.add(Number(bdf.beta[1]), p_old_);
-      p_old_ = p_;
-      p_.swap(work_p_);
 
       // a non-finite right-hand side is the convective step's fault, not the
       // pressure solvers': reject the step before it can demote the
@@ -340,7 +342,7 @@ private:
         return info;
       }
 
-      const SolveStats result = pressure_solver_.solve(p_, rhs_p_);
+      const SolveStats result = pressure_solver_.solve(work_p_, rhs_p_);
       info.pressure = result;
       DGFLOW_PROF_COUNT("ins_pressure_iterations", result.iterations);
       if (!result.converged)
@@ -356,7 +358,7 @@ private:
     // (3) projection
     {
       DGFLOW_PROF_SCOPE("projection");
-      gradient_.apply(rhs_u_, p_, t_new);
+      gradient_.apply(rhs_u_, work_p_, t_new);
       mass_u_.apply_inverse(work_u_, rhs_u_);
       u_hat_.add(Number(-dt / bdf.gamma0), work_u_);
     }
@@ -370,13 +372,14 @@ private:
       rhs_u_.scale(mass_factor);
       helmholtz_.add_boundary_rhs(rhs_u_, t_new, prm_.velocity_neumann_data);
 
-      viscous_jacobi_.reinit(combined_viscous_diagonal(mass_factor));
+      update_viscous_diagonal(mass_factor);
+      viscous_jacobi_.reinit(diag_combined_);
       work_u_ = u_hat_; // initial guess
       SolverControl control;
       control.max_iterations = 1000;
       control.rel_tol = prm_.rel_tol_viscous;
-      const auto result =
-        solve_cg(helmholtz_, work_u_, rhs_u_, viscous_jacobi_, control);
+      const auto result = solve_cg(helmholtz_, work_u_, rhs_u_,
+                                   viscous_jacobi_, control, cg_u_);
       info.viscous = result;
       DGFLOW_PROF_COUNT("ins_viscous_iterations", result.iterations);
       if (!result.converged)
@@ -393,13 +396,13 @@ private:
       DGFLOW_PROF_SCOPE("penalty");
       penalty_.update(work_u_, Number(dt), Number(prm_.penalty_floor));
       mass_u_.vmult(rhs_u_, work_u_);
-      u_old_.swap(u_);
-      u_ = work_u_; // initial guess; also becomes u^{n+1}
+      // work_u_ is the initial guess and is solved in place into u^{n+1}
       SolverControl control;
       control.max_iterations = 1000;
       control.rel_tol = prm_.rel_tol_projection;
       InverseMassPreconditioner precond{&mass_u_};
-      const auto result = solve_cg(penalty_, u_, rhs_u_, precond, control);
+      const auto result =
+        solve_cg(penalty_, work_u_, rhs_u_, precond, control, cg_u_);
       info.penalty = result;
       DGFLOW_PROF_COUNT("ins_penalty_iterations", result.iterations);
       if (!result.converged)
@@ -411,14 +414,20 @@ private:
       }
     }
 
-    if (!std::isfinite(double(u_.l2_norm())) ||
-        !std::isfinite(double(p_.l2_norm())))
+    if (!std::isfinite(double(work_u_.l2_norm())) ||
+        !std::isfinite(double(work_p_.l2_norm())))
     {
       info.success = false;
       info.failed_stage = "non_finite_state";
       return info;
     }
 
+    // commit: u^{n+1}, p^{n+1} become current, u^n, p^n the old level (the
+    // scratch vectors take the dead n-1 level)
+    u_old_.swap(u_);
+    u_.swap(work_u_);
+    p_old_.swap(p_);
+    p_.swap(work_p_);
     conv_old_.swap(conv_);
     vort_old_.swap(vort_);
     dt_prev_ = dt;
@@ -636,36 +645,6 @@ public:
   }
 
 private:
-  /// Everything try_step may mutate before committing the step, so a
-  /// rejected attempt can be rolled back exactly.
-  struct StateSnapshot
-  {
-    VectorType u, u_old, p, p_old, conv, conv_old, vort, vort_old;
-    double time, dt_prev;
-    unsigned long step_count;
-  };
-
-  StateSnapshot save_state() const
-  {
-    return StateSnapshot{u_,    u_old_,    p_,    p_old_,   conv_, conv_old_,
-                         vort_, vort_old_, time_, dt_prev_, step_count_};
-  }
-
-  void restore_state(const StateSnapshot &s)
-  {
-    u_ = s.u;
-    u_old_ = s.u_old;
-    p_ = s.p;
-    p_old_ = s.p_old;
-    conv_ = s.conv;
-    conv_old_ = s.conv_old;
-    vort_ = s.vort;
-    vort_old_ = s.vort_old;
-    time_ = s.time;
-    dt_prev_ = s.dt_prev;
-    step_count_ = s.step_count;
-  }
-
   struct InverseMassPreconditioner
   {
     const MassOperator<Number, 3> *mass;
@@ -675,12 +654,18 @@ private:
     }
   };
 
-  Vector<Number> combined_viscous_diagonal(const Number mass_factor) const
+  /// diag_combined_ = diagonal of the Helmholtz operator at @p mass_factor
+  void update_viscous_diagonal(const Number mass_factor)
   {
-    Vector<Number> diag(diag_viscous_.size());
-    for (std::size_t i = 0; i < diag.size(); ++i)
-      diag[i] = mass_factor * diag_mass_[i] + diag_viscous_[i];
-    return diag;
+    diag_combined_.reinit(diag_viscous_.size(), true);
+    Number *DGFLOW_RESTRICT d = diag_combined_.data();
+    const Number *DGFLOW_RESTRICT dm = diag_mass_.data();
+    const Number *DGFLOW_RESTRICT dv = diag_viscous_.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      diag_combined_.size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] = mass_factor * dm[i] + dv[i];
+      });
   }
 
   /// Projects the vorticity curl(u) onto the velocity space (collocated
@@ -811,7 +796,12 @@ private:
   VectorType conv_, conv_old_;
   VectorType vort_, vort_old_;
   VectorType u_hat_, rhs_u_, rhs_p_, work_u_, work_p_;
-  VectorType diag_viscous_, diag_mass_;
+  VectorType diag_viscous_, diag_mass_, diag_combined_;
+
+  // resident Krylov vectors: nothing solution-sized is allocated inside
+  // advance() once the first step has sized them
+  CGWorkspace<VectorType> cg_u_; ///< viscous and penalty solves
+  CGWorkspace<VectorType> cg_p_; ///< both pressure ladder rungs
 
   resilience::RecoveringSolver<Number> pressure_solver_;
 

@@ -54,7 +54,7 @@ public:
     DGFLOW_PROF_SCOPE("cfe_laplace");
     DGFLOW_PROF_COUNT("mf_cell_batches", mf_->n_cell_batches());
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
-    DGFLOW_PROF_THROUGHPUT("cfe_laplace", src.size());
+    DGFLOW_PROF_THROUGHPUT("cfe_laplace", std::max(src.size(), dst.size()));
 
     // shared vertex dofs: whole-range hook degradation (see header comment)
     if constexpr (!internal::is_no_hook_v<PreFn>)

@@ -67,7 +67,7 @@ private:
   {
     DGFLOW_PROF_SCOPE("divergence");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
-    DGFLOW_PROF_THROUGHPUT("divergence", src.size());
+    DGFLOW_PROF_THROUGHPUT("divergence", std::max(src.size(), dst.size()));
 
     const auto make_kernels = [&, this](auto &dst_v) {
       auto u = std::make_shared<FEEvaluation<Number, 3>>(*mf_, u_space_, quad_);
@@ -202,7 +202,7 @@ private:
   {
     DGFLOW_PROF_SCOPE("gradient");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
-    DGFLOW_PROF_THROUGHPUT("gradient", src.size());
+    DGFLOW_PROF_THROUGHPUT("gradient", std::max(src.size(), dst.size()));
 
     const auto make_kernels = [&, this](auto &dst_v) {
       auto p = std::make_shared<FEEvaluation<Number, 1>>(*mf_, p_space_, quad_);

@@ -50,7 +50,7 @@ public:
     dst = Number(0);
     DGFLOW_PROF_SCOPE("helmholtz");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
-    DGFLOW_PROF_THROUGHPUT("helmholtz", src.size());
+    DGFLOW_PROF_THROUGHPUT("helmholtz", std::max(src.size(), dst.size()));
 
     const auto make_kernels = [&, this](auto &dst_v) {
       auto phi =

@@ -68,7 +68,7 @@ public:
     dst = Number(0);
     DGFLOW_PROF_SCOPE("laplace");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
-    DGFLOW_PROF_THROUGHPUT("laplace", n_dofs());
+    DGFLOW_PROF_THROUGHPUT("laplace", std::max(src.size(), dst.size()));
     DGFLOW_PROF_GAUGE("laplace_bytes_per_dof",
                       mf_->estimated_vmult_bytes_per_dof(space_, quad_));
 

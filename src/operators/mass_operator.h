@@ -63,7 +63,7 @@ private:
     DGFLOW_PROF_SCOPE(inverse ? "mass_inverse" : "mass");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
     DGFLOW_PROF_THROUGHPUT(inverse ? "mass_inverse" : "mass",
-                           src.size());
+                           std::max(src.size(), dst.size()));
     const auto &metric = mf_->cell_metric(quad_);
     const unsigned int nq = metric.n_q;
     const auto make_cell = [&metric, nq, &src, this](auto &dst_v) {

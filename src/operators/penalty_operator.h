@@ -101,7 +101,7 @@ public:
     dst = Number(0);
     DGFLOW_PROF_SCOPE("penalty_op");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
-    DGFLOW_PROF_THROUGHPUT("penalty_op", src.size());
+    DGFLOW_PROF_THROUGHPUT("penalty_op", std::max(src.size(), dst.size()));
 
     const auto make_kernels = [&, this](auto &dst_v) {
       auto phi =

@@ -58,13 +58,14 @@ public:
 
   /// Tries the ladder top to bottom. Each rung starts from the caller's
   /// initial guess (restored after a failed rung, so a diverged attempt
-  /// cannot poison the next). Returns the first converged SolveStats, or
+  /// cannot poison the next; the restore copy is a member, so repeated
+  /// solves allocate nothing). Returns the first converged SolveStats, or
   /// the last rung's failed stats when the whole ladder is exhausted.
   /// Never throws on solver failure; never aborts.
   SolveStats solve(VectorType &x, const VectorType &b)
   {
     DGFLOW_ASSERT(!rungs_.empty(), "RecoveringSolver has no rungs");
-    const VectorType x0 = x;
+    x0_ = x;
     SolveStats stats;
     unsigned int attempts = 0;
     for (Rung &rung : rungs_)
@@ -72,7 +73,7 @@ public:
       if (rung.disabled)
         continue;
       if (attempts > 0)
-        x = x0;
+        x = x0_;
       ++attempts;
       try
       {
@@ -115,6 +116,7 @@ private:
   };
 
   std::vector<Rung> rungs_;
+  VectorType x0_; ///< the caller's initial guess during solve()
   unsigned long long recoveries_ = 0;
   std::string last_rung_;
 };

@@ -10,6 +10,12 @@
 // iteration with a failed SolveStats carrying the SolveFailure reason, so
 // callers can fall back (RecoveringSolver) or reject the time step.
 //
+// Workspace: the Krylov vectors (r, z, p, Ap and the ABFT snapshot) live in
+// a caller-owned CGWorkspace, so a caller that solves every time step keeps
+// them resident instead of faulting in fresh pages per solve; none of them
+// is zero-filled, since each is written before it is read. The 5-argument
+// overload builds a workspace local to the call and runs the same code.
+//
 // Fused loops: when the operator implements the contract-v2 hooked vmult
 // (HookedOperatorFor), the search-direction update p = beta*p + z rides the
 // next vmult's pre hooks (each cell batch's slice updated right before the
@@ -149,7 +155,22 @@ private:
   Vector<Number> inv_diag_;
 };
 
-/// Solves A x = b with initial guess x; returns the solve statistics.
+/// The Krylov vectors of solve_cg (see the file comment): residual r,
+/// preconditioned residual z, search direction p, operator image Ap, and the
+/// ABFT guard's validated snapshot (x, r, p), sized only when the guard is
+/// on. solve_cg shapes each like b, so a workspace carries no state between
+/// solves and may be shared by consecutive (not concurrent) solves. It must
+/// not alias x or b.
+template <typename VectorType>
+struct CGWorkspace
+{
+  VectorType r, z, p, Ap;
+  VectorType snap_x, snap_r, snap_p;
+};
+
+/// Solves A x = b with initial guess x; returns the solve statistics. The
+/// Krylov vectors live in @p ws (see CGWorkspace); solve_cg allocates
+/// nothing once the workspace has reached b's size.
 ///
 /// Templated on the vector type: works unchanged for the serial Vector and
 /// for vmpi::DistributedVector, where every dot/norm is one allreduce and
@@ -160,7 +181,8 @@ template <typename Operator, typename Preconditioner, typename VectorType>
   requires PreconditionerFor<Preconditioner, VectorType> &&
            OperatorFor<Operator, VectorType>
 SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
-                    Preconditioner &P, const SolverControl &control)
+                    Preconditioner &P, const SolverControl &control,
+                    CGWorkspace<VectorType> &ws)
 {
   using Number = typename VectorType::value_type;
   constexpr bool distributed = is_distributed_vector_v<VectorType>;
@@ -168,11 +190,18 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
   DGFLOW_PROF_SCOPE("cg");
   Timer solve_timer;
   SolveStats result;
-  VectorType r, z, p, Ap;
-  r.reinit_like(b);
-  z.reinit_like(b);
-  p.reinit_like(b);
-  Ap.reinit_like(b);
+  for (const VectorType *v :
+       {&ws.r, &ws.z, &ws.p, &ws.Ap, &ws.snap_x, &ws.snap_r, &ws.snap_p})
+    DGFLOW_ASSERT(v != &x && v != &b,
+                  "the CG workspace must not alias the solution or the "
+                  "right-hand side");
+  VectorType &r = ws.r, &z = ws.z, &p = ws.p, &Ap = ws.Ap;
+  // each is written before it is read (r and z by the first residual and
+  // preconditioner application, p by p = z, Ap by the vmult): no zero fill
+  r.reinit_like(b, true);
+  z.reinit_like(b, true);
+  p.reinit_like(b, true);
+  Ap.reinit_like(b, true);
 
   unsigned long long messages0 = 0, bytes0 = 0, allreduces0 = 0;
   if constexpr (distributed)
@@ -244,7 +273,7 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
   // (r was just computed as b - A x directly), so a drift detected at the
   // very first replay boundary can already roll back
   const unsigned int abft_m = control.abft_replay_interval;
-  VectorType snap_x, snap_r, snap_p;
+  VectorType &snap_x = ws.snap_x, &snap_r = ws.snap_r, &snap_p = ws.snap_p;
   Number snap_rz = rz;
   double snap_res = res_norm;
   unsigned int rollbacks_left = control.abft_max_rollbacks;
@@ -518,6 +547,18 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     result.failure = SolveFailure::max_iterations;
   result.final_residual = res_norm;
   return finish(result);
+}
+
+/// solve_cg with a workspace local to this call: for one-off solves, whose
+/// Krylov vectors need not outlive them.
+template <typename Operator, typename Preconditioner, typename VectorType>
+  requires PreconditionerFor<Preconditioner, VectorType> &&
+           OperatorFor<Operator, VectorType>
+SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
+                    Preconditioner &P, const SolverControl &control)
+{
+  CGWorkspace<VectorType> ws;
+  return solve_cg(A, x, b, P, control, ws);
 }
 
 } // namespace dgflow

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "incns/analytic_flows.h"
@@ -355,4 +356,38 @@ TEST(INSSolverResilienceTest, ExhaustedRejectionBudgetThrowsRecoverably)
     [&es](const Point &p) { return es.pressure(p, 0.); });
   // a recoverable exception, not an abort
   EXPECT_THROW(solver.advance(), std::runtime_error);
+}
+
+TEST(INSSolverResilienceTest, RejectedAttemptLeavesTheStateUntouched)
+{
+  // a retry starts from the state the rejected attempt started from: the
+  // attempt solves into scratch vectors and commits only on success, so
+  // even the attempt whose rejection exhausts the budget changes nothing
+  EthierSteinman es;
+  Mesh mesh(unit_cube());
+  TrilinearGeometry geom(mesh.coarse());
+  INSSolver<double> solver;
+  auto prm = es_parameters(es, 5e-3);
+  prm.max_step_rejections = 0;
+  prm.inject_substep_fault = [](const unsigned long step, unsigned int) {
+    return step == 1;
+  };
+  solver.setup(mesh, geom, ethier_steinman_bc(es), prm);
+  solver.set_initial_condition(
+    [&es](const Point &p) { return es.velocity(p, 0.); },
+    [&es](const Point &p) { return es.pressure(p, 0.); });
+  ASSERT_TRUE(solver.advance().success);
+
+  const Vector<double> u = solver.velocity(), p = solver.pressure();
+  const double t = solver.time();
+  EXPECT_THROW(solver.advance(), std::runtime_error);
+  EXPECT_EQ(solver.time(), t);
+  ASSERT_EQ(solver.velocity().size(), u.size());
+  ASSERT_EQ(solver.pressure().size(), p.size());
+  EXPECT_EQ(std::memcmp(solver.velocity().data(), u.data(),
+                        u.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(solver.pressure().data(), p.data(),
+                        p.size() * sizeof(double)),
+            0);
 }

@@ -5,7 +5,9 @@
 // determinism contract of the threaded loops — vmult, the fused Jacobi-CG
 // solve and the fused Chebyshev sweep must be BITWISE identical to the
 // single-threaded sweep at any thread count, serially and on four vmpi
-// ranks with per-rank thread partitions.
+// ranks with per-rank thread partitions — and of the whole lung time step,
+// which must end in the bitwise same velocity and pressure at any pool
+// width.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 
 #include "common/env.h"
 #include "concurrency/thread_pool.h"
+#include "lung/lung_application.h"
 #include "mesh/generators.h"
 #include "mesh/partition.h"
 #include "operators/laplace_operator.h"
@@ -374,5 +377,54 @@ TEST(ThreadDeterminismTest, FourRanksTimesThreadsAreBitwiseIdentical)
       << "distributed vmult differs at " << nt << " threads per rank";
     EXPECT_TRUE(bitwise_equal(run.cg_x, ref.cg_x))
       << "distributed fused CG differs at " << nt << " threads per rank";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// the whole lung time step: every operator, solver and BLAS-1 sweep of the
+// dual splitting scheme, the convective kernels on both boundary branches
+// (walls: velocity Dirichlet; inlet and outlets: pressure openings) and the
+// 0D coupling
+// ---------------------------------------------------------------------------
+
+namespace
+{
+struct LungState
+{
+  Vector<double> u, p;
+};
+
+/// Builds the g=2, k=3 lung application on an nt-wide pool (its MatrixFree
+/// and multigrid levels then get nt-chunk thread partitions) and advances
+/// it five steps.
+LungState run_lung_steps(const unsigned int nt)
+{
+  concurrency::ThreadPool::instance().set_n_threads(nt);
+  LungApplicationParameters prm;
+  prm.generations = 2;
+  prm.degree = 3;
+  LungApplication app(prm);
+  for (unsigned int step = 0; step < 5; ++step)
+  {
+    const auto info = app.advance();
+    EXPECT_TRUE(info.success) << "step " << step << " at " << nt
+                              << " threads";
+  }
+  return LungState{app.solver().velocity(), app.solver().pressure()};
+}
+} // namespace
+
+TEST(ThreadDeterminismTest, LungStepIsBitwiseIdenticalAtAnyPoolWidth)
+{
+  ScopedPoolWidth guard;
+  const LungState ref = run_lung_steps(1);
+  ASSERT_GT(ref.u.l2_norm(), 0.) << "the flow never started";
+  for (const unsigned int nt : {2u, 4u})
+  {
+    const LungState run = run_lung_steps(nt);
+    EXPECT_TRUE(bitwise_equal(run.u, ref.u))
+      << "velocity differs at " << nt << " threads";
+    EXPECT_TRUE(bitwise_equal(run.p, ref.p))
+      << "pressure differs at " << nt << " threads";
   }
 }
