@@ -12,12 +12,12 @@
 //    solve that loses a rank mid-solve and completes by shrinking to 3,
 //    against the fault-free 4-rank solve;
 //  * sync-vs-async checkpoint stall — the solver-visible cost of one
-//    checkpoint through the AsyncCheckpointer in synchronous (write on the
-//    calling thread) vs asynchronous (background service thread) mode, both
-//    bare and under an injected 5 ms slow-disk stall (tmpfs makes fsync
-//    nearly free, so the injected row is the one that represents a real
-//    disk and the one the exit code gates on: async must cut the stall by
-//    at least 5x);
+//    checkpoint through the AsyncCheckpointer when the caller waits for
+//    the write (sync: submit() then drain()) vs when it only hands the
+//    image over (async: submit() alone), both bare and under an injected
+//    5 ms slow-disk stall (tmpfs makes fsync nearly free, so the injected
+//    row is the one that represents a real disk and the one the exit code
+//    gates on: async must cut the stall by at least 5x);
 //  * restore latency by fall-back depth — newest_valid_generation() scan
 //    plus state read when the top d generations of the ring are corrupted
 //    and recovery falls back d steps.
@@ -92,11 +92,13 @@ struct RestoreRow
   double seconds;     ///< newest_valid_generation() + state read
 };
 
-/// Solver-visible checkpoint stall: mean time one submit() blocks the
+/// Solver-visible checkpoint stall: mean time one checkpoint blocks the
 /// calling thread, publishing @p n_ckpts generations of @p n_doubles
-/// payload. @p stall_ms > 0 injects a per-write slow-disk latency through
-/// the CkptIo shim (tmpfs fsyncs are nearly free, so the bare numbers
-/// flatter sync mode; the injected row models a real disk).
+/// payload — submit() alone when @p async, submit() followed by drain()
+/// (a synchronous checkpoint) otherwise. @p stall_ms > 0 injects a
+/// per-write slow-disk latency through the CkptIo shim (tmpfs fsyncs are
+/// nearly free, so the bare numbers flatter sync mode; the injected row
+/// models a real disk).
 StallRow time_ckpt_stall(const std::string &root, const std::size_t n_doubles,
                          const unsigned int n_ckpts, const bool async,
                          const double stall_ms)
@@ -116,7 +118,6 @@ StallRow time_ckpt_stall(const std::string &root, const std::size_t n_doubles,
   double stall_seconds = 0.;
   {
     resilience::AsyncCheckpointer::Options opts;
-    opts.async = async;
     // a window as deep as the run never back-pressures: the measured async
     // stall is pure submit() cost, which is what the solver thread sees when
     // checkpoint cadence exceeds the disk's write latency
@@ -125,7 +126,7 @@ StallRow time_ckpt_stall(const std::string &root, const std::size_t n_doubles,
     for (unsigned int c = 0; c < n_ckpts; ++c)
     {
       // encode on the "solver" thread (both modes pay it identically);
-      // timed is only what submit() costs the caller
+      // timed is only what handing the image over costs the caller
       resilience::CheckpointWriter writer("state.ckpt");
       writer.write_u64(c);
       writer.write_vector(payload);
@@ -133,6 +134,8 @@ StallRow time_ckpt_stall(const std::string &root, const std::size_t n_doubles,
       images.push_back({"state.ckpt", writer.encode()});
       Timer t;
       ckpt.submit(std::move(images));
+      if (!async)
+        ckpt.drain();
       stall_seconds += t.seconds();
     }
     ckpt.drain();

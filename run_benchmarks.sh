@@ -55,13 +55,16 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # layers; any misaligned access, bad shift or invalid enum must surface
   # here with -fno-sanitize-recover rather than silently skew a repair.
   # The AlignedVector suite (label common) rides along: copying an empty
-  # vector must not hand memcpy a null pointer.
-  echo "verify pass: resilience|abft|common under DGFLOW_SANITIZE=undefined"
+  # vector must not hand memcpy a null pointer, and a size whose byte count
+  # overflows must throw. So does the checkpoint I/O suite (label
+  # io_resilience): the writer patches header bytes in place and the
+  # readers do size arithmetic on counts taken from the file.
+  echo "verify pass: resilience|abft|common|io_resilience under DGFLOW_SANITIZE=undefined"
   cmake -B build-ubsan -S . -DDGFLOW_SANITIZE=undefined > /dev/null
   cmake --build build-ubsan -j \
     --target test_resilience_vmpi test_resilience_solver test_checkpoint \
-    test_abft abft_microbench test_aligned_vector > /dev/null
-  (cd build-ubsan && ctest -L "^(resilience|abft|common)$" --output-on-failure)
+    test_abft abft_microbench test_aligned_vector test_ckpt_io > /dev/null
+  (cd build-ubsan && ctest -L "^(resilience|abft|common|io_resilience)$" --output-on-failure)
 
   # Benchmark smoke: the repository benchmark (dgbench/, the harness behind
   # BENCHMARK.json) runs every workload for a few steps, untraced and

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -157,6 +158,9 @@ public:
 private:
   void reallocate(const std::size_t new_capacity)
   {
+    // new_capacity * sizeof(T) must not wrap into a small allocation
+    if (new_capacity > std::numeric_limits<std::size_t>::max() / sizeof(T))
+      throw std::bad_array_new_length();
     T *new_data = static_cast<T *>(
       ::operator new(new_capacity * sizeof(T), std::align_val_t(alignment)));
     if constexpr (std::is_trivially_copyable_v<T>)

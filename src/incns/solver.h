@@ -15,9 +15,10 @@
 // new velocity and pressure in scratch vectors and commits them (by swaps)
 // only when every substep succeeded, so a rejected attempt leaves the BDF
 // state untouched; dt is halved and the step retried a bounded number of
-// times. The full time-integration state can be checkpointed to a
-// versioned, checksummed binary file and restored for an exact
-// (bit-for-bit) resume.
+// times. serialize()/deserialize() write and restore the full
+// time-integration state as checkpoint records for an exact (bit-for-bit)
+// resume; when and where those records reach disk is decided by the
+// application that owns the run (LungApplication's generation ring).
 
 #include <limits>
 
@@ -33,8 +34,6 @@
 #include "operators/mass_operator.h"
 #include "operators/penalty_operator.h"
 #include "resilience/checkpoint.h"
-#include "resilience/ckpt_scheduler.h"
-#include "resilience/ckpt_store.h"
 #include "resilience/recovering_solver.h"
 #include "timeint/bdf.h"
 
@@ -276,7 +275,6 @@ public:
       dt *= 0.5;
     }
     info.wall_time = total.seconds();
-    maybe_checkpoint();
     return info;
   }
 
@@ -482,114 +480,6 @@ public:
                   "checkpoint pressure size "
                     << p_.size() << " does not match the discretization ("
                     << mf_.n_dofs(p_space, 1) << " dofs)");
-  }
-
-  /// Convenience wrapper: atomically writes a standalone checkpoint file.
-  void save_checkpoint(const std::string &path) const
-  {
-    resilience::CheckpointWriter writer(path);
-    serialize(writer);
-    writer.close();
-  }
-
-  /// Convenience wrapper: validates and restores a standalone checkpoint.
-  void load_checkpoint(const std::string &path)
-  {
-    resilience::CheckpointReader reader(path);
-    deserialize(reader);
-  }
-
-  /// Attaches asynchronous multi-generation checkpointing: advance() then
-  /// snapshots the solver state whenever @p scheduler says a checkpoint is
-  /// due (every successful step when @p scheduler is null — the cadence
-  /// tests use) and hands the encoded image to @p checkpointer 's
-  /// background writer, so the solve never blocks on disk. Both pointers
-  /// are borrowed and must outlive the solver's stepping; pass nullptr to
-  /// detach.
-  void set_checkpointing(resilience::AsyncCheckpointer *checkpointer,
-                         resilience::CheckpointScheduler *scheduler = nullptr)
-  {
-    checkpointer_ = checkpointer;
-    ckpt_scheduler_ = scheduler;
-    ckpt_clock_.restart();
-  }
-
-  /// Takes a checkpoint if one is attached and due. A failed checkpoint
-  /// *write* must never kill a healthy solve: failures surface only in
-  /// last_checkpoint_error() / the ckpt_write_failures counter, and the
-  /// previous committed generation remains the restart point.
-  void maybe_checkpoint()
-  {
-    if (checkpointer_ == nullptr)
-      return;
-    const double now = ckpt_clock_.seconds();
-    if (ckpt_scheduler_ != nullptr && !ckpt_scheduler_->should_checkpoint(now))
-    {
-      ckpt_scheduler_->observe(now);
-      return;
-    }
-    checkpoint_now();
-  }
-
-  /// Unconditionally snapshots and submits one checkpoint generation. The
-  /// measured cost is the solver-visible stall only — serialize + encode +
-  /// any back-pressure wait — which is exactly the δ the scheduler's Daly
-  /// formula wants; the disk write happens on the background thread.
-  void checkpoint_now()
-  {
-    DGFLOW_ASSERT(checkpointer_ != nullptr, "no AsyncCheckpointer attached");
-    Timer stall;
-    try
-    {
-      resilience::CheckpointWriter writer("state.ckpt"); // encode-only: no disk
-      serialize(writer);
-      std::vector<resilience::AsyncCheckpointer::NamedImage> images;
-      images.push_back({"state.ckpt", writer.encode()});
-      checkpointer_->submit(std::move(images));
-      DGFLOW_PROF_COUNT("ckpt_writes", 1);
-    }
-    catch (const resilience::CheckpointError &e)
-    {
-      last_checkpoint_error_ = e.what();
-      DGFLOW_PROF_COUNT("ckpt_write_failures", 1);
-    }
-    // background write failures land in the checkpointer's status; mirror
-    // the most recent one so diagnostics need only ask the solver
-    const auto status = checkpointer_->status();
-    if (status.failed > 0)
-      last_checkpoint_error_ = status.last_error;
-    const double cost = stall.seconds();
-    DGFLOW_PROF_GAUGE("ckpt_stall_seconds", cost);
-    if (ckpt_scheduler_ != nullptr)
-    {
-      ckpt_scheduler_->record_checkpoint_cost(cost);
-      ckpt_scheduler_->checkpoint_taken(ckpt_clock_.seconds());
-    }
-  }
-
-  /// Restores solver state from the newest checkpoint generation whose
-  /// files all verify, falling back generation by generation (the recovery
-  /// scan); false when no generation survives verification. Drains the
-  /// background writer first so a write in flight cannot race the scan.
-  bool restore_latest()
-  {
-    DGFLOW_ASSERT(checkpointer_ != nullptr, "no AsyncCheckpointer attached");
-    checkpointer_->drain();
-    const auto generation =
-      checkpointer_->store().newest_valid_generation();
-    if (!generation)
-      return false;
-    resilience::CheckpointReader reader(
-      checkpointer_->store().generation_directory(*generation) +
-      "/state.ckpt");
-    deserialize(reader);
-    return true;
-  }
-
-  /// what() of the most recent failed checkpoint write ("" if none failed).
-  const std::string &last_checkpoint_error() const
-  {
-    return last_checkpoint_error_;
   }
 
   /// The pressure fallback ladder (recovery counters for diagnostics/tests).
@@ -807,12 +697,6 @@ private:
 
   double time_ = 0, dt_prev_ = 0;
   unsigned long step_count_ = 0;
-
-  // asynchronous checkpointing (set_checkpointing; both borrowed)
-  resilience::AsyncCheckpointer *checkpointer_ = nullptr;
-  resilience::CheckpointScheduler *ckpt_scheduler_ = nullptr;
-  Timer ckpt_clock_; ///< the scheduler's notion of elapsed run time
-  std::string last_checkpoint_error_;
 };
 
 } // namespace dgflow

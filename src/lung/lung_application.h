@@ -11,6 +11,8 @@
 #include "incns/solver.h"
 #include "lung/lung_mesh.h"
 #include "lung/ventilation.h"
+#include "resilience/ckpt_scheduler.h"
+#include "resilience/ckpt_store.h"
 
 namespace dgflow
 {
@@ -122,21 +124,10 @@ public:
     return prm_.ventilator.period / solver_.compute_time_step();
   }
 
-  /// Atomically writes the coupled 0D/3D state (flow solver, ventilation
-  /// model and the outlet-flux coupling buffer) to one checkpoint file.
-  void save_checkpoint(const std::string &path) const
-  {
-    resilience::CheckpointWriter writer(path);
-    solver_.serialize(writer);
-    ventilation_->save_state(writer);
-    writer.write_u64(outlet_fluxes_.size());
-    for (const double q : outlet_fluxes_)
-      writer.write_double(q);
-    writer.close();
-  }
-
-  /// Restores a save_checkpoint() file into an application constructed with
-  /// the same parameters; the resumed run continues bit-for-bit.
+  /// Restores a checkpoint file of the coupled state (written by
+  /// maybe_checkpoint() into the generation ring) into an application
+  /// constructed with the same parameters; the resumed run continues
+  /// bit-for-bit.
   void load_checkpoint(const std::string &path)
   {
     resilience::CheckpointReader reader(path);
@@ -172,7 +163,8 @@ public:
   }
 
   /// Takes a checkpoint if checkpointing is enabled and one is due. Write
-  /// failures never propagate into the solve (see AsyncCheckpointer).
+  /// failures never propagate into the solve: checkpointer()->status()
+  /// records them.
   void maybe_checkpoint()
   {
     if (checkpointer_ == nullptr)
@@ -185,11 +177,7 @@ public:
     }
     Timer stall;
     resilience::CheckpointWriter writer("app.ckpt"); // encode-only: no disk
-    solver_.serialize(writer);
-    ventilation_->save_state(writer);
-    writer.write_u64(outlet_fluxes_.size());
-    for (const double q : outlet_fluxes_)
-      writer.write_double(q);
+    serialize(writer);
     std::vector<resilience::AsyncCheckpointer::NamedImage> images;
     images.push_back({"app.ckpt", writer.encode()});
     checkpointer_->submit(std::move(images));
@@ -229,6 +217,17 @@ public:
   VentilationModel &ventilation() { return *ventilation_; }
 
 private:
+  /// The coupled 0D/3D record layout load_checkpoint() reads back: flow
+  /// solver, ventilation model, outlet-flux coupling buffer.
+  void serialize(resilience::CheckpointWriter &writer) const
+  {
+    solver_.serialize(writer);
+    ventilation_->save_state(writer);
+    writer.write_u64(outlet_fluxes_.size());
+    for (const double q : outlet_fluxes_)
+      writer.write_double(q);
+  }
+
   LungApplicationParameters prm_;
   AirwayTree tree_;
   LungMesh lung_mesh_;

@@ -36,48 +36,24 @@ public:
   /// Range-hook signature of the type-erased hooked application.
   using RangeFn = std::function<void(std::size_t, std::size_t)>;
 
-  /// Type-erased level operator handed to the Chebyshev smoother. When the
+  /// Type-erased level operator handed to the Chebyshev smoother, over the
+  /// serial (LVec) or the distributed (DVec) level vectors. When the
   /// underlying operator supports the contract-v2 hooked cell loop,
   /// apply_hooked forwards the solver hooks into it (the DG levels); when
   /// empty, the hooked vmult degrades to a whole-range pre before / post
   /// after the plain application, which keeps the fused smoother correct
   /// (merely unfused) on CFE/AMG-backed levels.
+  template <typename V>
   struct AnyOperator
   {
-    std::function<void(LVec &, const LVec &)> apply;
-    std::function<void(LVec &, const LVec &, const RangeFn &, const RangeFn &)>
+    std::function<void(V &, const V &)> apply;
+    std::function<void(V &, const V &, const RangeFn &, const RangeFn &)>
       apply_hooked;
 
-    void vmult(LVec &dst, const LVec &src) const { apply(dst, src); }
+    void vmult(V &dst, const V &src) const { apply(dst, src); }
 
     template <typename PreFn, typename PostFn>
-    void vmult(LVec &dst, const LVec &src, PreFn &&pre, PostFn &&post) const
-    {
-      if (apply_hooked)
-      {
-        apply_hooked(dst, src, RangeFn(std::forward<PreFn>(pre)),
-                     RangeFn(std::forward<PostFn>(post)));
-        return;
-      }
-      if constexpr (!internal::is_no_hook_v<PreFn>)
-        pre(0, src.size());
-      apply(dst, src);
-      if constexpr (!internal::is_no_hook_v<PostFn>)
-        post(0, dst.size());
-    }
-  };
-
-  /// Distributed counterpart for the DG levels of a distributed V-cycle.
-  struct AnyDistOperator
-  {
-    std::function<void(DVec &, const DVec &)> apply;
-    std::function<void(DVec &, const DVec &, const RangeFn &, const RangeFn &)>
-      apply_hooked;
-
-    void vmult(DVec &dst, const DVec &src) const { apply(dst, src); }
-
-    template <typename PreFn, typename PostFn>
-    void vmult(DVec &dst, const DVec &src, PreFn &&pre, PostFn &&post) const
+    void vmult(V &dst, const V &src, PreFn &&pre, PostFn &&post) const
     {
       if (apply_hooked)
       {
@@ -422,8 +398,8 @@ private:
 
   struct Level
   {
-    AnyOperator op;
-    ChebyshevSmoother<AnyOperator, LVec> smoother;
+    AnyOperator<LVec> op;
+    ChebyshevSmoother<AnyOperator<LVec>, LVec> smoother;
     std::unique_ptr<TransferBase<LevelNumber>> to_coarser; ///< null at l=0
     std::size_t n_dofs = 0;
     bool is_amg = false;
@@ -433,8 +409,8 @@ private:
   /// Distributed shadow of a DG Level (the Q1/AMG levels stay serial).
   struct DistLevel
   {
-    AnyDistOperator op;
-    ChebyshevSmoother<AnyDistOperator, DVec> smoother;
+    AnyOperator<DVec> op;
+    ChebyshevSmoother<AnyOperator<DVec>, DVec> smoother;
     mutable DVec x, b, r;
   };
 

@@ -4,93 +4,83 @@
 
 namespace dgflow::resilience
 {
-std::vector<char> CheckpointWriter::encode() const
+std::uint64_t CheckpointWriter::finish()
 {
-  const std::uint64_t payload_size = payload_.size();
-  const std::uint64_t checksum =
-    internal::fnv1a64(payload_.data(), payload_.size());
-  const std::uint32_t reserved = 0;
+  DGFLOW_ASSERT(!spent_, "CheckpointWriter::encode()/close() called twice");
+  spent_ = true;
+  const std::uint64_t payload_size = image_.size() - internal::header_bytes;
+  const std::uint64_t checksum = internal::fnv1a64(
+    image_.data() + internal::header_bytes, payload_size);
+  // the reserved field keeps the zero the buffer was constructed with
+  char *header = image_.data();
+  std::memcpy(header, internal::magic, sizeof(internal::magic));
+  std::memcpy(header + internal::version_offset, &internal::format_version,
+              sizeof(internal::format_version));
+  std::memcpy(header + internal::size_offset, &payload_size,
+              sizeof(payload_size));
+  std::memcpy(header + internal::checksum_offset, &checksum,
+              sizeof(checksum));
+  return checksum;
+}
 
-  std::vector<char> image;
-  image.reserve(sizeof(internal::magic) + 2 * sizeof(std::uint32_t) +
-                2 * sizeof(std::uint64_t) + payload_.size());
-  const auto append = [&image](const void *data, const std::size_t bytes) {
-    const char *c = static_cast<const char *>(data);
-    image.insert(image.end(), c, c + bytes);
-  };
-  append(internal::magic, sizeof(internal::magic));
-  append(&internal::format_version, sizeof(internal::format_version));
-  append(&reserved, sizeof(reserved));
-  append(&payload_size, sizeof(payload_size));
-  append(&checksum, sizeof(checksum));
-  append(payload_.data(), payload_.size());
-  return image;
+std::vector<char> CheckpointWriter::encode()
+{
+  finish();
+  return std::move(image_);
 }
 
 std::uint64_t CheckpointWriter::close()
 {
-  DGFLOW_ASSERT(!closed_, "CheckpointWriter::close() called twice");
-  closed_ = true;
-
-  const std::uint64_t checksum =
-    internal::fnv1a64(payload_.data(), payload_.size());
-  const std::vector<char> image = encode();
-
+  const std::uint64_t checksum = finish();
   // the CkptIo shim does the durable atomic publish (tmp + fsync + rename +
   // parent-dir fsync) and is where deterministic I/O faults are injected
-  CkptIo::instance().write_file_atomic(path_, image.data(), image.size(),
-                                       durable_);
+  CkptIo::instance().write_file_atomic(path_, image_.data(), image_.size());
   return checksum;
 }
 
 CheckpointReader::CheckpointReader(const std::string &path)
+  : image_(CkptIo::instance().read_file(path))
 {
-  const std::vector<char> image = CkptIo::instance().read_file(path);
-  parse(image.data(), image.size(), "'" + path + "'");
+  parse("'" + path + "'");
 }
 
-CheckpointReader::CheckpointReader(const std::vector<char> &image,
+CheckpointReader::CheckpointReader(std::vector<char> image,
                                    const std::string &label)
+  : image_(std::move(image))
 {
-  parse(image.data(), image.size(), label);
+  parse(label);
 }
 
-void CheckpointReader::parse(const char *image, const std::size_t bytes,
-                             const std::string &label)
+void CheckpointReader::parse(const std::string &label)
 {
-  const std::size_t header_bytes = sizeof(internal::magic) +
-                                   2 * sizeof(std::uint32_t) +
-                                   2 * sizeof(std::uint64_t);
-  if (bytes < header_bytes)
+  const std::size_t bytes = image_.size();
+  if (bytes < internal::header_bytes)
     throw CheckpointError(label + " is too short for a header");
 
-  std::size_t pos = 0;
-  const auto extract = [&](void *data, const std::size_t n) {
-    std::memcpy(data, image + pos, n);
-    pos += n;
-  };
-  char magic[sizeof(internal::magic)];
-  std::uint32_t version = 0, reserved = 0;
+  const char *header = image_.data();
+  std::uint32_t version = 0;
   std::uint64_t payload_size = 0, checksum = 0;
-  extract(magic, sizeof(magic));
-  extract(&version, sizeof(version));
-  extract(&reserved, sizeof(reserved));
-  extract(&payload_size, sizeof(payload_size));
-  extract(&checksum, sizeof(checksum));
-  if (std::memcmp(magic, internal::magic, sizeof(magic)) != 0)
+  std::memcpy(&version, header + internal::version_offset, sizeof(version));
+  std::memcpy(&payload_size, header + internal::size_offset,
+              sizeof(payload_size));
+  std::memcpy(&checksum, header + internal::checksum_offset,
+              sizeof(checksum));
+  if (std::memcmp(header, internal::magic, sizeof(internal::magic)) != 0)
     throw CheckpointError(label + " has no DGFLOWCK magic");
   if (version != internal::format_version)
     throw CheckpointError(label + " has format version " +
                           std::to_string(version) + ", reader supports " +
                           std::to_string(internal::format_version));
-  if (bytes - pos < payload_size)
+  if (bytes - internal::header_bytes < payload_size)
     throw CheckpointError(label + " payload truncated: header claims " +
                           std::to_string(payload_size) + " bytes, " +
-                          std::to_string(bytes - pos) + " present");
+                          std::to_string(bytes - internal::header_bytes) +
+                          " present");
 
-  payload_.assign(image + pos, image + pos + payload_size);
+  pos_ = internal::header_bytes;
+  end_ = internal::header_bytes + payload_size;
   const std::uint64_t actual =
-    internal::fnv1a64(payload_.data(), payload_.size());
+    internal::fnv1a64(image_.data() + pos_, payload_size);
   if (actual != checksum)
     throw CheckpointError(label + " checksum mismatch (stored " +
                           std::to_string(checksum) + ", computed " +

@@ -21,13 +21,15 @@
 //
 // Values are written bit-for-bit (no text round-trip), which is what gives
 // a restarted simulation the exact trajectory of the uninterrupted one.
-// The writer stages the payload in memory and publishes the file durably and
+// The writer stages header and payload in one buffer. encode() patches the
+// header and moves that buffer out (the in-memory image a generation ring
+// or a buddy rank receives); close() publishes the same buffer durably and
 // atomically through the resilience/ckpt_io.h shim (write "<path>.tmp",
 // fsync, rename, fsync the parent directory), so neither a crash
 // mid-checkpoint nor a power loss right after publish can leave a torn file
-// where a restart would look for a good one. Routing through the shim also
-// makes every checkpoint byte reachable by the DGFLOW_FAULT_IO_* fault
-// injection.
+// where a restart would look for a good one. Either call spends the writer.
+// Routing through the shim also makes every checkpoint byte reachable by
+// the DGFLOW_FAULT_IO_* fault injection.
 
 #include <cstdint>
 #include <cstring>
@@ -65,18 +67,33 @@ inline std::uint64_t fnv1a64(const char *data, const std::size_t n)
 
 constexpr char magic[8] = {'D', 'G', 'F', 'L', 'O', 'W', 'C', 'K'};
 constexpr std::uint32_t format_version = 1;
+
+// header field offsets: magic, version, reserved, payload size, checksum
+constexpr std::size_t version_offset = sizeof(magic);
+constexpr std::size_t size_offset = version_offset + 2 * sizeof(std::uint32_t);
+constexpr std::size_t checksum_offset = size_offset + sizeof(std::uint64_t);
+constexpr std::size_t header_bytes = checksum_offset + sizeof(std::uint64_t);
+
+/// The payload checksum recorded in the header of an image produced by
+/// CheckpointWriter::encode().
+inline std::uint64_t image_checksum(const std::vector<char> &image)
+{
+  DGFLOW_ASSERT(image.size() >= header_bytes, "not a checkpoint image");
+  std::uint64_t checksum;
+  std::memcpy(&checksum, image.data() + checksum_offset, sizeof(checksum));
+  return checksum;
+}
 } // namespace internal
 
 class CheckpointWriter
 {
 public:
-  explicit CheckpointWriter(std::string path) : path_(std::move(path)) {}
-
-  ~CheckpointWriter()
-  {
-    // close() is the committing operation; an abandoned writer (exception
-    // unwound past it) must not publish a partial checkpoint
-  }
+  /// Stages a checkpoint for @p path (used by close(); encode() ignores it).
+  /// Nothing reaches disk before close(): an abandoned writer publishes
+  /// nothing.
+  explicit CheckpointWriter(std::string path)
+    : path_(std::move(path)), image_(internal::header_bytes)
+  {}
 
   void write_u64(const std::uint64_t v)
   {
@@ -101,33 +118,40 @@ public:
     append_raw(v.data(), v.size() * sizeof(Number));
   }
 
-  /// Checksums the payload and durably + atomically publishes the file via
-  /// the CkptIo shim. Returns the payload checksum (shard manifests record
-  /// it for integrity checks).
+  /// Patches the header and moves the complete file image (header +
+  /// checksum + payload) out without touching disk — the form a generation
+  /// takes on its way to the AsyncCheckpointer, and a shard on its way to
+  /// its buddy rank. The writer is spent afterwards.
+  std::vector<char> encode();
+
+  /// Patches the header and durably + atomically publishes the same buffer
+  /// at the writer's path via the CkptIo shim. Returns the payload checksum
+  /// (shard manifests record it). The writer is spent afterwards.
   std::uint64_t close();
 
-  /// Disables the fsyncs on publish (benchmark baselines measuring the raw
-  /// write path; production checkpoints stay durable).
-  void set_durable(const bool durable) { durable_ = durable; }
-
-  /// Serializes the complete file image (header + checksum + payload) into
-  /// memory without touching disk — the form a shard takes when replicated
-  /// to its buddy rank over vmpi. Does not mark the writer closed.
-  std::vector<char> encode() const;
+  const std::string &path() const { return path_; }
 
 private:
-  void append_tag(const char tag) { payload_.push_back(tag); }
+  void append_tag(const char tag)
+  {
+    DGFLOW_ASSERT(!spent_, "write to a CheckpointWriter after encode()/close()");
+    image_.push_back(tag);
+  }
 
   void append_raw(const void *data, const std::size_t bytes)
   {
     const char *c = static_cast<const char *>(data);
-    payload_.insert(payload_.end(), c, c + bytes);
+    image_.insert(image_.end(), c, c + bytes);
   }
 
+  /// Writes magic, version, payload size and checksum into the staged
+  /// header (the one FNV-1a pass over the payload); spends the writer and
+  /// returns the checksum.
+  std::uint64_t finish();
+
   std::string path_;
-  std::vector<char> payload_;
-  bool closed_ = false;
-  bool durable_ = true;
+  std::vector<char> image_; ///< header followed by the payload records
+  bool spent_ = false;
 };
 
 class CheckpointReader
@@ -142,7 +166,7 @@ public:
   /// encode(), e.g. a buddy-replicated shard received over vmpi) with the
   /// same validation as the file constructor. @p label names the source in
   /// error messages.
-  CheckpointReader(const std::vector<char> &image, const std::string &label);
+  CheckpointReader(std::vector<char> image, const std::string &label);
 
   /// FNV-1a checksum of the validated payload (matches what close() returned
   /// when the checkpoint was written; shard manifests compare against it).
@@ -177,12 +201,23 @@ public:
                             std::to_string(int(elem_size)) +
                             "-byte elements, reader expects " +
                             std::to_string(sizeof(Number)));
+    // checked before sizing v: count * sizeof(Number) may not even fit in
+    // a size_t
+    if (count > bytes_left() / sizeof(Number))
+      throw CheckpointError("vector record claims " + std::to_string(count) +
+                            " elements at payload offset " +
+                            std::to_string(pos_ - internal::header_bytes) +
+                            ", but only " + std::to_string(bytes_left()) +
+                            " payload bytes remain");
     v.reinit(count, true);
     extract_raw(v.data(), count * sizeof(Number));
   }
 
+  /// Payload bytes not yet consumed.
+  std::size_t bytes_left() const { return end_ - pos_; }
+
   /// True once every record has been consumed.
-  bool exhausted() const { return pos_ == payload_.size(); }
+  bool exhausted() const { return pos_ == end_; }
 
 private:
   void expect_tag(const char tag)
@@ -191,27 +226,29 @@ private:
     extract_raw(&t, 1);
     if (t != tag)
       throw CheckpointError(std::string("record type mismatch: expected '") +
-                            tag + "', found '" + t +
-                            "' at payload offset " + std::to_string(pos_ - 1));
+                            tag + "', found '" + t + "' at payload offset " +
+                            std::to_string(pos_ - 1 - internal::header_bytes));
   }
 
   void extract_raw(void *data, const std::size_t bytes)
   {
-    if (pos_ + bytes > payload_.size())
+    if (bytes > bytes_left())
       throw CheckpointError("truncated payload: need " +
                             std::to_string(bytes) + " bytes at offset " +
-                            std::to_string(pos_) + ", payload has " +
-                            std::to_string(payload_.size()));
+                            std::to_string(pos_ - internal::header_bytes) +
+                            ", payload has " +
+                            std::to_string(end_ - internal::header_bytes));
     if (bytes > 0) // an empty field may come with a null destination
-      std::memcpy(data, payload_.data() + pos_, bytes);
+      std::memcpy(data, image_.data() + pos_, bytes);
     pos_ += bytes;
   }
 
   /// Shared validation path for the file and in-memory constructors.
-  void parse(const char *image, std::size_t bytes, const std::string &label);
+  void parse(const std::string &label);
 
-  std::vector<char> payload_;
-  std::size_t pos_ = 0;
+  std::vector<char> image_; ///< the whole file; records are read in place
+  std::size_t pos_ = 0;     ///< read position in image_
+  std::size_t end_ = 0;     ///< end of the payload in image_
   std::uint64_t checksum_ = 0;
 };
 

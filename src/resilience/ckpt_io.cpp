@@ -81,7 +81,7 @@ unsigned long long CkptIo::next_seq(const std::string &path)
 }
 
 void CkptIo::write_file_atomic(const std::string &path, const char *data,
-                               const std::size_t bytes, const bool durable)
+                               const std::size_t bytes)
 {
   IoWriteFault fault;
   if (IoFaultHandler *handler = fault_handler())
@@ -135,11 +135,10 @@ void CkptIo::write_file_atomic(const std::string &path, const char *data,
     throw CkptIoError("short write to '" + tmp + "': " +
                       std::to_string(persist) + " of " +
                       std::to_string(bytes) + " bytes persisted");
-  if (durable)
+  if (::fsync(fd.get()) != 0)
+    throw CkptIoError("fsync of '" + tmp +
+                      "' failed: " + std::strerror(errno));
   {
-    if (::fsync(fd.get()) != 0)
-      throw CkptIoError("fsync of '" + tmp +
-                        "' failed: " + std::strerror(errno));
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.file_fsyncs;
   }
@@ -153,11 +152,10 @@ void CkptIo::write_file_atomic(const std::string &path, const char *data,
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.renames;
   }
-  if (durable)
-    // the rename is only durable once the parent directory's entry list is:
-    // without this fsync a power loss can roll the directory back to a state
-    // where neither the tmp nor the published name exists
-    fsync_directory(parent_directory(path));
+  // the rename is only durable once the parent directory's entry list is:
+  // without this fsync a power loss can roll the directory back to a state
+  // where neither the tmp nor the published name exists
+  fsync_directory(parent_directory(path));
   DGFLOW_PROF_COUNT("ckpt_io_bytes_written", static_cast<long long>(written));
 }
 
@@ -200,8 +198,7 @@ std::vector<char> CkptIo::read_file(const std::string &path)
   return bytes;
 }
 
-void CkptIo::rename(const std::string &from, const std::string &to,
-                    const bool durable)
+void CkptIo::rename(const std::string &from, const std::string &to)
 {
   if (::rename(from.c_str(), to.c_str()) != 0)
     throw CkptIoError("cannot rename '" + from + "' to '" + to +
@@ -210,8 +207,7 @@ void CkptIo::rename(const std::string &from, const std::string &to,
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.renames;
   }
-  if (durable)
-    fsync_directory(parent_directory(to));
+  fsync_directory(parent_directory(to));
 }
 
 void CkptIo::create_directories(const std::string &dir)

@@ -124,22 +124,20 @@ public:
   void reset_stats();
 
   /// Durable atomic publish of @p bytes at @p path: write "<path>.tmp",
-  /// fsync the file, rename over @p path, fsync the parent directory. With
-  /// @p durable false both fsyncs are skipped (benchmark baselines only —
-  /// production checkpoints must survive power loss). Throws CkptIoError on
-  /// any real or injected failure; a short write leaves the truncated tmp
-  /// file behind (never the published name) for startup GC to prune.
+  /// fsync the file, rename over @p path, fsync the parent directory. Throws
+  /// CkptIoError on any real or injected failure; a short write leaves the
+  /// truncated tmp file behind (never the published name) for startup GC to
+  /// prune.
   void write_file_atomic(const std::string &path, const char *data,
-                         std::size_t bytes, bool durable = true);
+                         std::size_t bytes);
 
   /// Reads the whole file; throws CkptIoError when the file is missing or
   /// unreadable (really or by injection).
   std::vector<char> read_file(const std::string &path);
 
   /// Atomic rename (the directory-level commit of a checkpoint generation);
-  /// fsyncs the parent directory afterwards when @p durable.
-  void rename(const std::string &from, const std::string &to,
-              bool durable = true);
+  /// fsyncs the parent directory afterwards.
+  void rename(const std::string &from, const std::string &to);
 
   /// mkdir -p; idempotent. Throws CkptIoError on failure.
   void create_directories(const std::string &dir);

@@ -87,8 +87,15 @@ void GenerationStore::commit_generation(const std::uint64_t id)
   const std::string committed = generation_directory(id);
   // the directory rename is the commit point; the files inside were already
   // individually fsynced by write_file_atomic
-  io.rename(committed + ".tmp", committed, options_.durable);
-  write_head(id);
+  io.rename(committed + ".tmp", committed);
+  {
+    // HEAD is an ordinary checksummed checkpoint file, so a torn HEAD is
+    // *detected* (and ignored — the scan falls back to walking the ring)
+    // rather than silently pointing recovery at garbage
+    CheckpointWriter head(root_ + "/" + head_name);
+    head.write_u64(id);
+    head.close();
+  }
   // prune the ring: committed generations beyond keep_generations, oldest
   // first (never the one just published)
   const std::vector<std::uint64_t> all = generations();
@@ -111,18 +118,6 @@ std::vector<std::uint64_t> GenerationStore::generations() const
         ids.push_back(*id);
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-void GenerationStore::write_head(const std::uint64_t id)
-{
-  // an ordinary checksummed checkpoint file, so a torn HEAD is *detected*
-  // (and ignored — the scan falls back to walking the ring) rather than
-  // silently pointing recovery at garbage
-  CheckpointWriter head(root_ + "/" + head_name);
-  head.write_u64(id);
-  const std::vector<char> image = head.encode();
-  CkptIo::instance().write_file_atomic(root_ + "/" + head_name, image.data(),
-                                       image.size(), options_.durable);
 }
 
 std::optional<std::uint64_t> GenerationStore::read_head() const
@@ -221,8 +216,7 @@ AsyncCheckpointer::AsyncCheckpointer(const std::string &root)
 
 AsyncCheckpointer::AsyncCheckpointer(const std::string &root,
                                      const Options &options)
-  : store_(root, GenerationStore::Options{options.keep_generations,
-                                          options.durable}),
+  : store_(root, GenerationStore::Options{options.keep_generations}),
     options_(options)
 {
   DGFLOW_ASSERT(options_.max_in_flight >= 1,
@@ -236,7 +230,7 @@ std::uint64_t AsyncCheckpointer::submit(std::vector<NamedImage> images)
   {
     // back-pressure: the solver may run ahead of the disk by at most
     // max_in_flight generations; time spent here is the only checkpoint
-    // stall the solver thread ever sees in async mode
+    // stall the solver thread ever sees
     std::unique_lock<std::mutex> lock(mutex_);
     if (in_flight_ >= options_.max_in_flight)
     {
@@ -248,13 +242,10 @@ std::uint64_t AsyncCheckpointer::submit(std::vector<NamedImage> images)
     ++status_.submitted;
   }
   const std::uint64_t id = store_.allocate_generation();
-  if (options_.async)
-    concurrency::ThreadPool::instance().async(
-      [this, id, images = std::move(images)]() mutable {
-        write_generation(id, std::move(images));
-      });
-  else
-    write_generation(id, std::move(images));
+  concurrency::ThreadPool::instance().async(
+    [this, id, images = std::move(images)]() mutable {
+      write_generation(id, std::move(images));
+    });
   return id;
 }
 
@@ -268,8 +259,7 @@ void AsyncCheckpointer::write_generation(const std::uint64_t id,
     for (const NamedImage &file : images)
       CkptIo::instance().write_file_atomic(staging + "/" + file.name,
                                            file.image.data(),
-                                           file.image.size(),
-                                           store_.options().durable);
+                                           file.image.size());
     store_.commit_generation(id);
     std::lock_guard<std::mutex> lock(mutex_);
     ++status_.published;

@@ -22,15 +22,19 @@
 // verifies — HEAD accelerates the common case but a corrupted or stale HEAD
 // only costs a longer walk, never a wrong answer.
 //
-// The AsyncCheckpointer on top takes already-encoded in-memory images
-// (CheckpointWriter::encode() runs on the solver thread — the only part
-// that needs solver state) and performs all disk I/O on the ThreadPool's
-// background service thread, so INSSolver::advance never blocks on disk.
-// Back-pressure: submit() blocks only while max_in_flight generations are
-// still being written (disk slower than the checkpoint cadence), and
-// drain() awaits outstanding writes on shutdown and before any restore.
-// Write failures are recorded in Status — a failed checkpoint must never
-// kill a healthy solve; the previous committed generation remains valid.
+// The AsyncCheckpointer on top is the one path by which the flow solver's
+// state reaches disk (LungApplication owns it). It takes already-encoded
+// in-memory images (CheckpointWriter::encode() runs on the solver thread —
+// the only part that needs solver state) and performs all disk I/O on the
+// ThreadPool's background service thread, so the coupled time step never
+// blocks on disk. Every publish is durable: each file, the directory
+// rename and HEAD are fsynced. Back-pressure: submit() blocks only while
+// max_in_flight generations are still being written (disk slower than the
+// checkpoint cadence), and drain() awaits outstanding writes on shutdown
+// and before any restore; a synchronous checkpoint is submit() followed by
+// drain(). Write failures are recorded in status() — a failed checkpoint
+// must never kill a healthy solve; the previous committed generation
+// remains valid.
 
 #include <atomic>
 #include <condition_variable>
@@ -51,8 +55,6 @@ public:
   {
     /// committed generations kept in the ring (older ones are pruned)
     std::uint64_t keep_generations = 3;
-    /// fsync files and directories on publish (off only for benchmarks)
-    bool durable = true;
   };
 
   /// Opens (creating if needed) the store rooted at @p root and prunes
@@ -61,7 +63,6 @@ public:
   GenerationStore(std::string root, const Options &options);
 
   const std::string &root() const { return root_; }
-  const Options &options() const { return options_; }
 
   /// Reserves the next generation id. No filesystem work, never throws —
   /// safe to call under back-pressure accounting before the background
@@ -74,8 +75,9 @@ public:
   std::string create_staging(std::uint64_t id);
 
   /// Atomically publishes generation @p id: renames the staging directory
-  /// over the committed name, fsyncs the root, records @p id in HEAD, and
-  /// prunes generations beyond the ring size.
+  /// over the committed name, fsyncs the root, records @p id in HEAD (a
+  /// one-record checkpoint file), and prunes generations beyond the ring
+  /// size.
   void commit_generation(std::uint64_t id);
 
   /// Removes the staging directory of a generation whose write failed.
@@ -109,7 +111,6 @@ public:
   GcReport garbage_collect();
 
 private:
-  void write_head(std::uint64_t id);
   std::optional<std::uint64_t> read_head() const;
 
   std::string root_;
@@ -123,12 +124,8 @@ public:
   struct Options
   {
     std::uint64_t keep_generations = 3;
-    bool durable = true;
     /// generations allowed in flight before submit() back-pressures
     std::uint64_t max_in_flight = 1;
-    /// false: write synchronously on the calling thread (the baseline mode
-    /// the recovery microbench compares against)
-    bool async = true;
   };
 
   explicit AsyncCheckpointer(const std::string &root);
@@ -175,8 +172,8 @@ public:
   const GenerationStore &store() const { return store_; }
 
 private:
-  /// The background (or, when async=false, inline) body: stage, write
-  /// every image durably, commit; on any failure abort and record.
+  /// The background body: stage, write every image durably, commit; on
+  /// any failure abort and record.
   void write_generation(std::uint64_t id, std::vector<NamedImage> images);
 
   GenerationStore store_;

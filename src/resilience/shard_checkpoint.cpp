@@ -18,9 +18,13 @@ ShardCheckpointWriter::ShardCheckpointWriter(const std::string &directory,
 
 ShardCheckpointWriter::Shard ShardCheckpointWriter::close()
 {
+  // one image, one checksum pass: the published file and the buddy copy
+  // are the same bytes
   Shard shard;
   shard.image = writer_.encode();
-  shard.checksum = writer_.close();
+  shard.checksum = internal::image_checksum(shard.image);
+  CkptIo::instance().write_file_atomic(writer_.path(), shard.image.data(),
+                                       shard.image.size());
   return shard;
 }
 
@@ -38,6 +42,14 @@ std::vector<std::uint64_t> read_shard_manifest(const std::string &directory)
 {
   CheckpointReader manifest(directory + "/manifest.ckpt");
   const std::uint64_t n = manifest.read_u64();
+  // one 'u' record (tag + u64) per shard: a count the payload cannot hold
+  // is rejected before it sizes anything
+  constexpr std::size_t record_bytes = 1 + sizeof(std::uint64_t);
+  if (n > manifest.bytes_left() / record_bytes)
+    throw CheckpointError("manifest in '" + directory + "' claims " +
+                          std::to_string(n) + " shards but holds " +
+                          std::to_string(manifest.bytes_left()) +
+                          " payload bytes");
   std::vector<std::uint64_t> checksums(n);
   for (std::uint64_t k = 0; k < n; ++k)
     checksums[k] = manifest.read_u64();

@@ -20,11 +20,12 @@
 // reassembles the global field — the restoring run then re-slices it for
 // its own partition, whatever its rank count.
 //
-// Buddy replication: close() returns the shard's in-memory file image so
-// the caller can send it to its Morton-neighbour rank
-// (mesh/partition.h: morton_buddy_rank) over vmpi. A shard lost with its
-// rank is then recoverable from the buddy's copy: ShardCheckpointReader
-// accepts in-memory images that override (or substitute for) shard files.
+// Buddy replication: close() returns the shard's in-memory file image (the
+// same buffer it published) so the caller can send it to its
+// Morton-neighbour rank (mesh/partition.h: morton_buddy_rank) over vmpi. A
+// shard lost with its rank is then recoverable from the buddy's copy:
+// ShardCheckpointReader accepts in-memory images that override (or
+// substitute for) shard files.
 
 #include <cstdint>
 #include <map>
@@ -118,6 +119,11 @@ public:
   template <typename Number>
   void read_global(Vector<Number> &global)
   {
+    // the owned slices must fit in what the shards still hold, which bounds
+    // a field size taken from the file before it sizes anything
+    std::uint64_t capacity = 0;
+    for (const CheckpointReader &shard : shards_)
+      capacity += shard.bytes_left() / sizeof(Number);
     std::uint64_t global_size = 0;
     std::uint64_t assembled = 0;
     for (int k = 0; k < n_shards(); ++k)
@@ -127,6 +133,11 @@ public:
       if (k == 0)
       {
         global_size = size_k;
+        if (global_size > capacity)
+          throw CheckpointError(
+            shard_file_name(0) + " claims a global field of " +
+            std::to_string(global_size) + " entries, more than the " +
+            std::to_string(capacity) + " the shards can hold");
         global.reinit(global_size, true);
       }
       else if (size_k != global_size)
@@ -136,11 +147,12 @@ public:
           " in " + shard_file_name(0) + ")");
       Vector<Number> owned;
       shards_[k].read_vector(owned);
-      if (begin_k + owned.size() > global_size)
-        throw CheckpointError(shard_file_name(k) + " slice [" +
-                              std::to_string(begin_k) + ", " +
-                              std::to_string(begin_k + owned.size()) +
-                              ") exceeds the global size " +
+      // written so that no sum can wrap around
+      if (begin_k > global_size || owned.size() > global_size - begin_k)
+        throw CheckpointError(shard_file_name(k) + " slice of " +
+                              std::to_string(owned.size()) +
+                              " entries at " + std::to_string(begin_k) +
+                              " exceeds the global size " +
                               std::to_string(global_size));
       for (std::size_t i = 0; i < owned.size(); ++i)
         global[begin_k + i] = owned[i];

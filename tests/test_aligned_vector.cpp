@@ -74,3 +74,15 @@ TEST(AlignedVector, FillAndClear)
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.memory_consumption(), 0u);
 }
+
+// (2^61 + 1) * 8 bytes wraps to 8 in 64 bits: the resize must fail instead
+// of handing out an 8-byte buffer that claims 2^61 + 1 elements.
+TEST(AlignedVector, ResizeWhoseByteCountOverflowsThrows)
+{
+  AlignedVector<double> v(3, 1.5);
+  EXPECT_THROW(v.resize_without_init((std::size_t(1) << 61) + 1),
+               std::bad_array_new_length);
+  EXPECT_EQ(v.size(), 3u) << "a failed resize leaves the vector untouched";
+  EXPECT_EQ(v.memory_consumption(), 3 * sizeof(double));
+  EXPECT_EQ(v[2], 1.5);
+}

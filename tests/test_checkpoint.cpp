@@ -2,14 +2,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "incns/analytic_flows.h"
 #include "incns/solver.h"
-#include "lung/lung_application.h"
 #include "mesh/generators.h"
 #include "resilience/checkpoint.h"
+#include "resilience/ckpt_store.h"
 
 using namespace dgflow;
 
@@ -217,6 +220,39 @@ TEST(CheckpointFileTest, UnsupportedVersionIsRejected)
   std::remove(path.c_str());
 }
 
+// A checksum-valid image whose 'v' record claims 2^61 + 1 doubles but
+// carries 8 bytes: count * 8 wraps to 8 in 64 bits, so the record must be
+// checked against the bytes left before the vector is sized.
+TEST(CheckpointFileTest, VectorRecordLargerThanThePayloadIsRejected)
+{
+  resilience::CheckpointWriter writer("oversized.ckpt");
+  writer.write_vector(Vector<double>(1));
+  std::vector<char> image = writer.encode();
+  const std::uint64_t claimed = (std::uint64_t(1) << 61) + 1;
+  // the count follows the header, the 'v' tag and the element size byte
+  const std::size_t count_offset = resilience::internal::header_bytes + 2;
+  std::memcpy(image.data() + count_offset, &claimed, sizeof(claimed));
+  const char *payload = image.data() + resilience::internal::header_bytes;
+  const std::uint64_t checksum = resilience::internal::fnv1a64(
+    payload, image.size() - resilience::internal::header_bytes);
+  std::memcpy(image.data() + resilience::internal::checksum_offset,
+              &checksum, sizeof(checksum));
+
+  resilience::CheckpointReader reader(std::move(image), "oversized");
+  Vector<double> v;
+  try
+  {
+    reader.read_vector(v);
+    FAIL() << "a vector of " << v.size() << " elements was read from 8 bytes";
+  }
+  catch (const resilience::CheckpointError &e)
+  {
+    EXPECT_NE(std::string(e.what()).find("payload bytes remain"),
+              std::string::npos)
+      << e.what();
+  }
+}
+
 TEST(CheckpointINSTest, RestartResumesBitForBit)
 {
   EthierSteinman es;
@@ -229,14 +265,22 @@ TEST(CheckpointINSTest, RestartResumesBitForBit)
   setup_es(reference, mesh, geom, es);
   for (int i = 0; i < 3; ++i)
     reference.advance();
-  reference.save_checkpoint(path);
+  {
+    resilience::CheckpointWriter writer(path);
+    reference.serialize(writer);
+    writer.close();
+  }
   for (int i = 0; i < 3; ++i)
     reference.advance();
 
   // restarted run: fresh solver, same setup, resume from the checkpoint
   INSSolver<double> restarted;
   setup_es(restarted, mesh, geom, es);
-  restarted.load_checkpoint(path);
+  {
+    resilience::CheckpointReader reader(path);
+    restarted.deserialize(reader);
+    EXPECT_TRUE(reader.exhausted());
+  }
   std::remove(path.c_str());
   for (int i = 0; i < 3; ++i)
     restarted.advance();
@@ -255,50 +299,78 @@ TEST(CheckpointINSTest, MismatchedDiscretizationIsRejected)
   EthierSteinman es;
   Mesh mesh(unit_cube());
   TrilinearGeometry geom(mesh.coarse());
-  const std::string path = temp_path("ins_mismatch.ckpt");
 
   INSSolver<double> coarse;
   setup_es(coarse, mesh, geom, es);
   coarse.advance();
-  coarse.save_checkpoint(path);
+  resilience::CheckpointWriter writer("ins_mismatch.ckpt");
+  coarse.serialize(writer);
+  resilience::CheckpointReader reader(writer.encode(), "coarse state");
 
   Mesh fine(unit_cube());
   fine.refine_uniform(1);
   TrilinearGeometry fine_geom(fine.coarse());
   INSSolver<double> other;
   setup_es(other, fine, fine_geom, es);
-  EXPECT_THROW(other.load_checkpoint(path), std::runtime_error);
-  std::remove(path.c_str());
+  EXPECT_THROW(other.deserialize(reader), std::runtime_error);
 }
 
-TEST(CheckpointLungTest, ApplicationRestartResumesBitForBit)
+// The solver's state published through the generation ring — encoded on
+// the solving thread, written by the background writer, as LungApplication
+// does — restores from the newest generation and resumes bit for bit.
+TEST(SolverCheckpointing, AsyncRestartResumesBitForBit)
 {
-  LungApplicationParameters prm;
-  prm.generations = 1;
-  const std::string path = temp_path("lung.ckpt");
+  EthierSteinman es;
+  Mesh mesh(unit_cube());
+  TrilinearGeometry geom(mesh.coarse());
+  const std::string root = temp_path("solver_async");
+  std::filesystem::remove_all(root);
 
-  LungApplication reference(prm);
-  for (int i = 0; i < 10; ++i)
-    reference.advance();
-  reference.save_checkpoint(path);
-  const double dp_at_save = reference.ventilation().current_dp();
-  for (int i = 0; i < 5; ++i)
+  // reference: 6 uninterrupted steps, no checkpointing
+  INSSolver<double> reference;
+  setup_es(reference, mesh, geom, es);
+  for (int i = 0; i < 6; ++i)
     reference.advance();
 
-  LungApplication restarted(prm);
-  restarted.load_checkpoint(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(restarted.ventilation().current_dp(), dp_at_save);
-  for (int i = 0; i < 5; ++i)
+  // checkpointed run: every step snapshots through the async writer
+  {
+    INSSolver<double> solver;
+    setup_es(solver, mesh, geom, es);
+    resilience::AsyncCheckpointer ckpt(root);
+    for (int i = 0; i < 3; ++i)
+    {
+      solver.advance();
+      resilience::CheckpointWriter writer("state.ckpt"); // encode only
+      solver.serialize(writer);
+      std::vector<resilience::AsyncCheckpointer::NamedImage> images;
+      images.push_back({"state.ckpt", writer.encode()});
+      ckpt.submit(std::move(images));
+    }
+    ckpt.drain();
+    EXPECT_EQ(ckpt.status().published, 3ull);
+  }
+
+  // "crash" and restart: a fresh solver restores the newest generation
+  resilience::AsyncCheckpointer reopened(root);
+  const auto newest = reopened.store().newest_valid_generation();
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(*newest, 2ull);
+  INSSolver<double> restarted;
+  setup_es(restarted, mesh, geom, es);
+  {
+    resilience::CheckpointReader reader(
+      reopened.store().generation_directory(*newest) + "/state.ckpt");
+    restarted.deserialize(reader);
+    EXPECT_TRUE(reader.exhausted());
+  }
+  std::filesystem::remove_all(root);
+  for (int i = 0; i < 3; ++i)
     restarted.advance();
 
-  EXPECT_EQ(restarted.solver().time(), reference.solver().time());
-  const auto &u_ref = reference.solver().velocity();
-  const auto &u_new = restarted.solver().velocity();
-  ASSERT_EQ(u_new.size(), u_ref.size());
-  for (std::size_t i = 0; i < u_ref.size(); ++i)
-    ASSERT_EQ(u_new[i], u_ref[i]) << "dof " << i;
-  for (unsigned int o = 0; o < reference.ventilation().n_outlets(); ++o)
-    EXPECT_EQ(restarted.ventilation().outlet_pressure(o),
-              reference.ventilation().outlet_pressure(o));
+  EXPECT_EQ(restarted.time(), reference.time());
+  ASSERT_EQ(restarted.velocity().size(), reference.velocity().size());
+  for (std::size_t i = 0; i < reference.velocity().size(); ++i)
+    ASSERT_EQ(restarted.velocity()[i], reference.velocity()[i]) << "dof " << i;
+  for (std::size_t i = 0; i < reference.pressure().size(); ++i)
+    ASSERT_EQ(restarted.pressure()[i], reference.pressure()[i]) << "dof " << i;
 }

@@ -1,11 +1,13 @@
 // The I/O-fault-tolerant checkpoint pipeline (ctest label io_resilience;
-// also run under DGFLOW_SANITIZE=thread by run_benchmarks.sh): the CkptIo
-// filesystem shim with deterministic fault injection (short write, torn
-// write, ENOSPC, EIO, slow disk), the durable rename-publish protocol, the
-// multi-generation ring with checksummed HEAD and fall-back recovery scan,
-// the asynchronous background writer with back-pressure and drain, the
-// Young/Daly checkpoint scheduler, shard reassembly under every corruption
-// class, and the end-to-end torn-write + rank-kill restart.
+// also run under DGFLOW_SANITIZE=thread and =undefined by
+// run_benchmarks.sh): the CkptIo filesystem shim with deterministic fault
+// injection (short write, torn write, ENOSPC, EIO, slow disk), the durable
+// rename-publish protocol, the multi-generation ring with checksummed HEAD
+// and fall-back recovery scan, the asynchronous background writer with
+// back-pressure and drain, the Young/Daly checkpoint scheduler, shard
+// reassembly under every corruption class, the lung application's
+// checkpoint path through the ring, and the end-to-end torn-write +
+// rank-kill restart.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +17,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "concurrency/thread_pool.h"
-#include "incns/analytic_flows.h"
-#include "incns/solver.h"
 #include "lung/lung_application.h"
-#include "mesh/generators.h"
 #include "resilience/ckpt_io.h"
 #include "resilience/ckpt_scheduler.h"
 #include "resilience/ckpt_store.h"
@@ -103,47 +103,6 @@ public:
   ~ScopedScriptedFaults() { CkptIo::instance().install_fault_handler(nullptr); }
 };
 
-FlowBoundaryMap ethier_steinman_bc(const EthierSteinman &es)
-{
-  FlowBoundaryMap bc;
-  for (unsigned int id = 0; id < 6; ++id)
-  {
-    FlowBoundary b;
-    if (id == 1)
-    {
-      b.kind = FlowBoundary::Kind::pressure;
-      b.pressure = [es](const Point &p, double t) { return es.pressure(p, t); };
-      b.backflow_stabilization = false;
-    }
-    else
-    {
-      b.kind = FlowBoundary::Kind::velocity_dirichlet;
-      b.velocity = [es](const Point &p, double t) { return es.velocity(p, t); };
-      b.velocity_dt = [es](const Point &p, double t) {
-        return es.velocity_dt(p, t);
-      };
-    }
-    bc[id] = b;
-  }
-  return bc;
-}
-
-void setup_es(INSSolver<double> &solver, const Mesh &mesh,
-              const Geometry &geom, const EthierSteinman &es)
-{
-  INSSolver<double>::Parameters prm;
-  prm.degree = 3;
-  prm.viscosity = es.nu;
-  prm.cfl = 0.2;
-  prm.rel_tol_pressure = 1e-8;
-  prm.rel_tol_viscous = 1e-8;
-  prm.rel_tol_projection = 1e-8;
-  solver.setup(mesh, geom, ethier_steinman_bc(es), prm);
-  solver.set_initial_condition(
-    [&es](const Point &p) { return es.velocity(p, 0.); },
-    [&es](const Point &p) { return es.pressure(p, 0.); });
-}
-
 /// One committed single-file generation containing the given payload value.
 void write_generation(resilience::GenerationStore &store, const double value)
 {
@@ -194,21 +153,6 @@ TEST(CkptIoShim, CheckpointClosePerformsTheFullDurabilityProtocol)
     << "the staging name must not survive a successful publish";
   resilience::CheckpointReader reader(dir + "/a.ckpt");
   EXPECT_EQ(reader.read_u64(), 7ull);
-}
-
-TEST(CkptIoShim, NonDurableModeSkipsTheFsyncsButStaysAtomic)
-{
-  const std::string dir = scratch_dir("nondurable");
-  const auto before = CkptIo::instance().stats();
-  resilience::CheckpointWriter writer(dir + "/a.ckpt");
-  writer.set_durable(false);
-  writer.write_u64(1);
-  writer.close();
-  const auto after = CkptIo::instance().stats();
-  EXPECT_EQ(after.file_fsyncs, before.file_fsyncs);
-  EXPECT_EQ(after.dir_fsyncs, before.dir_fsyncs);
-  EXPECT_EQ(after.renames, before.renames + 1);
-  EXPECT_TRUE(CkptIo::instance().exists(dir + "/a.ckpt"));
 }
 
 TEST(CkptIoShim, ShortWriteFailsStructuredAndNeverTouchesThePublishedName)
@@ -490,6 +434,32 @@ TEST(AsyncWriter, PublishesInBackgroundAndDrainsInOrder)
   EXPECT_EQ(read_generation_value(ckpt.store(), *newest), 2.);
 }
 
+// Every ring commit is durable: the file and HEAD are fsynced before their
+// renames, and the staging directory, the root (after the generation
+// rename) and the root again (after the HEAD rename) are fsynced after
+// them.
+TEST(AsyncWriter, EveryGenerationIsPublishedDurably)
+{
+  const std::string root = scratch_dir("async_durable");
+  resilience::AsyncCheckpointer ckpt(root, {});
+  resilience::CheckpointWriter writer("state.ckpt");
+  writer.write_double(1.);
+  std::vector<resilience::AsyncCheckpointer::NamedImage> images;
+  images.push_back({"state.ckpt", writer.encode()});
+
+  const auto before = CkptIo::instance().stats();
+  ckpt.submit(std::move(images));
+  ckpt.drain();
+  const auto after = CkptIo::instance().stats();
+  ASSERT_EQ(ckpt.status().published, 1ull);
+  EXPECT_EQ(after.file_fsyncs, before.file_fsyncs + 2)
+    << "state.ckpt and HEAD.ckpt are fsynced";
+  EXPECT_EQ(after.renames, before.renames + 3)
+    << "file publish, generation commit, HEAD publish";
+  EXPECT_EQ(after.dir_fsyncs, before.dir_fsyncs + 3)
+    << "every rename is followed by an fsync of its directory";
+}
+
 // Satellite: a failed checkpoint *write* must never kill a healthy solve —
 // the failure is recorded, and the previous committed generation remains the
 // restart point.
@@ -750,156 +720,93 @@ TEST(ShardFaultMatrix, EveryCorruptionClassRepairsViaBuddyOrNamesTheShard)
   }
 }
 
+// A checksum-valid shard whose slice starts at 2^64 - 1: begin + size wraps
+// to a small number, so the bounds check must be written without the sum.
+TEST(ShardFaultMatrix, SliceStartingNearTheTopOfTheIndexRangeIsRejected)
+{
+  const std::string dir = scratch_dir("shard_wrap");
+  const std::uint64_t global_size = 4;
+  std::vector<std::uint64_t> checksums;
+  {
+    resilience::ShardCheckpointWriter writer(dir, 0, 2);
+    writer.write_owned_slice(global_size, 0, test_field(3));
+    checksums.push_back(writer.close().checksum);
+  }
+  {
+    resilience::ShardCheckpointWriter writer(dir, 1, 2);
+    writer.write_owned_slice(global_size,
+                             std::numeric_limits<std::uint64_t>::max(),
+                             test_field(1));
+    checksums.push_back(writer.close().checksum);
+  }
+  resilience::write_shard_manifest(dir, checksums);
+
+  resilience::ShardCheckpointReader reader(dir);
+  Vector<double> global;
+  try
+  {
+    reader.read_global(global);
+    FAIL() << "a slice outside the global range was accepted";
+  }
+  catch (const resilience::CheckpointError &e)
+  {
+    EXPECT_NE(std::string(e.what()).find("rank1.ckpt"), std::string::npos)
+      << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
-// solver integration
+// the application's checkpoint path: LungApplication owns the ring
 // ---------------------------------------------------------------------------
 
-TEST(SolverCheckpointing, AsyncRestartResumesBitForBit)
+namespace
 {
-  EthierSteinman es;
-  Mesh mesh(unit_cube());
-  TrilinearGeometry geom(mesh.coarse());
-  const std::string root = scratch_dir("solver_async");
-
-  // reference: 6 uninterrupted steps, no checkpointing
-  INSSolver<double> reference;
-  setup_es(reference, mesh, geom, es);
-  for (int i = 0; i < 6; ++i)
-    reference.advance();
-
-  // checkpointed run: every step snapshots through the async writer
-  {
-    INSSolver<double> solver;
-    setup_es(solver, mesh, geom, es);
-    resilience::AsyncCheckpointer ckpt(root, {});
-    solver.set_checkpointing(&ckpt); // no scheduler: checkpoint every step
-    for (int i = 0; i < 3; ++i)
-      solver.advance();
-    ckpt.drain();
-    EXPECT_EQ(ckpt.status().published, 3ull);
-  }
-
-  // "crash" and restart: a fresh solver restores the newest generation
-  INSSolver<double> restarted;
-  setup_es(restarted, mesh, geom, es);
-  resilience::AsyncCheckpointer ckpt(root, {});
-  restarted.set_checkpointing(&ckpt);
-  ASSERT_TRUE(restarted.restore_latest());
-  for (int i = 0; i < 3; ++i)
-    restarted.advance();
-  ckpt.drain();
-
-  EXPECT_EQ(restarted.time(), reference.time());
-  ASSERT_EQ(restarted.velocity().size(), reference.velocity().size());
-  for (std::size_t i = 0; i < reference.velocity().size(); ++i)
-    ASSERT_EQ(restarted.velocity()[i], reference.velocity()[i]) << "dof " << i;
-  for (std::size_t i = 0; i < reference.pressure().size(); ++i)
-    ASSERT_EQ(restarted.pressure()[i], reference.pressure()[i]) << "dof " << i;
-}
-
-// Satellite: every checkpoint write failing (disk full for the whole run)
-// must not cost a single time step.
-TEST(SolverCheckpointing, WriteFailuresNeverKillAHealthySolve)
-{
-  EthierSteinman es;
-  Mesh mesh(unit_cube());
-  TrilinearGeometry geom(mesh.coarse());
-  const std::string root = scratch_dir("solver_enospc");
-
-  resilience::FaultPlan::Config cfg;
-  cfg.io_enospc_rate = 1.;
-  cfg.io_path_filter = "gen"; // every generation write fails; GC and
-                              // directory ops are unaffected
-  resilience::FaultPlan plan(cfg);
-
-  INSSolver<double> solver;
-  setup_es(solver, mesh, geom, es);
-  resilience::AsyncCheckpointer ckpt(root, {});
-  solver.set_checkpointing(&ckpt);
-  {
-    ScopedIoFaults scope(plan);
-    for (int i = 0; i < 2; ++i)
-      EXPECT_NO_THROW(solver.advance());
-    ckpt.drain();
-  }
-  EXPECT_EQ(ckpt.status().failed, 2ull);
-  EXPECT_GT(plan.counts().io_enospc_failures, 0ull);
-  solver.maybe_checkpoint(); // pick up the recorded failure
-  EXPECT_FALSE(solver.last_checkpoint_error().empty());
-  EXPECT_FALSE(ckpt.store().newest_valid_generation().has_value());
-  ckpt.drain();
-}
-
-// A torn write on the newest generation: restore_latest falls back to the
-// previous one and the resumed trajectory is exact from there.
-TEST(SolverCheckpointing, RestoreFallsBackPastATornGeneration)
-{
-  EthierSteinman es;
-  Mesh mesh(unit_cube());
-  TrilinearGeometry geom(mesh.coarse());
-  const std::string root = scratch_dir("solver_torn");
-
-  resilience::FaultPlan::Config cfg;
-  cfg.io_torn_write_rate = 1.;
-  cfg.io_path_filter = "gen000002"; // tear exactly the third generation
-  resilience::FaultPlan plan(cfg);
-
-  INSSolver<double> solver;
-  setup_es(solver, mesh, geom, es);
-  resilience::AsyncCheckpointer ckpt(root, {});
-  solver.set_checkpointing(&ckpt);
-  {
-    ScopedIoFaults scope(plan);
-    for (int i = 0; i < 3; ++i)
-      solver.advance(); // generations 0, 1, 2 (2 torn, but "published")
-    ckpt.drain();
-  }
-  EXPECT_EQ(ckpt.status().published, 3ull)
-    << "the lying disk reports success for the torn generation";
-  EXPECT_GT(plan.counts().io_torn_writes, 0ull);
-
-  INSSolver<double> restarted;
-  setup_es(restarted, mesh, geom, es);
-  resilience::AsyncCheckpointer reopened(root, {});
-  restarted.set_checkpointing(&reopened);
-  const auto newest = reopened.store().newest_valid_generation();
-  ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ(*newest, 1ull) << "the torn generation 2 fails verification";
-  ASSERT_TRUE(restarted.restore_latest());
-
-  // the restored state is exactly the end of step 2: one more step lands
-  // bitwise on the reference's step-3 state
-  INSSolver<double> reference;
-  setup_es(reference, mesh, geom, es);
-  for (int i = 0; i < 3; ++i)
-    reference.advance();
-  restarted.advance();
-  EXPECT_EQ(restarted.time(), reference.time());
-  for (std::size_t i = 0; i < reference.velocity().size(); ++i)
-    ASSERT_EQ(restarted.velocity()[i], reference.velocity()[i]) << "dof " << i;
-  reopened.drain();
-}
-
-TEST(LungCheckpointing, ScheduledCheckpointRestoresTheCoupledState)
+LungApplicationParameters small_lung()
 {
   LungApplicationParameters prm;
   prm.generations = 1;
+  return prm;
+}
+
+/// Clamps the Daly interval to exactly 0 so every step checkpoints: the
+/// formula would otherwise kick in after the first cost sample and make the
+/// schedule wall-clock-dependent.
+resilience::CheckpointScheduler::Options every_step()
+{
+  resilience::CheckpointScheduler::Options schedule;
+  schedule.default_interval_seconds = 0.;
+  schedule.min_interval_seconds = 0.;
+  schedule.max_interval_seconds = 0.;
+  return schedule;
+}
+
+void expect_same_velocity(LungApplication &a, LungApplication &b)
+{
+  const auto &u_a = a.solver().velocity();
+  const auto &u_b = b.solver().velocity();
+  ASSERT_EQ(u_a.size(), u_b.size());
+  for (std::size_t i = 0; i < u_a.size(); ++i)
+    ASSERT_EQ(std::memcmp(u_a.data() + i, u_b.data() + i, sizeof(double)), 0)
+      << "dof " << i;
+}
+} // namespace
+
+TEST(LungCheckpointing, ScheduledCheckpointRestoresTheCoupledState)
+{
   const std::string root = scratch_dir("lung_sched");
 
-  LungApplication reference(prm);
+  // reference: 10 uninterrupted steps, no checkpointing
+  LungApplication reference(small_lung());
   for (int i = 0; i < 6; ++i)
     reference.advance();
+  const double dp_at_checkpoint = reference.ventilation().current_dp();
+  for (int i = 0; i < 4; ++i)
+    reference.advance();
 
+  // checkpointed run: every step goes through the generation ring
   {
-    LungApplication app(prm);
-    resilience::CheckpointScheduler::Options schedule;
-    // clamp the interval to exactly 0 so every step checkpoints: the Daly
-    // formula would otherwise kick in after the first cost sample and make
-    // the schedule wall-clock-dependent
-    schedule.default_interval_seconds = 0.;
-    schedule.min_interval_seconds = 0.;
-    schedule.max_interval_seconds = 0.;
-    app.enable_checkpointing(root, {}, schedule);
+    LungApplication app(small_lung());
+    app.enable_checkpointing(root, {}, every_step());
     for (int i = 0; i < 6; ++i)
       app.advance();
     app.checkpointer()->drain();
@@ -907,18 +814,141 @@ TEST(LungCheckpointing, ScheduledCheckpointRestoresTheCoupledState)
     EXPECT_GT(app.checkpoint_scheduler()->checkpoint_cost(), 0.);
   }
 
-  LungApplication restarted(prm);
+  // "crash" and restart: a fresh application restores the newest
+  // generation (step 6) and runs the remaining 4 steps
+  LungApplication restarted(small_lung());
   restarted.enable_checkpointing(root);
   ASSERT_TRUE(restarted.restore_latest());
+  EXPECT_EQ(restarted.ventilation().current_dp(), dp_at_checkpoint);
+  for (int i = 0; i < 4; ++i)
+    restarted.advance();
+  restarted.checkpointer()->drain();
+
   EXPECT_EQ(restarted.solver().time(), reference.solver().time());
-  const auto &u_ref = reference.solver().velocity();
-  const auto &u_new = restarted.solver().velocity();
-  ASSERT_EQ(u_new.size(), u_ref.size());
-  for (std::size_t i = 0; i < u_ref.size(); ++i)
-    ASSERT_EQ(u_new[i], u_ref[i]) << "dof " << i;
+  expect_same_velocity(restarted, reference);
   for (unsigned int o = 0; o < reference.ventilation().n_outlets(); ++o)
     EXPECT_EQ(restarted.ventilation().outlet_pressure(o),
               reference.ventilation().outlet_pressure(o));
+  EXPECT_EQ(restarted.ventilation().current_dp(),
+            reference.ventilation().current_dp());
+}
+
+// A generation's file is a complete application checkpoint:
+// load_checkpoint reads it into an application without a ring of its own
+// (as the benchmark's probes do) and the run continues bit for bit.
+TEST(CheckpointLungTest, ApplicationRestartResumesBitForBit)
+{
+  const std::string root = scratch_dir("lung_restart");
+
+  LungApplication reference(small_lung());
+  for (int i = 0; i < 10; ++i)
+    reference.advance();
+  const double dp_at_checkpoint = reference.ventilation().current_dp();
+  for (int i = 0; i < 5; ++i)
+    reference.advance();
+
+  std::string path;
+  {
+    LungApplication app(small_lung());
+    for (int i = 0; i < 9; ++i)
+      app.advance();
+    app.enable_checkpointing(root, {}, every_step());
+    app.advance(); // step 10 is the one checkpointed step
+    app.checkpointer()->drain();
+    const auto newest =
+      app.checkpointer()->store().newest_valid_generation();
+    ASSERT_TRUE(newest.has_value());
+    EXPECT_EQ(*newest, 0ull);
+    path = app.checkpointer()->store().generation_directory(*newest) +
+           "/app.ckpt";
+  }
+
+  LungApplication restarted(small_lung());
+  restarted.load_checkpoint(path);
+  EXPECT_EQ(restarted.ventilation().current_dp(), dp_at_checkpoint);
+  for (int i = 0; i < 5; ++i)
+    restarted.advance();
+
+  EXPECT_EQ(restarted.solver().time(), reference.solver().time());
+  expect_same_velocity(restarted, reference);
+  for (unsigned int o = 0; o < reference.ventilation().n_outlets(); ++o)
+    EXPECT_EQ(restarted.ventilation().outlet_pressure(o),
+              reference.ventilation().outlet_pressure(o));
+}
+
+// Every checkpoint write failing (disk full for the whole run) must not
+// cost a single time step; the failures are reported in the
+// checkpointer's status.
+TEST(LungCheckpointing, WriteFailuresNeverKillAHealthySolve)
+{
+  const std::string root = scratch_dir("lung_enospc");
+
+  resilience::FaultPlan::Config cfg;
+  cfg.io_enospc_rate = 1.;
+  cfg.io_path_filter = "gen"; // every generation write fails; GC and
+                              // directory ops are unaffected
+  resilience::FaultPlan plan(cfg);
+
+  LungApplication app(small_lung());
+  app.enable_checkpointing(root, {}, every_step());
+  {
+    ScopedIoFaults scope(plan);
+    for (int i = 0; i < 2; ++i)
+      EXPECT_NO_THROW(app.advance());
+    app.checkpointer()->drain();
+  }
+  const auto status = app.checkpointer()->status();
+  EXPECT_EQ(status.submitted, 2ull);
+  EXPECT_EQ(status.failed, 2ull);
+  EXPECT_NE(status.last_error.find("ENOSPC"), std::string::npos)
+    << status.last_error;
+  EXPECT_GT(plan.counts().io_enospc_failures, 0ull);
+  EXPECT_FALSE(app.checkpointer()->store().newest_valid_generation())
+    << "no generation committed";
+  EXPECT_FALSE(app.restore_latest());
+}
+
+// A torn write on the newest generation: restore_latest falls back to the
+// previous one and the resumed trajectory is exact from there.
+TEST(LungCheckpointing, RestoreFallsBackPastATornGeneration)
+{
+  const std::string root = scratch_dir("lung_torn");
+
+  resilience::FaultPlan::Config cfg;
+  cfg.io_torn_write_rate = 1.;
+  cfg.io_path_filter = "gen000002"; // tear exactly the third generation
+  resilience::FaultPlan plan(cfg);
+
+  {
+    LungApplication app(small_lung());
+    app.enable_checkpointing(root, {}, every_step());
+    ScopedIoFaults scope(plan);
+    for (int i = 0; i < 3; ++i)
+      app.advance(); // generations 0, 1, 2 (2 torn, but "published")
+    app.checkpointer()->drain();
+    EXPECT_EQ(app.checkpointer()->status().published, 3ull)
+      << "the lying disk reports success for the torn generation";
+  }
+  EXPECT_GT(plan.counts().io_torn_writes, 0ull);
+
+  LungApplication restarted(small_lung());
+  restarted.enable_checkpointing(root);
+  const auto newest =
+    restarted.checkpointer()->store().newest_valid_generation();
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(*newest, 1ull) << "the torn generation 2 fails verification";
+  ASSERT_TRUE(restarted.restore_latest());
+
+  // the restored state is exactly the end of step 2: one more step lands
+  // bitwise on the reference's step-3 state
+  LungApplication reference(small_lung());
+  for (int i = 0; i < 3; ++i)
+    reference.advance();
+  restarted.advance();
+  EXPECT_EQ(restarted.solver().time(), reference.solver().time());
+  expect_same_velocity(restarted, reference);
+  EXPECT_EQ(restarted.ventilation().current_dp(),
+            reference.ventilation().current_dp());
 }
 
 // ---------------------------------------------------------------------------
