@@ -136,7 +136,6 @@ int main(int argc, char **argv)
     data.degrees = {degree};
     data.n_q_points_1d = {degree + 1};
     data.geometry_degree = 1;
-    data.n_threads = nt;
     mf.reinit(mesh, geom, data);
     LaplaceOperator<double> laplace;
     laplace.reinit(mf, 0, 0, bc);

@@ -41,13 +41,17 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # range, wire offset or stale artifact region must fail here, not corrupt
   # a timing run below. The perf smoke label rides along: it drives the
   # batch and generic kernel sweeps through a full vmult harness, so a
-  # scratch-buffer overrun in a sweep fails here first.
-  echo "verify pass: mixed_precision|abft|perf under DGFLOW_SANITIZE=address"
+  # scratch-buffer overrun in a sweep fails here first. So does the loop
+  # driver's suite (label threading): every operator write, at any pool
+  # width, goes through the chunk view's masked scatter, and an
+  # out-of-range write there must fail here too.
+  echo "verify pass: mixed_precision|abft|perf|threading under DGFLOW_SANITIZE=address"
   cmake -B build-asan -S . -DDGFLOW_SANITIZE=address > /dev/null
   cmake --build build-asan -j \
     --target test_mixed_precision test_abft abft_microbench \
-    kernels_microbench ablation_precision threads_microbench > /dev/null
-  (cd build-asan && ctest -L "mixed_precision|abft|perf" --output-on-failure)
+    kernels_microbench ablation_precision threads_microbench \
+    test_threading > /dev/null
+  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading" --output-on-failure)
 
   # Third verify pass: the resilience and ABFT suites under UBSan — the
   # bit-flip injection and checksum paths reinterpret raw bytes and shift

@@ -2,6 +2,7 @@
 
 // Fundamental index and size types used throughout dgflow.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -35,6 +36,22 @@ using gdof_t = std::uint64_t;
 /// Marker for "no entity".
 constexpr index_t invalid_index = std::numeric_limits<index_t>::max();
 constexpr gdof_t invalid_gdof = std::numeric_limits<gdof_t>::max();
+
+/// std::max / std::min that let a NaN operand through: equal to them on
+/// ordered operands, NaN when either is NaN (std::max(m, NaN) returns m).
+/// The max norms and the max/min reductions fold with these, so a NaN
+/// anywhere reaches the result.
+template <typename T>
+inline T nan_max(const T a, const T b)
+{
+  return (a < b || std::isnan(b)) ? b : a;
+}
+
+template <typename T>
+inline T nan_min(const T a, const T b)
+{
+  return (b < a || std::isnan(b)) ? b : a;
+}
 
 /// Returns v^e for small non-negative integer exponents (constexpr-friendly).
 constexpr std::size_t pow_int(const std::size_t v, const unsigned int e)

@@ -12,6 +12,7 @@
 
 #include "common/aligned_vector.h"
 #include "common/exceptions.h"
+#include "common/types.h"
 #include "concurrency/thread_pool.h"
 
 #ifndef DGFLOW_RESTRICT
@@ -112,6 +113,18 @@ public:
   /// needs globally reproducible index-dependent data (the Chebyshev
   /// eigenvalue seed) behave identically on both vector types.
   std::size_t first_local_index() const { return 0; }
+
+  /// Cell-block layout shared with the distributed counterpart, so the
+  /// matrix-free evaluators gather and scatter through one code path: the
+  /// n_dofs scalars of @p cell start at cell * n_dofs, and every cell is
+  /// owned.
+  std::size_t local_dof_offset(const std::size_t cell,
+                               const unsigned int n_dofs) const
+  {
+    return cell * n_dofs;
+  }
+
+  bool is_owned_element(const std::size_t) const { return true; }
 
   Number &operator()(const std::size_t i) { return data_[i]; }
   Number operator()(const std::size_t i) const { return data_[i]; }
@@ -222,11 +235,12 @@ public:
 
   Number l2_norm() const { return std::sqrt(dot(*this)); }
 
+  /// Largest magnitude; NaN if any entry is NaN.
   Number linfty_norm() const
   {
     Number m = 0;
     for (std::size_t i = 0; i < size(); ++i)
-      m = std::max(m, std::abs(data_[i]));
+      m = nan_max(m, std::abs(data_[i]));
     return m;
   }
 

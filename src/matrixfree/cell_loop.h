@@ -9,10 +9,11 @@
 // Operators hand the driver a KERNEL FACTORY instead of ready-made kernels:
 // a generic callable make_kernels(dst_view) that constructs its evaluators
 // and returns LoopKernels{cell, inner, boundary} writing through dst_view.
-// The driver decides how many kernel sets exist: one over the real dst for
-// the serial sweep, one per thread chunk (each with private evaluator
-// scratch, writing through a ChunkDst mask) for the parallel sweep. The
-// threaded traversal (MatrixFree::thread_partition) runs in three phases:
+// The driver builds one kernel set per chunk of the traversal's thread
+// partition (MatrixFree::thread_partition: min(pool width at reinit,
+// batches) chunks), each with private evaluator scratch and writing through
+// a ChunkDst mask. There is one traversal, in three phases; pool width 1 is
+// its one-chunk case:
 //
 //   0  each chunk: pre hooks + cell integrals of its own batches
 //   1  each chunk: its face list (cross-chunk faces are evaluated by every
@@ -22,10 +23,9 @@
 //
 // Every dst entry accumulates cell integral first, then its faces in
 // ascending face-batch order with the minus side before the plus side —
-// exactly the serial order, for any chunk count — so vmult results are
-// BITWISE IDENTICAL to the serial sweep at any thread count (the determinism
-// argument is spelled out in docs/DEVELOPING.md, "Shared-memory parallel
-// loops").
+// the one-chunk order, for any chunk count — so vmult results are BITWISE
+// IDENTICAL at any pool width (the determinism argument is spelled out in
+// docs/DEVELOPING.md, "Shared-memory parallel loops").
 //
 // The solver hooks fold BLAS-1 vector updates into the operator sweep:
 //
@@ -45,6 +45,7 @@
 // Passing NoRangeHook for both slots compiles the scheduling away.
 
 #include <chrono>
+#include <utility>
 #include <vector>
 
 #include "common/loop_hooks.h"
@@ -70,10 +71,10 @@ batch_dof_range(const MatrixFree<Number> &mf, const unsigned int b,
 }
 
 /// Destination mask of one thread chunk: behaves like the wrapped vector but
-/// owns only the cells in [cell_begin, cell_end). The evaluators' generic
-/// distribute_local_to_global overloads consult is_owned_element per lane,
-/// which is exactly the cut-face masking the distributed path uses — a face
-/// evaluated by two chunks writes each cell from its owning chunk only.
+/// owns only the cells in [cell_begin, cell_end). The evaluators'
+/// distribute_local_to_global consults is_owned_element per lane, which is
+/// exactly the cut-face masking of the distributed path — a face evaluated
+/// by two chunks writes each cell from its owning chunk only.
 template <typename VectorType>
 struct ChunkDst
 {
@@ -88,21 +89,13 @@ struct ChunkDst
 
   bool is_owned_element(const std::size_t cell) const
   {
-    if (cell < cell_begin || cell >= cell_end)
-      return false;
-    if constexpr (is_distributed_vector_v<VectorType>)
-      return vec.is_owned_element(cell);
-    else
-      return true;
+    return cell >= cell_begin && cell < cell_end && vec.is_owned_element(cell);
   }
 
   std::size_t local_dof_offset(const std::size_t cell,
                                const unsigned int n_dofs) const
   {
-    if constexpr (is_distributed_vector_v<VectorType>)
-      return vec.local_dof_offset(cell, n_dofs);
-    else
-      return cell * n_dofs;
+    return vec.local_dof_offset(cell, n_dofs);
   }
 
   value_type &operator[](const std::size_t i) { return vec[i]; }
@@ -148,139 +141,6 @@ template <typename CellFn, typename InnerFn, typename BoundaryFn>
 LoopKernels(CellFn, InnerFn, BoundaryFn)
   -> LoopKernels<CellFn, InnerFn, BoundaryFn>;
 
-namespace internal
-{
-/// Three-phase thread-parallel traversal (see the file comment). Factored
-/// out of cell_face_loop; part.chunks.size() >= 2.
-template <typename Number, typename VectorType, typename KernelFactory,
-          typename PreFn, typename PostFn>
-void threaded_cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
-                             const VectorType &src,
-                             const unsigned int dst_block,
-                             const unsigned int src_block,
-                             KernelFactory &&make_kernels, PreFn &&pre,
-                             PostFn &&post, const int rank,
-                             const typename MatrixFree<Number>::ThreadPartition
-                               &part)
-{
-  constexpr bool distributed = is_distributed_vector_v<VectorType>;
-  constexpr bool has_pre = !is_no_hook_v<PreFn>;
-  constexpr bool has_post = !is_no_hook_v<PostFn>;
-
-  const std::size_t src_base = src.first_local_index();
-  const std::size_t dst_base = dst.first_local_index();
-  const auto fire_pre = [&](const unsigned int b) {
-    const auto [r0, r1] = batch_dof_range(mf, b, src_block, src_base);
-    pre(r0, r1);
-  };
-  const auto fire_post = [&](const unsigned int b) {
-    const auto [r0, r1] = batch_dof_range(mf, b, dst_block, dst_base);
-    post(r0, r1);
-  };
-
-  const unsigned int n_chunks = part.chunks.size();
-  using View = ChunkDst<VectorType>;
-  std::vector<View> views;
-  views.reserve(n_chunks);
-  for (const auto &ch : part.chunks)
-    views.push_back(View{dst, ch.cell_begin, ch.cell_end});
-  using KernelsT = decltype(make_kernels(views.front()));
-  std::vector<KernelsT> kernels;
-  kernels.reserve(n_chunks);
-  for (auto &v : views)
-    kernels.push_back(make_kernels(v));
-
-  [[maybe_unused]] const auto &rank_sched = mf.loop_schedule(rank);
-  [[maybe_unused]] const unsigned int rank_batch_begin =
-    rank < 0 ? 0u : mf.cell_batch_range(rank).first;
-
-  const bool measure = prof::Profiler::instance().enabled();
-  std::vector<double> chunk_seconds(n_chunks, 0.);
-  auto &pool = concurrency::ThreadPool::instance();
-
-  if constexpr (distributed)
-  {
-    // src-mutating pre hooks must finalize the entries the ghost pack reads
-    // (cells on cut faces) before the sends are posted
-    if constexpr (has_pre)
-    {
-      const auto [cb, ce] = mf.cell_batch_range(rank);
-      for (unsigned int b = cb; b < ce; ++b)
-        if (rank_sched.pre_before_exchange[b - cb])
-          fire_pre(b);
-    }
-    src.update_ghost_values_start();
-  }
-
-  // phase 0: per-chunk pre hooks + cell integrals
-  pool.run_chunks(n_chunks, [&](const unsigned int c) {
-    const auto t0 = std::chrono::steady_clock::now();
-    DGFLOW_PROF_SCOPE("mf_threaded_cells");
-    const auto &ch = part.chunks[c];
-    for (unsigned int b = ch.batch_begin; b < ch.batch_end; ++b)
-    {
-      if constexpr (has_pre)
-      {
-        bool fired_before_exchange = false;
-        if constexpr (distributed)
-          fired_before_exchange =
-            rank_sched.pre_before_exchange[b - rank_batch_begin] != 0;
-        if (!fired_before_exchange)
-          fire_pre(b);
-      }
-      kernels[c].cell(b);
-    }
-    if (measure)
-      chunk_seconds[c] += seconds_since(t0);
-  });
-
-  if constexpr (distributed)
-    src.update_ghost_values_finish();
-
-  // phase 1: per-chunk face lists + post hooks of chunk-private batches
-  pool.run_chunks(n_chunks, [&](const unsigned int c) {
-    const auto t0 = std::chrono::steady_clock::now();
-    DGFLOW_PROF_SCOPE("mf_threaded_faces");
-    const auto &ch = part.chunks[c];
-    const auto fire_completed = [&](const unsigned int slot) {
-      for (unsigned int k = ch.sched.completes_ptr[slot];
-           k < ch.sched.completes_ptr[slot + 1]; ++k)
-        fire_post(ch.sched.completes_data[k]);
-    };
-    for (unsigned int i = 0; i < ch.face_list.size(); ++i)
-    {
-      const unsigned int b = ch.face_list[i];
-      if (mf.face_batch(b).interior)
-        kernels[c].inner(b);
-      else
-        kernels[c].boundary(b);
-      if constexpr (has_post)
-        fire_completed(i);
-    }
-    if constexpr (has_post)
-      fire_completed(static_cast<unsigned int>(ch.face_list.size()));
-    if (measure)
-      chunk_seconds[c] += seconds_since(t0);
-  });
-
-  // phase 2: deferred posts of chunk-boundary batches, ascending
-  if constexpr (has_post)
-    for (const unsigned int b : part.deferred)
-      fire_post(b);
-
-  if (measure)
-    publish_thread_balance(chunk_seconds);
-  unsigned long long n_face_evals = 0;
-  for (const auto &ch : part.chunks)
-    n_face_evals += ch.face_list.size();
-  DGFLOW_PROF_COUNT("mf_cell_batches",
-                    part.chunks.back().batch_end -
-                      part.chunks.front().batch_begin);
-  DGFLOW_PROF_COUNT("mf_face_batches",
-                    static_cast<long long>(n_face_evals));
-}
-} // namespace internal
-
 /// Runs the full cell + face traversal of one operator application.
 /// make_kernels(dst_view) must return LoopKernels writing through dst_view;
 /// the batch callables read src / accumulate into the view themselves. dst
@@ -305,99 +165,110 @@ void cell_face_loop(const MatrixFree<Number> &mf, VectorType &dst,
   // make_kernels resolve it from the same MatrixFree)
   DGFLOW_PROF_GAUGE("mf_backend", double(static_cast<int>(mf.kernel_backend())));
   const auto &part = mf.thread_partition(rank);
-  if (part.chunks.size() > 1)
-  {
-    internal::threaded_cell_face_loop(mf, dst, src, dst_block, src_block,
-                                      make_kernels, pre, post, rank, part);
-    return;
-  }
 
-  auto kernels = make_kernels(dst);
   const std::size_t src_base = src.first_local_index();
   const std::size_t dst_base = dst.first_local_index();
   const auto fire_pre = [&](const unsigned int b) {
     const auto [r0, r1] = internal::batch_dof_range(mf, b, src_block, src_base);
     pre(r0, r1);
   };
-  const auto fire_completed = [&](const typename MatrixFree<Number>::LoopSchedule
-                                    &sched,
-                                  const unsigned int slot) {
-    for (unsigned int k = sched.completes_ptr[slot];
-         k < sched.completes_ptr[slot + 1]; ++k)
-    {
-      const auto [r0, r1] = internal::batch_dof_range(
-        mf, sched.completes_data[k], dst_block, dst_base);
-      post(r0, r1);
-    }
+  const auto fire_post = [&](const unsigned int b) {
+    const auto [r0, r1] = internal::batch_dof_range(mf, b, dst_block, dst_base);
+    post(r0, r1);
   };
+
+  const unsigned int n_chunks = part.chunks.size();
+  using View = internal::ChunkDst<VectorType>;
+  std::vector<View> views;
+  views.reserve(n_chunks);
+  for (const auto &ch : part.chunks)
+    views.push_back(View{dst, ch.cell_begin, ch.cell_end});
+  using KernelsT = decltype(make_kernels(std::declval<View &>()));
+  std::vector<KernelsT> kernels;
+  kernels.reserve(n_chunks);
+  for (auto &v : views)
+    kernels.push_back(make_kernels(v));
+
+  const bool measure = prof::Profiler::instance().enabled();
+  std::vector<double> chunk_seconds(n_chunks, 0.);
+  auto &pool = concurrency::ThreadPool::instance();
 
   if constexpr (distributed)
   {
-    const auto &sched = mf.loop_schedule(rank);
-    const auto [cell_begin, cell_end] = mf.cell_batch_range(rank);
     // src-mutating pre hooks must finalize the entries the ghost pack reads
-    // (cells on cut faces) before the sends are posted; the remaining
-    // batches stay fused with their cell integral below
+    // (cells on cut faces) before the sends are posted
     if constexpr (has_pre)
-      for (unsigned int b = cell_begin; b < cell_end; ++b)
-        if (sched.pre_before_exchange[b - cell_begin])
+      for (unsigned int b = part.batch_begin; b < part.batch_end; ++b)
+        if (part.pre_before_exchange[b - part.batch_begin])
           fire_pre(b);
     src.update_ghost_values_start();
-    for (unsigned int b = cell_begin; b < cell_end; ++b)
+  }
+
+  // phase 0: per-chunk pre hooks + cell integrals
+  pool.run_chunks(n_chunks, [&](const unsigned int c) {
+    const auto t0 = std::chrono::steady_clock::now();
+    DGFLOW_PROF_SCOPE("mf_cells");
+    const auto &ch = part.chunks[c];
+    for (unsigned int b = ch.batch_begin; b < ch.batch_end; ++b)
     {
       if constexpr (has_pre)
-        if (!sched.pre_before_exchange[b - cell_begin])
+        if (!part.pre_before_exchange[b - part.batch_begin])
           fire_pre(b);
-      kernels.cell(b);
+      kernels[c].cell(b);
     }
+    if (measure)
+      chunk_seconds[c] += internal::seconds_since(t0);
+  });
+
+  if constexpr (distributed)
     src.update_ghost_values_finish();
-    const auto &face_list = mf.face_batches_of_rank(rank);
-    for (unsigned int i = 0; i < face_list.size(); ++i)
+
+  // phase 1: per-chunk face lists + post hooks of chunk-private batches
+  pool.run_chunks(n_chunks, [&](const unsigned int c) {
+    const auto t0 = std::chrono::steady_clock::now();
+    DGFLOW_PROF_SCOPE("mf_faces");
+    const auto &ch = part.chunks[c];
+    const auto fire_completed = [&](const unsigned int slot) {
+      for (unsigned int k = ch.completes_ptr[slot];
+           k < ch.completes_ptr[slot + 1]; ++k)
+        fire_post(ch.completes_data[k]);
+    };
+    for (unsigned int i = 0; i < ch.face_list.size(); ++i)
     {
-      const unsigned int b = face_list[i];
+      const unsigned int b = ch.face_list[i];
       if (mf.face_batch(b).interior)
-        kernels.inner(b);
+        kernels[c].inner(b);
       else
-        kernels.boundary(b);
+        kernels[c].boundary(b);
       if constexpr (has_post)
-        fire_completed(sched, i);
+        fire_completed(i);
     }
     if constexpr (has_post)
-      fire_completed(sched, static_cast<unsigned int>(face_list.size()));
-    DGFLOW_PROF_COUNT("mf_cell_batches", cell_end - cell_begin);
-    DGFLOW_PROF_COUNT("mf_face_batches", face_list.size());
-  }
-  else
-  {
-    const auto &sched = mf.loop_schedule(-1);
-    for (unsigned int b = 0; b < mf.n_cell_batches(); ++b)
-    {
-      if constexpr (has_pre)
-        fire_pre(b);
-      kernels.cell(b);
-    }
-    const unsigned int n_faces = mf.n_face_batches();
-    for (unsigned int b = 0; b < n_faces; ++b)
-    {
-      if (b < mf.n_inner_face_batches())
-        kernels.inner(b);
-      else
-        kernels.boundary(b);
-      if constexpr (has_post)
-        fire_completed(sched, b);
-    }
-    if constexpr (has_post)
-      fire_completed(sched, n_faces);
-    DGFLOW_PROF_COUNT("mf_cell_batches", mf.n_cell_batches());
-    DGFLOW_PROF_COUNT("mf_face_batches", n_faces);
-  }
+      fire_completed(static_cast<unsigned int>(ch.face_list.size()));
+    if (measure)
+      chunk_seconds[c] += internal::seconds_since(t0);
+  });
+
+  // phase 2: deferred posts of chunk-boundary batches, ascending
+  if constexpr (has_post)
+    for (const unsigned int b : part.deferred)
+      fire_post(b);
+
+  if (measure)
+    internal::publish_thread_balance(chunk_seconds);
+  unsigned long long n_face_evals = 0;
+  for (const auto &ch : part.chunks)
+    n_face_evals += ch.face_list.size();
+  DGFLOW_PROF_COUNT("mf_cell_batches", part.batch_end - part.batch_begin);
+  DGFLOW_PROF_COUNT("mf_face_batches",
+                    static_cast<long long>(n_face_evals));
 }
 
 /// Cell-only variant (no face terms, serial vectors): the post hook fires
 /// directly after each batch's cell work since nothing revisits the batch.
 /// make_cell(dst_view) returns the single cell-batch callable; cell-local
-/// writes are disjoint per chunk, so the threaded sweep hands every chunk
-/// the real dst and needs no masking or deferral.
+/// writes are disjoint per chunk, so every chunk gets the real dst and
+/// needs no masking or deferral.
 template <typename Number, typename VectorType, typename KernelFactory,
           typename PreFn, typename PostFn>
 void cell_only_loop(const MatrixFree<Number> &mf, VectorType &dst,
@@ -427,26 +298,17 @@ void cell_only_loop(const MatrixFree<Number> &mf, VectorType &dst,
   };
 
   const auto &part = mf.thread_partition(-1);
-  if (part.chunks.size() > 1)
-  {
-    using KernelT = decltype(make_cell(dst));
-    std::vector<KernelT> kernels;
-    kernels.reserve(part.chunks.size());
-    for (std::size_t c = 0; c < part.chunks.size(); ++c)
-      kernels.push_back(make_cell(dst));
-    concurrency::ThreadPool::instance().run_chunks(
-      part.chunks.size(), [&](const unsigned int c) {
-        const auto &ch = part.chunks[c];
-        for (unsigned int b = ch.batch_begin; b < ch.batch_end; ++b)
-          run_batch(kernels[c], b);
-      });
-  }
-  else
-  {
-    auto cell_kernel = make_cell(dst);
-    for (unsigned int b = 0; b < mf.n_cell_batches(); ++b)
-      run_batch(cell_kernel, b);
-  }
+  using KernelT = decltype(make_cell(dst));
+  std::vector<KernelT> kernels;
+  kernels.reserve(part.chunks.size());
+  for (std::size_t c = 0; c < part.chunks.size(); ++c)
+    kernels.push_back(make_cell(dst));
+  concurrency::ThreadPool::instance().run_chunks(
+    part.chunks.size(), [&](const unsigned int c) {
+      const auto &ch = part.chunks[c];
+      for (unsigned int b = ch.batch_begin; b < ch.batch_end; ++b)
+        run_batch(kernels[c], b);
+    });
   DGFLOW_PROF_COUNT("mf_cell_batches", mf.n_cell_batches());
 }
 

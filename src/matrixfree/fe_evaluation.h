@@ -87,32 +87,11 @@ public:
     return mf_.cell_batch(batch_).n_filled;
   }
 
-  /// Gathers the dof values of all lanes (AoS -> SoA transpose).
-  void read_dof_values(const Vector<Number> &src)
-  {
-    const auto &batch = mf_.cell_batch(batch_);
-    const unsigned int n_cell_dofs = n_components * dofs_per_component;
-    std::size_t offsets[n_lanes];
-    for (unsigned int l = 0; l < n_lanes; ++l)
-      offsets[l] = std::size_t(batch.cells[l]) * n_cell_dofs;
-    vectorized_load_and_transpose(n_cell_dofs, src.data(), offsets,
-                                  values_dofs_.data());
-  }
-
-  /// Adds the local integration results into the global vector, skipping
-  /// duplicated padding lanes.
-  void distribute_local_to_global(Vector<Number> &dst) const
-  {
-    write_results<true>(dst);
-  }
-
-  /// Overwrites the global values (projections, inverse mass application).
-  void set_dof_values(Vector<Number> &dst) const { write_results<false>(dst); }
-
-  /// Gathers dof values from any vector exposing the distributed layout
-  /// hooks (vmpi::DistributedVector): cell blocks resolve through
-  /// local_dof_offset(), so owned and ghost cells read alike. Ghost reads
-  /// debug-assert an up-to-date ghost section.
+  /// Gathers the dof values of all lanes (AoS -> SoA transpose). Cell blocks
+  /// resolve through the vector's local_dof_offset(), so a Vector, a
+  /// vmpi::DistributedVector (owned and ghost cells alike; ghost reads
+  /// debug-assert an up-to-date ghost section) and the loop driver's chunk
+  /// view all read through this one gather.
   template <typename VectorLike>
   void read_dof_values(const VectorLike &src)
   {
@@ -125,9 +104,10 @@ public:
                                   values_dofs_.data());
   }
 
-  /// Distributed accumulate: writes only lanes whose cell the vector owns
-  /// (both-sides-evaluate scheme — no compress() needed afterwards, dst
-  /// stays owned-only).
+  /// Adds the local integration results into the vector, skipping
+  /// duplicated padding lanes and lanes whose cell the vector does not own
+  /// (both-sides-evaluate scheme: a distributed dst needs no compress()
+  /// afterwards and stays owned-only; a chunk view keeps its own cells).
   template <typename VectorLike>
   void distribute_local_to_global(VectorLike &dst) const
   {
@@ -141,6 +121,20 @@ public:
         dst.data() + dst.local_dof_offset(batch.cells[l], n_cell_dofs);
       for (unsigned int i = 0; i < n_cell_dofs; ++i)
         out[i] += values_dofs_[i][l];
+    }
+  }
+
+  /// Overwrites the global values (projections, inverse mass application).
+  void set_dof_values(Vector<Number> &dst) const
+  {
+    const auto &batch = mf_.cell_batch(batch_);
+    const unsigned int n_cell_dofs = n_components * dofs_per_component;
+    for (unsigned int l = 0; l < batch.n_filled; ++l)
+    {
+      Number *DGFLOW_RESTRICT out =
+        dst.data() + std::size_t(batch.cells[l]) * n_cell_dofs;
+      for (unsigned int i = 0; i < n_cell_dofs; ++i)
+        out[i] = values_dofs_[i][l];
     }
   }
 
@@ -339,24 +333,6 @@ private:
       return;
     }
     backend_.integrate_from_quad(vq, dofs);
-  }
-
-  template <bool add>
-  void write_results(Vector<Number> &dst) const
-  {
-    const auto &batch = mf_.cell_batch(batch_);
-    const unsigned int n_cell_dofs = n_components * dofs_per_component;
-    for (unsigned int l = 0; l < batch.n_filled; ++l)
-    {
-      Number *DGFLOW_RESTRICT out =
-        dst.data() + std::size_t(batch.cells[l]) * n_cell_dofs;
-      if constexpr (add)
-        for (unsigned int i = 0; i < n_cell_dofs; ++i)
-          out[i] += values_dofs_[i][l];
-      else
-        for (unsigned int i = 0; i < n_cell_dofs; ++i)
-          out[i] = values_dofs_[i][l];
-    }
   }
 
   const MatrixFree<Number> &mf_;

@@ -111,34 +111,9 @@ public:
     return mf_.face_batch(batch_index_).n_filled;
   }
 
-  void read_dof_values(const Vector<Number> &src)
-  {
-    const auto &b = mf_.face_batch(batch_index_);
-    const auto &cells = interior_ ? b.cells_m : b.cells_p;
-    const unsigned int n_cell_dofs = n_components * dofs_per_component;
-    std::size_t offsets[n_lanes];
-    for (unsigned int l = 0; l < n_lanes; ++l)
-      offsets[l] = std::size_t(cells[l]) * n_cell_dofs;
-    vectorized_load_and_transpose(n_cell_dofs, src.data(), offsets,
-                                  values_dofs_.data());
-  }
-
-  void distribute_local_to_global(Vector<Number> &dst) const
-  {
-    const auto &b = mf_.face_batch(batch_index_);
-    const auto &cells = interior_ ? b.cells_m : b.cells_p;
-    const unsigned int n_cell_dofs = n_components * dofs_per_component;
-    for (unsigned int l = 0; l < b.n_filled; ++l)
-    {
-      Number *DGFLOW_RESTRICT out =
-        dst.data() + std::size_t(cells[l]) * n_cell_dofs;
-      for (unsigned int i = 0; i < n_cell_dofs; ++i)
-        out[i] += values_dofs_[i][l];
-    }
-  }
-
-  /// Distributed gather: this side's cell blocks resolve through
-  /// local_dof_offset(), so reading the off-rank side of a cut face pulls
+  /// Gathers this side's cell blocks through the vector's
+  /// local_dof_offset() (Vector, vmpi::DistributedVector or the loop
+  /// driver's chunk view): reading the off-rank side of a cut face pulls
   /// from the ghost section (debug-asserts an up-to-date ghost state).
   template <typename VectorLike>
   void read_dof_values(const VectorLike &src)
@@ -153,9 +128,10 @@ public:
                                   values_dofs_.data());
   }
 
-  /// Distributed accumulate: writes only lanes whose cell the vector owns.
-  /// On a cut face each rank evaluates the full flux but keeps its own
-  /// side's contribution (both-sides-evaluate — dst needs no compress()).
+  /// Accumulates this side's lanes whose cell the vector owns. On a cut
+  /// face (or a face two thread chunks share) each side evaluates the full
+  /// flux but keeps its own cells' contribution (both-sides-evaluate — dst
+  /// needs no compress()).
   template <typename VectorLike>
   void distribute_local_to_global(VectorLike &dst) const
   {

@@ -13,6 +13,7 @@
 // meshes many distinct keys exist and the trailing partially-filled batches
 // reproduce the paper's partially-filled-SIMD-lane overhead.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -89,10 +90,6 @@ public:
     std::vector<int> rank_of_cell;
     /// number of ranks rank_of_cell refers to
     int n_ranks = 1;
-    /// chunks the thread-parallel cell loops split each traversal into
-    /// (cell_loop.h); 0 = size from the process pool (DGFLOW_THREADS via
-    /// concurrency::ThreadPool). 1 forces the serial loop bodies.
-    unsigned int n_threads = 0;
     /// kernel backend the evaluators of this MatrixFree use, batch or
     /// generic (see fem/kernel_backend.h). Unset = the process default
     /// (set_default_kernel_backend, batch unless the ABFT repair ran).
@@ -297,36 +294,11 @@ public:
   /// Ascending indices of the face batches a rank evaluates: every batch
   /// with at least one side owned by the rank (rank-interior, cut and
   /// boundary faces; branch on face_batch(b).interior). The ascending order
-  /// interleaves interior and boundary batches exactly as the serial loops
-  /// traverse them, which keeps accumulation order comparable.
+  /// interleaves interior and boundary batches exactly as the unpartitioned
+  /// traversal visits them, which keeps accumulation order comparable.
   const std::vector<unsigned int> &face_batches_of_rank(const int rank) const
   {
     return rank_face_batches_[rank];
-  }
-
-  /// Hook schedule of the hooked cell-loop driver (cell_loop.h),
-  /// precomputed per rank at reinit. Walking a traversal's face list in
-  /// order, face entry i "completes" the cell batches listed in
-  /// completes_data[completes_ptr[i], completes_ptr[i+1]): no later entry
-  /// reads or writes their cells, so the driver may fire the post hook for
-  /// their DoF ranges there. The extra slot at face_list.size() holds
-  /// batches no face entry touches (cell-only spaces), fired after the
-  /// loop. pre_before_exchange flags the owned batches adjacent to a cut
-  /// face: their src entries feed the ghost wire, so src-mutating pre hooks
-  /// must run for them before the exchange is posted.
-  struct LoopSchedule
-  {
-    std::vector<unsigned int> completes_ptr;
-    std::vector<unsigned int> completes_data; ///< global cell-batch indices
-    std::vector<unsigned char> pre_before_exchange; ///< per owned batch
-  };
-
-  /// Schedule of a rank's distributed traversal (cell_batch_range(rank) +
-  /// face_batches_of_rank(rank)); rank -1 = the serial traversal over all
-  /// batches.
-  const LoopSchedule &loop_schedule(const int rank) const
-  {
-    return rank < 0 ? serial_schedule_ : loop_schedules_[rank];
   }
 
   /// One thread's share of a traversal: a contiguous run of cell batches
@@ -335,37 +307,49 @@ public:
   /// fall into different chunks appear in both chunks' lists; each side
   /// evaluates the full flux and keeps only the writes into its own cell
   /// range (the both-sides-evaluate masking of the cut-face machinery), so
-  /// per-cell accumulation order matches the serial sweep exactly. sched is
-  /// the chunk-local hook schedule over face_list for the batches whose post
-  /// hook may fire mid-loop; batches adjacent to a chunk boundary are absent
-  /// from it and deferred (ThreadPartition::deferred).
+  /// per-cell accumulation order matches the one-chunk sweep exactly.
+  ///
+  /// completes_ptr/completes_data is the chunk's hook schedule (CSR):
+  /// walking face_list in order, entry i "completes" the cell batches listed
+  /// in completes_data[completes_ptr[i], completes_ptr[i+1]) — no later
+  /// entry reads or writes their cells, so the driver may fire their post
+  /// hooks there. The extra slot at face_list.size() holds batches no face
+  /// entry touches (cell-only spaces), fired after the face list. Batches
+  /// adjacent to a chunk boundary are absent and deferred
+  /// (ThreadPartition::deferred).
   struct ThreadChunk
   {
     unsigned int batch_begin = 0, batch_end = 0;
     index_t cell_begin = 0, cell_end = 0;
     std::vector<unsigned int> face_list;
-    LoopSchedule sched;
+    std::vector<unsigned int> completes_ptr;
+    std::vector<unsigned int> completes_data; ///< global cell-batch indices
   };
 
-  /// Static chunking of one traversal (a rank's, or the serial one) for the
-  /// thread-parallel loop driver. Empty chunks = run the serial loop body.
-  /// deferred lists, in ascending order, the cell batches whose src/dst is
-  /// still read by a neighboring chunk's face sweep: their post hooks fire
-  /// serially after the parallel phases join.
+  /// Static chunking of one traversal (a rank's cell_batch_range(rank) +
+  /// face_batches_of_rank(rank), or the unpartitioned one over all batches)
+  /// for the loop driver: min(pool width at reinit, batches) chunks, so one
+  /// chunk at pool width 1 and none on a rank without cells. deferred lists,
+  /// in ascending order, the cell batches whose src/dst is still read by a
+  /// neighboring chunk's face sweep: their post hooks fire after the
+  /// parallel phases join. pre_before_exchange flags (per batch of
+  /// [batch_begin, batch_end)) a rank's batches adjacent to a cut face:
+  /// their src entries feed the ghost wire, so src-mutating pre hooks must
+  /// run for them before the exchange is posted (all zero for the
+  /// unpartitioned traversal, which exchanges nothing).
   struct ThreadPartition
   {
+    unsigned int batch_begin = 0, batch_end = 0;
     std::vector<ThreadChunk> chunks;
     std::vector<unsigned int> deferred;
+    std::vector<unsigned char> pre_before_exchange;
   };
 
-  /// Number of chunks the thread partitions were built for (resolved from
-  /// AdditionalData::n_threads or the process pool width at reinit).
-  unsigned int n_thread_chunks() const { return n_thread_chunks_; }
-
-  /// Thread partition of a rank's traversal; rank -1 = the serial traversal.
+  /// Thread partition of a rank's traversal; rank -1 = the unpartitioned
+  /// traversal over all batches.
   const ThreadPartition &thread_partition(const int rank) const
   {
-    return rank < 0 ? serial_thread_partition_ : thread_partitions_[rank];
+    return rank < 0 ? whole_thread_partition_ : thread_partitions_[rank];
   }
 
   /// Batch containing an active cell.
@@ -524,7 +508,6 @@ public:
 private:
   void build_cell_batches();
   void build_face_batches();
-  void build_loop_schedules();
   void build_thread_partitions();
   void compute_geometry_lattices(const Geometry &geometry);
   void classify_cell_geometry();
@@ -555,11 +538,8 @@ private:
   std::vector<std::pair<unsigned int, unsigned int>> cell_batch_ranges_;
   std::vector<std::vector<unsigned int>> rank_face_batches_;
   std::vector<unsigned int> batch_of_cell_;
-  std::vector<LoopSchedule> loop_schedules_;
-  LoopSchedule serial_schedule_;
-  unsigned int n_thread_chunks_ = 1;
   std::vector<ThreadPartition> thread_partitions_;
-  ThreadPartition serial_thread_partition_;
+  ThreadPartition whole_thread_partition_;
 
   std::vector<ShapeInfo<Number>> shape_info_;
   std::vector<CellMetric> cell_metric_;
@@ -610,15 +590,10 @@ void MatrixFree<Number>::reinit(const Mesh &mesh, const Geometry &geometry,
                   rank_of_cell_.size() == std::size_t(mesh.n_active_cells()),
                 "rank_of_cell size mismatch");
 
-  n_thread_chunks_ = data.n_threads > 0
-                       ? data.n_threads
-                       : concurrency::ThreadPool::instance().n_threads();
-
   backend_ = data.backend.value_or(default_kernel_backend());
 
   build_cell_batches();
   build_face_batches();
-  build_loop_schedules();
   build_thread_partitions();
   compute_geometry_lattices(geometry);
   classify_cell_geometry();
@@ -675,6 +650,11 @@ void MatrixFree<Number>::build_cell_batches()
     rank_begin = rank_end;
   }
   DGFLOW_ASSERT(rank_begin == n, "rank_of_cell does not cover all cells");
+
+  batch_of_cell_.assign(n, 0u);
+  for (unsigned int b = 0; b < cell_batches_.size(); ++b)
+    for (unsigned int l = 0; l < cell_batches_[b].n_filled; ++l)
+      batch_of_cell_[cell_batches_[b].cells[l]] = b;
 }
 
 template <typename Number>
@@ -760,84 +740,18 @@ void MatrixFree<Number>::build_face_batches()
 }
 
 template <typename Number>
-void MatrixFree<Number>::build_loop_schedules()
-{
-  batch_of_cell_.assign(n_cells(), 0u);
-  for (unsigned int b = 0; b < cell_batches_.size(); ++b)
-    for (unsigned int l = 0; l < cell_batches_[b].n_filled; ++l)
-      batch_of_cell_[cell_batches_[b].cells[l]] = b;
-
-  // one schedule per traversal: a batch completes at the last face entry
-  // that touches any of its cells on the traversal's side of ownership
-  const auto build = [this](const int rank, LoopSchedule &sched,
-                            const std::vector<unsigned int> &face_list) {
-    const unsigned int batch_begin =
-      rank < 0 ? 0u : cell_batch_ranges_[rank].first;
-    const unsigned int batch_end =
-      rank < 0 ? n_cell_batches() : cell_batch_ranges_[rank].second;
-    const unsigned int n_local = batch_end - batch_begin;
-    constexpr unsigned int none = ~0u;
-    std::vector<unsigned int> last_face(n_local, none);
-    sched.pre_before_exchange.assign(n_local, 0);
-    const auto touch = [&](const index_t cell, const unsigned int entry,
-                           const bool cut) {
-      if (rank >= 0 && rank_of_cell(cell) != rank)
-        return;
-      const unsigned int local = batch_of_cell_[cell] - batch_begin;
-      last_face[local] = entry;
-      if (cut)
-        sched.pre_before_exchange[local] = 1;
-    };
-    for (unsigned int i = 0; i < face_list.size(); ++i)
-    {
-      const FaceBatch &fb = face_batches_[face_list[i]];
-      for (unsigned int l = 0; l < fb.n_filled; ++l)
-      {
-        touch(fb.cells_m[l], i, fb.is_cut());
-        if (fb.interior)
-          touch(fb.cells_p[l], i, fb.is_cut());
-      }
-    }
-    const auto slot_of = [&](const unsigned int b) {
-      return last_face[b] == none ? static_cast<unsigned int>(face_list.size())
-                                  : last_face[b];
-    };
-    sched.completes_ptr.assign(face_list.size() + 2, 0u);
-    for (unsigned int b = 0; b < n_local; ++b)
-      ++sched.completes_ptr[slot_of(b) + 1];
-    for (std::size_t i = 1; i < sched.completes_ptr.size(); ++i)
-      sched.completes_ptr[i] += sched.completes_ptr[i - 1];
-    sched.completes_data.resize(n_local);
-    std::vector<unsigned int> cursor(sched.completes_ptr.begin(),
-                                     sched.completes_ptr.end() - 1);
-    for (unsigned int b = 0; b < n_local; ++b)
-      sched.completes_data[cursor[slot_of(b)]++] = batch_begin + b;
-  };
-
-  loop_schedules_.assign(n_ranks_, LoopSchedule());
-  for (int r = 0; r < n_ranks_; ++r)
-    build(r, loop_schedules_[r], rank_face_batches_[r]);
-  std::vector<unsigned int> all_faces(face_batches_.size());
-  for (unsigned int i = 0; i < all_faces.size(); ++i)
-    all_faces[i] = i;
-  build(-1, serial_schedule_, all_faces);
-}
-
-template <typename Number>
 void MatrixFree<Number>::build_thread_partitions()
 {
-  const auto build = [this](const int rank, ThreadPartition &part,
-                            const std::vector<unsigned int> &face_list) {
-    part.chunks.clear();
-    part.deferred.clear();
-    const unsigned int batch_begin =
-      rank < 0 ? 0u : cell_batch_ranges_[rank].first;
-    const unsigned int batch_end =
+  const unsigned int width = concurrency::ThreadPool::instance().n_threads();
+  const auto build = [this, width](const int rank, ThreadPartition &part,
+                                   const std::vector<unsigned int> &face_list) {
+    part = ThreadPartition();
+    part.batch_begin = rank < 0 ? 0u : cell_batch_ranges_[rank].first;
+    part.batch_end =
       rank < 0 ? n_cell_batches() : cell_batch_ranges_[rank].second;
-    const unsigned int n_local = batch_end - batch_begin;
-    const unsigned int n_chunks = std::min(n_thread_chunks_, n_local);
-    if (n_chunks <= 1)
-      return; // empty partition: the driver keeps the serial loop body
+    const unsigned int batch_begin = part.batch_begin;
+    const unsigned int n_local = part.batch_end - batch_begin;
+    const unsigned int n_chunks = std::min(width, n_local);
 
     part.chunks.resize(n_chunks);
     std::vector<unsigned int> chunk_of(n_local);
@@ -859,96 +773,67 @@ void MatrixFree<Number>::build_thread_partitions()
     // with cells in more than one chunk is evaluated by all of them (each
     // masks its writes to its own cell range) and pins the touched batches'
     // post hooks past the parallel phases: another chunk's face sweep still
-    // reads their src (and a fused post may mutate it)
+    // reads their src (and a fused post may mutate it). Every other batch
+    // completes at the last entry of its chunk's face list touching it.
+    constexpr unsigned int none = ~0u;
+    std::vector<unsigned int> last_face(n_local, none);
     std::vector<unsigned char> shared(n_local, 0);
+    part.pre_before_exchange.assign(n_local, 0);
     std::vector<unsigned int> touched;
     for (const unsigned int fb_id : face_list)
     {
       const FaceBatch &fb = face_batches_[fb_id];
-      touched.clear();
-      const auto note = [&](const index_t cell) {
-        if (rank >= 0 && rank_of_cell(cell) != rank)
-          return;
-        const unsigned int c = chunk_of[batch_of_cell_[cell] - batch_begin];
-        for (const unsigned int t : touched)
-          if (t == c)
-            return;
-        touched.push_back(c);
-      };
-      for (unsigned int l = 0; l < fb.n_filled; ++l)
-      {
-        note(fb.cells_m[l]);
-        if (fb.interior)
-          note(fb.cells_p[l]);
-      }
-      for (const unsigned int c : touched)
-        part.chunks[c].face_list.push_back(fb_id);
-      if (touched.size() > 1)
+      // fn(local batch index) for every cell of the face this traversal owns
+      const auto for_each_batch = [&](const auto &fn) {
         for (unsigned int l = 0; l < fb.n_filled; ++l)
         {
-          const auto mark = [&](const index_t cell) {
-            if (rank >= 0 && rank_of_cell(cell) != rank)
-              return;
-            shared[batch_of_cell_[cell] - batch_begin] = 1;
-          };
-          mark(fb.cells_m[l]);
-          if (fb.interior)
-            mark(fb.cells_p[l]);
+          if (rank < 0 || rank_of_cell(fb.cells_m[l]) == rank)
+            fn(batch_of_cell_[fb.cells_m[l]] - batch_begin);
+          if (fb.interior &&
+              (rank < 0 || rank_of_cell(fb.cells_p[l]) == rank))
+            fn(batch_of_cell_[fb.cells_p[l]] - batch_begin);
         }
+      };
+      touched.clear();
+      for_each_batch([&](const unsigned int local) {
+        if (std::find(touched.begin(), touched.end(), chunk_of[local]) ==
+            touched.end())
+          touched.push_back(chunk_of[local]);
+      });
+      for (const unsigned int c : touched)
+        part.chunks[c].face_list.push_back(fb_id);
+      for_each_batch([&](const unsigned int local) {
+        last_face[local] = part.chunks[chunk_of[local]].face_list.size() - 1;
+        if (touched.size() > 1)
+          shared[local] = 1;
+        if (rank >= 0 && fb.is_cut())
+          part.pre_before_exchange[local] = 1;
+      });
     }
     for (unsigned int b = 0; b < n_local; ++b)
       if (shared[b])
         part.deferred.push_back(batch_begin + b);
 
-    // chunk-local hook schedules over the private (non-shared) batches,
-    // same CSR layout as the rank-level LoopSchedule
-    constexpr unsigned int none = ~0u;
+    // chunk-local hook schedules over the private (non-shared) batches
     for (ThreadChunk &ch : part.chunks)
     {
-      const unsigned int nb = ch.batch_end - ch.batch_begin;
-      std::vector<unsigned int> last_face(nb, none);
-      for (unsigned int i = 0; i < ch.face_list.size(); ++i)
-      {
-        const FaceBatch &fb = face_batches_[ch.face_list[i]];
-        const auto touch = [&](const index_t cell) {
-          if (rank >= 0 && rank_of_cell(cell) != rank)
-            return;
-          const unsigned int gb = batch_of_cell_[cell];
-          if (gb < ch.batch_begin || gb >= ch.batch_end)
-            return;
-          last_face[gb - ch.batch_begin] = i;
-        };
-        for (unsigned int l = 0; l < fb.n_filled; ++l)
-        {
-          touch(fb.cells_m[l]);
-          if (fb.interior)
-            touch(fb.cells_p[l]);
-        }
-      }
       const auto slot_of = [&](const unsigned int b) {
-        return last_face[b] == none
-                 ? static_cast<unsigned int>(ch.face_list.size())
-                 : last_face[b];
+        const unsigned int last = last_face[b - batch_begin];
+        return last == none ? static_cast<unsigned int>(ch.face_list.size())
+                            : last;
       };
-      const auto is_private = [&](const unsigned int b) {
-        return shared[ch.batch_begin - batch_begin + b] == 0;
-      };
-      ch.sched.completes_ptr.assign(ch.face_list.size() + 2, 0u);
-      unsigned int n_private = 0;
-      for (unsigned int b = 0; b < nb; ++b)
-        if (is_private(b))
-        {
-          ++ch.sched.completes_ptr[slot_of(b) + 1];
-          ++n_private;
-        }
-      for (std::size_t i = 1; i < ch.sched.completes_ptr.size(); ++i)
-        ch.sched.completes_ptr[i] += ch.sched.completes_ptr[i - 1];
-      ch.sched.completes_data.resize(n_private);
-      std::vector<unsigned int> cursor(ch.sched.completes_ptr.begin(),
-                                       ch.sched.completes_ptr.end() - 1);
-      for (unsigned int b = 0; b < nb; ++b)
-        if (is_private(b))
-          ch.sched.completes_data[cursor[slot_of(b)]++] = ch.batch_begin + b;
+      ch.completes_ptr.assign(ch.face_list.size() + 2, 0u);
+      for (unsigned int b = ch.batch_begin; b < ch.batch_end; ++b)
+        if (!shared[b - batch_begin])
+          ++ch.completes_ptr[slot_of(b) + 1];
+      for (std::size_t i = 1; i < ch.completes_ptr.size(); ++i)
+        ch.completes_ptr[i] += ch.completes_ptr[i - 1];
+      ch.completes_data.resize(ch.completes_ptr.back());
+      std::vector<unsigned int> cursor(ch.completes_ptr.begin(),
+                                       ch.completes_ptr.end() - 1);
+      for (unsigned int b = ch.batch_begin; b < ch.batch_end; ++b)
+        if (!shared[b - batch_begin])
+          ch.completes_data[cursor[slot_of(b)]++] = b;
     }
   };
 
@@ -958,7 +843,7 @@ void MatrixFree<Number>::build_thread_partitions()
   std::vector<unsigned int> all_faces(face_batches_.size());
   for (unsigned int i = 0; i < all_faces.size(); ++i)
     all_faces[i] = i;
-  build(-1, serial_thread_partition_, all_faces);
+  build(-1, whole_thread_partition_, all_faces);
 }
 
 template <typename Number>

@@ -92,10 +92,6 @@ public:
     /// replicated, only the V-cycle work is partitioned.
     std::vector<int> rank_of_cell;
     int n_ranks = 1;
-    /// thread-chunk count forwarded to every level's MatrixFree
-    /// (AdditionalData::n_threads): 0 adopts the process pool width
-    /// (DGFLOW_THREADS), 1 forces serial loops on all levels
-    unsigned int n_threads = 0;
     /// ABFT V-cycle guard: turn on the Chebyshev sweep guard on every level
     /// smoother and scan each V-cycle's result for non-finite entries; a
     /// corrupt serial cycle is re-run once (deterministic, so a transient
@@ -154,7 +150,6 @@ public:
     mf_data.penalty_safety = options.penalty_safety;
     mf_data.rank_of_cell = options.rank_of_cell;
     mf_data.n_ranks = options.n_ranks;
-    mf_data.n_threads = options.n_threads;
     if (options.inherit_fine_penalty)
     {
       const double top = double(dg_degrees_.front() + 1);
@@ -204,7 +199,6 @@ public:
       cdata.n_q_points_1d = {2};
       cdata.geometry_degree = options.geometry_degree;
       cdata.penalty_safety = options.penalty_safety;
-      cdata.n_threads = options.n_threads;
       coarse_mfs_.resize(coarse_meshes_.size());
       coarse_dofs_.resize(coarse_meshes_.size());
       coarse_spaces_.resize(coarse_meshes_.size());

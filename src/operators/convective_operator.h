@@ -9,8 +9,8 @@
 // time-dependent apply entry point of the interface documented in
 // operators/README.md (no vmult: there is no linear homogeneous action).
 // apply hands cell, inner-face and boundary kernels to the shared
-// cell_face_loop, so it runs on the worker pool, bitwise equal to the
-// serial sweep.
+// cell_face_loop, so it runs on the worker pool, bitwise equal at any pool
+// width.
 
 #include <algorithm>
 #include <functional>

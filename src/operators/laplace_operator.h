@@ -73,8 +73,7 @@ public:
                       mf_->estimated_vmult_bytes_per_dof(space_, quad_));
 
     // kernel factory: one evaluator set (with private scratch) per kernel
-    // set the loop driver requests — one for the serial sweep, one per
-    // thread chunk for the parallel sweep
+    // set the loop driver requests, i.e. per thread chunk
     const auto make_kernels = [&, this](auto &dst_v) {
       auto phi =
         std::make_shared<FEEvaluation<Number, 1>>(*mf_, space_, quad_);

@@ -8,6 +8,7 @@
 
 #include "common/env.h"
 #include "common/exceptions.h"
+#include "common/types.h"
 #include "concurrency/thread_pool.h"
 #include "instrumentation/profiler.h"
 
@@ -366,10 +367,10 @@ void Communicator::allreduce_impl(std::vector<double> &values, const Op op,
             state_.reduce_slot[i] += contrib[i];
             break;
           case Op::max:
-            state_.reduce_slot[i] = std::max(state_.reduce_slot[i], contrib[i]);
+            state_.reduce_slot[i] = nan_max(state_.reduce_slot[i], contrib[i]);
             break;
           case Op::min:
-            state_.reduce_slot[i] = std::min(state_.reduce_slot[i], contrib[i]);
+            state_.reduce_slot[i] = nan_min(state_.reduce_slot[i], contrib[i]);
             break;
         }
     }

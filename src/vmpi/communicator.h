@@ -339,7 +339,8 @@ public:
     min
   };
 
-  /// Allreduce of a double vector (in place).
+  /// Allreduce of a double vector (in place), folded in ascending rank
+  /// order. max and min return NaN for an entry any rank contributed NaN to.
   void allreduce(std::vector<double> &values, const Op op);
 
   double allreduce(const double value, const Op op)

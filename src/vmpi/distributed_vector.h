@@ -287,11 +287,12 @@ public:
 
   Number l2_norm() const { return std::sqrt(dot(*this)); }
 
+  /// Largest owned magnitude over all ranks; NaN if any rank holds a NaN.
   Number linfty_norm() const
   {
     double m = 0;
     for (std::size_t i = 0; i < size(); ++i)
-      m = std::max(m, double(std::abs(data_[i])));
+      m = nan_max(m, double(std::abs(data_[i])));
     return Number(comm_->allreduce(m, Communicator::Op::max));
   }
 

@@ -549,7 +549,6 @@ Vector<double> distributed_threaded_action(const Mesh &mesh,
   data.n_q_points_1d = {degree + 1};
   data.rank_of_cell = rank_of_cell;
   data.n_ranks = n_ranks;
-  data.n_threads = nt;
   data.backend = backend;
   mf.reinit(mesh, geom, data);
   LaplaceOperator<double> laplace;

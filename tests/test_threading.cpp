@@ -7,15 +7,20 @@
 // single-threaded sweep at any thread count, serially and on four vmpi
 // ranks with per-rank thread partitions — and of the whole lung time step,
 // which must end in the bitwise same velocity and pressure at any pool
-// width.
+// width. The hook contract of the loop driver is pinned directly as well:
+// pre and post ranges tile src and dst exactly once per vmult.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/env.h"
@@ -23,6 +28,7 @@
 #include "lung/lung_application.h"
 #include "mesh/generators.h"
 #include "mesh/partition.h"
+#include "operators/divergence_gradient.h"
 #include "operators/laplace_operator.h"
 #include "solvers/cg.h"
 #include "solvers/chebyshev.h"
@@ -221,7 +227,6 @@ ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
   MatrixFree<double>::AdditionalData data;
   data.degrees = {degree};
   data.n_q_points_1d = {degree + 1};
-  data.n_threads = nt;
   mf.reinit(mesh, geom, data);
   LaplaceOperator<double> laplace;
   laplace.reinit(mf, 0, 0, all_dirichlet());
@@ -320,7 +325,6 @@ DistributedRun run_distributed_threaded(const Mesh &mesh,
   data.n_q_points_1d = {degree + 1};
   data.rank_of_cell = rank_of_cell;
   data.n_ranks = n_ranks;
-  data.n_threads = nt;
   mf.reinit(mesh, geom, data);
   LaplaceOperator<double> laplace;
   laplace.reinit(mf, 0, 0, all_dirichlet());
@@ -426,5 +430,166 @@ TEST(ThreadDeterminismTest, LungStepIsBitwiseIdenticalAtAnyPoolWidth)
       << "velocity differs at " << nt << " threads";
     EXPECT_TRUE(bitwise_equal(run.p, ref.p))
       << "pressure differs at " << nt << " threads";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// hook contract of the loop driver (common/loop_hooks.h): every vmult fires
+// pre over ranges tiling src once and post over ranges tiling dst once, at
+// any pool width, on mixed spaces and per vmpi rank
+// ---------------------------------------------------------------------------
+
+namespace
+{
+struct HookCall
+{
+  std::size_t begin, end;
+  unsigned long seq; ///< position among all pre and post calls of the vmult
+};
+
+/// Records every pre/post range of a hooked vmult; the hooks of different
+/// chunks run concurrently, so recording takes a mutex.
+struct HookRecorder
+{
+  std::mutex mutex;
+  unsigned long next = 0;
+  std::vector<HookCall> pre, post;
+
+  auto hook(std::vector<HookCall> &calls)
+  {
+    return [this, &calls](const std::size_t begin, const std::size_t end) {
+      std::lock_guard<std::mutex> lock(mutex);
+      calls.push_back({begin, end, next++});
+    };
+  }
+};
+
+/// The sorted ranges cover [0, n) once: no gap, no overlap, none empty.
+void expect_tiling(std::vector<HookCall> calls, const std::size_t n,
+                   const std::string &what)
+{
+  std::sort(calls.begin(), calls.end(),
+            [](const HookCall &a, const HookCall &b) {
+              return a.begin < b.begin;
+            });
+  std::size_t covered = 0;
+  for (const HookCall &c : calls)
+  {
+    ASSERT_EQ(c.begin, covered) << what << ": gap or overlap";
+    ASSERT_LT(c.begin, c.end) << what << ": empty range";
+    covered = c.end;
+  }
+  EXPECT_EQ(covered, n) << what << ": ranges stop short of the vector";
+}
+
+/// Square operator (src and dst share the space, so the pre and post
+/// ranges coincide): each range's pre fires before its post.
+void expect_pre_before_post(const HookRecorder &rec, const std::string &what)
+{
+  std::map<std::size_t, unsigned long> pre_seq;
+  for (const HookCall &c : rec.pre)
+    pre_seq[c.begin] = c.seq;
+  for (const HookCall &c : rec.post)
+  {
+    const auto it = pre_seq.find(c.begin);
+    ASSERT_NE(it, pre_seq.end()) << what << ": post range without a pre";
+    EXPECT_LT(it->second, c.seq)
+      << what << ": post of [" << c.begin << ", " << c.end
+      << ") fired before its pre";
+  }
+}
+
+FlowBoundaryMap no_slip_walls()
+{
+  FlowBoundaryMap bc;
+  for (unsigned int id = 0; id < 6; ++id)
+  {
+    FlowBoundary b;
+    b.kind = FlowBoundary::Kind::velocity_dirichlet;
+    b.velocity = [](const Point &, double) { return Tensor1<double>(); };
+    bc[id] = b;
+  }
+  return bc;
+}
+} // namespace
+
+TEST(LoopHooks, RangesTileEachVectorOncePerVmult)
+{
+  ScopedPoolWidth guard;
+  auto &pool = concurrency::ThreadPool::instance();
+  const Mesh mesh = make_mesh(2);
+  TrilinearGeometry geom(mesh.coarse());
+
+  // the DG Laplacian and the divergence (velocity -> pressure space)
+  for (const unsigned int nt : {1u, 4u})
+  {
+    pool.set_n_threads(nt);
+    const std::string width = " at pool width " + std::to_string(nt);
+    MatrixFree<double> mf;
+    MatrixFree<double>::AdditionalData data;
+    data.degrees = {2, 1};
+    data.n_q_points_1d = {3};
+    mf.reinit(mesh, geom, data);
+
+    LaplaceOperator<double> laplace;
+    laplace.reinit(mf, 0, 0, all_dirichlet());
+    Vector<double> src(laplace.n_dofs()), dst;
+    {
+      HookRecorder rec;
+      laplace.vmult(dst, src, rec.hook(rec.pre), rec.hook(rec.post));
+      expect_tiling(rec.pre, src.size(), "laplace pre" + width);
+      expect_tiling(rec.post, dst.size(), "laplace post" + width);
+      expect_pre_before_post(rec, "laplace" + width);
+    }
+
+    const FlowBoundaryMap bc = no_slip_walls();
+    DivergenceOperator<double> div;
+    div.reinit(mf, 0, 1, 0, bc);
+    Vector<double> u(mf.n_dofs(0, 3)), q;
+    HookRecorder rec;
+    div.vmult(q, u, rec.hook(rec.pre), rec.hook(rec.post));
+    ASSERT_NE(u.size(), q.size());
+    expect_tiling(rec.pre, u.size(), "divergence pre (velocity)" + width);
+    expect_tiling(rec.post, q.size(), "divergence post (pressure)" + width);
+  }
+
+  // the Laplacian on four vmpi ranks: ranges tile each rank's owned range
+  const int n_ranks = 4;
+  const std::vector<int> rank_of_cell = partition_cells(mesh, n_ranks);
+  for (const unsigned int nt : {1u, 2u})
+  {
+    pool.set_n_threads(nt);
+    MatrixFree<double> mf;
+    MatrixFree<double>::AdditionalData data;
+    data.degrees = {1};
+    data.n_q_points_1d = {2};
+    data.rank_of_cell = rank_of_cell;
+    data.n_ranks = n_ranks;
+    mf.reinit(mesh, geom, data);
+    LaplaceOperator<double> laplace;
+    laplace.reinit(mf, 0, 0, all_dirichlet());
+    const unsigned int dofs_per_cell = mf.dofs_per_cell(0);
+
+    std::vector<HookRecorder> recs(n_ranks);
+    std::vector<std::size_t> src_size(n_ranks), dst_size(n_ranks);
+    vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
+      const int r = comm.rank();
+      const auto part = vmpi::Partitioner::cell_partitioner(
+        mesh, rank_of_cell, r, n_ranks);
+      vmpi::DistributedVector<double> xd(part, comm, dofs_per_cell), yd;
+      laplace.vmult(yd, xd, recs[r].hook(recs[r].pre),
+                    recs[r].hook(recs[r].post));
+      src_size[r] = xd.size();
+      dst_size[r] = yd.size();
+    });
+    for (int r = 0; r < n_ranks; ++r)
+    {
+      const std::string where = " on rank " + std::to_string(r) +
+                                " at pool width " + std::to_string(nt);
+      ASSERT_GT(src_size[r], 0u);
+      expect_tiling(recs[r].pre, src_size[r], "distributed pre" + where);
+      expect_tiling(recs[r].post, dst_size[r], "distributed post" + where);
+      expect_pre_before_post(recs[r], "distributed" + where);
+    }
   }
 }

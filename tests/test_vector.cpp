@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/vector.h"
 
@@ -61,6 +62,23 @@ TYPED_TEST(VectorTest, DotAndNorms)
   EXPECT_FLOAT_EQ(x.l2_norm(), N(3));
   EXPECT_FLOAT_EQ(x.linfty_norm(), N(2));
   EXPECT_FLOAT_EQ(x.norm_sqr(), N(9));
+}
+
+TYPED_TEST(VectorTest, LinftyNormPropagatesNaN)
+{
+  using N = TypeParam;
+  const N nan = std::numeric_limits<N>::quiet_NaN();
+  // a leading NaN must survive the finite entries after it, an inner one
+  // must not be skipped in favour of the largest finite magnitude
+  Vector<N> leading(3);
+  leading(0) = nan;
+  EXPECT_TRUE(std::isnan(leading.linfty_norm()));
+  Vector<N> inner(4);
+  inner(0) = 1;
+  inner(1) = nan;
+  inner(2) = -3;
+  inner(3) = 2;
+  EXPECT_TRUE(std::isnan(inner.linfty_norm()));
 }
 
 TYPED_TEST(VectorTest, ScalePointwise)

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "mesh/generators.h"
 #include "mesh/partition.h"
 #include "vmpi/communicator.h"
+#include "vmpi/distributed_vector.h"
+#include "vmpi/partitioner.h"
 
 using namespace dgflow;
 
@@ -52,6 +56,32 @@ TEST(VmpiTest, AllreduceSumMaxMin)
                        double(n_ranks));
       EXPECT_DOUBLE_EQ(comm.allreduce(r, vmpi::Communicator::Op::min), 1.);
     });
+}
+
+TEST(VmpiTest, NaNOnAnyRankReachesMaxMinAndLinftyNorm)
+{
+  // rank 0's contribution seeds the fold, so the NaN sits on rank 2
+  Mesh mesh(unit_cube());
+  mesh.refine_uniform(1);
+  const int n_ranks = 4;
+  const auto rank_of_cell = partition_cells(mesh, n_ranks);
+  vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double mine = comm.rank() == 2 ? nan : double(comm.rank());
+    EXPECT_TRUE(std::isnan(comm.allreduce(mine, vmpi::Communicator::Op::max)));
+    EXPECT_TRUE(std::isnan(comm.allreduce(mine, vmpi::Communicator::Op::min)));
+
+    const auto part = vmpi::Partitioner::cell_partitioner(
+      mesh, rank_of_cell, comm.rank(), n_ranks);
+    vmpi::DistributedVector<double> v(part, comm, 1);
+    ASSERT_GT(v.size(), 1u);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v.data()[i] = 0.5 * (comm.rank() + 1);
+    EXPECT_EQ(v.linfty_norm(), 2.);
+    if (comm.rank() == 2)
+      v.data()[0] = nan;
+    EXPECT_TRUE(std::isnan(v.linfty_norm()));
+  });
 }
 
 TEST(VmpiTest, RepeatedCollectivesDoNotRace)
