@@ -44,30 +44,35 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # scratch-buffer overrun in a sweep fails here first. So does the loop
   # driver's suite (label threading): every operator write, at any pool
   # width, goes through the chunk view's masked scatter, and an
-  # out-of-range write there must fail here too.
-  echo "verify pass: mixed_precision|abft|perf|threading under DGFLOW_SANITIZE=address"
+  # out-of-range write there must fail here too. The common suites ride
+  # along: the XXH64 checksum reads a payload's tail in 8-, 4- and 1-byte
+  # steps, and its reference vectors sit in buffers of exactly their
+  # length, so an over-read fails here.
+  echo "verify pass: mixed_precision|abft|perf|threading|common under DGFLOW_SANITIZE=address"
   cmake -B build-asan -S . -DDGFLOW_SANITIZE=address > /dev/null
   cmake --build build-asan -j \
     --target test_mixed_precision test_abft abft_microbench \
     kernels_microbench ablation_precision threads_microbench \
-    test_threading > /dev/null
-  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading" --output-on-failure)
+    test_threading test_checksum test_aligned_vector > /dev/null
+  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading|common" --output-on-failure)
 
   # Third verify pass: the resilience and ABFT suites under UBSan — the
   # bit-flip injection and checksum paths reinterpret raw bytes and shift
   # 64-bit masks, and the recovery ladder rethrows through several catch
   # layers; any misaligned access, bad shift or invalid enum must surface
   # here with -fno-sanitize-recover rather than silently skew a repair.
-  # The AlignedVector suite (label common) rides along: copying an empty
-  # vector must not hand memcpy a null pointer, and a size whose byte count
-  # overflows must throw. So does the checkpoint I/O suite (label
-  # io_resilience): the writer patches header bytes in place and the
-  # readers do size arithmetic on counts taken from the file.
+  # The common suites ride along: copying an empty AlignedVector must not
+  # hand memcpy a null pointer, a size whose byte count overflows must
+  # throw, and the checksum's rotates and word reads must stay defined.
+  # So does the checkpoint I/O suite (label io_resilience): the writer
+  # patches header bytes in place and the readers do size arithmetic on
+  # counts taken from the file.
   echo "verify pass: resilience|abft|common|io_resilience under DGFLOW_SANITIZE=undefined"
   cmake -B build-ubsan -S . -DDGFLOW_SANITIZE=undefined > /dev/null
   cmake --build build-ubsan -j \
     --target test_resilience_vmpi test_resilience_solver test_checkpoint \
-    test_abft abft_microbench test_aligned_vector test_ckpt_io > /dev/null
+    test_abft abft_microbench test_aligned_vector test_checksum \
+    test_ckpt_io > /dev/null
   (cd build-ubsan && ctest -L "^(resilience|abft|common|io_resilience)$" --output-on-failure)
 
   # Benchmark smoke: the repository benchmark (dgbench/, the harness behind

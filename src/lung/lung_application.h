@@ -164,7 +164,8 @@ public:
 
   /// Takes a checkpoint if checkpointing is enabled and one is due. Write
   /// failures never propagate into the solve: checkpointer()->status()
-  /// records them.
+  /// records them. The writer reserves the size of the previous image, so
+  /// from the second checkpoint on the image is staged in one allocation.
   void maybe_checkpoint()
   {
     if (checkpointer_ == nullptr)
@@ -176,10 +177,12 @@ public:
       return;
     }
     Timer stall;
-    resilience::CheckpointWriter writer("app.ckpt"); // encode-only: no disk
+    // encode-only: no disk
+    resilience::CheckpointWriter writer("app.ckpt", last_image_bytes_);
     serialize(writer);
     std::vector<resilience::AsyncCheckpointer::NamedImage> images;
     images.push_back({"app.ckpt", writer.encode()});
+    last_image_bytes_ = images.back().image.size();
     checkpointer_->submit(std::move(images));
     DGFLOW_PROF_COUNT("ckpt_writes", 1);
     const double cost = stall.seconds();
@@ -241,6 +244,7 @@ private:
   std::unique_ptr<resilience::AsyncCheckpointer> checkpointer_;
   std::unique_ptr<resilience::CheckpointScheduler> ckpt_scheduler_;
   Timer ckpt_clock_;
+  std::size_t last_image_bytes_ = 0; ///< size of the last encoded image
 };
 
 } // namespace dgflow

@@ -1,7 +1,6 @@
 #include "resilience/abft.h"
 
-#include <cstring>
-
+#include "common/checksum.h"
 #include "fem/kernel_backend.h"
 #include "fem/kernel_dispatch.h"
 #include "fem/kernel_dispatch_sizes.h"
@@ -27,35 +26,15 @@ void ArtifactGuard::protect(std::string name, Regions regions, Rebuild rebuild)
 
 std::uint64_t ArtifactGuard::checksum(const Entry &e) const
 {
-  // FNV-1a over the concatenation of all regions, with each region's length
-  // folded in so data sliding between regions cannot cancel out. The hash
-  // consumes 8-byte words (plus a byte-wise tail): geometry batches run to
-  // hundreds of MB on production meshes, and the scrub sits inside the
-  // solver's replay boundary, so checksum throughput bounds the guard's
-  // steady-state overhead.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto fold = [&h](const void *data, const std::size_t n) {
-    const unsigned char *bytes = static_cast<const unsigned char *>(data);
-    const std::size_t n_words = n / sizeof(std::uint64_t);
-    for (std::size_t i = 0; i < n_words; ++i)
-    {
-      std::uint64_t w;
-      std::memcpy(&w, bytes + i * sizeof(w), sizeof(w));
-      h ^= w;
-      h *= 0x100000001b3ull;
-    }
-    for (std::size_t i = n_words * sizeof(std::uint64_t); i < n; ++i)
-    {
-      h ^= bytes[i];
-      h *= 0x100000001b3ull;
-    }
-  };
+  // XXH64 of each region, chained through the seed (the digest so far), so
+  // region order and lengths count. Geometry batches run to hundreds of MB
+  // on production meshes, and the scrub sits inside the solver's replay
+  // boundary, so checksum throughput bounds the guard's steady-state
+  // overhead. A cheaper xor-then-multiply word hash would not do: a second
+  // bit-63 flip anywhere in the artifact cancels the first.
+  std::uint64_t h = 0;
   for (const Region &r : e.regions())
-  {
-    const std::uint64_t n = r.bytes;
-    fold(&n, sizeof(n));
-    fold(r.data, r.bytes);
-  }
+    h = xxh64(r.data, r.bytes, h);
   return h;
 }
 

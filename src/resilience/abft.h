@@ -6,9 +6,10 @@
 // partitioner's exchange lists, AMG level matrices. A bit flipped in any of
 // these silently poisons every subsequent vmult; unlike a flipped Krylov
 // vector it is never washed out by the iteration. ArtifactGuard therefore
-// keeps an FNV-1a checksum of each registered artifact and, on scrub(),
-// re-verifies them all and rebuilds the corrupt ones from primary data (the
-// mesh, the operator, the instantiation tables).
+// keeps an XXH64 checksum (common/checksum.h) of each registered artifact,
+// chained over its regions, and, on scrub(), re-verifies them all and
+// rebuilds the corrupt ones from primary data (the mesh, the operator, the
+// instantiation tables).
 //
 // scrub() implements the AbftScrubber hook, so a SolverControl can point
 // abft_scrub at an ArtifactGuard and have the CG residual-replay boundary

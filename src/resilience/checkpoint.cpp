@@ -9,8 +9,8 @@ std::uint64_t CheckpointWriter::finish()
   DGFLOW_ASSERT(!spent_, "CheckpointWriter::encode()/close() called twice");
   spent_ = true;
   const std::uint64_t payload_size = image_.size() - internal::header_bytes;
-  const std::uint64_t checksum = internal::fnv1a64(
-    image_.data() + internal::header_bytes, payload_size);
+  const std::uint64_t checksum =
+    xxh64(image_.data() + internal::header_bytes, payload_size);
   // the reserved field keeps the zero the buffer was constructed with
   char *header = image_.data();
   std::memcpy(header, internal::magic, sizeof(internal::magic));
@@ -79,8 +79,7 @@ void CheckpointReader::parse(const std::string &label)
 
   pos_ = internal::header_bytes;
   end_ = internal::header_bytes + payload_size;
-  const std::uint64_t actual =
-    internal::fnv1a64(image_.data() + pos_, payload_size);
+  const std::uint64_t actual = xxh64(image_.data() + pos_, payload_size);
   if (actual != checksum)
     throw CheckpointError(label + " checksum mismatch (stored " +
                           std::to_string(checksum) + ", computed " +

@@ -6,11 +6,14 @@
 // on the machine class that wrote them):
 //
 //   8 bytes   magic "DGFLOWCK"
-//   u32       format version (currently 1)
+//   u32       format version (currently 2)
 //   u32       reserved (0)
 //   u64       payload size in bytes
-//   u64       FNV-1a 64 checksum of the payload
+//   u64       XXH64 checksum of the payload (common/checksum.h, seed 0)
 //   payload   sequence of tagged records
+//
+// Version 2 differs from version 1 only in the checksum (version 1 held a
+// byte-wise FNV-1a); a version-1 file is rejected by the version check.
 //
 // Records are type-tagged so layout drift between writer and reader is a
 // structured CheckpointError, not silent misinterpretation:
@@ -21,22 +24,27 @@
 //
 // Values are written bit-for-bit (no text round-trip), which is what gives
 // a restarted simulation the exact trajectory of the uninterrupted one.
-// The writer stages header and payload in one buffer. encode() patches the
-// header and moves that buffer out (the in-memory image a generation ring
-// or a buddy rank receives); close() publishes the same buffer durably and
-// atomically through the resilience/ckpt_io.h shim (write "<path>.tmp",
-// fsync, rename, fsync the parent directory), so neither a crash
-// mid-checkpoint nor a power loss right after publish can leave a torn file
-// where a restart would look for a good one. Either call spends the writer.
+// The writer stages header and payload in one buffer, reserved up front at
+// the expected image size its constructor takes: a caller that checkpoints
+// repeatedly passes the size of its previous image, so the records land in
+// one allocation with no growth chain. encode() patches the header and
+// moves that buffer out (the in-memory image a generation ring or a buddy
+// rank receives); close() publishes the same buffer durably and atomically
+// through the resilience/ckpt_io.h shim (write "<path>.tmp", fsync, rename,
+// fsync the parent directory), so neither a crash mid-checkpoint nor a
+// power loss right after publish can leave a torn file where a restart
+// would look for a good one. Either call spends the writer.
 // Routing through the shim also makes every checkpoint byte reachable by
 // the DGFLOW_FAULT_IO_* fault injection.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/exceptions.h"
 #include "common/vector.h"
 
@@ -54,19 +62,8 @@ public:
 
 namespace internal
 {
-inline std::uint64_t fnv1a64(const char *data, const std::size_t n)
-{
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i)
-  {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 constexpr char magic[8] = {'D', 'G', 'F', 'L', 'O', 'W', 'C', 'K'};
-constexpr std::uint32_t format_version = 1;
+constexpr std::uint32_t format_version = 2;
 
 // header field offsets: magic, version, reserved, payload size, checksum
 constexpr std::size_t version_offset = sizeof(magic);
@@ -89,11 +86,16 @@ class CheckpointWriter
 {
 public:
   /// Stages a checkpoint for @p path (used by close(); encode() ignores it).
-  /// Nothing reaches disk before close(): an abandoned writer publishes
-  /// nothing.
-  explicit CheckpointWriter(std::string path)
-    : path_(std::move(path)), image_(internal::header_bytes)
-  {}
+  /// The staging buffer reserves @p expected_image_bytes (header included)
+  /// up front; an image that outgrows it still grows correctly. Nothing
+  /// reaches disk before close(): an abandoned writer publishes nothing.
+  explicit CheckpointWriter(std::string path,
+                            const std::size_t expected_image_bytes = 0)
+    : path_(std::move(path))
+  {
+    image_.reserve(std::max(expected_image_bytes, internal::header_bytes));
+    image_.resize(internal::header_bytes);
+  }
 
   void write_u64(const std::uint64_t v)
   {
@@ -145,7 +147,7 @@ private:
   }
 
   /// Writes magic, version, payload size and checksum into the staged
-  /// header (the one FNV-1a pass over the payload); spends the writer and
+  /// header (the one XXH64 pass over the payload); spends the writer and
   /// returns the checksum.
   std::uint64_t finish();
 
@@ -168,7 +170,7 @@ public:
   /// error messages.
   CheckpointReader(std::vector<char> image, const std::string &label);
 
-  /// FNV-1a checksum of the validated payload (matches what close() returned
+  /// XXH64 checksum of the validated payload (matches what close() returned
   /// when the checkpoint was written; shard manifests compare against it).
   std::uint64_t checksum() const { return checksum_; }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/checksum.h"
 #include "common/env.h"
 #include "common/exceptions.h"
 #include "common/types.h"
@@ -31,18 +32,6 @@ clock::time_point deadline_from(const clock::time_point start,
 double seconds_since(const clock::time_point start)
 {
   return std::chrono::duration<double>(clock::now() - start).count();
-}
-
-std::uint64_t fnv1a64(const void *data, const std::size_t n)
-{
-  const unsigned char *c = static_cast<const unsigned char *>(data);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i)
-  {
-    h ^= c[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 } // namespace
 
@@ -332,8 +321,8 @@ void Communicator::allreduce_impl(std::vector<double> &values, const Op op,
   // checksum the honest contribution, then apply any injected in-flight
   // corruption; the reducing rank recomputes and compares
   state_.coll_checksums[rank_] =
-    fnv1a64(state_.coll_contributions[rank_].data(),
-            state_.coll_contributions[rank_].size() * sizeof(double));
+    xxh64(state_.coll_contributions[rank_].data(),
+          state_.coll_contributions[rank_].size() * sizeof(double));
   if (corrupt_bytes > 0 && !state_.coll_contributions[rank_].empty())
   {
     char *c =
@@ -351,8 +340,8 @@ void Communicator::allreduce_impl(std::vector<double> &values, const Op op,
     // timing; bitwise reproducibility requires a deterministic order)
     state_.coll_corrupt_rank = -1;
     for (int r = 0; r < state_.n_ranks; ++r)
-      if (fnv1a64(state_.coll_contributions[r].data(),
-                  state_.coll_contributions[r].size() * sizeof(double)) !=
+      if (xxh64(state_.coll_contributions[r].data(),
+                state_.coll_contributions[r].size() * sizeof(double)) !=
             state_.coll_checksums[r] &&
           state_.coll_corrupt_rank < 0)
         state_.coll_corrupt_rank = r;

@@ -243,7 +243,7 @@ struct SharedState
   /// per-rank contributions; the last arriving rank reduces them in rank
   /// order so the floating-point result is independent of thread timing
   std::vector<std::vector<double>> coll_contributions;
-  /// FNV-1a checksum of each honest contribution, verified at reduce time
+  /// XXH64 checksum of each honest contribution, verified at reduce time
   std::vector<std::uint64_t> coll_checksums;
   /// first rank whose contribution failed its checksum this round (-1: none)
   int coll_corrupt_rank = -1;

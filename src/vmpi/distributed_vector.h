@@ -22,7 +22,7 @@
 // (set_wire_precision). The float payload halves the neighbor traffic of a
 // double vector; because the narrowing conversion would otherwise mask the
 // bit-flip faults the resilience layer injects, every single-precision
-// message carries a trailing FNV-1a checksum over the payload bytes,
+// message carries a trailing XXH64 checksum over the payload bytes,
 // verified on receive (GhostCorruptionError). The storage-precision wire
 // stays byte-identical to the pre-knob format (no checksum) so traffic
 // accounting and the epoch/timeout protocol are unchanged.
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/aligned_vector.h"
+#include "common/checksum.h"
 #include "common/exceptions.h"
 #include "common/vector.h"
 #include "vmpi/partitioner.h"
@@ -59,7 +60,7 @@ public:
 enum class WirePrecision : unsigned char
 {
   storage, ///< payload in Number (byte-identical to the legacy format)
-  single   ///< float payload + trailing FNV-1a checksum
+  single   ///< float payload + trailing XXH64 checksum
 };
 
 template <typename Number>
@@ -483,22 +484,6 @@ private:
   static constexpr int tag_ghost = 930;
   static constexpr int tag_compress = 931;
 
-  /// FNV-1a over the payload bytes — the same checksum the Communicator
-  /// uses to guard allreduce contributions, applied here per message.
-  static std::uint64_t payload_checksum(const float *payload,
-                                        const std::size_t n_scalars)
-  {
-    const unsigned char *bytes =
-      reinterpret_cast<const unsigned char *>(payload);
-    std::uint64_t h = 14695981039346656037ull;
-    for (std::size_t i = 0; i < n_scalars * sizeof(float); ++i)
-    {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-
   /// The single-precision wire message: n float scalars followed by an
   /// 8-byte checksum (two float slots of the same buffer).
   template <typename OffsetFn>
@@ -515,7 +500,7 @@ private:
       for (unsigned int k = 0; k < block_; ++k)
         *buf++ = float(src[k]);
     }
-    const std::uint64_t h = payload_checksum(wire_buffer_.data(), n);
+    const std::uint64_t h = xxh64(wire_buffer_.data(), n * sizeof(float));
     std::memcpy(wire_buffer_.data() + n, &h, sizeof(h));
     comm_->send(neighbor, tag, wire_buffer_.data(),
                 n * sizeof(float) + sizeof(h));
@@ -532,7 +517,7 @@ private:
                 n * sizeof(float) + sizeof(std::uint64_t));
     std::uint64_t expected;
     std::memcpy(&expected, wire_buffer_.data() + n, sizeof(expected));
-    const std::uint64_t actual = payload_checksum(wire_buffer_.data(), n);
+    const std::uint64_t actual = xxh64(wire_buffer_.data(), n * sizeof(float));
     if (actual != expected)
       throw GhostCorruptionError(
         "single-precision ghost payload from rank " +

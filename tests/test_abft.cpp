@@ -337,6 +337,45 @@ TEST(ArtifactGuard, UnknownArtifactNameThrows)
   EXPECT_THROW(guard.rebaseline("no-such-artifact"), std::runtime_error);
 }
 
+// Flipping bit 63 of a word adds 2^63 to a xor-multiply word hash, and every
+// later xor and odd multiply keeps that difference, so a second sign flip
+// anywhere cancels the first (and four bit-62 flips cancel the same way).
+// The guard's checksum must see both corruptions.
+TEST(ArtifactGuard, PairedSignFlipsAreDetected)
+{
+  std::vector<double> source(1000), data;
+  for (std::size_t i = 0; i < source.size(); ++i)
+    source[i] = std::sin(0.3 * double(i)) + 2.;
+  data = source;
+  resilience::ArtifactGuard guard;
+  guard.protect(
+    "region",
+    [&]() {
+      return std::vector<resilience::ArtifactGuard::Region>{
+        {data.data(), data.size() * sizeof(double)}};
+    },
+    [&]() { data = source; });
+  const auto flip_bit = [&data](const std::size_t i, const unsigned int bit) {
+    std::uint64_t w;
+    std::memcpy(&w, &data[i], sizeof(w));
+    w ^= std::uint64_t(1) << bit;
+    std::memcpy(&data[i], &w, sizeof(w));
+  };
+
+  data[3] = -data[3];
+  EXPECT_FALSE(guard.verify("region")) << "one sign flip";
+  data = source;
+  data[3] = -data[3];
+  data[700] = -data[700];
+  EXPECT_FALSE(guard.verify("region")) << "two sign flips";
+  data = source;
+  for (const std::size_t i : {10, 20, 30, 40})
+    flip_bit(i, 62);
+  EXPECT_FALSE(guard.verify("region")) << "four bit-62 flips";
+  data = source;
+  EXPECT_TRUE(guard.verify("region"));
+}
+
 TEST(ArtifactGuard, KernelDispatchTablesVerifyAndRouteAroundOnCorruption)
 {
   ASSERT_EQ(default_kernel_backend(), KernelBackendType::batch);

@@ -196,6 +196,8 @@ TEST(CheckpointFileTest, CorruptionTruncationAndBadHeaderAreRejected)
                resilience::CheckpointError);
 }
 
+// A future version and version 1 (the FNV-1a checksummed format) are both
+// rejected by the version check, before any checksum is computed.
 TEST(CheckpointFileTest, UnsupportedVersionIsRejected)
 {
   const std::string path = temp_path("version.ckpt");
@@ -204,18 +206,25 @@ TEST(CheckpointFileTest, UnsupportedVersionIsRejected)
     writer.write_u64(1);
     writer.close();
   }
-  std::vector<char> bytes = read_file(path);
-  bytes[8] = 99; // version field follows the 8-byte magic
-  write_file(path, bytes);
-  try
+  const std::vector<char> good = read_file(path);
+  for (const std::uint32_t version : {99u, 1u})
   {
-    resilience::CheckpointReader reader(path);
-    FAIL() << "future-version checkpoint was accepted";
-  }
-  catch (const resilience::CheckpointError &e)
-  {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-      << e.what();
+    std::vector<char> bytes = good;
+    std::memcpy(bytes.data() + resilience::internal::version_offset, &version,
+                sizeof(version));
+    write_file(path, bytes);
+    try
+    {
+      resilience::CheckpointReader reader(path);
+      FAIL() << "a version-" << version << " checkpoint was accepted";
+    }
+    catch (const resilience::CheckpointError &e)
+    {
+      EXPECT_NE(std::string(e.what()).find("format version " +
+                                           std::to_string(version)),
+                std::string::npos)
+        << e.what();
+    }
   }
   std::remove(path.c_str());
 }
@@ -233,8 +242,8 @@ TEST(CheckpointFileTest, VectorRecordLargerThanThePayloadIsRejected)
   const std::size_t count_offset = resilience::internal::header_bytes + 2;
   std::memcpy(image.data() + count_offset, &claimed, sizeof(claimed));
   const char *payload = image.data() + resilience::internal::header_bytes;
-  const std::uint64_t checksum = resilience::internal::fnv1a64(
-    payload, image.size() - resilience::internal::header_bytes);
+  const std::uint64_t checksum =
+    xxh64(payload, image.size() - resilience::internal::header_bytes);
   std::memcpy(image.data() + resilience::internal::checksum_offset,
               &checksum, sizeof(checksum));
 

@@ -1,16 +1,21 @@
-// Allocation regression test of the lung time step: once warm-up steps have
+// Allocation regression tests of the lung time step: once warm-up steps have
 // sized the solver's resident workspaces (Krylov vectors, the pressure
 // ladder's restore copy, the rollback snapshot, the viscous diagonal), a
 // time step must allocate no solution-sized buffer. Every such buffer is an
 // AlignedVector, which allocates through the aligned operator new; this
 // executable replaces that operator to count the allocations at least as
-// large as the pressure vector while LungApplication::advance() runs.
+// large as the pressure vector while LungApplication::advance() runs. It
+// also replaces the plain operator new, which stages checkpoint images
+// (std::vector<char>), and counts those allocations separately: a
+// checkpointed step stages its image in exactly one.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <string>
 
 #include "lung/lung_application.h"
 
@@ -20,23 +25,28 @@ namespace
 {
 std::atomic<bool> counting{false};
 std::atomic<std::size_t> count_from_bytes{0};
-std::atomic<unsigned long> n_counted{0};
+std::atomic<unsigned long> n_counted{0};       ///< aligned operator new
+std::atomic<unsigned long> n_counted_plain{0}; ///< plain operator new
 std::atomic<std::size_t> largest_counted{0};
+
+void record(const std::size_t size, std::atomic<unsigned long> &n)
+{
+  if (!counting.load(std::memory_order_relaxed) ||
+      size < count_from_bytes.load(std::memory_order_relaxed))
+    return;
+  n.fetch_add(1, std::memory_order_relaxed);
+  std::size_t seen = largest_counted.load(std::memory_order_relaxed);
+  while (size > seen &&
+         !largest_counted.compare_exchange_weak(seen, size,
+                                                std::memory_order_relaxed))
+  {
+  }
+}
 } // namespace
 
 void *operator new(const std::size_t size, const std::align_val_t alignment)
 {
-  if (counting.load(std::memory_order_relaxed) &&
-      size >= count_from_bytes.load(std::memory_order_relaxed))
-  {
-    n_counted.fetch_add(1, std::memory_order_relaxed);
-    std::size_t seen = largest_counted.load(std::memory_order_relaxed);
-    while (size > seen &&
-           !largest_counted.compare_exchange_weak(seen, size,
-                                                  std::memory_order_relaxed))
-    {
-    }
-  }
+  record(size, n_counted);
   void *p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(alignment),
                      size > 0 ? size : 1) != 0)
@@ -47,6 +57,23 @@ void *operator new(const std::size_t size, const std::align_val_t alignment)
 void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
 
 void operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+  std::free(p);
+}
+
+void *operator new(const std::size_t size)
+{
+  record(size, n_counted_plain);
+  if (void *p = std::malloc(size > 0 ? size : 1))
+    return p;
+  throw std::bad_alloc();
+}
+
+// Not inlined: GCC would otherwise see free() on a pointer from the operator
+// new call and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+
+[[gnu::noinline]] void operator delete(void *p, std::size_t) noexcept
 {
   std::free(p);
 }
@@ -82,5 +109,52 @@ TEST(StepAllocations, LungStepAllocatesNoSolutionSizedBuffer)
       << " buffers of at least the pressure vector's " << pressure_bytes
       << " bytes (largest: " << largest_counted << " bytes)";
   }
+  concurrency::ThreadPool::instance().set_n_threads(saved_width);
+}
+
+TEST(StepAllocations, CheckpointedStepStagesItsImageOnce)
+{
+  const unsigned int saved_width =
+    concurrency::ThreadPool::instance().n_threads();
+  concurrency::ThreadPool::instance().set_n_threads(4);
+  const std::string root = (std::filesystem::temp_directory_path() /
+                            "dgflow_step_allocations_ckpt")
+                             .string();
+  std::filesystem::remove_all(root);
+  {
+    LungApplicationParameters prm;
+    prm.generations = 3;
+    prm.degree = 3;
+    LungApplication app(prm);
+    resilience::CheckpointScheduler::Options every_step;
+    every_step.default_interval_seconds = 0.;
+    every_step.min_interval_seconds = 0.;
+    every_step.max_interval_seconds = 0.;
+    app.enable_checkpointing(root, {}, every_step);
+    // two checkpointed warm-up steps: the first image grows as its records
+    // arrive, the second is staged at the first one's size
+    for (unsigned int step = 0; step < 2; ++step)
+      ASSERT_TRUE(app.advance().success);
+    app.checkpointer()->drain();
+
+    const std::size_t pressure_bytes =
+      app.solver().pressure().size() * sizeof(double);
+    ASSERT_GT(pressure_bytes, 0u);
+    count_from_bytes = pressure_bytes;
+    n_counted_plain = 0;
+    largest_counted = 0;
+    counting = true;
+    const auto info = app.advance();
+    counting = false;
+    ASSERT_TRUE(info.success);
+    app.checkpointer()->drain();
+    EXPECT_EQ(app.checkpointer()->status().published, 3u);
+    EXPECT_EQ(n_counted_plain.load(), 1u)
+      << "a checkpointed advance() made " << n_counted_plain
+      << " plain allocations of at least the pressure vector's "
+      << pressure_bytes << " bytes (largest: " << largest_counted
+      << " bytes); the image should be staged in one";
+  }
+  std::filesystem::remove_all(root);
   concurrency::ThreadPool::instance().set_n_threads(saved_width);
 }
