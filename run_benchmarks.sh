@@ -47,14 +47,18 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # out-of-range write there must fail here too. The common suites ride
   # along: the XXH64 checksum reads a payload's tail in 8-, 4- and 1-byte
   # steps, and its reference vectors sit in buffers of exactly their
-  # length, so an over-read fails here.
-  echo "verify pass: mixed_precision|abft|perf|threading|common under DGFLOW_SANITIZE=address"
+  # length, so an over-read fails here. So do the operator suites (label
+  # operators): the diagonal probe writes unit vectors into evaluator
+  # buffers and copies the scalar Helmholtz diagonal into three component
+  # blocks per cell, so an index slip there must fail here.
+  echo "verify pass: mixed_precision|abft|perf|threading|common|operators under DGFLOW_SANITIZE=address"
   cmake -B build-asan -S . -DDGFLOW_SANITIZE=address > /dev/null
   cmake --build build-asan -j \
     --target test_mixed_precision test_abft abft_microbench \
     kernels_microbench ablation_precision threads_microbench \
-    test_threading test_checksum test_aligned_vector > /dev/null
-  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading|common" --output-on-failure)
+    test_threading test_checksum test_aligned_vector test_laplace \
+    test_incns_operators > /dev/null
+  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading|common|operators" --output-on-failure)
 
   # Third verify pass: the resilience and ABFT suites under UBSan — the
   # bit-flip injection and checksum paths reinterpret raw bytes and shift

@@ -70,20 +70,21 @@ std::size_t AMG::aggregate(const SparseMatrix &A, const double theta,
 
 void AMG::setup(SparseMatrix A, const Options &options)
 {
-  options_ = options;
+  constexpr double strength_threshold = 0.02; // relative strength of connection
+  constexpr unsigned int max_levels = 20;
+  constexpr double prolongator_omega_factor = 4. / 3.; // omega * lambda_max
   levels_.clear();
   sp_levels_.clear();
 
   levels_.push_back(Level{std::move(A), {}, {}, {}, {}, {}});
 
   while (levels_.back().A.n_rows() > options.max_coarse_size &&
-         levels_.size() < options.max_levels)
+         levels_.size() < max_levels)
   {
     const SparseMatrix &Af = levels_.back().A;
 
     std::vector<std::size_t> agg;
-    const std::size_t n_agg =
-      aggregate(Af, options.strength_threshold, agg);
+    const std::size_t n_agg = aggregate(Af, strength_threshold, agg);
     if (n_agg >= Af.n_rows())
       break; // no coarsening progress possible
 
@@ -117,7 +118,7 @@ void AMG::setup(SparseMatrix A, const Options &options)
         v.swap(w);
       }
     }
-    const double omega = options.prolongator_omega_factor / lambda;
+    const double omega = prolongator_omega_factor / lambda;
 
     // DinvA_T = D^{-1} A T, then P = T - omega * DinvA_T
     SparseMatrix AT = SparseMatrix::multiply(Af, T);

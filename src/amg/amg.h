@@ -18,10 +18,7 @@ class AMG
 public:
   struct Options
   {
-    double strength_threshold = 0.02; ///< relative strength-of-connection
     std::size_t max_coarse_size = 200;
-    unsigned int max_levels = 20;
-    double prolongator_omega_factor = 4. / 3.; ///< omega = factor / lambda_max
   };
 
   void setup(SparseMatrix A, const Options &options);
@@ -128,8 +125,6 @@ private:
   std::size_t lu_n_ = 0;
   void factorize_coarsest(const SparseMatrix &A);
   void solve_coarsest(Vector<double> &x, const Vector<double> &b) const;
-
-  Options options_;
 };
 
 } // namespace dgflow

@@ -107,6 +107,15 @@ struct Tensor2
   }
 };
 
+template <typename T, typename S>
+inline Tensor2<T> operator*(const S &s, Tensor2<T> a)
+{
+  for (unsigned int i = 0; i < dim; ++i)
+    for (unsigned int j = 0; j < dim; ++j)
+      a[i][j] = T(s) * a[i][j];
+  return a;
+}
+
 /// Matrix-vector product A x.
 template <typename T>
 inline Tensor1<T> apply(const Tensor2<T> &A, const Tensor1<T> &x)

@@ -72,7 +72,6 @@ public:
   struct Options
   {
     bool h_coarsening = true; ///< build globally coarsened Q1 levels
-    unsigned int amg_cycles = 2;
     /// run the AMG coarse solve in single precision (float value mirrors of
     /// every AMG level, coarsest dense LU still double): with float level
     /// vectors this removes the double round-trip at the AMG boundary. Off
@@ -82,10 +81,6 @@ public:
     AMG::Options amg;
     unsigned int geometry_degree = 2;
     double penalty_safety = 2.;
-    /// coarser DG levels inherit the finest degree's penalty scale
-    /// (k_top+1)^2 instead of their own (k+1)^2: the level operators then
-    /// match the Galerkin-restricted fine operator on jump modes
-    bool inherit_fine_penalty = true;
     /// cell partition for distributed solves (forwarded to the fine
     /// MatrixFree so batches split at rank boundaries); empty = serial.
     /// Pass the same values to every rank's instance — the hierarchy is
@@ -150,14 +145,14 @@ public:
     mf_data.penalty_safety = options.penalty_safety;
     mf_data.rank_of_cell = options.rank_of_cell;
     mf_data.n_ranks = options.n_ranks;
-    if (options.inherit_fine_penalty)
-    {
-      const double top = double(dg_degrees_.front() + 1);
-      for (const unsigned int k : dg_degrees_)
-        mf_data.penalty_scaling.push_back((top * top) /
-                                          double((k + 1) * (k + 1)));
-      mf_data.penalty_scaling.push_back(1.); // Q1 space (no face terms)
-    }
+    // coarser DG levels inherit the finest degree's penalty scale
+    // (k_top+1)^2 instead of their own (k+1)^2: the level operators then
+    // match the Galerkin-restricted fine operator on jump modes
+    const double top = double(dg_degrees_.front() + 1);
+    for (const unsigned int k : dg_degrees_)
+      mf_data.penalty_scaling.push_back((top * top) /
+                                        double((k + 1) * (k + 1)));
+    mf_data.penalty_scaling.push_back(1.); // Q1 space (no face terms)
     mf_fine_.reinit(mesh, geometry, mf_data);
 
     const auto is_dirichlet = [this](const unsigned int id) {
@@ -536,13 +531,14 @@ private:
       if (level.is_amg)
       {
         DGFLOW_PROF_SCOPE("amg_coarse");
+        constexpr unsigned int amg_cycles = 2; // V-cycles per coarse solve
         if (options_.sp_amg)
         {
           // float coarse solve: with LevelNumber = float the conversions
           // below are plain copies (no precision round-trip)
           amg_bf_.copy_and_convert(b);
           amg_xf_.reinit(amg_bf_.size());
-          for (unsigned int c = 0; c < options_.amg_cycles; ++c)
+          for (unsigned int c = 0; c < amg_cycles; ++c)
             amg_.vcycle(amg_xf_, amg_bf_);
           x.copy_and_convert(amg_xf_);
         }
@@ -550,7 +546,7 @@ private:
         {
           amg_b_.copy_and_convert(b);
           amg_x_.reinit(amg_b_.size());
-          for (unsigned int c = 0; c < options_.amg_cycles; ++c)
+          for (unsigned int c = 0; c < amg_cycles; ++c)
             amg_.vcycle(amg_x_, amg_b_);
           x.copy_and_convert(amg_x_);
         }

@@ -5,7 +5,9 @@
 // removes all face terms; the cell kernel is identical to the DG one, while
 // gather/scatter resolve shared dofs, hanging-node constraints and Dirichlet
 // conditions on the fly. Also provides the assembled CSR matrix for the
-// algebraic coarse solver.
+// algebraic coarse solver. vmult and the element-matrix loop share one cell
+// integral; the loop condenses each cell's element matrix onto the masters
+// of its DoFs, and both the CSR matrix and the diagonal are read off it.
 //
 // Evaluation interface per operators/README.md (contract v2): hooked
 // vmult(dst, src, pre, post) for the homogeneous action (the level
@@ -66,10 +68,7 @@ public:
     {
       phi.reinit(b);
       gather(b, src, phi.begin_dof_values(), npc);
-      phi.evaluate(false, true);
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
-        phi.submit_gradient(phi.get_gradient(q), q);
-      phi.integrate(false, true);
+      cell_integral(phi);
       scatter_add(b, phi.begin_dof_values(), dst, npc);
     }
 
@@ -82,48 +81,17 @@ public:
       post(0, dst.size());
   }
 
+  /// Diagonal of the condensed operator C^T A C with Dirichlet rows 1: a
+  /// master DoF also collects the couplings 2 w A_ij of a cell holding both
+  /// a hanging vertex and the vertex it is constrained to.
   void compute_diagonal(VectorType &diag) const
   {
     diag.reinit(n_dofs());
-    FEEvaluation<Number, 1> phi(*mf_, space_, quad_);
-    const unsigned int npc = phi.dofs_per_component;
-    AlignedVector<VA> column(npc), diag_local(npc);
-    for (unsigned int b = 0; b < mf_->n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      for (unsigned int i = 0; i < npc; ++i)
-      {
-        for (unsigned int j = 0; j < npc; ++j)
-          phi.begin_dof_values()[j] = VA(Number(i == j ? 1 : 0));
-        phi.evaluate(false, true);
-        for (unsigned int q = 0; q < phi.n_q_points; ++q)
-          phi.submit_gradient(phi.get_gradient(q), q);
-        phi.integrate(false, true);
-        diag_local[i] = phi.begin_dof_values()[i];
-      }
-      // scatter the diagonal: constrained entries distribute w^2 onto the
-      // master diagonal (the Galerkin diagonal of C^T A C)
-      const auto &batch = mf_->cell_batch(b);
-      for (unsigned int l = 0; l < batch.n_filled; ++l)
-      {
-        const std::uint32_t *entries =
-          cfe_->cell_entries.data() + std::size_t(batch.cells[l]) * npc;
-        for (unsigned int i = 0; i < npc; ++i)
-        {
-          const std::uint32_t e = entries[i];
-          if (CFESpace::is_constrained(e))
-          {
-            for (const auto &ce :
-                 cfe_->constraints[e & ~CFESpace::constraint_bit])
-              if (!cfe_->dirichlet[ce.dof])
-                diag[ce.dof] +=
-                  Number(ce.weight * ce.weight) * diag_local[i][l];
-          }
-          else if (!cfe_->dirichlet[e])
-            diag[e] += diag_local[i][l];
-        }
-      }
-    }
+    for_each_condensed_entry([&](const std::size_t row, const std::size_t col,
+                                 const double weight, const Number a) {
+      if (row == col)
+        diag[row] += Number(weight) * a;
+    });
     for (std::size_t i = 0; i < n_dofs(); ++i)
       if (cfe_->dirichlet[i])
         diag[i] = Number(1);
@@ -133,10 +101,46 @@ public:
   /// solver, with constraints condensed and Dirichlet identity rows.
   SparseMatrix assemble_matrix() const
   {
+    std::vector<SparseMatrix::Triplet> triplets;
+    for_each_condensed_entry([&](const std::size_t row, const std::size_t col,
+                                 const double weight, const Number a) {
+      triplets.push_back({row, col, weight * double(a)});
+    });
+    for (std::size_t i = 0; i < n_dofs(); ++i)
+      if (cfe_->dirichlet[i])
+        triplets.push_back({i, i, 1.});
+    return SparseMatrix::from_triplets(n_dofs(), n_dofs(), std::move(triplets));
+  }
+
+private:
+  /// The weak form: the one cell integral of vmult and the element matrix.
+  void cell_integral(FEEvaluation<Number, 1> &phi) const
+  {
+    phi.evaluate(false, true);
+    for (unsigned int q = 0; q < phi.n_q_points; ++q)
+      phi.submit_gradient(phi.get_gradient(q), q);
+    phi.integrate(false, true);
+  }
+
+  /// Probes each cell's element matrix with unit vectors and condenses it:
+  /// calls add(row, col, weight, a) for every nonzero entry a = A_ij of
+  /// every cell, once per pair of masters (row, col) of its local DoFs j
+  /// and i that are not Dirichlet, with weight the product of their
+  /// constraint weights. Cells in batch order, lanes ascending, then i, j.
+  template <typename EntryFn>
+  void for_each_condensed_entry(EntryFn &&add) const
+  {
     FEEvaluation<Number, 1> phi(*mf_, space_, quad_);
     const unsigned int npc = phi.dofs_per_component;
-    std::vector<SparseMatrix::Triplet> triplets;
-    col_buffer_.resize(std::size_t(npc) * npc);
+    AlignedVector<VA> columns(std::size_t(npc) * npc);
+    // calls f(dof, weight) for each master of a cell entry
+    const auto for_each_master = [this](const std::uint32_t e, auto &&f) {
+      if (CFESpace::is_constrained(e))
+        for (const auto &ce : cfe_->constraints[e & ~CFESpace::constraint_bit])
+          f(std::size_t(ce.dof), ce.weight);
+      else
+        f(std::size_t(e), 1.);
+    };
 
     for (unsigned int b = 0; b < mf_->n_cell_batches(); ++b)
     {
@@ -145,13 +149,9 @@ public:
       {
         for (unsigned int j = 0; j < npc; ++j)
           phi.begin_dof_values()[j] = VA(Number(i == j ? 1 : 0));
-        phi.evaluate(false, true);
-        for (unsigned int q = 0; q < phi.n_q_points; ++q)
-          phi.submit_gradient(phi.get_gradient(q), q);
-        phi.integrate(false, true);
-        // copy column i out; the evaluator buffer is reused per column
-        for (unsigned int j = 0; j < npc; ++j)
-          col_buffer_[std::size_t(i) * npc + j] = phi.begin_dof_values()[j];
+        cell_integral(phi);
+        std::copy(phi.begin_dof_values(), phi.begin_dof_values() + npc,
+                  columns.begin() + std::size_t(i) * npc);
       }
 
       const auto &batch = mf_->cell_batch(b);
@@ -159,47 +159,23 @@ public:
       {
         const std::uint32_t *entries =
           cfe_->cell_entries.data() + std::size_t(batch.cells[l]) * npc;
-        // expand (row j, col i) with constraints
         for (unsigned int i = 0; i < npc; ++i)
           for (unsigned int j = 0; j < npc; ++j)
           {
-            const double v = double(col_buffer_[std::size_t(i) * npc + j][l]);
-            if (v == 0.)
+            const Number a = columns[std::size_t(i) * npc + j][l];
+            if (a == Number(0))
               continue;
-            add_expanded(triplets, entries[j], entries[i], v);
+            for_each_master(entries[j], [&](const std::size_t r,
+                                            const double wr) {
+              for_each_master(entries[i], [&](const std::size_t c,
+                                              const double wc) {
+                if (!cfe_->dirichlet[r] && !cfe_->dirichlet[c])
+                  add(r, c, wr * wc, a);
+              });
+            });
           }
       }
     }
-
-    for (std::size_t i = 0; i < n_dofs(); ++i)
-      if (cfe_->dirichlet[i])
-        triplets.push_back({i, i, 1.});
-    return SparseMatrix::from_triplets(n_dofs(), n_dofs(), std::move(triplets));
-  }
-
-private:
-  void add_expanded(std::vector<SparseMatrix::Triplet> &triplets,
-                    const std::uint32_t row_e, const std::uint32_t col_e,
-                    const double v) const
-  {
-    auto rows = expand(row_e);
-    auto cols = expand(col_e);
-    for (const auto &[r, wr] : rows)
-      for (const auto &[c, wc] : cols)
-        if (!cfe_->dirichlet[r] && !cfe_->dirichlet[c])
-          triplets.push_back({r, c, wr * wc * v});
-  }
-
-  std::vector<std::pair<std::size_t, double>>
-  expand(const std::uint32_t e) const
-  {
-    std::vector<std::pair<std::size_t, double>> out;
-    if (CFESpace::is_constrained(e))
-      for (const auto &ce : cfe_->constraints[e & ~CFESpace::constraint_bit])
-        out.emplace_back(ce.dof, ce.weight);
-    else
-      out.emplace_back(e, 1.);
-    return out;
   }
 
   void gather(const unsigned int b, const VectorType &src, VA *local,
@@ -256,7 +232,6 @@ private:
   const MatrixFree<Number> *mf_ = nullptr;
   unsigned int space_ = 0, quad_ = 0;
   const CFESpace *cfe_ = nullptr;
-  mutable AlignedVector<VA> col_buffer_;
 };
 
 } // namespace dgflow

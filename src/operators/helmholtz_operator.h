@@ -8,12 +8,15 @@
 // Evaluation interface per operators/README.md (contract v2): hooked
 // vmult(dst, src, pre, post) for the homogeneous action; inhomogeneous
 // boundary data enters via add_boundary_rhs (the operator itself is
-// time-independent).
+// time-independent). The weak form is written once, as cell/face/boundary
+// integrals for any component count: vmult runs them on the three velocity
+// components, compute_diagonal probes the scalar form with unit vectors.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
 #include "matrixfree/fe_evaluation.h"
 #include "matrixfree/fe_face_evaluation.h"
+#include "matrixfree/operator_diagonal.h"
 #include "operators/convective_operator.h"
 
 namespace dgflow
@@ -63,18 +66,7 @@ public:
       const auto cell = [phi, &dst_v, &src, this](const unsigned int b) {
         phi->reinit(b);
         phi->read_dof_values(src);
-        phi->evaluate(true, true);
-        for (unsigned int q = 0; q < phi->n_q_points; ++q)
-        {
-          if (mass_factor_ != Number(0))
-            phi->submit_value(mass_factor_ * phi->get_value(q), q);
-          Tensor2<VA> g = phi->get_gradient(q);
-          for (unsigned int i = 0; i < dim; ++i)
-            for (unsigned int j = 0; j < dim; ++j)
-              g[i][j] = nu_ * g[i][j];
-          phi->submit_gradient(g, q);
-        }
-        phi->integrate(mass_factor_ != Number(0), true);
+        cell_integral(*phi);
         phi->distribute_local_to_global(dst_v);
       };
 
@@ -84,54 +76,17 @@ public:
         phi_p->reinit(b);
         phi_m->read_dof_values(src);
         phi_p->read_dof_values(src);
-        phi_m->evaluate(true, true);
-        phi_p->evaluate(true, true);
-        const VA sigma = phi_m->penalty_parameter();
-        for (unsigned int q = 0; q < phi_m->n_q_points; ++q)
-        {
-          const Tensor1<VA> jump = phi_m->get_value(q) - phi_p->get_value(q);
-          const Tensor1<VA> avg_dn =
-            Number(0.5) * (phi_m->get_normal_derivative(q) -
-                           phi_p->get_normal_derivative(q));
-          Tensor1<VA> flux, w;
-          for (unsigned int c = 0; c < dim; ++c)
-          {
-            flux[c] = nu_ * (sigma * jump[c] - avg_dn[c]);
-            w[c] = nu_ * Number(-0.5) * jump[c];
-          }
-          phi_m->submit_value(flux, q);
-          phi_p->submit_value(-flux, q);
-          phi_m->submit_normal_derivative(w, q);
-          phi_p->submit_normal_derivative(-w, q);
-        }
-        phi_m->integrate(true, true);
-        phi_p->integrate(true, true);
+        face_integral(*phi_m, *phi_p);
         phi_m->distribute_local_to_global(dst_v);
         phi_p->distribute_local_to_global(dst_v);
       };
 
       const auto boundary = [phi_m, &dst_v, &src, this](const unsigned int b) {
         phi_m->reinit(b);
-        const FlowBoundary &bdata = bc_->at(phi_m->boundary_id());
-        if (bdata.kind != FlowBoundary::Kind::velocity_dirichlet)
+        if (!has_boundary_integral(phi_m->boundary_id()))
           return; // natural (do-nothing) on pressure boundaries
         phi_m->read_dof_values(src);
-        phi_m->evaluate(true, true);
-        const VA sigma = phi_m->penalty_parameter();
-        for (unsigned int q = 0; q < phi_m->n_q_points; ++q)
-        {
-          const Tensor1<VA> u = phi_m->get_value(q);
-          const Tensor1<VA> dn = phi_m->get_normal_derivative(q);
-          Tensor1<VA> flux, w;
-          for (unsigned int c = 0; c < dim; ++c)
-          {
-            flux[c] = nu_ * (Number(2) * sigma * u[c] - dn[c]);
-            w[c] = -nu_ * u[c];
-          }
-          phi_m->submit_value(flux, q);
-          phi_m->submit_normal_derivative(w, q);
-        }
-        phi_m->integrate(true, true);
+        boundary_integral(*phi_m);
         phi_m->distribute_local_to_global(dst_v);
       };
 
@@ -141,6 +96,67 @@ public:
     const unsigned int block = 3 * mf_->dofs_per_cell(space_);
     cell_face_loop(*mf_, dst, src, block, block, make_kernels,
                    std::forward<PreFn>(pre), std::forward<PostFn>(post));
+  }
+
+  /// The weak form, defined once for any component count (the components
+  /// decouple): vmult runs each integral between the gather of the DoF
+  /// values and their scatter, and compute_diagonal probes the scalar
+  /// instantiation with unit vectors (matrixfree/operator_diagonal.h).
+  template <typename CellEval>
+  void cell_integral(CellEval &phi) const
+  {
+    phi.evaluate(true, true);
+    for (unsigned int q = 0; q < phi.n_q_points; ++q)
+    {
+      if (mass_factor_ != Number(0))
+        phi.submit_value(mass_factor_ * phi.get_value(q), q);
+      phi.submit_gradient(nu_ * phi.get_gradient(q), q);
+    }
+    phi.integrate(mass_factor_ != Number(0), true);
+  }
+
+  template <typename FaceEval>
+  void face_integral(FaceEval &phi_m, FaceEval &phi_p) const
+  {
+    phi_m.evaluate(true, true);
+    phi_p.evaluate(true, true);
+    const VA sigma = phi_m.penalty_parameter();
+    for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
+    {
+      const auto jump = phi_m.get_value(q) - phi_p.get_value(q);
+      const auto avg_dn = Number(0.5) * (phi_m.get_normal_derivative(q) -
+                                         phi_p.get_normal_derivative(q));
+      const auto flux = nu_ * (sigma * jump - avg_dn);
+      const auto w = nu_ * Number(-0.5) * jump;
+      phi_m.submit_value(flux, q);
+      phi_p.submit_value(-flux, q);
+      phi_m.submit_normal_derivative(w, q);
+      phi_p.submit_normal_derivative(-w, q);
+    }
+    phi_m.integrate(true, true);
+    phi_p.integrate(true, true);
+  }
+
+  /// Velocity Dirichlet faces (mirror ghost); pressure boundaries are
+  /// natural (do-nothing) and have no boundary integral.
+  bool has_boundary_integral(const unsigned int boundary_id) const
+  {
+    return bc_->at(boundary_id).kind == FlowBoundary::Kind::velocity_dirichlet;
+  }
+
+  template <typename FaceEval>
+  void boundary_integral(FaceEval &phi_m) const
+  {
+    phi_m.evaluate(true, true);
+    const VA sigma = phi_m.penalty_parameter();
+    for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
+    {
+      const auto u = phi_m.get_value(q);
+      const auto dn = phi_m.get_normal_derivative(q);
+      phi_m.submit_value(nu_ * (Number(2) * sigma * u - dn), q);
+      phi_m.submit_normal_derivative(-nu_ * u, q);
+    }
+    phi_m.integrate(true, true);
   }
 
   /// Adds the inhomogeneous boundary contributions to @p rhs: Dirichlet data
@@ -191,92 +207,19 @@ public:
     }
   }
 
+  /// Operator diagonal (viscous Jacobi preconditioner): the scalar form
+  /// probed on the velocity space, copied into the three component blocks
+  /// of each cell.
   void compute_diagonal(VectorType &diag) const
   {
-    diag.reinit(n_dofs());
-    const unsigned int npc = mf_->dofs_per_cell(space_);
-    const unsigned int n_cell_dofs = 3 * npc;
-    AlignedVector<VA> buffer(n_cell_dofs);
-
-    FEEvaluation<Number, 3> phi(*mf_, space_, quad_);
-    for (unsigned int b = 0; b < mf_->n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      // the three components are decoupled and identical: probe one
-      for (unsigned int i = 0; i < npc; ++i)
-      {
-        for (unsigned int j = 0; j < n_cell_dofs; ++j)
-          phi.begin_dof_values()[j] = VA(Number(0));
-        phi.begin_dof_values()[i] = VA(Number(1));
-        phi.evaluate(true, true);
-        for (unsigned int q = 0; q < phi.n_q_points; ++q)
-        {
-          if (mass_factor_ != Number(0))
-            phi.submit_value(mass_factor_ * phi.get_value(q), q);
-          Tensor2<VA> g = phi.get_gradient(q);
-          for (unsigned int r = 0; r < dim; ++r)
-            for (unsigned int s = 0; s < dim; ++s)
-              g[r][s] = nu_ * g[r][s];
-          phi.submit_gradient(g, q);
-        }
-        phi.integrate(mass_factor_ != Number(0), true);
-        for (unsigned int c = 0; c < dim; ++c)
-          buffer[c * npc + i] = phi.begin_dof_values()[i];
-      }
-      for (unsigned int j = 0; j < n_cell_dofs; ++j)
-        phi.begin_dof_values()[j] = buffer[j];
-      phi.distribute_local_to_global(diag);
-    }
-
-    // face contributions (same-side coupling), scalar probing replicated
-    FEFaceEvaluation<Number, 3> fm(*mf_, space_, quad_, true);
-    FEFaceEvaluation<Number, 3> fp(*mf_, space_, quad_, false);
-    AlignedVector<VA> fbuffer(n_cell_dofs);
-    for (unsigned int b = 0; b < mf_->n_face_batches(); ++b)
-    {
-      const bool interior = b < mf_->n_inner_face_batches();
-      if (!interior)
-      {
-        fm.reinit(b);
-        if (bc_->at(fm.boundary_id()).kind !=
-            FlowBoundary::Kind::velocity_dirichlet)
-          continue;
-      }
-      for (unsigned int side = 0; side < (interior ? 2u : 1u); ++side)
-      {
-        auto &eval = side == 0 ? fm : fp;
-        eval.reinit(b);
-        const VA sigma = eval.penalty_parameter();
-        for (unsigned int i = 0; i < npc; ++i)
-        {
-          for (unsigned int j = 0; j < n_cell_dofs; ++j)
-            eval.begin_dof_values()[j] = VA(Number(0));
-          eval.begin_dof_values()[i] = VA(Number(1));
-          eval.evaluate(true, true);
-          for (unsigned int q = 0; q < eval.n_q_points; ++q)
-          {
-            const Tensor1<VA> u = eval.get_value(q);
-            const Tensor1<VA> dn = eval.get_normal_derivative(q);
-            Tensor1<VA> flux, w;
-            const Number pen_scale = interior ? Number(1) : Number(2);
-            const Number half = interior ? Number(0.5) : Number(1);
-            for (unsigned int c = 0; c < dim; ++c)
-            {
-              flux[c] = nu_ * (pen_scale * sigma * u[c] - half * dn[c]);
-              w[c] = -nu_ * half * u[c];
-            }
-            eval.submit_value(flux, q);
-            eval.submit_normal_derivative(w, q);
-          }
-          eval.integrate(true, true);
-          for (unsigned int c = 0; c < dim; ++c)
-            fbuffer[c * npc + i] = eval.begin_dof_values()[i];
-        }
-        for (unsigned int j = 0; j < n_cell_dofs; ++j)
-          eval.begin_dof_values()[j] = fbuffer[j];
-        eval.distribute_local_to_global(diag);
-      }
-    }
+    VectorType scalar;
+    probe_diagonal<1>(*mf_, space_, quad_, *this, scalar);
+    diag.reinit(n_dofs(), true);
+    const std::size_t npc = mf_->dofs_per_cell(space_);
+    for (std::size_t cell = 0; cell < mf_->n_cells(); ++cell)
+      for (unsigned int c = 0; c < dim; ++c)
+        std::copy(scalar.data() + cell * npc, scalar.data() + (cell + 1) * npc,
+                  diag.data() + (dim * cell + c) * npc);
   }
 
 private:

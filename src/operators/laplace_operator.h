@@ -8,13 +8,17 @@
 //
 // Evaluation interface per operators/README.md (contract v2): hooked
 // vmult(dst, src, pre, post) for the homogeneous action, driven by the
-// shared cell_face_loop; inhomogeneous data enters via assemble_rhs.
+// shared cell_face_loop; inhomogeneous data enters via assemble_rhs. The
+// weak form is written once, as the cell/face/boundary integrals that
+// vmult wraps in gather/scatter and compute_diagonal probes with unit
+// vectors.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
 #include "matrixfree/fe_evaluation.h"
 #include "matrixfree/fe_face_evaluation.h"
 #include "matrixfree/field_tools.h"
+#include "matrixfree/operator_diagonal.h"
 #include "operators/boundary.h"
 
 namespace dgflow
@@ -82,61 +86,30 @@ public:
       auto phi_p = std::make_shared<FEFaceEvaluation<Number, 1>>(
         *mf_, space_, quad_, false);
 
-      const auto cell = [phi, &dst_v, &src](const unsigned int b) {
+      const auto cell = [phi, &dst_v, &src, this](const unsigned int b) {
         phi->reinit(b);
         phi->read_dof_values(src);
-        phi->evaluate(false, true);
-        for (unsigned int q = 0; q < phi->n_q_points; ++q)
-          phi->submit_gradient(phi->get_gradient(q), q);
-        phi->integrate(false, true);
+        cell_integral(*phi);
         phi->distribute_local_to_global(dst_v);
       };
 
-      const auto inner = [phi_m, phi_p, &dst_v, &src](const unsigned int b) {
+      const auto inner = [phi_m, phi_p, &dst_v, &src,
+                          this](const unsigned int b) {
         phi_m->reinit(b);
         phi_p->reinit(b);
         phi_m->read_dof_values(src);
         phi_p->read_dof_values(src);
-        phi_m->evaluate(true, true);
-        phi_p->evaluate(true, true);
-        const VA sigma = phi_m->penalty_parameter();
-        for (unsigned int q = 0; q < phi_m->n_q_points; ++q)
-        {
-          const VA jump = phi_m->get_value(q) - phi_p->get_value(q);
-          // normal derivative w.r.t. the minus normal on both sides
-          const VA avg_dn = Number(0.5) * (phi_m->get_normal_derivative(q) -
-                                           phi_p->get_normal_derivative(q));
-          const VA flux = sigma * jump - avg_dn;
-          phi_m->submit_value(flux, q);
-          phi_p->submit_value(-flux, q);
-          // -[u] {grad v . n}: each side tests with its own outward normal
-          const VA w = Number(-0.5) * jump;
-          phi_m->submit_normal_derivative(w, q);
-          phi_p->submit_normal_derivative(-w, q);
-        }
-        phi_m->integrate(true, true);
-        phi_p->integrate(true, true);
+        face_integral(*phi_m, *phi_p);
         phi_m->distribute_local_to_global(dst_v);
         phi_p->distribute_local_to_global(dst_v);
       };
 
       const auto boundary = [phi_m, &dst_v, &src, this](const unsigned int b) {
         phi_m->reinit(b);
-        const BoundaryType type = bc_.type_of(phi_m->boundary_id());
-        if (type == BoundaryType::neumann)
+        if (!has_boundary_integral(phi_m->boundary_id()))
           return; // homogeneous operator: no contribution
         phi_m->read_dof_values(src);
-        phi_m->evaluate(true, true);
-        const VA sigma = phi_m->penalty_parameter();
-        for (unsigned int q = 0; q < phi_m->n_q_points; ++q)
-        {
-          const VA u = phi_m->get_value(q);
-          const VA dn = phi_m->get_normal_derivative(q);
-          // mirror ghost: u+ = -u => jump = 2u, {dn} = dn
-          phi_m->submit_value(Number(2) * sigma * u - dn, q);
-          phi_m->submit_normal_derivative(-u, q);
-        }
-        phi_m->integrate(true, true);
+        boundary_integral(*phi_m);
         phi_m->distribute_local_to_global(dst_v);
       };
 
@@ -146,6 +119,64 @@ public:
     const unsigned int block = mf_->dofs_per_cell(space_);
     cell_face_loop(*mf_, dst, src, block, block, make_kernels,
                    std::forward<PreFn>(pre), std::forward<PostFn>(post));
+  }
+
+  /// The weak form, defined once: vmult runs each integral between the
+  /// gather of the DoF values and their scatter, and compute_diagonal probes
+  /// it with unit vectors (matrixfree/operator_diagonal.h).
+  template <typename CellEval>
+  void cell_integral(CellEval &phi) const
+  {
+    phi.evaluate(false, true);
+    for (unsigned int q = 0; q < phi.n_q_points; ++q)
+      phi.submit_gradient(phi.get_gradient(q), q);
+    phi.integrate(false, true);
+  }
+
+  template <typename FaceEval>
+  void face_integral(FaceEval &phi_m, FaceEval &phi_p) const
+  {
+    phi_m.evaluate(true, true);
+    phi_p.evaluate(true, true);
+    const VA sigma = phi_m.penalty_parameter();
+    for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
+    {
+      const VA jump = phi_m.get_value(q) - phi_p.get_value(q);
+      // normal derivative w.r.t. the minus normal on both sides
+      const VA avg_dn = Number(0.5) * (phi_m.get_normal_derivative(q) -
+                                       phi_p.get_normal_derivative(q));
+      const VA flux = sigma * jump - avg_dn;
+      phi_m.submit_value(flux, q);
+      phi_p.submit_value(-flux, q);
+      // -[u] {grad v . n}: each side tests with its own outward normal
+      const VA w = Number(-0.5) * jump;
+      phi_m.submit_normal_derivative(w, q);
+      phi_p.submit_normal_derivative(-w, q);
+    }
+    phi_m.integrate(true, true);
+    phi_p.integrate(true, true);
+  }
+
+  /// Homogeneous Dirichlet faces; Neumann faces have no boundary integral.
+  bool has_boundary_integral(const unsigned int boundary_id) const
+  {
+    return bc_.type_of(boundary_id) != BoundaryType::neumann;
+  }
+
+  template <typename FaceEval>
+  void boundary_integral(FaceEval &phi_m) const
+  {
+    phi_m.evaluate(true, true);
+    const VA sigma = phi_m.penalty_parameter();
+    for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
+    {
+      const VA u = phi_m.get_value(q);
+      const VA dn = phi_m.get_normal_derivative(q);
+      // mirror ghost: u+ = -u => jump = 2u, {dn} = dn
+      phi_m.submit_value(Number(2) * sigma * u - dn, q);
+      phi_m.submit_normal_derivative(-u, q);
+    }
+    phi_m.integrate(true, true);
   }
 
   /// Assembles the right-hand side for -laplace(u) = f with Dirichlet data
@@ -211,97 +242,17 @@ public:
     }
   }
 
-  /// Matrix-free computation of the operator diagonal (for the point-Jacobi
-  /// preconditioner inside the Chebyshev smoother).
+  /// Operator diagonal (for the point-Jacobi preconditioner inside the
+  /// Chebyshev smoother), probed from the weak form on the loop driver.
   void compute_diagonal(VectorType &diag) const
   {
-    diag.reinit(n_dofs());
-    const unsigned int npc = mf_->dofs_per_cell(space_);
-    diag_buffer_.resize(npc);
-
-    // cell term
-    {
-      FEEvaluation<Number, 1> phi(*mf_, space_, quad_);
-      for (unsigned int b = 0; b < mf_->n_cell_batches(); ++b)
-      {
-        phi.reinit(b);
-        for (unsigned int i = 0; i < npc; ++i)
-        {
-          for (unsigned int j = 0; j < npc; ++j)
-            phi.begin_dof_values()[j] = VA(Number(i == j ? 1 : 0));
-          phi.evaluate(false, true);
-          for (unsigned int q = 0; q < phi.n_q_points; ++q)
-            phi.submit_gradient(phi.get_gradient(q), q);
-          phi.integrate(false, true);
-          diag_buffer_[i] = phi.begin_dof_values()[i];
-        }
-        for (unsigned int j = 0; j < npc; ++j)
-          phi.begin_dof_values()[j] = diag_buffer_[j];
-        phi.distribute_local_to_global(diag);
-      }
-    }
-
-    // face terms: same-side coupling only contributes to the diagonal
-    FEFaceEvaluation<Number, 1> phi(*mf_, space_, quad_, true);
-    FEFaceEvaluation<Number, 1> phi_outer(*mf_, space_, quad_, false);
-    for (unsigned int b = 0; b < mf_->n_face_batches(); ++b)
-    {
-      const bool interior = b < mf_->n_inner_face_batches();
-      unsigned int type = 2; // 2 = skip
-      if (interior)
-        type = 0;
-      else
-      {
-        phi.reinit(b);
-        if (bc_.type_of(phi.boundary_id()) == BoundaryType::dirichlet)
-          type = 1;
-      }
-      if (type == 2)
-        continue;
-
-      for (unsigned int side = 0; side < (interior ? 2u : 1u); ++side)
-      {
-        auto &eval = side == 0 ? phi : phi_outer;
-        eval.reinit(b);
-        const VA sigma = eval.penalty_parameter();
-        for (unsigned int i = 0; i < npc; ++i)
-        {
-          for (unsigned int j = 0; j < npc; ++j)
-            eval.begin_dof_values()[j] = VA(Number(i == j ? 1 : 0));
-          eval.evaluate(true, true);
-          for (unsigned int q = 0; q < eval.n_q_points; ++q)
-          {
-            const VA u = eval.get_value(q);
-            // dn w.r.t. this side's outward normal
-            const VA dn = eval.get_normal_derivative(q);
-            if (interior)
-            {
-              // same-side part of the interior kernel: sigma*u*v
-              // - 0.5 dn u v - 0.5 u dn v
-              eval.submit_value(sigma * u - Number(0.5) * dn, q);
-              eval.submit_normal_derivative(Number(-0.5) * u, q);
-            }
-            else
-            {
-              eval.submit_value(Number(2) * sigma * u - dn, q);
-              eval.submit_normal_derivative(-u, q);
-            }
-          }
-          eval.integrate(true, true);
-          diag_buffer_[i] = eval.begin_dof_values()[i];
-        }
-        for (unsigned int j = 0; j < npc; ++j)
-          eval.begin_dof_values()[j] = diag_buffer_[j];
-        eval.distribute_local_to_global(diag);
-      }
-    }
+    probe_diagonal<1>(*mf_, space_, quad_, *this, diag);
   }
 
 private:
   const MatrixFree<Number> *mf_ = nullptr;
   unsigned int space_ = 0, quad_ = 0;
   BoundaryMap bc_;
-  mutable AlignedVector<VA> diag_buffer_;
 };
 
 } // namespace dgflow

@@ -32,9 +32,6 @@ namespace dgflow
 struct ChebyshevData
 {
   unsigned int degree = 3;
-  double smoothing_range = 20.; ///< lambda_max / lambda_min of the smoothed band
-  double max_eigenvalue_safety = 1.2;
-  unsigned int power_iterations = 20;
   /// distributed failure detection: when set, every smoothing sweep opens
   /// with an agreement boundary so a dead peer is detected before the
   /// sweep's ghost exchanges turn into timeouts on the survivors; nullptr
@@ -101,7 +98,7 @@ public:
     DGFLOW_ASSERT(std::isfinite(lambda_max) && lambda_max > 0,
                   "invalid eigenvalue bound " << lambda_max);
     lambda_max_ = lambda_max;
-    lambda_min_ = lambda_max_ / data_.smoothing_range;
+    lambda_min_ = lambda_max_ / smoothing_range;
     setup_stats_.converged = true;
   }
 
@@ -214,6 +211,11 @@ public:
   }
 
 private:
+  /// lambda_max / lambda_min of the smoothed band
+  static constexpr double smoothing_range = 20.;
+  /// factor on the estimated top eigenvalue of D^{-1} A
+  static constexpr double max_eigenvalue_safety = 1.2;
+
   /// The fused sweep: called only for hooked operators. Each vmult's post
   /// hook performs the full update chain on the completed DoF range; the
   /// chain mutates both the vmult's dst (r_) and src (x), which the
@@ -371,7 +373,8 @@ private:
     double rz = double(r.dot(z));
 
     std::vector<double> alphas, betas;
-    for (unsigned int it = 0; it < data_.power_iterations && rz > 0; ++it)
+    constexpr unsigned int power_iterations = 20;
+    for (unsigned int it = 0; it < power_iterations && rz > 0; ++it)
     {
       op_->vmult(Ap, p);
       const double pAp = double(p.dot(Ap));
@@ -419,8 +422,8 @@ private:
     setup_stats_.converged = true;
     setup_stats_.iterations = static_cast<unsigned int>(alphas.size());
     setup_stats_.final_residual = std::sqrt(std::max(0., rz));
-    lambda_max_ = data_.max_eigenvalue_safety * lambda;
-    lambda_min_ = lambda_max_ / data_.smoothing_range;
+    lambda_max_ = max_eigenvalue_safety * lambda;
+    lambda_min_ = lambda_max_ / smoothing_range;
   }
 
   /// Conservative bounds for a failed estimation: a unit top eigenvalue of
@@ -429,8 +432,8 @@ private:
   void use_fallback_eigenvalues()
   {
     DGFLOW_PROF_COUNT("chebyshev_eigen_fallbacks", 1);
-    lambda_max_ = data_.max_eigenvalue_safety;
-    lambda_min_ = lambda_max_ / data_.smoothing_range;
+    lambda_max_ = max_eigenvalue_safety;
+    lambda_min_ = lambda_max_ / smoothing_range;
   }
 
   const Operator *op_ = nullptr;

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "mesh/generators.h"
+#include "operators/cfe_laplace_operator.h"
 #include "operators/laplace_operator.h"
 #include "operators/mass_operator.h"
 #include "solvers/cg.h"
@@ -120,29 +121,48 @@ TEST_P(LaplaceDegree, OperatorIsPositiveDefinite)
 
 TEST_P(LaplaceDegree, DiagonalMatchesUnitVectorProbing)
 {
-  Mesh mesh(unit_cube());
-  mesh.refine_uniform(1);
-  TrilinearGeometry geom(mesh.coarse());
-  MatrixFree<double> mf;
-  setup_mf(mf, mesh, geom, GetParam());
-  LaplaceOperator<double> laplace;
-  laplace.reinit(mf, 0, 0, all_dirichlet());
+  // every DoF of a trilinear cube, and of a deformed cube with one refined
+  // cell (hanging faces probed from both sides) and Neumann faces beside
+  // Dirichlet ones (skipped boundary integrals)
+  const auto check = [](const Mesh &mesh, const Geometry &geom,
+                        const BoundaryMap &bc) {
+    MatrixFree<double> mf;
+    setup_mf(mf, mesh, geom, GetParam());
+    LaplaceOperator<double> laplace;
+    laplace.reinit(mf, 0, 0, bc);
 
-  Vector<double> diag;
-  laplace.compute_diagonal(diag);
+    Vector<double> diag;
+    laplace.compute_diagonal(diag);
+    ASSERT_EQ(diag.size(), laplace.n_dofs());
 
-  Vector<double> e(laplace.n_dofs()), Ae(laplace.n_dofs());
-  std::mt19937 rng(5);
-  std::uniform_int_distribution<std::size_t> pick(0, laplace.n_dofs() - 1);
-  for (unsigned int rep = 0; rep < 20; ++rep)
-  {
-    const std::size_t i = pick(rng);
+    Vector<double> e(laplace.n_dofs()), Ae(laplace.n_dofs());
     e = 0.;
-    e[i] = 1.;
-    laplace.vmult(Ae, e);
-    ASSERT_NEAR(diag[i], Ae[i], 1e-11 * std::abs(Ae[i]))
-      << "diagonal mismatch at dof " << i;
-  }
+    for (std::size_t i = 0; i < laplace.n_dofs(); ++i)
+    {
+      e[i] = 1.;
+      laplace.vmult(Ae, e);
+      e[i] = 0.;
+      ASSERT_NEAR(diag[i], Ae[i], 1e-11 * std::abs(Ae[i]))
+        << "diagonal mismatch at dof " << i;
+    }
+  };
+
+  Mesh cube(unit_cube());
+  cube.refine_uniform(1);
+  check(cube, TrilinearGeometry(cube.coarse()), all_dirichlet());
+
+  Mesh refined(unit_cube());
+  refined.refine_uniform(1);
+  std::vector<bool> flags(8, false);
+  flags[2] = true;
+  refined.refine(flags);
+  AnalyticGeometry deformed([](index_t, const Point &p) {
+    return Point(p[0] + 0.05 * p[1] * p[2], p[1] - 0.04 * p[0],
+                 p[2] + 0.03 * p[0] * p[1]);
+  });
+  BoundaryMap mixed = all_dirichlet();
+  mixed.set(1, BoundaryType::neumann);
+  check(refined, deformed, mixed);
 }
 
 TEST_P(LaplaceDegree, ConvergesAtOptimalRate)
@@ -249,6 +269,56 @@ TEST(Laplace, MixedDirichletNeumannBoundary)
   const auto result = solve_cg(laplace, x, rhs, jacobi, control);
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(l2_error(mf, 0, 0, x, exact), 0., 1e-9);
+}
+
+TEST(CFELaplace, DiagonalMatchesUnitVectorProbing)
+{
+  // the hanging-node mesh of HybridMultigridTest.WorksWithHangingNodes: a
+  // master DoF's diagonal also collects the couplings of every cell that
+  // holds both a hanging vertex and a vertex it is constrained to
+  Mesh mesh(unit_cube());
+  mesh.refine_uniform(2);
+  std::vector<bool> flags(mesh.n_active_cells(), false);
+  for (index_t i = 0; i < mesh.n_active_cells(); ++i)
+  {
+    const auto lo = mesh.cell_lower_corner(i);
+    if (lo[0] < 0.5 && lo[1] < 0.5 && lo[2] < 0.5)
+      flags[i] = true;
+  }
+  mesh.refine(flags);
+  TrilinearGeometry geom(mesh.coarse());
+  MatrixFree<double> mf;
+  MatrixFree<double>::AdditionalData data;
+  data.degrees = {1};
+  data.basis_types = {BasisType::lagrange_gauss_lobatto};
+  data.n_q_points_1d = {2};
+  mf.reinit(mesh, geom, data);
+  CFEDofHandler dofs;
+  dofs.reinit(mesh);
+  ASSERT_GT(dofs.n_constraints(), 0u);
+
+  for (const bool with_dirichlet : {false, true})
+  {
+    const CFESpace space = make_q1_space(
+      dofs, [&](const unsigned int id) { return with_dirichlet && id == 0; });
+    CFELaplaceOperator<double> op;
+    op.reinit(mf, 0, 0, space);
+    Vector<double> diag;
+    op.compute_diagonal(diag);
+    ASSERT_EQ(diag.size(), op.n_dofs());
+
+    Vector<double> e(op.n_dofs()), Ae;
+    e = 0.;
+    for (std::size_t i = 0; i < op.n_dofs(); ++i)
+    {
+      e[i] = 1.;
+      op.vmult(Ae, e);
+      e[i] = 0.;
+      ASSERT_NEAR(diag[i], Ae[i], 1e-12 * std::abs(Ae[i]))
+        << "dof " << i << (with_dirichlet ? " with" : " without")
+        << " a Dirichlet id";
+    }
+  }
 }
 
 TEST(MassOperatorTest, InverseRoundtrip)

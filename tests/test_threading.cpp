@@ -212,12 +212,14 @@ namespace
 struct ThreadedRun
 {
   Vector<double> vmult_dst;
+  Vector<double> diag;
   Vector<double> cg_x;
   Vector<double> cheb_x;
 };
 
 /// Builds the operator with an nt-chunk thread partition on an nt-wide pool
-/// and runs vmult, a fused Jacobi-CG solve and a fused Chebyshev sweep.
+/// and runs vmult, the diagonal probe, a fused Jacobi-CG solve and a fused
+/// Chebyshev sweep.
 ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
                          const unsigned int nt)
 {
@@ -237,10 +239,9 @@ ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
     src[i] = std::sin(0.37 * double(i)) + 0.1;
   laplace.vmult(run.vmult_dst, src);
 
-  Vector<double> diag;
-  laplace.compute_diagonal(diag);
+  laplace.compute_diagonal(run.diag);
   PreconditionJacobi<double> jacobi;
-  jacobi.reinit(diag);
+  jacobi.reinit(run.diag);
   SolverControl control;
   control.rel_tol = 1e-10;
   control.max_iterations = 200;
@@ -251,7 +252,7 @@ ThreadedRun run_threaded(const Mesh &mesh, const unsigned int degree,
   ChebyshevSmoother<LaplaceOperator<double>, Vector<double>> smoother;
   ChebyshevData cdata;
   cdata.degree = 4;
-  smoother.reinit(laplace, diag, cdata);
+  smoother.reinit(laplace, run.diag, cdata);
   run.cheb_x.reinit(laplace.n_dofs());
   smoother.smooth(run.cheb_x, src, /*zero_initial_guess=*/true);
   smoother.smooth(run.cheb_x, src, /*zero_initial_guess=*/false);
@@ -270,6 +271,8 @@ TEST(ThreadDeterminismTest, VmultFusedCGAndChebyshevAreBitwiseIdentical)
     const ThreadedRun run = run_threaded(mesh, degree, nt);
     EXPECT_TRUE(bitwise_equal(run.vmult_dst, ref.vmult_dst))
       << "vmult differs at " << nt << " threads";
+    EXPECT_TRUE(bitwise_equal(run.diag, ref.diag))
+      << "diagonal differs at " << nt << " threads";
     EXPECT_TRUE(bitwise_equal(run.cg_x, ref.cg_x))
       << "fused CG differs at " << nt << " threads";
     EXPECT_TRUE(bitwise_equal(run.cheb_x, ref.cheb_x))
