@@ -1,13 +1,11 @@
 // Ablation of the end-to-end mixed-precision solver stack (paper Section
 // 3.4): the outer CG stays double while the preconditioner drops precision
 // in stages -
-//   dp:               double V-cycle, double AMG coarse solve
-//   sp_levels:        float V-cycle, double AMG (the paper's configuration)
-//   sp_levels_sp_amg: float V-cycle AND float AMG coarse solve (the dense
-//                     coarsest LU stays double)
+//   dp:        double V-cycle, double AMG coarse solve
+//   sp_levels: float V-cycle, double AMG (the paper's configuration)
 // and, on the distributed cube case,
-//   sp_ghost:         double storage with single-precision ghost-exchange
-//                     payloads (checksummed float wire format)
+//   sp_ghost:  double storage with single-precision ghost-exchange payloads
+//              (checksummed float wire format)
 // Iteration counts must not degrade (the paper cites [44]) while each stage
 // removes memory traffic. Run on the unit cube and on the lung geometry
 // (the acceptance case: SP-preconditioned DP CG within +-1 iteration of
@@ -58,7 +56,7 @@ struct Case
 };
 
 template <typename LevelNumber>
-Result run_mg_config(const Case &c, const char *config, const bool sp_amg)
+Result run_mg_config(const Case &c, const char *config)
 {
   MatrixFree<double> mf;
   MatrixFree<double>::AdditionalData data;
@@ -74,7 +72,6 @@ Result run_mg_config(const Case &c, const char *config, const bool sp_amg)
   typename HybridMultigrid<LevelNumber>::Options opts;
   opts.geometry_degree = 1;
   opts.penalty_safety = c.penalty_safety;
-  opts.sp_amg = sp_amg;
   mg.setup(*c.mesh, *c.geom, c.degree, *c.bc, opts);
 
   Vector<double> rhs, x(laplace.n_dofs());
@@ -213,10 +210,10 @@ int main(int argc, char **argv)
   const bool smoke = (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) ||
                      std::getenv("DGFLOW_BENCH_SMOKE") != nullptr;
 
-  print_header("Ablation: mixed-precision multigrid, AMG and ghost wire",
+  print_header("Ablation: mixed-precision multigrid and ghost wire",
                "paper Section 3.4: dropping the V-cycle (and here also the "
-               "AMG coarse solve and the ghost payloads) to single "
-               "precision must not affect CG convergence");
+               "ghost payloads) to single precision must not affect CG "
+               "convergence");
 
   std::vector<Result> results;
 
@@ -247,10 +244,9 @@ int main(int argc, char **argv)
   {
     Table table({"preconditioner precision", "CG its", "solve [s]",
                  "DoF/s per iteration"});
-    results.push_back(run_mg_config<double>(c, "dp", false));
-    results.push_back(run_mg_config<float>(c, "sp_levels", false));
-    results.push_back(run_mg_config<float>(c, "sp_levels_sp_amg", true));
-    for (std::size_t i = results.size() - 3; i < results.size(); ++i)
+    results.push_back(run_mg_config<double>(c, "dp"));
+    results.push_back(run_mg_config<float>(c, "sp_levels"));
+    for (std::size_t i = results.size() - 2; i < results.size(); ++i)
     {
       const Result &r = results[i];
       table.add_row(r.config.c_str(), r.iterations,
@@ -283,10 +279,9 @@ int main(int argc, char **argv)
   }
 
   std::printf("\nexpected: iteration counts within +-1 across all "
-              "configurations; sp_levels_sp_amg removes the double "
-              "round-trip at the AMG boundary; the single ghost wire "
-              "roughly halves the exchange bytes (plus an 8-byte checksum "
-              "trailer per message).\n");
+              "configurations; the single ghost wire roughly halves the "
+              "exchange bytes (plus an 8-byte checksum trailer per "
+              "message).\n");
 
   if (const char *path = std::getenv("DGFLOW_BENCH_JSON"))
     write_json(path, results, smoke);

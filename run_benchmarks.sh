@@ -26,12 +26,17 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # checkpoint writer hands encoded images to a background service thread
   # while the solver keeps mutating its state, and the back-pressure /
   # drain handshake is exactly the kind of protocol TSan breaks open.
-  echo "verify pass: distributed_resilience|io_resilience|threading under DGFLOW_SANITIZE=thread"
+  # The distributed suites ride along (label distributed): the
+  # distributed instantiation of the multigrid's one DG-level recursion
+  # runs on the vmpi rank threads beside the worker pool, so a race
+  # between them must fail here.
+  echo "verify pass: distributed_resilience|io_resilience|threading|distributed under DGFLOW_SANITIZE=thread"
   cmake -B build-tsan -S . -DDGFLOW_SANITIZE=thread > /dev/null
   cmake --build build-tsan -j \
     --target test_distributed_resilience test_ckpt_io test_threading \
-    recovery_microbench threads_microbench > /dev/null
-  (cd build-tsan && ctest -L "distributed_resilience|io_resilience|threading" --output-on-failure)
+    recovery_microbench threads_microbench test_distributed_solve \
+    test_vmpi_distributed distributed_microbench > /dev/null
+  (cd build-tsan && ctest -L "distributed_resilience|io_resilience|threading|distributed" --output-on-failure)
 
   # Second verify pass: the fused-kernel equivalence, mixed-precision and
   # ABFT tests under AddressSanitizer — the fused hooks write through raw
@@ -50,15 +55,18 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # length, so an over-read fails here. So do the operator suites (label
   # operators): the diagonal probe writes unit vectors into evaluator
   # buffers and copies the scalar Helmholtz diagonal into three component
-  # blocks per cell, so an index slip there must fail here.
-  echo "verify pass: mixed_precision|abft|perf|threading|common|operators under DGFLOW_SANITIZE=address"
+  # blocks per cell, so an index slip there must fail here. So do the
+  # multigrid suites (label multigrid): the transfers index raw cell and
+  # row ranges into the level vectors, so a range that overruns a level
+  # must fail here.
+  echo "verify pass: mixed_precision|abft|perf|threading|common|operators|multigrid under DGFLOW_SANITIZE=address"
   cmake -B build-asan -S . -DDGFLOW_SANITIZE=address > /dev/null
   cmake --build build-asan -j \
     --target test_mixed_precision test_abft abft_microbench \
     kernels_microbench ablation_precision threads_microbench \
     test_threading test_checksum test_aligned_vector test_laplace \
-    test_incns_operators > /dev/null
-  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading|common|operators" --output-on-failure)
+    test_incns_operators test_multigrid test_transfer > /dev/null
+  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading|common|operators|multigrid" --output-on-failure)
 
   # Third verify pass: the resilience and ABFT suites under UBSan — the
   # bit-flip injection and checksum paths reinterpret raw bytes and shift

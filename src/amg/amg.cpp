@@ -74,7 +74,6 @@ void AMG::setup(SparseMatrix A, const Options &options)
   constexpr unsigned int max_levels = 20;
   constexpr double prolongator_omega_factor = 4. / 3.; // omega * lambda_max
   levels_.clear();
-  sp_levels_.clear();
 
   levels_.push_back(Level{std::move(A), {}, {}, {}, {}, {}});
 
@@ -242,77 +241,6 @@ void AMG::vcycle_level(const unsigned int l, Vector<double> &x,
 void AMG::vcycle(Vector<double> &x, const Vector<double> &b) const
 {
   vcycle_level(0, x, b);
-}
-
-void AMG::enable_single_precision()
-{
-  DGFLOW_ASSERT(!levels_.empty(), "setup() has not run");
-  const auto convert = [](const SparseMatrix &m) {
-    std::vector<float> v(m.n_nonzeros());
-    for (std::size_t k = 0; k < v.size(); ++k)
-      v[k] = float(m.values()[k]);
-    return v;
-  };
-  sp_levels_.clear();
-  sp_levels_.resize(levels_.size());
-  for (std::size_t l = 0; l < levels_.size(); ++l)
-  {
-    const Level &level = levels_[l];
-    LevelSP &sp = sp_levels_[l];
-    sp.A_vals = convert(level.A);
-    sp.P_vals = convert(level.P);
-    sp.R_vals = convert(level.R);
-    sp.x.reinit(level.A.n_rows());
-    sp.b.reinit(level.A.n_rows());
-    sp.r.reinit(level.A.n_rows());
-  }
-}
-
-void AMG::vcycle_level_sp(const unsigned int l, Vector<float> &x,
-                          const Vector<float> &b) const
-{
-  const Level &level = levels_[l];
-  const LevelSP &sp = sp_levels_[l];
-  if (l == levels_.size() - 1)
-  {
-    // the dense LU factorization stays double: convert at its boundary
-    level.b.reinit(b.size(), true);
-    level.x.reinit(b.size(), true);
-    for (std::size_t i = 0; i < b.size(); ++i)
-      level.b[i] = double(b[i]);
-    solve_coarsest(level.x, level.b);
-    for (std::size_t i = 0; i < b.size(); ++i)
-      x[i] = float(level.x[i]);
-    return;
-  }
-
-  level.A.gauss_seidel_forward_with(sp.A_vals.data(), x, b);
-
-  level.A.vmult_with(sp.A_vals.data(), sp.r, x);
-  sp.r.sadd(-1.f, 1.f, b);
-  const Level &coarse = levels_[l + 1];
-  const LevelSP &csp = sp_levels_[l + 1];
-  coarse.R.vmult_with(csp.R_vals.data(), csp.b, sp.r);
-  csp.x = 0.f;
-  vcycle_level_sp(l + 1, csp.x, csp.b);
-  coarse.P.vmult_with(csp.P_vals.data(), sp.r, csp.x);
-  x.add(1.f, sp.r);
-
-  level.A.gauss_seidel_backward_with(sp.A_vals.data(), x, b);
-}
-
-void AMG::vcycle(Vector<float> &x, const Vector<float> &b) const
-{
-  DGFLOW_ASSERT(single_precision(), "enable_single_precision() has not run");
-  vcycle_level_sp(0, x, b);
-}
-
-void AMG::vmult(Vector<float> &dst, const Vector<float> &src) const
-{
-  DGFLOW_ASSERT(single_precision(), "enable_single_precision() has not run");
-  dst.reinit(src.size(), true);
-  dst = 0.f;
-  vcycle_level_sp(0, dst, src);
 }
 
 void AMG::vmult(Vector<double> &dst, const Vector<double> &src) const

@@ -24,24 +24,12 @@ public:
   void setup(SparseMatrix A, const Options &options);
   void setup(SparseMatrix A) { setup(std::move(A), Options()); }
 
-  /// Builds single-precision value mirrors of every level (A, P, R share
-  /// the double CSR sparsity; only the values are duplicated as float) plus
-  /// float work vectors, enabling the float vcycle/vmult overloads. The
-  /// coarsest-level dense LU stays double — the solve converts at that
-  /// boundary. Call after setup(); the double path is unaffected.
-  void enable_single_precision();
-  bool single_precision() const { return !sp_levels_.empty(); }
-
   /// Applies one V-cycle (single symmetric Gauss-Seidel sweep per level)
   /// with zero initial guess: the preconditioner interface.
   void vmult(Vector<double> &dst, const Vector<double> &src) const;
 
   /// One V-cycle improving the passed iterate.
   void vcycle(Vector<double> &x, const Vector<double> &b) const;
-
-  /// Single-precision overloads; require enable_single_precision().
-  void vmult(Vector<float> &dst, const Vector<float> &src) const;
-  void vcycle(Vector<float> &x, const Vector<float> &b) const;
 
   /// Stationary solve by repeated V-cycles (coarse problems only).
   unsigned int solve(Vector<double> &x, const Vector<double> &b,
@@ -54,10 +42,9 @@ public:
   }
 
   /// ABFT support: appends {pointer, bytes} pairs covering every setup-time
-  /// value array of the hierarchy — the A/P/R values of each double level,
-  /// the float mirrors when single precision is enabled, and the coarse
-  /// dense LU factors — so the resilience layer can checksum and scrub
-  /// them. The work vectors (x, b, r) are transient and excluded.
+  /// value array of the hierarchy — the A/P/R values of each level and the
+  /// coarse dense LU factors — so the resilience layer can checksum and
+  /// scrub them. The work vectors (x, b, r) are transient and excluded.
   void collect_value_regions(
       std::vector<std::pair<const void *, std::size_t>> &regions) const
   {
@@ -69,15 +56,6 @@ public:
                            level.P.n_nonzeros() * sizeof(double));
       regions.emplace_back(level.R.values(),
                            level.R.n_nonzeros() * sizeof(double));
-    }
-    for (const LevelSP &level : sp_levels_)
-    {
-      regions.emplace_back(level.A_vals.data(),
-                           level.A_vals.size() * sizeof(float));
-      regions.emplace_back(level.P_vals.data(),
-                           level.P_vals.size() * sizeof(float));
-      regions.emplace_back(level.R_vals.data(),
-                           level.R_vals.size() * sizeof(float));
     }
     regions.emplace_back(lu_.data(), lu_.size() * sizeof(double));
   }
@@ -99,17 +77,8 @@ private:
     mutable Vector<double> x, b, r;
   };
 
-  /// Single-precision value mirror of a Level (same CSR sparsity).
-  struct LevelSP
-  {
-    std::vector<float> A_vals, P_vals, R_vals;
-    mutable Vector<float> x, b, r;
-  };
-
   void vcycle_level(const unsigned int l, Vector<double> &x,
                     const Vector<double> &b) const;
-  void vcycle_level_sp(const unsigned int l, Vector<float> &x,
-                       const Vector<float> &b) const;
 
   /// Greedy aggregation on the strength graph; returns the aggregate id of
   /// each node and the number of aggregates.
@@ -117,7 +86,6 @@ private:
                                std::vector<std::size_t> &agg_of_node);
 
   std::vector<Level> levels_;
-  std::vector<LevelSP> sp_levels_;
 
   // dense LU factorization of the coarsest matrix (with partial pivoting)
   std::vector<double> lu_;

@@ -46,68 +46,6 @@ public:
   /// One backward sweep.
   void gauss_seidel_backward(Vector<double> &x, const Vector<double> &b) const;
 
-  // The *_with kernels run over this matrix's sparsity pattern with an
-  // externally supplied value array of the same layout — the
-  // single-precision value mirrors of the AMG levels reuse the double CSR
-  // structure without duplicating row_ptr/col_idx.
-
-  /// SpMV dst = A(vals) * src.
-  template <typename Number>
-  void vmult_with(const Number *vals, Vector<Number> &dst,
-                  const Vector<Number> &src) const
-  {
-    const std::size_t nr = n_rows();
-    dst.reinit(nr, true);
-    for (std::size_t r = 0; r < nr; ++r)
-    {
-      Number sum = Number(0);
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-        sum += vals[k] * src[col_idx_[k]];
-      dst[r] = sum;
-    }
-  }
-
-  /// One forward Gauss-Seidel sweep on A(vals) x = b.
-  template <typename Number>
-  void gauss_seidel_forward_with(const Number *vals, Vector<Number> &x,
-                                 const Vector<Number> &b) const
-  {
-    for (std::size_t r = 0; r < n_rows(); ++r)
-    {
-      Number sum = b[r], diag = Number(1);
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      {
-        const std::size_t c = col_idx_[k];
-        if (c == r)
-          diag = vals[k];
-        else
-          sum -= vals[k] * x[c];
-      }
-      x[r] = sum / diag;
-    }
-  }
-
-  /// One backward sweep on A(vals) x = b.
-  template <typename Number>
-  void gauss_seidel_backward_with(const Number *vals, Vector<Number> &x,
-                                  const Vector<Number> &b) const
-  {
-    for (std::size_t rr = n_rows(); rr > 0; --rr)
-    {
-      const std::size_t r = rr - 1;
-      Number sum = b[r], diag = Number(1);
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      {
-        const std::size_t c = col_idx_[k];
-        if (c == r)
-          diag = vals[k];
-        else
-          sum -= vals[k] * x[c];
-      }
-      x[r] = sum / diag;
-    }
-  }
-
   /// Row access for setup algorithms.
   const std::size_t *row_ptr() const { return row_ptr_.data(); }
   const std::size_t *col_idx() const { return col_idx_.data(); }

@@ -11,8 +11,18 @@
 // improve the throughput of multigrid preconditioning"); the algebraic
 // coarse solve runs in double, matching the paper's BoomerAMG setup with two
 // V-cycles of one symmetric Gauss-Seidel sweep each.
+//
+// One V-cycle serves the serial and the distributed preconditioner. Every
+// level keeps its concrete operator, smoother and transfer types. The DG
+// levels recurse over the level vector type: a serial Vector runs all cells
+// and all rows of the c-transfer; a vmpi::DistributedVector runs this
+// rank's cells and rows and sums the restricted Q1 right-hand side over the
+// ranks. Both then enter the one serial recursion over the Q1 levels and
+// the AMG, replicated on every rank.
 
-#include <memory>
+#include <concepts>
+#include <optional>
+#include <type_traits>
 
 #include "common/timer.h"
 #include "instrumentation/profiler.h"
@@ -33,50 +43,9 @@ public:
   using LVec = Vector<LevelNumber>;
   using DVec = vmpi::DistributedVector<LevelNumber>;
 
-  /// Range-hook signature of the type-erased hooked application.
-  using RangeFn = std::function<void(std::size_t, std::size_t)>;
-
-  /// Type-erased level operator handed to the Chebyshev smoother, over the
-  /// serial (LVec) or the distributed (DVec) level vectors. When the
-  /// underlying operator supports the contract-v2 hooked cell loop,
-  /// apply_hooked forwards the solver hooks into it (the DG levels); when
-  /// empty, the hooked vmult degrades to a whole-range pre before / post
-  /// after the plain application, which keeps the fused smoother correct
-  /// (merely unfused) on CFE/AMG-backed levels.
-  template <typename V>
-  struct AnyOperator
-  {
-    std::function<void(V &, const V &)> apply;
-    std::function<void(V &, const V &, const RangeFn &, const RangeFn &)>
-      apply_hooked;
-
-    void vmult(V &dst, const V &src) const { apply(dst, src); }
-
-    template <typename PreFn, typename PostFn>
-    void vmult(V &dst, const V &src, PreFn &&pre, PostFn &&post) const
-    {
-      if (apply_hooked)
-      {
-        apply_hooked(dst, src, RangeFn(std::forward<PreFn>(pre)),
-                     RangeFn(std::forward<PostFn>(post)));
-        return;
-      }
-      if constexpr (!internal::is_no_hook_v<PreFn>)
-        pre(0, src.size());
-      apply(dst, src);
-      if constexpr (!internal::is_no_hook_v<PostFn>)
-        post(0, dst.size());
-    }
-  };
-
   struct Options
   {
     bool h_coarsening = true; ///< build globally coarsened Q1 levels
-    /// run the AMG coarse solve in single precision (float value mirrors of
-    /// every AMG level, coarsest dense LU still double): with float level
-    /// vectors this removes the double round-trip at the AMG boundary. Off
-    /// by default — the paper's configuration keeps the coarse solve double.
-    bool sp_amg = false;
     ChebyshevData smoother;
     AMG::Options amg;
     unsigned int geometry_degree = 2;
@@ -108,18 +77,18 @@ public:
     bc_ = bc;
 
     // polynomial chain k, k/2, ..., 1 (bisection)
-    dg_degrees_ = {degree};
-    while (dg_degrees_.back() > 1)
-      dg_degrees_.push_back(std::max(1u, dg_degrees_.back() / 2));
+    std::vector<unsigned int> degrees = {degree};
+    while (degrees.back() > 1)
+      degrees.push_back(std::max(1u, degrees.back() / 2));
+    const unsigned int n_dg = degrees.size();
 
     // one MatrixFree on the finest mesh carrying all DG spaces + Q1(GL)
     typename MatrixFree<LevelNumber>::AdditionalData mf_data;
     std::vector<unsigned int> quads;
     std::vector<unsigned int> quad_of_space;
-    for (const unsigned int k : dg_degrees_)
-    {
+    const auto add_space = [&](const unsigned int k, const BasisType basis) {
       mf_data.degrees.push_back(k);
-      mf_data.basis_types.push_back(BasisType::lagrange_gauss);
+      mf_data.basis_types.push_back(basis);
       unsigned int qi = 0;
       for (; qi < quads.size(); ++qi)
         if (quads[qi] == k + 1)
@@ -127,19 +96,10 @@ public:
       if (qi == quads.size())
         quads.push_back(k + 1);
       quad_of_space.push_back(qi);
-    }
-    // the Q1 auxiliary space
-    mf_data.degrees.push_back(1);
-    mf_data.basis_types.push_back(BasisType::lagrange_gauss_lobatto);
-    {
-      unsigned int qi = 0;
-      for (; qi < quads.size(); ++qi)
-        if (quads[qi] == 2)
-          break;
-      if (qi == quads.size())
-        quads.push_back(2);
-      quad_of_space.push_back(qi);
-    }
+    };
+    for (const unsigned int k : degrees)
+      add_space(k, BasisType::lagrange_gauss);
+    add_space(1, BasisType::lagrange_gauss_lobatto); // the Q1 space
     mf_data.n_q_points_1d = quads;
     mf_data.geometry_degree = options.geometry_degree;
     mf_data.penalty_safety = options.penalty_safety;
@@ -148,8 +108,8 @@ public:
     // coarser DG levels inherit the finest degree's penalty scale
     // (k_top+1)^2 instead of their own (k+1)^2: the level operators then
     // match the Galerkin-restricted fine operator on jump modes
-    const double top = double(dg_degrees_.front() + 1);
-    for (const unsigned int k : dg_degrees_)
+    const double top = double(degrees.front() + 1);
+    for (const unsigned int k : degrees)
       mf_data.penalty_scaling.push_back((top * top) /
                                         double((k + 1) * (k + 1)));
     mf_data.penalty_scaling.push_back(1.); // Q1 space (no face terms)
@@ -159,24 +119,13 @@ public:
       return bc_.type_of(id) == BoundaryType::dirichlet;
     };
 
-    // DG level operators
-    dg_ops_.clear();
-    dg_ops_.resize(dg_degrees_.size());
-    for (unsigned int s = 0; s < dg_degrees_.size(); ++s)
-      dg_ops_[s].reinit(mf_fine_, s, quad_of_space[s], bc_);
-
-    // Q1 space on the finest mesh
+    // Q1 space on the finest mesh, then on the globally coarsened meshes
     cfe_dofs_fine_.reinit(mesh);
     cfe_fine_ = make_q1_space(cfe_dofs_fine_, is_dirichlet);
-    cfe_op_fine_.reinit(mf_fine_, dg_degrees_.size(),
-                        quad_of_space[dg_degrees_.size()], cfe_fine_);
-
-    // globally coarsened Q1 levels
     coarse_meshes_.clear();
     coarse_mfs_.clear();
     coarse_dofs_.clear();
     coarse_spaces_.clear();
-    coarse_ops_.clear();
     if (options.h_coarsening)
     {
       const Mesh *current = &mesh;
@@ -197,71 +146,97 @@ public:
       coarse_mfs_.resize(coarse_meshes_.size());
       coarse_dofs_.resize(coarse_meshes_.size());
       coarse_spaces_.resize(coarse_meshes_.size());
-      coarse_ops_.resize(coarse_meshes_.size());
       for (std::size_t i = 0; i < coarse_meshes_.size(); ++i)
       {
         coarse_mfs_[i].reinit(coarse_meshes_[i], geometry, cdata);
         coarse_dofs_[i].reinit(coarse_meshes_[i]);
         coarse_spaces_[i] = make_q1_space(coarse_dofs_[i], is_dirichlet);
-        coarse_ops_[i].reinit(coarse_mfs_[i], 0, 0, coarse_spaces_[i]);
       }
     }
 
-    build_levels();
+    // Q1 levels from the coarsest mesh (level 0, solved by the AMG) up to
+    // the fine mesh at level n_coarse; coarse mesh i is level n_coarse-1-i
+    const std::size_t n_coarse = coarse_meshes_.size();
+    const auto mesh_of = [&](const std::size_t l) -> const Mesh & {
+      return l == n_coarse ? mesh : coarse_meshes_[n_coarse - 1 - l];
+    };
+    const auto space_of = [&](const std::size_t l) -> const CFESpace & {
+      return l == n_coarse ? cfe_fine_ : coarse_spaces_[n_coarse - 1 - l];
+    };
+    q1_levels_.clear();
+    q1_levels_.resize(n_coarse + 1);
+    for (std::size_t l = 0; l <= n_coarse; ++l)
+    {
+      Q1Level &level = q1_levels_[l];
+      if (l == n_coarse)
+        level.op.reinit(mf_fine_, n_dg, quad_of_space[n_dg], cfe_fine_);
+      else
+        level.op.reinit(coarse_mfs_[n_coarse - 1 - l], 0, 0, space_of(l));
+      const std::size_t n = level.op.n_dofs();
+      level.x.reinit(n);
+      level.b.reinit(n);
+      if (l == 0)
+        continue;
+      level.r.reinit(n);
+      level.to_coarser = SparseTransfer<LevelNumber>(build_h_transfer(
+        mesh_of(l), space_of(l), mesh_of(l - 1), space_of(l - 1)));
+      LVec diag;
+      level.op.compute_diagonal(diag);
+      level.smoother.reinit(level.op, diag, options_.smoother);
+    }
+    amg_.setup(q1_levels_.front().op.assemble_matrix(), options_.amg);
+
+    // DG levels from DG(1) up to DG(k) on the shared MatrixFree, where DG
+    // level i is space n_dg - 1 - i; DG(1) reaches the Q1 space through the
+    // c-transfer
+    c_transfer_ =
+      SparseTransfer<LevelNumber>(build_c_transfer(mesh, cfe_fine_));
+    dg_levels_.clear();
+    dg_levels_.resize(n_dg);
+    for (unsigned int i = 0; i < n_dg; ++i)
+    {
+      DGLevel &level = dg_levels_[i];
+      const unsigned int s = n_dg - 1 - i;
+      level.op.reinit(mf_fine_, s, quad_of_space[s], bc_);
+      if (i > 0)
+        level.to_coarser.emplace(mf_fine_, s, s + 1);
+      const std::size_t n = level.op.n_dofs();
+      level.serial.x.reinit(n);
+      level.serial.b.reinit(n);
+      level.serial.r.reinit(n);
+      LVec diag;
+      level.op.compute_diagonal(diag);
+      level.serial.smoother.reinit(level.op, diag, options_.smoother);
+    }
+
+    level_names_.clear();
+    for (unsigned int l = 0; l < n_levels(); ++l)
+      level_names_.push_back("level" + std::to_string(l));
+    reset_level_timers();
   }
 
-  unsigned int n_levels() const { return levels_.size(); }
+  unsigned int n_levels() const
+  {
+    return static_cast<unsigned int>(q1_levels_.size() + dg_levels_.size());
+  }
 
   std::size_t level_dofs(const unsigned int l) const
   {
-    return levels_[l].n_dofs;
+    return l < q1_levels_.size() ? q1_levels_[l].op.n_dofs()
+                                 : dg_level(l).op.n_dofs();
   }
 
-  /// Preconditioner interface for the double-precision outer CG: one
-  /// V-cycle in the level precision.
-  void vmult(Vector<double> &dst, const Vector<double> &src) const
-  {
-    DGFLOW_PROF_SCOPE("mg_vcycle");
-    DGFLOW_PROF_COUNT("mg_vcycles", 1);
-    src_f_.copy_and_convert(src);
-    Level &top = levels_.back();
-    top.x.reinit(src.size(), true);
-    vcycle(levels_.size() - 1, top.x, src_f_);
-    if (options_.abft_guard && !abft_result_ok(top.x))
-    {
-      ++abft_vcycle_repairs_;
-      DGFLOW_PROF_COUNT("abft_sdc_detected", 1);
-      DGFLOW_PROF_COUNT("abft_vcycle_repairs", 1);
-      // the cycle is deterministic: one re-run heals a transient flip in
-      // cycle scratch; a persistent corruption falls back to the identity
-      // step (still SPD for the outer CG, whose replay guard takes over)
-      top.x.reinit(src.size(), true);
-      vcycle(levels_.size() - 1, top.x, src_f_);
-      if (!abft_result_ok(top.x))
-        top.x.equ(LevelNumber(1), src_f_);
-    }
-    dst.copy_and_convert(top.x);
-  }
-
-  /// Runs one V-cycle in the level precision (for nesting / diagnostics).
-  void vcycle_level_precision(LVec &x, const LVec &b) const
-  {
-    DGFLOW_PROF_SCOPE("mg_vcycle");
-    DGFLOW_PROF_COUNT("mg_vcycles", 1);
-    vcycle(levels_.size() - 1, x, b);
-  }
-
-  /// Builds the distributed DG-level scratch, operators and smoothers on top
-  /// of an existing setup() that was given Options::rank_of_cell/n_ranks.
-  /// Every rank constructs the same (replicated) hierarchy; the Chebyshev
-  /// bounds are adopted from the serial smoothers so serial and distributed
-  /// V-cycles apply the identical polynomial on every level.
   /// Distributed failure detection: the hook is consulted at every
   /// distributed V-cycle boundary and handed down to the distributed level
   /// smoothers. Call before setup_distributed() (the smoothers copy their
   /// configuration at reinit); nullptr detaches.
   void set_recovery(RecoveryHooks *recovery) { recovery_ = recovery; }
 
+  /// Builds the distributed DG-level vectors and smoothers on top of an
+  /// existing setup() that was given Options::rank_of_cell/n_ranks. Every
+  /// rank constructs the same (replicated) hierarchy; the Chebyshev bounds
+  /// are adopted from the serial smoothers so serial and distributed
+  /// V-cycles apply the identical polynomial on every level.
   void setup_distributed(vmpi::Communicator &comm,
                          const vmpi::Partitioner &part)
   {
@@ -270,70 +245,77 @@ public:
                   "partitioner must index the fine-mesh cells");
     DGFLOW_ASSERT(part.n_ranks() == mf_fine_.n_ranks(),
                   "partitioner/matrix-free rank count mismatch");
-    comm_ = &comm;
     part_ = &part;
-    q1_level_ = static_cast<unsigned int>(coarse_ops_.size());
-    std::vector<DistLevel> fresh(levels_.size());
-    dist_levels_.swap(fresh);
-    ChebyshevData dist_smoother = options_.smoother;
-    dist_smoother.recovery = recovery_;
-    for (unsigned int lev = q1_level_ + 1; lev < levels_.size(); ++lev)
+    ChebyshevData data = options_.smoother;
+    data.recovery = recovery_;
+    for (DGLevel &level : dg_levels_)
     {
-      const unsigned int s = static_cast<unsigned int>(
-        dg_degrees_.size() - 1 - (lev - q1_level_ - 1));
-      const LaplaceOperator<LevelNumber> *op = &dg_ops_[s];
-      DistLevel &dl = dist_levels_[lev];
-      dl.op.apply = [op](DVec &d, const DVec &v) { op->vmult(d, v); };
-      dl.op.apply_hooked = [op](DVec &d, const DVec &v, const RangeFn &pre,
-                                const RangeFn &post) {
-        op->vmult(d, v, pre, post);
-      };
-      const unsigned int block = mf_fine_.dofs_per_cell(s);
-      dl.x.reinit(part, comm, block);
-      dl.b.reinit(part, comm, block);
-      dl.r.reinit(part, comm, block);
-      DVec ddiag;
-      ddiag.reinit(part, comm, block);
-      ddiag.copy_owned_from(compute_level_diagonal(lev));
-      dl.smoother.reinit_with_bounds(dl.op, ddiag,
-                                     levels_[lev].smoother.max_eigenvalue(),
-                                     dist_smoother);
+      DGSmoothing<DVec> &s = level.distributed;
+      const unsigned int block = mf_fine_.dofs_per_cell(level.op.space());
+      s.x.reinit(part, comm, block);
+      s.b.reinit(part, comm, block);
+      s.r.reinit(part, comm, block);
+      LVec diag;
+      level.op.compute_diagonal(diag);
+      DVec ddiag(part, comm, block);
+      ddiag.copy_owned_from(diag);
+      s.smoother.reinit_with_bounds(level.op, ddiag,
+                                    level.serial.smoother.max_eigenvalue(),
+                                    data);
     }
   }
 
-  /// Distributed preconditioner interface: one V-cycle where the DG levels
-  /// traverse only this rank's cells (with overlapped ghost exchange inside
-  /// the operators) and the Q1/AMG sub-hierarchy is solved replicated on
-  /// every rank after a sum-allreduce of the restricted residual. Requires
-  /// setup_distributed().
-  void vmult(vmpi::DistributedVector<double> &dst,
-             const vmpi::DistributedVector<double> &src) const
+  /// Preconditioner interface for the double-precision outer CG: one
+  /// V-cycle in the level precision. Over a DistributedVector (requires
+  /// setup_distributed()) the DG levels traverse only this rank's cells,
+  /// with the ghost exchange overlapped inside the operators, and the
+  /// Q1/AMG levels run replicated on every rank after a sum-allreduce of
+  /// the restricted residual.
+  template <typename V>
+    requires std::same_as<V, Vector<double>> ||
+             std::same_as<V, vmpi::DistributedVector<double>>
+  void vmult(V &dst, const V &src) const
   {
+    constexpr bool distributed = is_distributed_vector_v<V>;
+    using LV = std::conditional_t<distributed, DVec, LVec>;
     DGFLOW_PROF_SCOPE("mg_vcycle");
     DGFLOW_PROF_COUNT("mg_vcycles", 1);
-    DGFLOW_ASSERT(part_ != nullptr, "setup_distributed() has not run");
-    // V-cycle boundary: agree on liveness before the cycle's first ghost
-    // exchange so a dead peer unwinds every rank here, not via timeout
-    if (recovery_)
-      recovery_->at_iteration_boundary(true);
-    dist_src_f_.copy_and_convert(src);
-    DistLevel &top = dist_levels_.back();
-    top.x.reinit_like(dist_src_f_, true);
-    vcycle_dist(static_cast<unsigned int>(levels_.size() - 1), top.x,
-                dist_src_f_);
-    if (options_.abft_guard && !abft_result_ok(top.x))
+    if constexpr (distributed)
+    {
+      DGFLOW_ASSERT(part_ != nullptr, "setup_distributed() has not run");
+      // V-cycle boundary: agree on liveness before the cycle's first ghost
+      // exchange so a dead peer unwinds every rank here, not via timeout
+      if (recovery_)
+        recovery_->at_iteration_boundary(true);
+    }
+    const unsigned int top = n_levels() - 1;
+    const DGSmoothing<LV> &s = dg_levels_.back().template on<LV>();
+    s.b.copy_and_convert(src);
+    vcycle_dg(top, s.x, s.b);
+    if (options_.abft_guard && !abft_result_ok(s.x))
     {
       ++abft_vcycle_repairs_;
       DGFLOW_PROF_COUNT("abft_sdc_detected", 1);
       DGFLOW_PROF_COUNT("abft_vcycle_repairs", 1);
-      // local-only repair: re-running the distributed cycle would issue
-      // collectives the healthy ranks are not expecting, so this rank falls
-      // back to the identity step on its owned range; the outer CG replay
-      // detects the cross-rank inconsistency collectively and rolls back
-      top.x.equ(LevelNumber(1), dist_src_f_);
-      top.x.invalidate_ghosts();
+      if constexpr (distributed)
+      {
+        // local-only repair: re-running the distributed cycle would issue
+        // collectives the healthy ranks are not expecting, so this rank
+        // falls back to the identity step on its owned range; the outer CG
+        // replay detects the cross-rank inconsistency collectively
+        s.x.equ(LevelNumber(1), s.b);
+      }
+      else
+      {
+        // the cycle is deterministic: one re-run heals a transient flip in
+        // cycle scratch; a persistent corruption falls back to the identity
+        // step (still SPD for the outer CG, whose replay guard takes over)
+        vcycle_dg(top, s.x, s.b);
+        if (!abft_result_ok(s.x))
+          s.x.equ(LevelNumber(1), s.b);
+      }
     }
-    dst.copy_and_convert(top.x);
+    dst.copy_and_convert(s.x);
   }
 
   const MatrixFree<LevelNumber> &fine_matrix_free() const { return mf_fine_; }
@@ -344,7 +326,7 @@ public:
   double amg_seconds() const { return amg_seconds_; }
   void reset_level_timers() const
   {
-    level_seconds_.assign(levels_.size(), 0.);
+    level_seconds_.assign(n_levels(), 0.);
     amg_seconds_ = 0.;
   }
 
@@ -359,11 +341,7 @@ public:
   /// originals and the sidecar checksums match again.
   void rebuild_amg()
   {
-    const CFELaplaceOperator<LevelNumber> &amg_host =
-      coarse_ops_.empty() ? cfe_op_fine_ : coarse_ops_.back();
-    amg_.setup(amg_host.assemble_matrix(), options_.amg);
-    if (options_.sp_amg)
-      amg_.enable_single_precision();
+    amg_.setup(q1_levels_.front().op.assemble_matrix(), options_.amg);
   }
 
   /// V-cycle results discarded/re-run by the ABFT guard (abft_guard on).
@@ -385,335 +363,202 @@ private:
     return true;
   }
 
-  struct Level
+  /// Smoother and cycle vectors of a DG level over vector type V.
+  template <typename V>
+  struct DGSmoothing
   {
-    AnyOperator<LVec> op;
-    ChebyshevSmoother<AnyOperator<LVec>, LVec> smoother;
-    std::unique_ptr<TransferBase<LevelNumber>> to_coarser; ///< null at l=0
-    std::size_t n_dofs = 0;
-    bool is_amg = false;
+    ChebyshevSmoother<LaplaceOperator<LevelNumber>, V> smoother;
+    mutable V x, b, r;
+  };
+
+  /// DG level on the fine mesh: its operator, the p-transfer to the next
+  /// lower degree (none on DG(1), whose coarse space is the Q1 space of
+  /// c_transfer_), and the smoother and vectors of the serial and of the
+  /// distributed cycle.
+  struct DGLevel
+  {
+    LaplaceOperator<LevelNumber> op;
+    std::optional<DGPTransfer<LevelNumber>> to_coarser;
+    DGSmoothing<LVec> serial;
+    DGSmoothing<DVec> distributed;
+
+    template <typename V>
+    const DGSmoothing<V> &on() const
+    {
+      if constexpr (is_distributed_vector_v<V>)
+        return distributed;
+      else
+        return serial;
+    }
+  };
+
+  /// Q1 level on the fine mesh or a coarsening of it: its operator, its
+  /// smoother and the h-transfer to the next coarser mesh. Level 0 is
+  /// solved by the AMG, assembled from its operator, and has neither.
+  struct Q1Level
+  {
+    CFELaplaceOperator<LevelNumber> op;
+    ChebyshevSmoother<CFELaplaceOperator<LevelNumber>, LVec> smoother;
+    SparseTransfer<LevelNumber> to_coarser;
     mutable LVec x, b, r;
   };
 
-  /// Distributed shadow of a DG Level (the Q1/AMG levels stay serial).
-  struct DistLevel
+  const DGLevel &dg_level(const unsigned int l) const
   {
-    AnyOperator<DVec> op;
-    ChebyshevSmoother<AnyOperator<DVec>, DVec> smoother;
-    mutable DVec x, b, r;
-  };
-
-  void build_levels()
-  {
-    levels_.clear();
-    level_names_.clear();
-
-    // bottom-up: AMG coarse level lives inside the coarsest Q1 level
-    const bool have_h = !coarse_ops_.empty();
-    const CFELaplaceOperator<LevelNumber> &amg_host =
-      have_h ? coarse_ops_.back() : cfe_op_fine_;
-    amg_.setup(amg_host.assemble_matrix(), options_.amg);
-    if (options_.sp_amg)
-      amg_.enable_single_precision();
-
-    // levels from coarsest to finest: coarse Q1 meshes (reverse order)
-    if (have_h)
-      for (std::size_t i = coarse_ops_.size(); i-- > 0;)
-      {
-        Level level;
-        const auto *op = &coarse_ops_[i];
-        level.op.apply = [op](LVec &d, const LVec &s) { op->vmult(d, s); };
-        level.n_dofs = op->n_dofs();
-        level.is_amg = (i == coarse_ops_.size() - 1);
-        levels_.push_back(std::move(level));
-        // transfer from this level to the previous (coarser) one
-      }
-
-    // fine-mesh Q1 level
-    {
-      Level level;
-      const auto *op = &cfe_op_fine_;
-      level.op.apply = [op](LVec &d, const LVec &s) { op->vmult(d, s); };
-      level.n_dofs = op->n_dofs();
-      level.is_amg = !have_h;
-      levels_.push_back(std::move(level));
-    }
-
-    // DG levels from low to high degree; these operators implement the
-    // contract-v2 hooked cell loop, so the fused Chebyshev smoother's
-    // per-batch updates ride the matrix-free traversal
-    for (std::size_t s = dg_degrees_.size(); s-- > 0;)
-    {
-      Level level;
-      const auto *op = &dg_ops_[s];
-      level.op.apply = [op](LVec &d, const LVec &s2) { op->vmult(d, s2); };
-      level.op.apply_hooked = [op](LVec &d, const LVec &s2,
-                                   const RangeFn &pre, const RangeFn &post) {
-        op->vmult(d, s2, pre, post);
-      };
-      level.n_dofs = op->n_dofs();
-      levels_.push_back(std::move(level));
-    }
-
-    // transfers: levels_[l].to_coarser maps between levels_[l] and
-    // levels_[l-1]
-    unsigned int l = 1;
-    if (have_h)
-      for (std::size_t i = coarse_ops_.size() - 1; i-- > 0; ++l)
-      {
-        // fine = coarse_meshes_[i], coarse = coarse_meshes_[i+1]
-        levels_[l].to_coarser = std::make_unique<SparseTransfer<LevelNumber>>(
-          build_h_transfer(coarse_meshes_[i], coarse_spaces_[i],
-                           coarse_meshes_[i + 1], coarse_spaces_[i + 1]));
-      }
-    if (have_h)
-    {
-      // fine-mesh Q1 -> first coarse mesh
-      levels_[l].to_coarser = std::make_unique<SparseTransfer<LevelNumber>>(
-        build_h_transfer(mf_fine_.mesh(), cfe_fine_, coarse_meshes_[0],
-                         coarse_spaces_[0]));
-      ++l;
-    }
-    // DG(1) -> Q1
-    levels_[l].to_coarser = std::make_unique<SparseTransfer<LevelNumber>>(
-      build_c_transfer(mf_fine_.mesh(), cfe_fine_));
-    ++l;
-    // p-transfers DG(next) -> DG(previous degree)
-    for (std::size_t s = dg_degrees_.size() - 1; s-- > 0; ++l)
-      levels_[l].to_coarser = std::make_unique<DGPTransfer<LevelNumber>>(
-        mf_fine_, static_cast<unsigned int>(s),
-        static_cast<unsigned int>(s + 1));
-    DGFLOW_ASSERT(l == levels_.size(), "level/transfer bookkeeping mismatch");
-
-    for (std::size_t lev = 0; lev < levels_.size(); ++lev)
-      level_names_.push_back("level" + std::to_string(lev));
-
-    // smoothers (skip the AMG-solved coarsest level)
-    for (unsigned int lev = 0; lev < levels_.size(); ++lev)
-    {
-      Level &level = levels_[lev];
-      level.x.reinit(level.n_dofs);
-      level.b.reinit(level.n_dofs);
-      level.r.reinit(level.n_dofs);
-      if (lev == 0 && level.is_amg)
-        continue;
-      LVec diag = compute_level_diagonal(lev);
-      level.smoother.reinit(level.op, diag, options_.smoother);
-    }
+    return dg_levels_[l - q1_levels_.size()];
   }
 
-  LVec compute_level_diagonal(const unsigned int lev) const
+  /// V-cycle from DG level l down. Each rank works on its own cells: the
+  /// p-transfers are cell-local, and the c-transfer restricts the rows of
+  /// this rank's cells into the replicated Q1 right-hand side, which one
+  /// allreduce sums before the Q1/AMG levels. The serial vector is the
+  /// one-rank case: all cells, all rows, no allreduce.
+  template <typename V>
+  void vcycle_dg(const unsigned int l, V &x, const V &b) const
   {
-    // reverse the level layout bookkeeping
-    const unsigned int n_coarse = coarse_ops_.size();
-    LVec diag;
-    if (lev < n_coarse)
-      coarse_ops_[n_coarse - 1 - lev].compute_diagonal(diag);
-    else if (lev == n_coarse)
-      cfe_op_fine_.compute_diagonal(diag);
-    else
-      dg_ops_[dg_degrees_.size() - 1 - (lev - n_coarse - 1)].compute_diagonal(
-        diag);
-    return diag;
-  }
-
-  void vcycle(const unsigned int l, LVec &x, const LVec &b) const
-  {
-    if (level_seconds_.size() != levels_.size())
-      level_seconds_.assign(levels_.size(), 0.);
     // scope per level: the recursion nests level l-1 under level l, so the
     // profile shows the full grid traversal as one branch of the tree
     DGFLOW_PROF_SCOPE(level_names_[l]);
-    const Level &level = levels_[l];
-    if (l == 0)
-    {
-      Timer t;
-      if (level.is_amg)
-      {
-        DGFLOW_PROF_SCOPE("amg_coarse");
-        constexpr unsigned int amg_cycles = 2; // V-cycles per coarse solve
-        if (options_.sp_amg)
-        {
-          // float coarse solve: with LevelNumber = float the conversions
-          // below are plain copies (no precision round-trip)
-          amg_bf_.copy_and_convert(b);
-          amg_xf_.reinit(amg_bf_.size());
-          for (unsigned int c = 0; c < amg_cycles; ++c)
-            amg_.vcycle(amg_xf_, amg_bf_);
-          x.copy_and_convert(amg_xf_);
-        }
-        else
-        {
-          amg_b_.copy_and_convert(b);
-          amg_x_.reinit(amg_b_.size());
-          for (unsigned int c = 0; c < amg_cycles; ++c)
-            amg_.vcycle(amg_x_, amg_b_);
-          x.copy_and_convert(amg_x_);
-        }
-        amg_seconds_ += t.seconds();
-      }
-      else
-      {
-        DGFLOW_PROF_SCOPE("smoother");
-        level.smoother.smooth(x, b, true);
-        level_seconds_[l] += t.seconds();
-      }
-      return;
-    }
-
-    Timer t1;
+    const DGLevel &level = dg_level(l);
+    const DGSmoothing<V> &s = level.template on<V>();
+    Timer t;
     {
       DGFLOW_PROF_SCOPE("smoother");
-      level.smoother.smooth(x, b, true);
+      s.smoother.smooth(x, b, true);
     }
-    level.op.vmult(level.r, x);
-    level.r.sadd(LevelNumber(-1), LevelNumber(1), b);
-    const Level &coarse = levels_[l - 1];
+    level.op.vmult(s.r, x);
+    s.r.sadd(LevelNumber(-1), LevelNumber(1), b);
+    if (level.to_coarser)
     {
-      DGFLOW_PROF_SCOPE("transfer");
-      level.to_coarser->restrict_down(coarse.b, level.r);
-    }
-    coarse.x.reinit(coarse.b.size(), true);
-    level_seconds_[l] += t1.seconds();
-
-    vcycle(l - 1, coarse.x, coarse.b);
-
-    Timer t2;
-    {
-      DGFLOW_PROF_SCOPE("transfer");
-      level.to_coarser->prolongate(level.r, coarse.x);
-    }
-    x.add(LevelNumber(1), level.r);
-    {
-      DGFLOW_PROF_SCOPE("smoother");
-      level.smoother.smooth(x, b, false);
-    }
-    level_seconds_[l] += t2.seconds();
-  }
-
-  /// Distributed V-cycle over the DG levels. Pre/post-smoothing and the
-  /// residual use only this rank's owned cell blocks (p-transfers are
-  /// cell-local); at the DG(1) level the residual is restricted onto the
-  /// replicated Q1 space through this rank's contiguous row range followed
-  /// by a sum-allreduce, after which the serial vcycle() handles the whole
-  /// Q1/AMG sub-hierarchy identically on every rank.
-  void vcycle_dist(const unsigned int l, DVec &x, const DVec &b) const
-  {
-    if (level_seconds_.size() != levels_.size())
-      level_seconds_.assign(levels_.size(), 0.);
-    DGFLOW_PROF_SCOPE(level_names_[l]);
-    const DistLevel &level = dist_levels_[l];
-
-    Timer t1;
-    {
-      DGFLOW_PROF_SCOPE("smoother");
-      level.smoother.smooth(x, b, true);
-    }
-    level.op.vmult(level.r, x);
-    level.r.sadd(LevelNumber(-1), LevelNumber(1), b);
-    level_seconds_[l] += t1.seconds();
-
-    if (l == q1_level_ + 1)
-    {
-      const auto *c = static_cast<const SparseTransfer<LevelNumber> *>(
-        levels_[l].to_coarser.get());
-      const std::size_t row_begin = level.r.first_local_index();
-      const std::size_t row_end = row_begin + level.r.size();
-      const Level &coarse = levels_[l - 1];
-      Timer t2;
+      const DGSmoothing<V> &coarse = dg_level(l - 1).template on<V>();
+      const index_t n_cells = static_cast<index_t>(
+        s.r.size() / mf_fine_.dofs_per_cell(level.op.space()));
       {
         DGFLOW_PROF_SCOPE("transfer");
-        coarse.b = LevelNumber(0);
-        c->restrict_down_rows(coarse.b, level.r.data(), row_begin, row_end);
-        c_allreduce_buf_.resize(coarse.b.size());
-        for (std::size_t i = 0; i < coarse.b.size(); ++i)
-          c_allreduce_buf_[i] = double(coarse.b.data()[i]);
-        comm_->allreduce(c_allreduce_buf_,
-                         vmpi::Communicator::Op::sum);
-        for (std::size_t i = 0; i < coarse.b.size(); ++i)
-          coarse.b.data()[i] = LevelNumber(c_allreduce_buf_[i]);
+        level.to_coarser->restrict_cells(coarse.b.data(), s.r.data(),
+                                         n_cells);
       }
-      coarse.x.reinit(coarse.b.size(), true);
-      level_seconds_[l] += t2.seconds();
-
-      vcycle(l - 1, coarse.x, coarse.b);
-
-      Timer t3;
+      level_seconds_[l] += t.seconds();
+      vcycle_dg(l - 1, coarse.x, coarse.b);
+      t.restart();
       {
         DGFLOW_PROF_SCOPE("transfer");
-        c->prolongate_rows(level.r.data(), coarse.x, row_begin, row_end);
+        level.to_coarser->prolongate_cells(s.r.data(), coarse.x.data(),
+                                           n_cells);
       }
-      level_seconds_[l] += t3.seconds();
     }
     else
     {
-      const auto *p = static_cast<const DGPTransfer<LevelNumber> *>(
-        levels_[l].to_coarser.get());
-      const DistLevel &coarse = dist_levels_[l - 1];
-      const index_t n_owned_cells = static_cast<index_t>(part_->n_owned());
-      Timer t2;
+      const Q1Level &coarse = q1_levels_.back();
+      const std::size_t row_begin = s.r.first_local_index();
+      const std::size_t row_end = row_begin + s.r.size();
       {
         DGFLOW_PROF_SCOPE("transfer");
-        p->restrict_cells(coarse.b.data(), level.r.data(), n_owned_cells);
+        coarse.b = LevelNumber(0);
+        c_transfer_.restrict_rows(coarse.b, s.r.data(), row_begin, row_end);
+        if constexpr (is_distributed_vector_v<V>)
+        {
+          allreduce_buf_.assign(coarse.b.data(),
+                                coarse.b.data() + coarse.b.size());
+          s.r.communicator().allreduce(allreduce_buf_,
+                                       vmpi::Communicator::Op::sum);
+          for (std::size_t i = 0; i < coarse.b.size(); ++i)
+            coarse.b[i] = LevelNumber(allreduce_buf_[i]);
+        }
       }
-      coarse.x.reinit_like(coarse.b, true);
-      level_seconds_[l] += t2.seconds();
-
-      vcycle_dist(l - 1, coarse.x, coarse.b);
-
-      Timer t3;
+      level_seconds_[l] += t.seconds();
+      vcycle_q1(l - 1, coarse.x, coarse.b);
+      t.restart();
       {
         DGFLOW_PROF_SCOPE("transfer");
-        p->prolongate_cells(level.r.data(), coarse.x.data(), n_owned_cells);
+        c_transfer_.prolongate_rows(s.r.data(), coarse.x, row_begin,
+                                    row_end);
       }
-      level_seconds_[l] += t3.seconds();
+    }
+    x.add(LevelNumber(1), s.r);
+    {
+      DGFLOW_PROF_SCOPE("smoother");
+      s.smoother.smooth(x, b, false);
+    }
+    level_seconds_[l] += t.seconds();
+  }
+
+  /// V-cycle from Q1 level l down to the AMG coarse solve at level 0; both
+  /// cycles share it, replicated on every rank of a distributed one.
+  void vcycle_q1(const unsigned int l, LVec &x, const LVec &b) const
+  {
+    DGFLOW_PROF_SCOPE(level_names_[l]);
+    if (l == 0)
+    {
+      Timer t;
+      DGFLOW_PROF_SCOPE("amg_coarse");
+      constexpr unsigned int amg_cycles = 2; // V-cycles per coarse solve
+      amg_b_.copy_and_convert(b);
+      amg_x_.reinit(amg_b_.size());
+      for (unsigned int c = 0; c < amg_cycles; ++c)
+        amg_.vcycle(amg_x_, amg_b_);
+      x.copy_and_convert(amg_x_);
+      amg_seconds_ += t.seconds();
+      return;
     }
 
-    Timer t4;
+    const Q1Level &level = q1_levels_[l];
+    const Q1Level &coarse = q1_levels_[l - 1];
+    const std::size_t n = level.r.size();
+    Timer t;
+    {
+      DGFLOW_PROF_SCOPE("smoother");
+      level.smoother.smooth(x, b, true);
+    }
+    level.op.vmult(level.r, x);
+    level.r.sadd(LevelNumber(-1), LevelNumber(1), b);
+    {
+      DGFLOW_PROF_SCOPE("transfer");
+      coarse.b = LevelNumber(0);
+      level.to_coarser.restrict_rows(coarse.b, level.r.data(), 0, n);
+    }
+    level_seconds_[l] += t.seconds();
+    vcycle_q1(l - 1, coarse.x, coarse.b);
+    t.restart();
+    {
+      DGFLOW_PROF_SCOPE("transfer");
+      level.to_coarser.prolongate_rows(level.r.data(), coarse.x, 0, n);
+    }
     x.add(LevelNumber(1), level.r);
     {
       DGFLOW_PROF_SCOPE("smoother");
       level.smoother.smooth(x, b, false);
     }
-    level_seconds_[l] += t4.seconds();
+    level_seconds_[l] += t.seconds();
   }
 
   Options options_;
   BoundaryMap bc_;
 
-  std::vector<unsigned int> dg_degrees_;
   MatrixFree<LevelNumber> mf_fine_;
-  std::vector<LaplaceOperator<LevelNumber>> dg_ops_;
-
   CFEDofHandler cfe_dofs_fine_;
   CFESpace cfe_fine_;
-  CFELaplaceOperator<LevelNumber> cfe_op_fine_;
-
   std::vector<Mesh> coarse_meshes_;
   std::vector<MatrixFree<LevelNumber>> coarse_mfs_;
   std::vector<CFEDofHandler> coarse_dofs_;
   std::vector<CFESpace> coarse_spaces_;
-  std::vector<CFELaplaceOperator<LevelNumber>> coarse_ops_;
 
+  // levels 0 .. q1_levels_.size() - 1, then the DG levels above them
+  std::vector<Q1Level> q1_levels_;
+  std::vector<DGLevel> dg_levels_;
+  SparseTransfer<LevelNumber> c_transfer_; ///< DG(1) -> fine-mesh Q1
   AMG amg_;
-  mutable unsigned long long abft_vcycle_repairs_ = 0;
-
-  mutable std::vector<Level> levels_;
   std::vector<std::string> level_names_;
-  mutable LVec src_f_;
+
   mutable Vector<double> amg_x_, amg_b_;
-  mutable Vector<float> amg_xf_, amg_bf_;
+  mutable std::vector<double> allreduce_buf_;
   mutable std::vector<double> level_seconds_;
   mutable double amg_seconds_ = 0.;
+  mutable unsigned long long abft_vcycle_repairs_ = 0;
 
   // distributed mode (setup_distributed)
-  vmpi::Communicator *comm_ = nullptr;
   const vmpi::Partitioner *part_ = nullptr;
   RecoveryHooks *recovery_ = nullptr;
-  unsigned int q1_level_ = 0;
-  mutable std::vector<DistLevel> dist_levels_;
-  mutable DVec dist_src_f_;
-  mutable std::vector<double> c_allreduce_buf_;
 };
 
 } // namespace dgflow

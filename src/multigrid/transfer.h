@@ -16,30 +16,19 @@
 
 namespace dgflow
 {
-/// Abstract transfer between two consecutive levels.
+/// Matrix-free polynomial transfer between two DG spaces on one mesh:
+/// tensorized 1D nodal interpolation per cell, restriction = transpose. It
+/// runs over a range of consecutive cells whose dense per-cell dof blocks
+/// the pointers address: all cells of a serial level vector, or the owned
+/// cells of a DistributedVector. The transfer is cell-local, so a range
+/// needs no communication.
 template <typename Number>
-class TransferBase
-{
-public:
-  virtual ~TransferBase() = default;
-  /// coarse -> fine (overwrite)
-  virtual void prolongate(Vector<Number> &fine,
-                          const Vector<Number> &coarse) const = 0;
-  /// fine -> coarse (overwrite), transpose of prolongate
-  virtual void restrict_down(Vector<Number> &coarse,
-                             const Vector<Number> &fine) const = 0;
-};
-
-/// Matrix-free polynomial transfer between two DG spaces on one mesh.
-template <typename Number>
-class DGPTransfer : public TransferBase<Number>
+class DGPTransfer
 {
 public:
   DGPTransfer(const MatrixFree<Number> &mf, const unsigned int space_fine,
               const unsigned int space_coarse)
-    : mf_(mf), nf_(mf.degree(space_fine) + 1),
-      nc_(mf.degree(space_coarse) + 1), space_f_(space_fine),
-      space_c_(space_coarse)
+    : nf_(mf.degree(space_fine) + 1), nc_(mf.degree(space_coarse) + 1)
   {
     // 1D nodal interpolation: coarse basis evaluated at fine nodes
     const std::vector<double> nodes_f = gauss_quadrature(nf_).points;
@@ -50,23 +39,7 @@ public:
         P1d_[i * nc_ + j] = Number(basis_c.value(j, nodes_f[i]));
   }
 
-  void prolongate(Vector<Number> &fine,
-                  const Vector<Number> &coarse) const override
-  {
-    fine.reinit(mf_.n_dofs(space_f_, 1), true);
-    prolongate_cells(fine.data(), coarse.data(), mf_.n_cells());
-  }
-
-  void restrict_down(Vector<Number> &coarse,
-                     const Vector<Number> &fine) const override
-  {
-    coarse.reinit(mf_.n_dofs(space_c_, 1), true);
-    restrict_cells(coarse.data(), fine.data(), mf_.n_cells());
-  }
-
-  /// Cell-range variant for distributed levels: fine/coarse point at dense
-  /// per-cell dof blocks of n_cells consecutive cells (the owned range of a
-  /// DistributedVector). The transfer is cell-local — no communication.
+  /// coarse -> fine (overwrite) on n_cells consecutive cells.
   void prolongate_cells(Number *fine, const Number *coarse,
                         const index_t n_cells) const
   {
@@ -86,6 +59,8 @@ public:
     }
   }
 
+  /// fine -> coarse (overwrite) on n_cells consecutive cells, the
+  /// transpose of prolongate_cells.
   void restrict_cells(Number *coarse, const Number *fine,
                       const index_t n_cells) const
   {
@@ -106,22 +81,26 @@ public:
   }
 
 private:
-  const MatrixFree<Number> &mf_;
   unsigned int nf_, nc_;
-  unsigned int space_f_, space_c_;
   std::vector<Number> P1d_;
 };
 
-/// Sparse transfer in the level precision, built from a double CSR matrix.
+/// Sparse transfer in the level precision, built from a double CSR
+/// prolongation matrix (rows = fine dofs, columns = coarse dofs). It runs
+/// over a contiguous range [row_begin, row_end) of fine rows against the
+/// full coarse vector: all rows of a serial level, or, on the DG side of
+/// the distributed c-transfer, the rows of this rank's cells (DG(1) dofs
+/// are cell-local, so the owned cells are one contiguous row range) with a
+/// replicated coarse vector. fine_rows points at row row_begin.
 template <typename Number>
-class SparseTransfer : public TransferBase<Number>
+class SparseTransfer
 {
 public:
+  SparseTransfer() = default;
+
   explicit SparseTransfer(const SparseMatrix &P)
   {
     const std::size_t nr = P.n_rows();
-    n_rows_ = nr;
-    n_cols_ = P.n_cols();
     row_ptr_.assign(P.row_ptr(), P.row_ptr() + nr + 1);
     col_idx_.assign(P.col_idx(), P.col_idx() + P.n_nonzeros());
     values_.resize(P.n_nonzeros());
@@ -129,42 +108,7 @@ public:
       values_[i] = Number(P.values()[i]);
   }
 
-  void prolongate(Vector<Number> &fine,
-                  const Vector<Number> &coarse) const override
-  {
-    fine.reinit(n_rows_, true);
-    for (std::size_t r = 0; r < n_rows_; ++r)
-    {
-      Number sum = 0;
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-        sum += values_[k] * coarse[col_idx_[k]];
-      fine[r] = sum;
-    }
-  }
-
-  void restrict_down(Vector<Number> &coarse,
-                     const Vector<Number> &fine) const override
-  {
-    coarse.reinit(n_cols_, true);
-    coarse = Number(0);
-    for (std::size_t r = 0; r < n_rows_; ++r)
-    {
-      const Number v = fine[r];
-      if (v == Number(0))
-        continue;
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-        coarse[col_idx_[k]] += values_[k] * v;
-    }
-  }
-
-  std::size_t n_rows() const { return n_rows_; }
-  std::size_t n_cols() const { return n_cols_; }
-
-  /// Row-range variants for distributed levels where the fine side is
-  /// row-partitioned (the DG side of the c-transfer: rows are cell-local
-  /// DoFs, so a rank's owned cells are the contiguous row range
-  /// [row_begin, row_end)) and the coarse side is a replicated full vector.
-  /// fine_rows points at local row row_begin.
+  /// coarse -> fine (overwrite) on the rows [row_begin, row_end).
   void prolongate_rows(Number *fine_rows, const Vector<Number> &coarse,
                        const std::size_t row_begin,
                        const std::size_t row_end) const
@@ -178,11 +122,12 @@ public:
     }
   }
 
-  /// Accumulates the owned rows' contributions into the (caller-zeroed)
-  /// replicated coarse vector; the caller allreduce-sums across ranks.
-  void restrict_down_rows(Vector<Number> &coarse, const Number *fine_rows,
-                          const std::size_t row_begin,
-                          const std::size_t row_end) const
+  /// fine -> coarse, the transpose: accumulates the contributions of the
+  /// rows [row_begin, row_end) into the caller-zeroed coarse vector (a
+  /// distributed caller then sums it over the ranks).
+  void restrict_rows(Vector<Number> &coarse, const Number *fine_rows,
+                     const std::size_t row_begin,
+                     const std::size_t row_end) const
   {
     for (std::size_t r = row_begin; r < row_end; ++r)
     {
@@ -195,7 +140,6 @@ public:
   }
 
 private:
-  std::size_t n_rows_ = 0, n_cols_ = 0;
   std::vector<std::size_t> row_ptr_, col_idx_;
   std::vector<Number> values_;
 };

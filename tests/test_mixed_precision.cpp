@@ -3,12 +3,11 @@
 // run_benchmarks.sh): the contract-v2 fused CG and Chebyshev paths must
 // match the classic separate-sweep iteration bitwise in double precision,
 // serially and on 4 logical ranks; the single-precision multigrid
-// preconditioner (including the float AMG coarse solve) must not change the
-// outer DP iteration count by more than one on the lung geometry; and the
-// single-precision ghost wire must round-trip values exactly (up to the
-// float conversion), detect in-flight corruption through its checksum
-// trailer, and keep the timeout/epoch semantics of the storage wire under
-// fault injection.
+// preconditioner must not change the outer DP iteration count by more than
+// one on the lung geometry; and the single-precision ghost wire must
+// round-trip values exactly (up to the float conversion), detect in-flight
+// corruption through its checksum trailer, and keep the timeout/epoch
+// semantics of the storage wire under fault injection.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "amg/amg.h"
 #include "lung/lung_mesh.h"
 #include "mesh/generators.h"
 #include "mesh/partition.h"
@@ -47,36 +45,6 @@ Mesh make_mesh(const unsigned int refinements)
   return mesh;
 }
 
-/// 3D 7-point Laplacian on an m^3 grid (for the standalone AMG checks).
-SparseMatrix poisson_3d(const std::size_t m)
-{
-  const std::size_t n = m * m * m;
-  auto idx = [m](std::size_t i, std::size_t j, std::size_t k) {
-    return (k * m + j) * m + i;
-  };
-  std::vector<SparseMatrix::Triplet> t;
-  for (std::size_t k = 0; k < m; ++k)
-    for (std::size_t j = 0; j < m; ++j)
-      for (std::size_t i = 0; i < m; ++i)
-      {
-        const std::size_t r = idx(i, j, k);
-        t.push_back({r, r, 6.});
-        if (i > 0)
-          t.push_back({r, idx(i - 1, j, k), -1.});
-        if (i + 1 < m)
-          t.push_back({r, idx(i + 1, j, k), -1.});
-        if (j > 0)
-          t.push_back({r, idx(i, j - 1, k), -1.});
-        if (j + 1 < m)
-          t.push_back({r, idx(i, j + 1, k), -1.});
-        if (k > 0)
-          t.push_back({r, idx(i, j, k - 1), -1.});
-        if (k + 1 < m)
-          t.push_back({r, idx(i, j, k + 1), -1.});
-      }
-  return SparseMatrix::from_triplets(n, n, std::move(t));
-}
-
 /// Exposes only the plain vmult(dst, src) of @p Op, hiding the contract-v2
 /// hooked overload: the solvers then take their classic separate-sweep
 /// branch, the reference the fused iteration must match bitwise.
@@ -90,6 +58,46 @@ struct UnhookedView
     op.vmult(dst, src);
   }
 };
+
+/// A zero-guess and a nonzero-guess Chebyshev sweep with @p op, once through
+/// its contract-v2 hooked vmult (the fused sweep) and once through the
+/// classic separate sweeps: the iterates must agree bitwise after each.
+template <typename Op, typename VectorType>
+void expect_fused_chebyshev_matches_classic(const Op &op,
+                                            const VectorType &diag,
+                                            const char *what)
+{
+  using Number = typename VectorType::value_type;
+  static_assert(HookedOperatorFor<Op, VectorType>);
+  ChebyshevData cheb;
+  cheb.degree = 4;
+  ChebyshevSmoother<Op, VectorType> fused;
+  fused.reinit(op, diag, cheb);
+  using ClassicOp = UnhookedView<Op>;
+  const ClassicOp classic_op{op};
+  static_assert(!HookedOperatorFor<ClassicOp, VectorType>);
+  ChebyshevSmoother<ClassicOp, VectorType> classic;
+  classic.reinit(classic_op, diag, cheb);
+
+  const std::size_t n = diag.size();
+  VectorType b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    b[i] = Number(std::sin(0.37 * double(i)) + 0.2);
+
+  // zero initial guess (the pre-smoother) and a nonzero-guess sweep on top
+  VectorType x_fused(n), x_classic(n);
+  fused.smooth(x_fused, b, true);
+  classic.smooth(x_classic, b, true);
+  EXPECT_EQ(std::memcmp(x_fused.data(), x_classic.data(), n * sizeof(Number)),
+            0)
+    << what << ": fused zero-guess sweep deviates";
+
+  fused.smooth(x_fused, b, false);
+  classic.smooth(x_classic, b, false);
+  EXPECT_EQ(std::memcmp(x_fused.data(), x_classic.data(), n * sizeof(Number)),
+            0)
+    << what << ": fused nonzero-guess sweep deviates";
+}
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -141,46 +149,53 @@ TEST(FusedLoops, CGMatchesUnfusedBitwiseSerial)
 
 TEST(FusedLoops, ChebyshevMatchesUnfusedBitwiseSerial)
 {
-  const Mesh mesh = make_mesh(2);
-  TrilinearGeometry geom(mesh.coarse());
-  MatrixFree<double> mf;
-  MatrixFree<double>::AdditionalData data;
-  data.degrees = {2};
-  data.n_q_points_1d = {3};
-  mf.reinit(mesh, geom, data);
-  LaplaceOperator<double> laplace;
-  laplace.reinit(mf, 0, 0, all_dirichlet());
-  Vector<double> diag;
-  laplace.compute_diagonal(diag);
+  // the DG Laplacian: the sweep rides the per-batch post hooks
+  {
+    const Mesh mesh = make_mesh(2);
+    TrilinearGeometry geom(mesh.coarse());
+    MatrixFree<double> mf;
+    MatrixFree<double>::AdditionalData data;
+    data.degrees = {2};
+    data.n_q_points_1d = {3};
+    mf.reinit(mesh, geom, data);
+    LaplaceOperator<double> laplace;
+    laplace.reinit(mf, 0, 0, all_dirichlet());
+    Vector<double> diag;
+    laplace.compute_diagonal(diag);
+    expect_fused_chebyshev_matches_classic(laplace, diag, "DG Laplacian");
+  }
 
-  ChebyshevData cheb;
-  cheb.degree = 4;
-  ChebyshevSmoother<LaplaceOperator<double>, Vector<double>> fused;
-  fused.reinit(laplace, diag, cheb);
-  using ClassicOp = UnhookedView<LaplaceOperator<double>>;
-  const ClassicOp classic_op{laplace};
-  ChebyshevSmoother<ClassicOp, Vector<double>> classic;
-  classic.reinit(classic_op, diag, cheb);
-
-  Vector<double> b(laplace.n_dofs());
-  for (std::size_t i = 0; i < b.size(); ++i)
-    b[i] = std::sin(0.37 * double(i)) + 0.2;
-
-  // zero initial guess (the pre-smoother) and a nonzero-guess sweep on top
-  Vector<double> x_fused(laplace.n_dofs()), x_classic(laplace.n_dofs());
-  fused.smooth(x_fused, b, true);
-  classic.smooth(x_classic, b, true);
-  EXPECT_EQ(std::memcmp(x_fused.data(), x_classic.data(),
-                        x_fused.size() * sizeof(double)),
-            0)
-    << "fused zero-guess sweep deviates";
-
-  fused.smooth(x_fused, b, false);
-  classic.smooth(x_classic, b, false);
-  EXPECT_EQ(std::memcmp(x_fused.data(), x_classic.data(),
-                        x_fused.size() * sizeof(double)),
-            0)
-    << "fused nonzero-guess sweep deviates";
+  // the float Q1 operator of the multigrid levels on a hanging-node mesh:
+  // shared vertex DoFs degrade its hooks to one whole-range post after the
+  // cell loop
+  {
+    Mesh mesh = make_mesh(2);
+    std::vector<bool> flags(mesh.n_active_cells(), false);
+    for (index_t i = 0; i < mesh.n_active_cells(); ++i)
+    {
+      const auto lo = mesh.cell_lower_corner(i);
+      if (lo[0] < 0.5 && lo[1] < 0.5 && lo[2] < 0.5)
+        flags[i] = true;
+    }
+    mesh.refine(flags);
+    TrilinearGeometry geom(mesh.coarse());
+    MatrixFree<float> mf;
+    MatrixFree<float>::AdditionalData data;
+    data.degrees = {1};
+    data.basis_types = {BasisType::lagrange_gauss_lobatto};
+    data.n_q_points_1d = {2};
+    mf.reinit(mesh, geom, data);
+    CFEDofHandler dofs;
+    dofs.reinit(mesh);
+    ASSERT_GT(dofs.n_constraints(), 0u);
+    const CFESpace q1 =
+      make_q1_space(dofs, [](unsigned int) { return true; });
+    CFELaplaceOperator<float> op;
+    op.reinit(mf, 0, 0, q1);
+    Vector<float> diag;
+    op.compute_diagonal(diag);
+    expect_fused_chebyshev_matches_classic(op, diag, "Q1 Laplacian");
+  }
 }
 
 TEST(FusedLoops, CGAndChebyshevMatchUnfusedBitwiseOn4Ranks)
@@ -250,15 +265,14 @@ TEST(FusedLoops, CGAndChebyshevMatchUnfusedBitwiseOn4Ranks)
 }
 
 // ---------------------------------------------------------------------------
-// mixed-precision multigrid: SP levels / SP AMG must not cost iterations
+// mixed-precision multigrid: SP levels must not cost iterations
 // ---------------------------------------------------------------------------
 
 namespace
 {
 template <typename LevelNumber>
 unsigned int lung_poisson_iterations(const Mesh &mesh, const Geometry &geom,
-                                     const BoundaryMap &bc,
-                                     const bool sp_amg)
+                                     const BoundaryMap &bc)
 {
   MatrixFree<double> mf;
   MatrixFree<double>::AdditionalData data;
@@ -274,7 +288,6 @@ unsigned int lung_poisson_iterations(const Mesh &mesh, const Geometry &geom,
   typename HybridMultigrid<LevelNumber>::Options opts;
   opts.geometry_degree = 1;
   opts.penalty_safety = 4.;
-  opts.sp_amg = sp_amg;
   mg.setup(mesh, geom, 2, bc, opts);
 
   Vector<double> rhs, x(laplace.n_dofs());
@@ -302,75 +315,11 @@ TEST(MixedPrecisionMG, LungIterationCountsWithinOneOfDouble)
   Mesh mesh(lung.coarse);
   TrilinearGeometry geom(mesh.coarse());
 
-  const unsigned int its_dp =
-    lung_poisson_iterations<double>(mesh, geom, bc, false);
-  const unsigned int its_sp =
-    lung_poisson_iterations<float>(mesh, geom, bc, false);
-  const unsigned int its_sp_amg =
-    lung_poisson_iterations<float>(mesh, geom, bc, true);
+  const unsigned int its_dp = lung_poisson_iterations<double>(mesh, geom, bc);
+  const unsigned int its_sp = lung_poisson_iterations<float>(mesh, geom, bc);
 
   EXPECT_LE(std::abs(int(its_sp) - int(its_dp)), 1)
     << "SP V-cycle costs iterations: dp=" << its_dp << " sp=" << its_sp;
-  EXPECT_LE(std::abs(int(its_sp_amg) - int(its_dp)), 1)
-    << "SP AMG coarse solve costs iterations: dp=" << its_dp
-    << " sp_amg=" << its_sp_amg;
-}
-
-TEST(MixedPrecisionMG, SPAMGVcycleTracksDoubleVcycle)
-{
-  AMG amg;
-  amg.setup(poisson_3d(8));
-  EXPECT_FALSE(amg.single_precision());
-  amg.enable_single_precision();
-  ASSERT_TRUE(amg.single_precision());
-
-  const std::size_t n = 8 * 8 * 8;
-  Vector<double> bd(n), xd(n);
-  Vector<float> bf(n), xf(n);
-  for (std::size_t i = 0; i < n; ++i)
-  {
-    bd[i] = std::sin(0.13 * double(i));
-    bf[i] = float(bd[i]);
-  }
-  amg.vcycle(xd, bd);
-  amg.vcycle(xf, bf);
-
-  // one float V-cycle must agree with the double one to float accuracy,
-  // relative to the iterate scale
-  double scale = 0.;
-  for (std::size_t i = 0; i < n; ++i)
-    scale = std::max(scale, std::abs(xd[i]));
-  ASSERT_GT(scale, 0.);
-  for (std::size_t i = 0; i < n; ++i)
-    ASSERT_NEAR(double(xf[i]), xd[i], 1e-4 * scale) << "entry " << i;
-}
-
-TEST(MixedPrecisionMG, SPAMGSolvesToFloatLevelResidual)
-{
-  AMG amg;
-  amg.setup(poisson_3d(6));
-  amg.enable_single_precision();
-
-  const std::size_t n = 6 * 6 * 6;
-  Vector<float> b(n), x(n);
-  for (std::size_t i = 0; i < n; ++i)
-    b[i] = float(std::cos(0.29 * double(i)));
-
-  for (unsigned int cycle = 0; cycle < 30; ++cycle)
-    amg.vcycle(x, b);
-
-  // residual through the double operator: the float cycles must have
-  // reduced it to the float roundoff scale of the problem
-  Vector<double> xd(n), bd(n), rd;
-  for (std::size_t i = 0; i < n; ++i)
-  {
-    xd[i] = double(x[i]);
-    bd[i] = double(b[i]);
-  }
-  const SparseMatrix A = poisson_3d(6);
-  A.vmult(rd, xd);
-  rd.sadd(-1., 1., bd);
-  EXPECT_LT(double(rd.l2_norm()), 1e-4 * double(bd.l2_norm()));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "mesh/generators.h"
 #include "multigrid/hybrid_multigrid.h"
 #include "solvers/cg.h"
+#include "vmpi/partitioner.h"
 
 using namespace dgflow;
 
@@ -16,6 +18,23 @@ BoundaryMap all_dirichlet()
   for (unsigned int id = 0; id < 6; ++id)
     bc.set(id, BoundaryType::dirichlet);
   return bc;
+}
+
+/// Two uniform refinements of the unit cube, then one more in the octant
+/// at the origin: hanging nodes on the Q1 levels.
+Mesh hanging_node_cube()
+{
+  Mesh mesh(unit_cube());
+  mesh.refine_uniform(2);
+  std::vector<bool> flags(mesh.n_active_cells(), false);
+  for (index_t i = 0; i < mesh.n_active_cells(); ++i)
+  {
+    const auto lo = mesh.cell_lower_corner(i);
+    if (lo[0] < 0.5 && lo[1] < 0.5 && lo[2] < 0.5)
+      flags[i] = true;
+  }
+  mesh.refine(flags);
+  return mesh;
 }
 
 struct PoissonSetup
@@ -105,16 +124,7 @@ TEST(HybridMultigridTest, SolvesAccurately)
 
 TEST(HybridMultigridTest, WorksWithHangingNodes)
 {
-  Mesh mesh(unit_cube());
-  mesh.refine_uniform(2);
-  std::vector<bool> flags(mesh.n_active_cells(), false);
-  for (index_t i = 0; i < mesh.n_active_cells(); ++i)
-  {
-    const auto lo = mesh.cell_lower_corner(i);
-    if (lo[0] < 0.5 && lo[1] < 0.5 && lo[2] < 0.5)
-      flags[i] = true;
-  }
-  mesh.refine(flags);
+  const Mesh mesh = hanging_node_cube();
   TrilinearGeometry geom(mesh.coarse());
   PoissonSetup s;
   s.init(mesh, geom, 3);
@@ -166,4 +176,51 @@ TEST(HybridMultigridTest, DegreeOneHasNoPTransfer)
   const auto result = s.solve(x);
   EXPECT_TRUE(result.converged);
   EXPECT_LE(result.iterations, 20u);
+}
+
+TEST(HybridMultigridTest, OneRankDistributedVcycleMatchesSerialBitwise)
+{
+  // degree 4 on the hanging-node cube gives DG4, DG2 and DG1, then four Q1
+  // levels with the AMG on the coarsest: the p-, c- and h-transfers all run
+  const Mesh mesh = hanging_node_cube();
+  TrilinearGeometry geom(mesh.coarse());
+  HybridMultigrid<float>::Options opts;
+  opts.rank_of_cell.assign(mesh.n_active_cells(), 0);
+  opts.n_ranks = 1;
+
+  auto &pool = concurrency::ThreadPool::instance();
+  const unsigned int saved_width = pool.n_threads();
+  for (const unsigned int width : {1u, 4u})
+  {
+    pool.set_n_threads(width);
+    HybridMultigrid<float> mg;
+    mg.setup(mesh, geom, 4, all_dirichlet(), opts);
+    ASSERT_EQ(mg.n_levels(), 7u);
+
+    const std::size_t n = mg.level_dofs(mg.n_levels() - 1);
+    Vector<double> src(n), serial, distributed(n);
+    for (std::size_t i = 0; i < n; ++i)
+      src[i] = std::sin(0.37 * double(i)) + 0.2;
+    mg.vmult(serial, src);
+
+    vmpi::run(1, [&](vmpi::Communicator &comm) {
+      const auto part = vmpi::Partitioner::cell_partitioner(
+        mesh, opts.rank_of_cell, comm.rank(), 1);
+      mg.setup_distributed(comm, part);
+      vmpi::DistributedVector<double> s(
+        part, comm, mg.fine_matrix_free().dofs_per_cell(0)),
+        d;
+      s.copy_owned_from(src);
+      mg.vmult(d, s);
+      ASSERT_EQ(d.size(), n);
+      std::memcpy(distributed.data(), d.data(), n * sizeof(double));
+    });
+
+    ASSERT_EQ(serial.size(), n);
+    EXPECT_EQ(std::memcmp(serial.data(), distributed.data(),
+                          n * sizeof(double)),
+              0)
+      << "one-rank distributed V-cycle deviates at pool width " << width;
+  }
+  pool.set_n_threads(saved_width);
 }

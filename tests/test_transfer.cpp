@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "dof/dof_handler.h"
@@ -19,6 +20,18 @@ Vector<float> random_vec(const std::size_t n, const unsigned int seed)
   for (std::size_t i = 0; i < n; ++i)
     v[i] = dist(rng);
   return v;
+}
+
+/// One refinement of the unit cube, then one more of its first cell: the
+/// Q1 space has hanging-node constraints.
+Mesh mesh_with_hanging_nodes()
+{
+  Mesh mesh(unit_cube());
+  mesh.refine_uniform(1);
+  std::vector<bool> flags(8, false);
+  flags[0] = true;
+  mesh.refine(flags);
+  return mesh;
 }
 
 MatrixFree<float> make_mf(const Mesh &mesh, const Geometry &geom,
@@ -68,7 +81,8 @@ TEST(DGPTransferTest, ProlongationPreservesCoarsePolynomials)
       phi.set_dof_values(coarse);
     }
   }
-  transfer.prolongate(fine, coarse);
+  fine.reinit(mf.n_dofs(0, 1));
+  transfer.prolongate_cells(fine.data(), coarse.data(), mf.n_cells());
   // evaluate the fine field at its collocation points and compare
   FEEvaluation<float, 1> phi(mf, 0, 0);
   for (unsigned int b = 0; b < mf.n_cell_batches(); ++b)
@@ -97,33 +111,65 @@ TEST(DGPTransferTest, RestrictionIsTransposeOfProlongation)
 
   const auto xc = random_vec(mf.n_dofs(1, 1), 1);
   const auto yf = random_vec(mf.n_dofs(0, 1), 2);
-  Vector<float> Pxc, Rtyf;
-  transfer.prolongate(Pxc, xc);
-  transfer.restrict_down(Rtyf, yf);
+  Vector<float> Pxc(yf.size()), Rtyf(xc.size());
+  transfer.prolongate_cells(Pxc.data(), xc.data(), mf.n_cells());
+  transfer.restrict_cells(Rtyf.data(), yf.data(), mf.n_cells());
   const double a = Pxc.dot(yf), b = Rtyf.dot(xc);
   EXPECT_NEAR(a, b, 1e-4 * std::abs(a));
 }
 
 TEST(CTransferTest, ProlongationOfConstantIsConstant)
 {
-  Mesh mesh(unit_cube());
-  mesh.refine_uniform(1);
-  std::vector<bool> flags(8, false);
-  flags[0] = true;
-  mesh.refine(flags); // include hanging constraints
+  const Mesh mesh = mesh_with_hanging_nodes();
   CFEDofHandler dofs;
   dofs.reinit(mesh);
   // no Dirichlet so the constant is representable
   const CFESpace cfe = make_q1_space(dofs, [](unsigned int) { return false; });
   const SparseMatrix P = build_c_transfer(mesh, cfe);
   SparseTransfer<float> transfer(P);
+  ASSERT_EQ(P.n_rows(), 8u * mesh.n_active_cells());
 
-  Vector<float> ones(cfe.n_dofs), dg;
+  Vector<float> ones(cfe.n_dofs), dg(P.n_rows());
   ones = 1.f;
-  transfer.prolongate(dg, ones);
-  ASSERT_EQ(dg.size(), 8u * mesh.n_active_cells());
+  transfer.prolongate_rows(dg.data(), ones, 0, dg.size());
   for (std::size_t i = 0; i < dg.size(); ++i)
     ASSERT_NEAR(dg[i], 1.f, 1e-6) << "dof " << i;
+}
+
+TEST(CTransferTest, RowRangesTileTheFullRangeBitwise)
+{
+  // the split the distributed cycle takes (the rows of each rank's cells,
+  // cut at a cell boundary) against the full range the serial cycle takes
+  const Mesh mesh = mesh_with_hanging_nodes();
+  CFEDofHandler dofs;
+  dofs.reinit(mesh);
+  const CFESpace cfe =
+    make_q1_space(dofs, [](unsigned int id) { return id == 0; });
+  const SparseMatrix P = build_c_transfer(mesh, cfe);
+  SparseTransfer<float> transfer(P);
+  const std::size_t n = P.n_rows();
+  const std::size_t m = 8 * (mesh.n_active_cells() / 3);
+  ASSERT_LT(0u, m);
+  ASSERT_LT(m, n);
+  const auto bytes_equal = [](const Vector<float> &a, const Vector<float> &b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+
+  const auto fine = random_vec(n, 3);
+  Vector<float> full(cfe.n_dofs), split(cfe.n_dofs);
+  transfer.restrict_rows(full, fine.data(), 0, n);
+  transfer.restrict_rows(split, fine.data(), 0, m);
+  transfer.restrict_rows(split, fine.data() + m, m, n);
+  EXPECT_TRUE(bytes_equal(split, full)) << "split restriction deviates";
+
+  const auto coarse = random_vec(cfe.n_dofs, 4);
+  Vector<float> full_fine(n), split_fine(n);
+  transfer.prolongate_rows(full_fine.data(), coarse, 0, n);
+  transfer.prolongate_rows(split_fine.data(), coarse, 0, m);
+  transfer.prolongate_rows(split_fine.data() + m, coarse, m, n);
+  EXPECT_TRUE(bytes_equal(split_fine, full_fine))
+    << "split prolongation deviates";
 }
 
 TEST(HTransferTest, ProlongationOfLinearFieldIsExact)
@@ -155,11 +201,7 @@ TEST(HTransferTest, ProlongationOfLinearFieldIsExact)
 
 TEST(HTransferTest, WorksOnAdaptiveMeshes)
 {
-  Mesh fine(unit_cube());
-  fine.refine_uniform(1);
-  std::vector<bool> flags(8, false);
-  flags[0] = true;
-  fine.refine(flags);
+  const Mesh fine = mesh_with_hanging_nodes();
   const Mesh coarse = fine.coarsened();
   EXPECT_LT(coarse.n_active_cells(), fine.n_active_cells());
 
