@@ -55,7 +55,10 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # length, so an over-read fails here. So do the operator suites (label
   # operators): the diagonal probe writes unit vectors into evaluator
   # buffers and copies the scalar Helmholtz diagonal into three component
-  # blocks per cell, so an index slip there must fail here. So do the
+  # blocks per cell, so an index slip there must fail here; the flow
+  # solver's suite carries the same label, as the only one that reaches
+  # the nonzero velocity data, the velocity Neumann data and the
+  # rotational pressure term of the right-hand sides. So do the
   # multigrid suites (label multigrid): the transfers index raw cell and
   # row ranges into the level vectors, so a range that overruns a level
   # must fail here.
@@ -65,7 +68,8 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
     --target test_mixed_precision test_abft abft_microbench \
     kernels_microbench ablation_precision threads_microbench \
     test_threading test_checksum test_aligned_vector test_laplace \
-    test_incns_operators test_multigrid test_transfer > /dev/null
+    test_incns_operators test_incns_solver test_multigrid test_transfer \
+    > /dev/null
   (cd build-asan && ctest -L "mixed_precision|abft|perf|threading|common|operators|multigrid" --output-on-failure)
 
   # Third verify pass: the resilience and ABFT suites under UBSan — the

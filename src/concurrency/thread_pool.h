@@ -155,8 +155,8 @@ public:
   /// Tasks run strictly FIFO on ONE dedicated thread (spawned lazily, and
   /// separate from the fork-join workers so a long disk write never steals
   /// a compute lane), so two async submissions never race each other: the
-  /// ordering guarantee the multi-generation checkpoint ring's monotonic
-  /// HEAD depends on. The destructor drains the queue before joining — an
+  /// ordering guarantee that keeps the multi-generation checkpoint ring's
+  /// commits in id order. The destructor drains the queue before joining — an
   /// enqueued task always runs. A task must not throw; escaped exceptions
   /// are swallowed after a stderr note (there is no caller left to rethrow
   /// to).

@@ -70,7 +70,6 @@ public:
     /// the term may be dropped at O(dt) boundary-local cost.
     bool rotational_pressure_bc = true;
     unsigned int geometry_degree = 2;
-    typename HybridMultigrid<float>::Options multigrid;
     /// optional analytic velocity Neumann data on pressure boundaries
     VectorFunctionT velocity_neumann_data;
     /// bounded time-step rejection: a failed or non-finite substep rolls
@@ -81,12 +80,6 @@ public:
     /// after the convective step, exercising rejection/rollback end-to-end
     std::function<bool(unsigned long step, unsigned int attempt)>
       inject_substep_fault;
-    /// distributed failure detection: when set, advance() opens every time
-    /// step with an agreement boundary (resilience/distributed_recovery.h),
-    /// so a rank lost during the previous step unwinds all survivors at the
-    /// same step instead of hanging them in the next exchange; nullptr (the
-    /// default) keeps serial time stepping unchanged
-    RecoveryHooks *recovery = nullptr;
   };
 
   /// Per-step record: one SolveStats per implicit substep (produced by the
@@ -137,7 +130,7 @@ public:
     mass_u_.reinit(mf_, u_space, quad_u);
     laplace_.reinit(mf_, p_space, quad_p, pressure_bc_view(bc_));
 
-    auto mg_opts = prm.multigrid;
+    typename HybridMultigrid<float>::Options mg_opts;
     mg_opts.geometry_degree = prm.geometry_degree;
     mg_opts.penalty_safety = prm.penalty_safety;
     pressure_mg_.setup(mesh, geometry, k - 1, pressure_bc_view(bc_), mg_opts);
@@ -253,8 +246,6 @@ public:
   {
     DGFLOW_PROF_SCOPE("ins_step");
     DGFLOW_PROF_COUNT("ins_steps", 1);
-    if (prm_.recovery)
-      prm_.recovery->at_iteration_boundary(true);
     Timer total;
     double dt = compute_time_step();
     DGFLOW_ASSERT(dt > 0, "vanishing time step");
@@ -563,108 +554,90 @@ private:
   void compute_vorticity(VectorType &w, const VectorType &u) const
   {
     w.reinit(mf_.n_dofs(u_space, 3), true);
-    FEEvaluation<Number, 3> phi(mf_, u_space, quad_u);
-    const unsigned int npc = phi.dofs_per_component;
-    for (unsigned int b = 0; b < mf_.n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      phi.read_dof_values(u);
-      phi.evaluate(false, true);
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
-      {
-        const Tensor2<VA> g = phi.get_gradient(q);
-        phi.begin_dof_values()[0 * npc + q] = g[2][1] - g[1][2];
-        phi.begin_dof_values()[1 * npc + q] = g[0][2] - g[2][0];
-        phi.begin_dof_values()[2 * npc + q] = g[1][0] - g[0][1];
-      }
-      phi.set_dof_values(w);
-    }
+    const auto make_cell = [&u, this](VectorType &w_v) {
+      auto phi =
+        std::make_shared<FEEvaluation<Number, 3>>(mf_, u_space, quad_u);
+      return [phi, &w_v, &u](const unsigned int b) {
+        const unsigned int npc = phi->dofs_per_component;
+        phi->reinit(b);
+        phi->read_dof_values(u);
+        phi->evaluate(false, true);
+        for (unsigned int q = 0; q < phi->n_q_points; ++q)
+        {
+          const Tensor2<VA> g = phi->get_gradient(q);
+          phi->begin_dof_values()[0 * npc + q] = g[2][1] - g[1][2];
+          phi->begin_dof_values()[1 * npc + q] = g[0][2] - g[2][0];
+          phi->begin_dof_values()[2 * npc + q] = g[1][0] - g[0][1];
+        }
+        phi->set_dof_values(w_v);
+      };
+    };
+    const unsigned int block = 3 * mf_.dofs_per_cell(u_space);
+    cell_only_loop(mf_, w, u, block, block, make_cell, NoRangeHook(),
+                   NoRangeHook());
   }
 
   /// Pressure boundary contributions of Eq. (2): inhomogeneous Dirichlet
-  /// data g_p on pressure boundaries and the consistent Neumann data
+  /// data g_p on pressure boundaries, through the Laplacian's own boundary
+  /// integral, and the consistent Neumann data
   /// h = -(dg_u/dt + extrapolated [(u.grad)u + nu curl(curl u)]).n on
   /// velocity boundaries (Karniadakis et al. 1991 / Fehn et al. 2017).
   void add_pressure_boundary_rhs(VectorType &rhs, const double t_new,
                                  const BDFCoefficients &bdf)
   {
-    FEFaceEvaluation<Number, 1> q_test(mf_, p_space, quad_p, true);
-    FEFaceEvaluation<Number, 3> w_now(mf_, u_space, quad_p, true);
-    FEFaceEvaluation<Number, 3> w_prev(mf_, u_space, quad_p, true);
-
-    for (unsigned int b = mf_.n_inner_face_batches(); b < mf_.n_face_batches();
-         ++b)
-    {
-      q_test.reinit(b);
-      const FlowBoundary &bdata = bc_.at(q_test.boundary_id());
-
-      if (bdata.kind == FlowBoundary::Kind::pressure)
-      {
-        // SIP Dirichlet data terms for g_p(t_new)
-        const VA sigma = q_test.penalty_parameter();
-        for (unsigned int q = 0; q < q_test.n_q_points; ++q)
-        {
-          const auto xq = q_test.quadrature_point(q);
-          VA g;
-          for (unsigned int l = 0; l < VA::width; ++l)
-            g[l] = Number(
-              bdata.pressure(Point(xq[0][l], xq[1][l], xq[2][l]), t_new));
-          q_test.submit_value(Number(2) * sigma * g, q);
-          q_test.submit_normal_derivative(-g, q);
-        }
-        q_test.integrate(true, true);
-        q_test.distribute_local_to_global(rhs);
-      }
-      else
-      {
-        // consistent pressure Neumann data (du_g/dt + extrapolated
-        // convective term; the viscous curl-curl contribution is omitted,
-        // see DESIGN.md)
-        const bool use_rot = prm_.rotational_pressure_bc;
-        const bool have_old =
-          use_rot && step_count_ > 0 && bdf.beta[1] != 0.;
-        if (use_rot)
-        {
-          w_now.reinit(b);
-          w_now.read_dof_values(vort_);
-          w_now.evaluate(false, true);
-        }
+    const auto g_p = [t_new, this](const auto &phi) {
+      const ScalarFunctionT &g = bc_.at(phi.boundary_id()).pressure;
+      return [&phi, &g, t_new](const unsigned int q) {
+        return point_values(phi, q,
+                            [&](const Point &x) { return g(x, t_new); });
+      };
+    };
+    // The consistent Neumann condition dp/dn = -(du_g/dt + (u.grad)u +
+    // nu curl(omega)).n interacts with the divergence term D(u_hat) whose
+    // wall trace is replaced by g(t^{n+1}): the BDF combination
+    // (alpha_i g - gamma0 g(t^{n+1}))/dt reproduces -du_g/dt.n to the
+    // scheme's order, and the convective flux cancels against the
+    // convective part of u_hat. What remains to be supplied explicitly is
+    // only the extrapolated rotational term -nu curl(omega).n, and only
+    // with Parameters::rotational_pressure_bc. Per chunk, two velocity
+    // face evaluators read the vorticity of steps n and n-1.
+    const bool have_old = step_count_ > 0 && bdf.beta[1] != 0.;
+    const Number nu = Number(prm_.viscosity);
+    const auto rotational = [&, this] {
+      auto w_now = std::make_shared<FEFaceEvaluation<Number, 3>>(
+        mf_, u_space, quad_p, true);
+      auto w_prev = std::make_shared<FEFaceEvaluation<Number, 3>>(
+        mf_, u_space, quad_p, true);
+      return [w_now, w_prev, &have_old, &nu, &bdf, this](const auto &phi) {
+        w_now->reinit(phi.face_batch());
+        w_now->read_dof_values(vort_);
+        w_now->evaluate(false, true);
         if (have_old)
         {
-          w_prev.reinit(b);
-          w_prev.read_dof_values(vort_old_);
-          w_prev.evaluate(false, true);
+          w_prev->reinit(phi.face_batch());
+          w_prev->read_dof_values(vort_old_);
+          w_prev->evaluate(false, true);
         }
-        const Number nu = Number(prm_.viscosity);
-        // The consistent Neumann condition dp/dn = -(du_g/dt + (u.grad)u +
-        // nu curl(omega)).n interacts with the divergence term D(u_hat)
-        // whose wall trace is replaced by g(t^{n+1}): the BDF combination
-        // (alpha_i g - gamma0 g(t^{n+1}))/dt reproduces -du_g/dt.n to the
-        // scheme's order, and the convective flux cancels against the
-        // convective part of u_hat. What remains to be supplied explicitly
-        // is only the extrapolated rotational term -nu curl(omega).n.
-        auto viscous_curl = [nu](const FEFaceEvaluation<Number, 3> &w,
-                                 const unsigned int q) {
-          const Tensor2<VA> wg = w.get_gradient(q);
-          return Tensor1<VA>(nu * (wg[2][1] - wg[1][2]),
-                             nu * (wg[0][2] - wg[2][0]),
-                             nu * (wg[1][0] - wg[0][1]));
-        };
-        for (unsigned int q = 0; q < q_test.n_q_points; ++q)
-        {
-          const Tensor1<VA> n = q_test.get_normal_vector(q);
-          Tensor1<VA> h;
-          if (use_rot)
-            h = Number(bdf.beta[0]) * viscous_curl(w_now, q);
+        return [&w_now = *w_now, &w_prev = *w_prev, &have_old, &nu, &bdf,
+                &phi](const unsigned int q) {
+          const auto viscous_curl = [&](const FEFaceEvaluation<Number, 3> &w) {
+            const Tensor2<VA> wg = w.get_gradient(q);
+            return Tensor1<VA>(nu * (wg[2][1] - wg[1][2]),
+                               nu * (wg[0][2] - wg[2][0]),
+                               nu * (wg[1][0] - wg[0][1]));
+          };
+          Tensor1<VA> h = Number(bdf.beta[0]) * viscous_curl(w_now);
           if (have_old)
-            h += Number(bdf.beta[1]) * viscous_curl(w_prev, q);
-          q_test.submit_value(-dot(h, n), q);
-          q_test.submit_normal_derivative(VA(Number(0)), q);
-        }
-        q_test.integrate(true, true);
-        q_test.distribute_local_to_global(rhs);
-      }
-    }
+            h += Number(bdf.beta[1]) * viscous_curl(w_prev);
+          return -dot(h, phi.get_normal_vector(q));
+        };
+      };
+    };
+    add_data_terms<1>(mf_, p_space, quad_p, laplace_, rhs, [&] {
+      return DataTerms{std::optional<ZeroData>(), std::optional(g_p),
+                       prm_.rotational_pressure_bc ? std::optional(rotational())
+                                                   : std::nullopt};
+    });
   }
 
   Parameters prm_;

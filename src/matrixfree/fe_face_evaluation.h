@@ -396,6 +396,8 @@ public:
            kp1;
   }
 
+  unsigned int face_batch() const { return batch_index_; }
+
   unsigned int boundary_id() const
   {
     return mf_.face_batch(batch_index_).boundary_id;

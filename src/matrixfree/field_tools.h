@@ -1,8 +1,10 @@
 #pragma once
 
-// Helpers to set and measure fields on DG spaces: nodal interpolation on the
-// collocated Gauss lattice, L2 errors/norms against analytic functions, and
-// integrals. Used by tests, examples and benchmark drivers.
+// Helpers to set and measure fields on DG spaces: point functions at the
+// quadrature points of an evaluator, nodal interpolation on the collocated
+// Gauss lattice, L2 errors/norms against analytic functions, and integrals.
+// Used by the operators' boundary data, tests, examples and benchmark
+// drivers.
 
 #include <functional>
 
@@ -14,6 +16,27 @@ namespace dgflow
 using ScalarFunction = std::function<double(const Point &)>;
 /// f(x) -> 3-vector.
 using VectorFunction = std::function<Tensor1<double>(const Point &)>;
+
+/// Values of the point function fn (double or Tensor1<double>) at the
+/// quadrature point q of phi, lane by lane.
+template <typename Eval, typename Fn>
+typename Eval::value_type point_values(const Eval &phi, const unsigned int q,
+                                       const Fn &fn)
+{
+  using Number = typename Eval::VA::value_type;
+  const auto xq = phi.quadrature_point(q);
+  typename Eval::value_type v;
+  for (unsigned int l = 0; l < Eval::n_lanes; ++l)
+  {
+    const auto y = fn(Point(xq[0][l], xq[1][l], xq[2][l]));
+    if constexpr (Eval::n_components == 1)
+      v[l] = Number(y);
+    else
+      for (unsigned int c = 0; c < dim; ++c)
+        v[c][l] = Number(y[c]);
+  }
+  return v;
+}
 
 /// Nodal interpolation of @p f onto the (collocated) space: requires the
 /// quadrature to coincide with the basis nodes.
@@ -30,12 +53,7 @@ void interpolate(const MatrixFree<Number> &mf, const unsigned int space,
   {
     phi.reinit(b);
     for (unsigned int q = 0; q < phi.n_q_points; ++q)
-    {
-      const auto xq = phi.quadrature_point(q);
-      for (unsigned int l = 0; l < MatrixFree<Number>::n_lanes; ++l)
-        phi.begin_dof_values()[q][l] =
-          Number(f(Point(xq[0][l], xq[1][l], xq[2][l])));
-    }
+      phi.begin_dof_values()[q] = point_values(phi, q, f);
     phi.set_dof_values(vec);
   }
 }
@@ -55,13 +73,9 @@ void interpolate_vector(const MatrixFree<Number> &mf, const unsigned int space,
     phi.reinit(b);
     for (unsigned int q = 0; q < phi.n_q_points; ++q)
     {
-      const auto xq = phi.quadrature_point(q);
-      for (unsigned int l = 0; l < MatrixFree<Number>::n_lanes; ++l)
-      {
-        const auto v = f(Point(xq[0][l], xq[1][l], xq[2][l]));
-        for (unsigned int c = 0; c < dim; ++c)
-          phi.begin_dof_values()[c * npc + q][l] = Number(v[c]);
-      }
+      const Tensor1<VectorizedArray<Number>> v = point_values(phi, q, f);
+      for (unsigned int c = 0; c < dim; ++c)
+        phi.begin_dof_values()[c * npc + q] = v[c];
     }
     phi.set_dof_values(vec);
   }

@@ -1,15 +1,26 @@
 #pragma once
 
-// Operator diagonal by unit-vector probing of the operator's own weak form
-// (operators/README.md), on the loop driver: for each local DoF i of a cell
-// or face side, load e_i, run the operator's integral and keep entry i. On
-// an interior face the other side's DoFs stay at zero, so only same-side
-// couplings reach the kept entries. The driver's chunk masking and order
-// apply (cell first, then faces ascending, minus side before plus side), so
-// the diagonal is bitwise the same at every pool width.
+// The loop-driver passes that reuse an operator's one weak form
+// (operators/README.md) beside its vmult:
+//
+// probe_diagonal: the operator diagonal by unit-vector probing. For each
+// local DoF i of a cell or face side, load e_i, run the operator's integral
+// and keep entry i. On an interior face the other side's DoFs stay at zero,
+// so only same-side couplings reach the kept entries.
+//
+// add_data_terms: the inhomogeneous data terms of a right-hand side. A
+// volume source and a Neumann flux are tested with v; Dirichlet data enter
+// through the operator's own boundary integral, evaluated at zero DoF values
+// with the data as exterior value and subtracted. Negating an integral is
+// exact, so the SIP data terms need no expression of their own.
+//
+// Both run the driver's chunk masking and order (cell first, then faces
+// ascending, minus side before plus side), so their results are bitwise the
+// same at every pool width.
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "matrixfree/cell_loop.h"
 #include "matrixfree/fe_evaluation.h"
@@ -17,9 +28,35 @@
 
 namespace dgflow
 {
+/// Binder of homogeneous data: bound to an evaluator it returns q -> 0.
+/// vmult and probe_diagonal pass it to boundary_integral, whose exterior
+/// value is then the mirrored interior one, bitwise (u - 0 == u, also for
+/// -0).
+struct ZeroData
+{
+  template <typename Eval>
+  auto operator()(const Eval &) const
+  {
+    // value-initialized: zero in every lane and component
+    return [](unsigned int) { return typename Eval::value_type(); };
+  }
+};
+
+/// The data of one right-hand side (add_data_terms): optional binders, each
+/// called with an evaluator reinit'ed on a batch and returning q -> value at
+/// that batch's quadrature points. An empty part contributes nothing; a part
+/// a right-hand side never has is std::optional<ZeroData>().
+template <typename F, typename G, typename H>
+struct DataTerms
+{
+  std::optional<F> f; ///< volume source, tested with v on the cells
+  std::optional<G> g; ///< Dirichlet value, through op.boundary_integral
+  std::optional<H> h; ///< Neumann flux, tested with v on the other faces
+};
+
 /// Diagonal of the operator @p op on @p space with @p n_components
 /// components; op provides the member templates cell_integral(phi),
-/// face_integral(phi_m, phi_p), boundary_integral(phi_m) and
+/// face_integral(phi_m, phi_p), boundary_integral(phi_m, g) and
 /// has_boundary_integral(boundary_id).
 template <int n_components, typename Number, typename Operator>
 void probe_diagonal(const MatrixFree<Number> &mf, const unsigned int space,
@@ -80,7 +117,7 @@ void probe_diagonal(const MatrixFree<Number> &mf, const unsigned int space,
     const auto boundary = [phi_m, probe, &op](const unsigned int b) {
       phi_m->reinit(b);
       if (op.has_boundary_integral(phi_m->boundary_id()))
-        probe(*phi_m, [&] { op.boundary_integral(*phi_m); });
+        probe(*phi_m, [&] { op.boundary_integral(*phi_m, ZeroData()); });
     };
 
     return LoopKernels{cell, inner, boundary};
@@ -88,6 +125,73 @@ void probe_diagonal(const MatrixFree<Number> &mf, const unsigned int space,
 
   // the probe reads no vector: diag stands in as the loop's src
   cell_face_loop(mf, diag, diag, n, n, make_kernels, NoRangeHook(),
+                 NoRangeHook());
+}
+
+/// Adds the data terms of the operator @p op on @p space to @p rhs, in one
+/// cell_face_loop pass. make_data() is called once per thread chunk, like a
+/// kernel factory, and returns the DataTerms{f, g, h} of the right-hand
+/// side: f on every cell; g on the boundary faces where
+/// op.has_boundary_integral(id) holds, where op.boundary_integral(phi_m, g)
+/// at zero DoF values is subtracted; h on the other boundary faces. Every
+/// binder is called concurrently from the chunks, so the data it reads must
+/// not change during the pass.
+template <int n_components, typename Number, typename Operator,
+          typename DataFactory>
+void add_data_terms(const MatrixFree<Number> &mf, const unsigned int space,
+                    const unsigned int quad, const Operator &op,
+                    Vector<Number> &rhs, DataFactory &&make_data)
+{
+  using VA = VectorizedArray<Number>;
+  const unsigned int n = n_components * mf.dofs_per_cell(space);
+
+  const auto make_kernels = [&](auto &dst_v) {
+    auto phi =
+      std::make_shared<FEEvaluation<Number, n_components>>(mf, space, quad);
+    auto phi_m = std::make_shared<FEFaceEvaluation<Number, n_components>>(
+      mf, space, quad, true);
+    auto data = std::make_shared<decltype(make_data())>(make_data());
+
+    // the integral of the binder d tested with v on the reinit'ed eval
+    const auto test = [&dst_v](auto &eval, const auto &d) {
+      const auto d_q = d(eval);
+      for (unsigned int q = 0; q < eval.n_q_points; ++q)
+        eval.submit_value(d_q(q), q);
+      eval.integrate(true, false);
+      eval.distribute_local_to_global(dst_v);
+    };
+
+    const auto cell = [phi, data, test](const unsigned int b) {
+      if (!data->f)
+        return;
+      phi->reinit(b);
+      test(*phi, *data->f);
+    };
+
+    const auto boundary = [phi_m, data, test, n, &op,
+                           &dst_v](const unsigned int b) {
+      phi_m->reinit(b);
+      if (!op.has_boundary_integral(phi_m->boundary_id()))
+      {
+        if (data->h)
+          test(*phi_m, *data->h);
+      }
+      else if (data->g)
+      {
+        VA *dofs = phi_m->begin_dof_values();
+        std::fill_n(dofs, n, VA(Number(0)));
+        op.boundary_integral(*phi_m, *data->g);
+        for (unsigned int i = 0; i < n; ++i)
+          dofs[i] = -dofs[i];
+        phi_m->distribute_local_to_global(dst_v);
+      }
+    };
+
+    return LoopKernels{cell, [](const unsigned int) {}, boundary};
+  };
+
+  // the pass reads no vector: rhs stands in as the loop's src
+  cell_face_loop(mf, rhs, rhs, n, n, make_kernels, NoRangeHook(),
                  NoRangeHook());
 }
 

@@ -43,6 +43,13 @@ public:
   using LVec = Vector<LevelNumber>;
   using DVec = vmpi::DistributedVector<LevelNumber>;
 
+  HybridMultigrid() = default;
+  // the level operators point into this object's MatrixFree and Q1 spaces,
+  // and each smoother at its level's operator: a copy or a move would apply
+  // the source's levels
+  HybridMultigrid(const HybridMultigrid &) = delete;
+  HybridMultigrid &operator=(const HybridMultigrid &) = delete;
+
   struct Options
   {
     bool h_coarsening = true; ///< build globally coarsened Q1 levels

@@ -21,7 +21,8 @@ namespace dgflow
 /// runs over a range of consecutive cells whose dense per-cell dof blocks
 /// the pointers address: all cells of a serial level vector, or the owned
 /// cells of a DistributedVector. The transfer is cell-local, so a range
-/// needs no communication.
+/// needs no communication. The two sweep buffers are members: one transfer
+/// belongs to one multigrid level, whose V-cycle runs on one thread.
 template <typename Number>
 class DGPTransfer
 {
@@ -30,6 +31,9 @@ public:
               const unsigned int space_coarse)
     : nf_(mf.degree(space_fine) + 1), nc_(mf.degree(space_coarse) + 1)
   {
+    const unsigned int mx = std::max(nf_, nc_);
+    t1_.resize(mx * mx * mx);
+    t2_.resize(mx * mx * mx);
     // 1D nodal interpolation: coarse basis evaluated at fine nodes
     const std::vector<double> nodes_f = gauss_quadrature(nf_).points;
     const LagrangeBasis basis_c(gauss_quadrature(nc_).points);
@@ -44,17 +48,15 @@ public:
                         const index_t n_cells) const
   {
     const std::size_t npc_f = nf_ * nf_ * nf_, npc_c = nc_ * nc_ * nc_;
-    const unsigned int mx = std::max(nf_, nc_);
-    std::vector<Number> t1(mx * mx * mx), t2(mx * mx * mx);
     for (index_t c = 0; c < n_cells; ++c)
     {
       const Number *src = coarse + c * npc_c;
       Number *dst = fine + c * npc_f;
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, src, t1.data(), 0,
+      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, src, t1_.data(), 0,
                                     {{nc_, nc_, nc_}});
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t1.data(),
-                                    t2.data(), 1, {{nf_, nc_, nc_}});
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t2.data(), dst, 2,
+      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t1_.data(),
+                                    t2_.data(), 1, {{nf_, nc_, nc_}});
+      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t2_.data(), dst, 2,
                                     {{nf_, nf_, nc_}});
     }
   }
@@ -65,17 +67,15 @@ public:
                       const index_t n_cells) const
   {
     const std::size_t npc_f = nf_ * nf_ * nf_, npc_c = nc_ * nc_ * nc_;
-    const unsigned int mx = std::max(nf_, nc_);
-    std::vector<Number> t1(mx * mx * mx), t2(mx * mx * mx);
     for (index_t c = 0; c < n_cells; ++c)
     {
       const Number *src = fine + c * npc_f;
       Number *dst = coarse + c * npc_c;
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, src, t1.data(), 2,
+      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, src, t1_.data(), 2,
                                    {{nf_, nf_, nf_}});
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t1.data(), t2.data(),
-                                   1, {{nf_, nf_, nc_}});
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t2.data(), dst, 0,
+      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t1_.data(),
+                                   t2_.data(), 1, {{nf_, nf_, nc_}});
+      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t2_.data(), dst, 0,
                                    {{nf_, nc_, nc_}});
     }
   }
@@ -83,6 +83,7 @@ public:
 private:
   unsigned int nf_, nc_;
   std::vector<Number> P1d_;
+  mutable std::vector<Number> t1_, t2_;
 };
 
 /// Sparse transfer in the level precision, built from a double CSR

@@ -19,6 +19,7 @@
 #include "matrixfree/cell_loop.h"
 #include "matrixfree/fe_evaluation.h"
 #include "matrixfree/fe_face_evaluation.h"
+#include "matrixfree/field_tools.h"
 #include "operators/boundary.h"
 
 namespace dgflow
@@ -158,7 +159,8 @@ public:
           Tensor1<VA> flux;
           if (bdata.kind == FlowBoundary::Kind::velocity_dirichlet)
           {
-            const Tensor1<VA> g = evaluate_vector(bdata.velocity, *phi_m, q, t);
+            const Tensor1<VA> g = point_values(
+              *phi_m, q, [&](const Point &x) { return bdata.velocity(x, t); });
             // mirror: u+ = 2g - u-
             flux = numerical_flux(um, Number(2) * g - um, n);
           }
@@ -202,22 +204,6 @@ public:
       flux[i] = Number(0.5) * (um[i] * un_m + up[i] * un_p) +
                 Number(0.5) * lambda * (um[i] - up[i]);
     return flux;
-  }
-
-  template <typename Eval>
-  static Tensor1<VA> evaluate_vector(const VectorFunctionT &f,
-                                     const Eval &phi, const unsigned int q,
-                                     const double t)
-  {
-    const auto xq = phi.quadrature_point(q);
-    Tensor1<VA> g;
-    for (unsigned int l = 0; l < VA::width; ++l)
-    {
-      const auto v = f(Point(xq[0][l], xq[1][l], xq[2][l]), t);
-      for (unsigned int c = 0; c < dim; ++c)
-        g[c][l] = Number(v[c]);
-    }
-    return g;
   }
 
 private:

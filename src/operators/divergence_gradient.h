@@ -132,8 +132,9 @@ private:
           {
             // ghost mirroring u+ = 2g - u- gives the central flux {u} = g
             if (use_boundary_values)
-              uhat = ConvectiveOperator<Number>::evaluate_vector(
-                bdata.velocity, *u_m, q, t);
+              uhat = point_values(*u_m, q, [&](const Point &x) {
+                return bdata.velocity(x, t);
+              });
             else
               uhat = Tensor1<VA>();
           }
@@ -266,14 +267,9 @@ private:
           {
             // ghost mirroring p+ = 2g - p- gives the central flux {p} = g
             if (use_boundary_values)
-            {
-              const auto xq = p_m->quadrature_point(q);
-              VA g;
-              for (unsigned int l = 0; l < VA::width; ++l)
-                g[l] = Number(
-                  bdata.pressure(Point(xq[0][l], xq[1][l], xq[2][l]), t));
-              phat = g;
-            }
+              phat = point_values(*p_m, q, [&](const Point &x) {
+                return bdata.pressure(x, t);
+              });
             else
               phat = VA(Number(0));
           }

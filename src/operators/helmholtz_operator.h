@@ -10,7 +10,9 @@
 // boundary data enters via add_boundary_rhs (the operator itself is
 // time-independent). The weak form is written once, as cell/face/boundary
 // integrals for any component count: vmult runs them on the three velocity
-// components, compute_diagonal probes the scalar form with unit vectors.
+// components, compute_diagonal probes the scalar form with unit vectors,
+// add_boundary_rhs evaluates the boundary integral at zero DoF values with
+// the Dirichlet data.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
@@ -86,7 +88,7 @@ public:
         if (!has_boundary_integral(phi_m->boundary_id()))
           return; // natural (do-nothing) on pressure boundaries
         phi_m->read_dof_values(src);
-        boundary_integral(*phi_m);
+        boundary_integral(*phi_m, ZeroData());
         phi_m->distribute_local_to_global(dst_v);
       };
 
@@ -100,8 +102,9 @@ public:
 
   /// The weak form, defined once for any component count (the components
   /// decouple): vmult runs each integral between the gather of the DoF
-  /// values and their scatter, and compute_diagonal probes the scalar
-  /// instantiation with unit vectors (matrixfree/operator_diagonal.h).
+  /// values and their scatter, compute_diagonal probes the scalar
+  /// instantiation with unit vectors and add_boundary_rhs takes the data
+  /// terms from boundary_integral (matrixfree/operator_diagonal.h).
   template <typename CellEval>
   void cell_integral(CellEval &phi) const
   {
@@ -144,14 +147,17 @@ public:
     return bc_->at(boundary_id).kind == FlowBoundary::Kind::velocity_dirichlet;
   }
 
-  template <typename FaceEval>
-  void boundary_integral(FaceEval &phi_m) const
+  /// Velocity Dirichlet faces with the data binder g (ZeroData for the
+  /// homogeneous action): mirror ghost u+ = 2 g - u.
+  template <typename FaceEval, typename Data>
+  void boundary_integral(FaceEval &phi_m, const Data &g) const
   {
     phi_m.evaluate(true, true);
     const VA sigma = phi_m.penalty_parameter();
+    const auto g_q = g(phi_m);
     for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
     {
-      const auto u = phi_m.get_value(q);
+      const auto u = phi_m.get_value(q) - g_q(q);
       const auto dn = phi_m.get_normal_derivative(q);
       phi_m.submit_value(nu_ * (Number(2) * sigma * u - dn), q);
       phi_m.submit_normal_derivative(-nu_ * u, q);
@@ -164,47 +170,23 @@ public:
   void add_boundary_rhs(VectorType &rhs, const double t,
                         const VectorFunctionT &neumann_data = {}) const
   {
-    FEFaceEvaluation<Number, 3> phi(*mf_, space_, quad_, true);
-    for (unsigned int b = mf_->n_inner_face_batches();
-         b < mf_->n_face_batches(); ++b)
-    {
-      phi.reinit(b);
-      const FlowBoundary &bdata = bc_->at(phi.boundary_id());
-      const bool dirichlet =
-        bdata.kind == FlowBoundary::Kind::velocity_dirichlet;
-      if (!dirichlet && !neumann_data)
-        continue;
-      const VA sigma = phi.penalty_parameter();
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
-      {
-        if (dirichlet)
-        {
-          // standard SIP data terms: + 2 nu sigma g v - nu g dv/dn
-          const Tensor1<VA> g = ConvectiveOperator<Number>::evaluate_vector(
-            bdata.velocity, phi, q, t);
-          Tensor1<VA> fv, fg;
-          for (unsigned int c = 0; c < dim; ++c)
-          {
-            fv[c] = nu_ * Number(2) * sigma * g[c];
-            fg[c] = -nu_ * g[c];
-          }
-          phi.submit_value(fv, q);
-          phi.submit_normal_derivative(fg, q);
-        }
-        else
-        {
-          const Tensor1<VA> h = ConvectiveOperator<Number>::evaluate_vector(
-            neumann_data, phi, q, t);
-          Tensor1<VA> hv;
-          for (unsigned int c = 0; c < dim; ++c)
-            hv[c] = nu_ * h[c];
-          phi.submit_value(hv, q);
-          phi.submit_normal_derivative(Tensor1<VA>(), q);
-        }
-      }
-      phi.integrate(true, true);
-      phi.distribute_local_to_global(rhs);
-    }
+    const auto g_u = [t, this](const auto &phi) {
+      const VectorFunctionT &g = bc_->at(phi.boundary_id()).velocity;
+      return [&phi, &g, t](const unsigned int q) {
+        return point_values(phi, q, [&](const Point &x) { return g(x, t); });
+      };
+    };
+    const auto nu_h = [t, &neumann_data, this](const auto &phi) {
+      return [&phi, &neumann_data, t, this](const unsigned int q) {
+        return nu_ * point_values(phi, q, [&](const Point &x) {
+                 return neumann_data(x, t);
+               });
+      };
+    };
+    add_data_terms<3>(*mf_, space_, quad_, *this, rhs, [&] {
+      return DataTerms{std::optional<ZeroData>(), std::optional(g_u),
+                       neumann_data ? std::optional(nu_h) : std::nullopt};
+    });
   }
 
   /// Operator diagonal (viscous Jacobi preconditioner): the scalar form

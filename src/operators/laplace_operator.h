@@ -10,8 +10,8 @@
 // vmult(dst, src, pre, post) for the homogeneous action, driven by the
 // shared cell_face_loop; inhomogeneous data enters via assemble_rhs. The
 // weak form is written once, as the cell/face/boundary integrals that
-// vmult wraps in gather/scatter and compute_diagonal probes with unit
-// vectors.
+// vmult wraps in gather/scatter, compute_diagonal probes with unit vectors
+// and assemble_rhs evaluates at zero DoF values with the Dirichlet data.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
@@ -109,7 +109,7 @@ public:
         if (!has_boundary_integral(phi_m->boundary_id()))
           return; // homogeneous operator: no contribution
         phi_m->read_dof_values(src);
-        boundary_integral(*phi_m);
+        boundary_integral(*phi_m, ZeroData());
         phi_m->distribute_local_to_global(dst_v);
       };
 
@@ -122,8 +122,9 @@ public:
   }
 
   /// The weak form, defined once: vmult runs each integral between the
-  /// gather of the DoF values and their scatter, and compute_diagonal probes
-  /// it with unit vectors (matrixfree/operator_diagonal.h).
+  /// gather of the DoF values and their scatter, compute_diagonal probes it
+  /// with unit vectors and assemble_rhs takes the data terms from
+  /// boundary_integral (matrixfree/operator_diagonal.h).
   template <typename CellEval>
   void cell_integral(CellEval &phi) const
   {
@@ -157,22 +158,24 @@ public:
     phi_p.integrate(true, true);
   }
 
-  /// Homogeneous Dirichlet faces; Neumann faces have no boundary integral.
+  /// Dirichlet faces; Neumann faces have no boundary integral.
   bool has_boundary_integral(const unsigned int boundary_id) const
   {
     return bc_.type_of(boundary_id) != BoundaryType::neumann;
   }
 
-  template <typename FaceEval>
-  void boundary_integral(FaceEval &phi_m) const
+  /// Dirichlet faces with the data binder g (ZeroData for the homogeneous
+  /// action): mirror ghost u+ = 2 g - u, so jump = 2 (u - g), {dn} = dn.
+  template <typename FaceEval, typename Data>
+  void boundary_integral(FaceEval &phi_m, const Data &g) const
   {
     phi_m.evaluate(true, true);
     const VA sigma = phi_m.penalty_parameter();
+    const auto g_q = g(phi_m);
     for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
     {
-      const VA u = phi_m.get_value(q);
+      const VA u = phi_m.get_value(q) - g_q(q);
       const VA dn = phi_m.get_normal_derivative(q);
-      // mirror ghost: u+ = -u => jump = 2u, {dn} = dn
       phi_m.submit_value(Number(2) * sigma * u - dn, q);
       phi_m.submit_normal_derivative(-u, q);
     }
@@ -180,66 +183,24 @@ public:
   }
 
   /// Assembles the right-hand side for -laplace(u) = f with Dirichlet data
-  /// g_d and Neumann data g_n (normal derivative).
+  /// g_d and Neumann data g_n (normal derivative); an empty function adds
+  /// nothing.
   void assemble_rhs(VectorType &rhs, const ScalarFunction &f,
                     const ScalarFunction &g_d = {},
                     const ScalarFunction &g_n = {}) const
   {
     rhs.reinit(n_dofs());
-
-    if (f)
-    {
-      FEEvaluation<Number, 1> phi(*mf_, space_, quad_);
-      for (unsigned int b = 0; b < mf_->n_cell_batches(); ++b)
-      {
-        phi.reinit(b);
-        for (unsigned int q = 0; q < phi.n_q_points; ++q)
-        {
-          const auto xq = phi.quadrature_point(q);
-          VA fv;
-          for (unsigned int l = 0; l < VA::width; ++l)
-            fv[l] = Number(f(Point(xq[0][l], xq[1][l], xq[2][l])));
-          phi.submit_value(fv, q);
-        }
-        phi.integrate(true, false);
-        phi.distribute_local_to_global(rhs);
-      }
-    }
-
-    FEFaceEvaluation<Number, 1> phi_m(*mf_, space_, quad_, true);
-    for (unsigned int b = mf_->n_inner_face_batches();
-         b < mf_->n_face_batches(); ++b)
-    {
-      phi_m.reinit(b);
-      const BoundaryType type = bc_.type_of(phi_m.boundary_id());
-      if (type == BoundaryType::dirichlet && !g_d)
-        continue;
-      if (type == BoundaryType::neumann && !g_n)
-        continue;
-      const VA sigma = phi_m.penalty_parameter();
-      for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
-      {
-        const auto xq = phi_m.quadrature_point(q);
-        VA g;
-        for (unsigned int l = 0; l < VA::width; ++l)
-        {
-          const Point x(xq[0][l], xq[1][l], xq[2][l]);
-          g[l] = Number(type == BoundaryType::dirichlet ? g_d(x) : g_n(x));
-        }
-        if (type == BoundaryType::dirichlet)
-        {
-          phi_m.submit_value(Number(2) * sigma * g, q);
-          phi_m.submit_normal_derivative(-g, q);
-        }
-        else
-        {
-          phi_m.submit_value(g, q);
-          phi_m.submit_normal_derivative(VA(Number(0)), q);
-        }
-      }
-      phi_m.integrate(true, true);
-      phi_m.distribute_local_to_global(rhs);
-    }
+    const auto at_points = [](const ScalarFunction &fn) {
+      const auto bind = [&fn](const auto &phi) {
+        return [&fn, &phi](const unsigned int q) {
+          return point_values(phi, q, fn);
+        };
+      };
+      return fn ? std::optional(bind) : std::nullopt;
+    };
+    add_data_terms<1>(*mf_, space_, quad_, *this, rhs, [&] {
+      return DataTerms{at_points(f), at_points(g_d), at_points(g_n)};
+    });
   }
 
   /// Operator diagonal (for the point-Jacobi preconditioner inside the

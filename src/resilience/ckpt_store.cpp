@@ -12,8 +12,6 @@ namespace dgflow::resilience
 {
 namespace
 {
-constexpr char head_name[] = "HEAD.ckpt";
-
 std::string generation_name(const std::uint64_t id)
 {
   // zero-padded so lexicographic directory order equals numeric order and a
@@ -58,7 +56,7 @@ GenerationStore::GenerationStore(std::string root, const Options &options)
   CkptIo::instance().create_directories(root_);
   garbage_collect();
   // resume numbering after the newest survivor so ids stay monotonic across
-  // restarts (HEAD and the ring ordering both rely on it)
+  // restarts (the ring ordering relies on it)
   const std::vector<std::uint64_t> existing = generations();
   next_id_.store(existing.empty() ? 0 : existing.back() + 1,
                  std::memory_order_relaxed);
@@ -88,14 +86,6 @@ void GenerationStore::commit_generation(const std::uint64_t id)
   // the directory rename is the commit point; the files inside were already
   // individually fsynced by write_file_atomic
   io.rename(committed + ".tmp", committed);
-  {
-    // HEAD is an ordinary checksummed checkpoint file, so a torn HEAD is
-    // *detected* (and ignored — the scan falls back to walking the ring)
-    // rather than silently pointing recovery at garbage
-    CheckpointWriter head(root_ + "/" + head_name);
-    head.write_u64(id);
-    head.close();
-  }
   // prune the ring: committed generations beyond keep_generations, oldest
   // first (never the one just published)
   const std::vector<std::uint64_t> all = generations();
@@ -118,19 +108,6 @@ std::vector<std::uint64_t> GenerationStore::generations() const
         ids.push_back(*id);
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-std::optional<std::uint64_t> GenerationStore::read_head() const
-{
-  try
-  {
-    CheckpointReader head(root_ + "/" + head_name);
-    return head.read_u64();
-  }
-  catch (const CheckpointError &)
-  {
-    return std::nullopt; // missing or corrupt HEAD: scan without the hint
-  }
 }
 
 bool GenerationStore::verify_generation(const std::string &directory)
@@ -168,14 +145,7 @@ bool GenerationStore::verify_generation(const std::string &directory)
 
 std::optional<std::uint64_t> GenerationStore::newest_valid_generation() const
 {
-  std::vector<std::uint64_t> ids = generations();
-  // HEAD is a hint: try it first if it names an existing generation, but a
-  // stale/corrupt/lying HEAD only changes the order of verification
-  if (const auto head = read_head())
-    if (std::find(ids.begin(), ids.end(), *head) != ids.end() &&
-        verify_generation(generation_directory(*head)) &&
-        *head == ids.back())
-      return head;
+  const std::vector<std::uint64_t> ids = generations();
   for (auto it = ids.rbegin(); it != ids.rend(); ++it)
     if (verify_generation(generation_directory(*it)))
       return *it;

@@ -10,25 +10,21 @@
 //   <root>/gen000007/           committed generation 7 (state.ckpt, or
 //                               rank<k>.ckpt + manifest.ckpt for shards)
 //   <root>/gen000008.tmp/       generation being staged (invisible to scans)
-//   <root>/HEAD.ckpt            checksummed u64: newest committed id (a hint;
-//                               recovery never trusts it blindly)
 //
 // Commit protocol: write every file of the generation durably into the .tmp
-// staging directory, rename the directory over its final name, fsync the
-// root, then publish HEAD. Each step is atomic, so a crash at any point
-// leaves either a fully committed generation or droppings a startup
-// garbage_collect() prunes. Recovery (scan / newest_valid_generation) walks
-// generations newest-first and returns the first whose every checkpoint file
-// verifies — HEAD accelerates the common case but a corrupted or stale HEAD
-// only costs a longer walk, never a wrong answer.
+// staging directory, rename the directory over its final name and fsync the
+// root. Each step is atomic, so a crash at any point leaves either a fully
+// committed generation or droppings a startup garbage_collect() prunes.
+// Recovery (scan / newest_valid_generation) walks generations newest-first
+// and returns the first whose every checkpoint file verifies.
 //
 // The AsyncCheckpointer on top is the one path by which the flow solver's
 // state reaches disk (LungApplication owns it). It takes already-encoded
 // in-memory images (CheckpointWriter::encode() runs on the solver thread —
 // the only part that needs solver state) and performs all disk I/O on the
 // ThreadPool's background service thread, so the coupled time step never
-// blocks on disk. Every publish is durable: each file, the directory
-// rename and HEAD are fsynced. Back-pressure: submit() blocks only while
+// blocks on disk. Every publish is durable: each file and the directory
+// rename are fsynced. Back-pressure: submit() blocks only while
 // max_in_flight generations are still being written (disk slower than the
 // checkpoint cadence), and drain() awaits outstanding writes on shutdown
 // and before any restore; a synchronous checkpoint is submit() followed by
@@ -75,9 +71,8 @@ public:
   std::string create_staging(std::uint64_t id);
 
   /// Atomically publishes generation @p id: renames the staging directory
-  /// over the committed name, fsyncs the root, records @p id in HEAD (a
-  /// one-record checkpoint file), and prunes generations beyond the ring
-  /// size.
+  /// over the committed name, fsyncs the root and prunes generations beyond
+  /// the ring size.
   void commit_generation(std::uint64_t id);
 
   /// Removes the staging directory of a generation whose write failed.
@@ -90,8 +85,8 @@ public:
   std::vector<std::uint64_t> generations() const;
 
   /// Newest generation whose every checkpoint file verifies, walking the
-  /// ring newest-first (HEAD is consulted as a starting hint only);
-  /// std::nullopt when no generation survives verification.
+  /// ring newest-first; std::nullopt when no generation survives
+  /// verification.
   std::optional<std::uint64_t> newest_valid_generation() const;
 
   /// True when every *.ckpt in @p directory parses and checksums, and —
@@ -111,8 +106,6 @@ public:
   GcReport garbage_collect();
 
 private:
-  std::optional<std::uint64_t> read_head() const;
-
   std::string root_;
   Options options_;
   std::atomic<std::uint64_t> next_id_{0};

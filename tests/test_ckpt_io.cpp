@@ -2,8 +2,8 @@
 // also run under DGFLOW_SANITIZE=thread and =undefined by
 // run_benchmarks.sh): the CkptIo filesystem shim with deterministic fault
 // injection (short write, torn write, ENOSPC, EIO, slow disk), the durable
-// rename-publish protocol, the multi-generation ring with checksummed HEAD
-// and fall-back recovery scan, the asynchronous background writer with
+// rename-publish protocol, the multi-generation ring with its newest-first
+// verified recovery scan, the asynchronous background writer with
 // back-pressure and drain, the Young/Daly checkpoint scheduler, shard
 // reassembly under every corruption class, the lung application's
 // checkpoint path through the ring, and the end-to-end torn-write +
@@ -316,7 +316,7 @@ TEST(IoFaultPlan, DecisionsAreDeterministicAndScopedByThePathFilter)
 // the generation ring
 // ---------------------------------------------------------------------------
 
-TEST(GenerationRing, CommitPublishesHeadAndPrunesBeyondTheRing)
+TEST(GenerationRing, CommitPrunesBeyondTheRing)
 {
   const std::string root = scratch_dir("ring");
   resilience::GenerationStore::Options opts;
@@ -332,7 +332,6 @@ TEST(GenerationRing, CommitPublishesHeadAndPrunesBeyondTheRing)
   ASSERT_TRUE(newest.has_value());
   EXPECT_EQ(*newest, 4ull);
   EXPECT_EQ(read_generation_value(store, *newest), 4.);
-  EXPECT_TRUE(CkptIo::instance().exists(root + "/HEAD.ckpt"));
 }
 
 TEST(GenerationRing, RecoveryFallsBackGenerationByGeneration)
@@ -362,23 +361,6 @@ TEST(GenerationRing, RecoveryFallsBackGenerationByGeneration)
     << "no generation survives verification";
 }
 
-TEST(GenerationRing, CorruptedHeadOnlyCostsTheScanNeverTheAnswer)
-{
-  const std::string root = scratch_dir("bad_head");
-  resilience::GenerationStore store(root, {});
-  write_generation(store, 1.);
-  write_generation(store, 2.);
-
-  std::vector<char> head = slurp(root + "/HEAD.ckpt");
-  head.back() = static_cast<char>(head.back() ^ 0x01);
-  spit(root + "/HEAD.ckpt", head);
-
-  const auto newest = store.newest_valid_generation();
-  ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ(*newest, 1ull)
-    << "a torn HEAD is detected by its checksum and ignored";
-}
-
 // Satellite: a crashed half-written generation (staging directory that never
 // committed) and stale .tmp files are pruned on writer startup and never
 // considered by the recovery scan.
@@ -392,12 +374,12 @@ TEST(GenerationRing, StartupGcPrunesHalfWrittenGenerations)
     const std::string staging = store.create_staging(77);
     spit(staging + "/state.ckpt", {'p', 'a', 'r', 't', 'i', 'a', 'l'});
     // ... and a torn single-file publish attempt
-    spit(root + "/HEAD.ckpt.tmp", {'x'});
+    spit(root + "/state.ckpt.tmp", {'x'});
   }
 
   resilience::GenerationStore reopened(root, {});
   EXPECT_FALSE(CkptIo::instance().exists(root + "/gen000077.tmp"));
-  EXPECT_FALSE(CkptIo::instance().exists(root + "/HEAD.ckpt.tmp"));
+  EXPECT_FALSE(CkptIo::instance().exists(root + "/state.ckpt.tmp"));
   EXPECT_EQ(reopened.generations(), std::vector<std::uint64_t>{0})
     << "only the committed generation survives";
   const auto newest = reopened.newest_valid_generation();
@@ -430,14 +412,13 @@ TEST(AsyncWriter, PublishesInBackgroundAndDrainsInOrder)
   EXPECT_EQ(status.failed, 0ull);
   const auto newest = ckpt.store().newest_valid_generation();
   ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ(*newest, 2ull) << "FIFO service order keeps HEAD monotonic";
+  EXPECT_EQ(*newest, 2ull) << "FIFO service order commits in id order";
   EXPECT_EQ(read_generation_value(ckpt.store(), *newest), 2.);
 }
 
-// Every ring commit is durable: the file and HEAD are fsynced before their
-// renames, and the staging directory, the root (after the generation
-// rename) and the root again (after the HEAD rename) are fsynced after
-// them.
+// Every ring commit is durable: the file is fsynced before its rename, and
+// the staging directory (after the file rename) and the root (after the
+// generation rename) are fsynced after them.
 TEST(AsyncWriter, EveryGenerationIsPublishedDurably)
 {
   const std::string root = scratch_dir("async_durable");
@@ -452,11 +433,11 @@ TEST(AsyncWriter, EveryGenerationIsPublishedDurably)
   ckpt.drain();
   const auto after = CkptIo::instance().stats();
   ASSERT_EQ(ckpt.status().published, 1ull);
-  EXPECT_EQ(after.file_fsyncs, before.file_fsyncs + 2)
-    << "state.ckpt and HEAD.ckpt are fsynced";
-  EXPECT_EQ(after.renames, before.renames + 3)
-    << "file publish, generation commit, HEAD publish";
-  EXPECT_EQ(after.dir_fsyncs, before.dir_fsyncs + 3)
+  EXPECT_EQ(after.file_fsyncs, before.file_fsyncs + 1)
+    << "state.ckpt is fsynced";
+  EXPECT_EQ(after.renames, before.renames + 2)
+    << "file publish, generation commit";
+  EXPECT_EQ(after.dir_fsyncs, before.dir_fsyncs + 2)
     << "every rename is followed by an fsync of its directory";
 }
 
@@ -519,7 +500,7 @@ TEST(AsyncWriter, BackPressureBoundsInFlightGenerations)
     ckpt.submit(std::move(images));
   }
   // with max_in_flight = 1, the third submit must have waited for the
-  // first write (>= 2 stalled writes of 50 ms each: state.ckpt + HEAD)
+  // first generation (>= 1 stalled write of 50 ms: state.ckpt)
   EXPECT_GE(t.seconds(), 0.05);
   ckpt.drain();
   EXPECT_EQ(ckpt.status().published, 3ull);

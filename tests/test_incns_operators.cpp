@@ -225,6 +225,49 @@ TEST(HelmholtzOperatorTest, DiagonalMatchesProbing)
   }
 }
 
+TEST(HelmholtzOperatorTest, DirichletDataIsConsistentWithTheOperator)
+{
+  // the viscous operator (mass factor 0) is SIP-consistent: a linear
+  // velocity lies in the space and is integrated exactly on an affine mesh,
+  // so V I(u) equals the Dirichlet data terms of u entry by entry
+  Mesh mesh(unit_cube());
+  mesh.refine_uniform(1);
+  AnalyticGeometry affine([](index_t, const Point &p) {
+    return Point(p[0] + 0.2 * p[1], p[1] + 0.1 * p[2] - 0.05 * p[0],
+                 p[2] - 0.15 * p[0]);
+  });
+  const unsigned int k = OpSetup::k;
+  MatrixFree<double> mf;
+  MatrixFree<double>::AdditionalData data;
+  data.degrees = {k, k - 1};
+  data.n_q_points_1d = {k + 1, k, k + 2};
+  mf.reinit(mesh, affine, data);
+
+  const auto u = [](const Point &p, double) {
+    return Tensor1<double>(0.3 + p[0] - 2. * p[1], p[2] - 0.7 * p[0],
+                           1. + 0.5 * p[1] + p[2]);
+  };
+  FlowBoundaryMap bc;
+  for (unsigned int id = 0; id < 6; ++id)
+  {
+    FlowBoundary b;
+    b.velocity = u;
+    bc[id] = b;
+  }
+  HelmholtzOperator<double> helm;
+  helm.reinit(mf, 0, 0, bc, 0.05);
+  helm.set_mass_factor(0.);
+
+  Vector<double> Iu, AIu, rhs(helm.n_dofs());
+  interpolate_vector(mf, 0, 0, [&](const Point &p) { return u(p, 0.); }, Iu);
+  helm.vmult(AIu, Iu);
+  helm.add_boundary_rhs(rhs, 0.);
+  const double scale = rhs.linfty_norm();
+  ASSERT_GT(scale, 0.);
+  for (std::size_t i = 0; i < rhs.size(); ++i)
+    ASSERT_NEAR(AIu[i], rhs[i], 1e-12 * scale) << "dof " << i;
+}
+
 TEST(PenaltyOperatorTest, ReducesToMassForZeroDt)
 {
   OpSetup s;

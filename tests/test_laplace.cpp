@@ -165,6 +165,35 @@ TEST_P(LaplaceDegree, DiagonalMatchesUnitVectorProbing)
   check(refined, deformed, mixed);
 }
 
+TEST_P(LaplaceDegree, DirichletDataIsConsistentWithTheOperator)
+{
+  // SIP is consistent: a linear u lies in the space and is integrated
+  // exactly on an affine mesh, so A I(u) equals the Dirichlet data terms of
+  // u (f = -laplace u = 0) entry by entry
+  Mesh mesh(unit_cube());
+  mesh.refine_uniform(1);
+  AnalyticGeometry affine([](index_t, const Point &p) {
+    return Point(p[0] + 0.2 * p[1], p[1] + 0.1 * p[2] - 0.05 * p[0],
+                 p[2] - 0.15 * p[0]);
+  });
+  MatrixFree<double> mf;
+  setup_mf(mf, mesh, affine, GetParam());
+  LaplaceOperator<double> laplace;
+  laplace.reinit(mf, 0, 0, all_dirichlet());
+
+  const ScalarFunction u = [](const Point &p) {
+    return 0.3 + p[0] - 2. * p[1] + 0.5 * p[2];
+  };
+  Vector<double> Iu, AIu, rhs;
+  interpolate(mf, 0, 0, u, Iu);
+  laplace.vmult(AIu, Iu);
+  laplace.assemble_rhs(rhs, {}, u);
+  const double scale = rhs.linfty_norm();
+  ASSERT_GT(scale, 0.);
+  for (std::size_t i = 0; i < rhs.size(); ++i)
+    ASSERT_NEAR(AIu[i], rhs[i], 1e-12 * scale) << "dof " << i;
+}
+
 TEST_P(LaplaceDegree, ConvergesAtOptimalRate)
 {
   const unsigned int k = GetParam();

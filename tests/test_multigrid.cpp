@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "mesh/generators.h"
 #include "multigrid/hybrid_multigrid.h"
@@ -9,6 +10,15 @@
 #include "vmpi/partitioner.h"
 
 using namespace dgflow;
+
+// the level operators point into the instance's own MatrixFree and Q1
+// spaces, and every smoother at its level's operator
+static_assert(!std::is_copy_constructible_v<HybridMultigrid<float>> &&
+                !std::is_copy_assignable_v<HybridMultigrid<float>> &&
+                !std::is_move_constructible_v<HybridMultigrid<float>> &&
+                !std::is_move_assignable_v<HybridMultigrid<float>>,
+              "a copied or moved HybridMultigrid would apply the source's "
+              "levels");
 
 namespace
 {

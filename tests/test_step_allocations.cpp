@@ -7,7 +7,8 @@
 // large as the pressure vector while LungApplication::advance() runs. It
 // also replaces the plain operator new, which stages checkpoint images
 // (std::vector<char>), and counts those allocations separately: a
-// checkpointed step stages its image in exactly one.
+// checkpointed step stages its image in exactly one, and a multigrid
+// p-transfer sweeps in buffers it owns, so it allocates nothing.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <string>
 
 #include "lung/lung_application.h"
+#include "multigrid/transfer.h"
 
 using namespace dgflow;
 
@@ -157,4 +159,35 @@ TEST(StepAllocations, CheckpointedStepStagesItsImageOnce)
   }
   std::filesystem::remove_all(root);
   concurrency::ThreadPool::instance().set_n_threads(saved_width);
+}
+
+TEST(StepAllocations, PTransferAllocatesNothing)
+{
+  // the pressure multigrid's first p-transfer on the lung g=3 mesh: DG(2)
+  // to DG(1) in the level precision, over every cell
+  AirwayTreeParameters tree;
+  tree.n_generations = 3;
+  const LungMesh lung = build_lung_mesh(AirwayTree::generate(tree));
+  const Mesh mesh(lung.coarse);
+  const TrilinearGeometry geometry(mesh.coarse());
+  MatrixFree<float> mf;
+  MatrixFree<float>::AdditionalData data;
+  data.degrees = {2, 1};
+  data.n_q_points_1d = {3, 2};
+  data.geometry_degree = 1;
+  mf.reinit(mesh, geometry, data);
+  const DGPTransfer<float> transfer(mf, 0, 1);
+  Vector<float> fine(mf.n_dofs(0, 1)), coarse(mf.n_dofs(1, 1));
+  fine = 1.f;
+
+  count_from_bytes = 0;
+  n_counted = 0;
+  n_counted_plain = 0;
+  counting = true;
+  transfer.restrict_cells(coarse.data(), fine.data(), mf.n_cells());
+  transfer.prolongate_cells(fine.data(), coarse.data(), mf.n_cells());
+  counting = false;
+  EXPECT_EQ(n_counted_plain.load() + n_counted.load(), 0u)
+    << "one restriction and one prolongation over " << mf.n_cells()
+    << " cells allocated";
 }

@@ -5,10 +5,12 @@
 // determinism contract of the threaded loops — vmult, the fused Jacobi-CG
 // solve and the fused Chebyshev sweep must be BITWISE identical to the
 // single-threaded sweep at any thread count, serially and on four vmpi
-// ranks with per-rank thread partitions — and of the whole lung time step,
-// which must end in the bitwise same velocity and pressure at any pool
-// width. The hook contract of the loop driver is pinned directly as well:
-// pre and post ranges tile src and dst exactly once per vmult.
+// ranks with per-rank thread partitions — of the right-hand sides whose
+// data terms come from the operators' boundary integrals, and of the whole
+// lung time step, which must end in the bitwise same velocity and pressure
+// at any pool width. The hook contract of the loop driver is pinned
+// directly as well: pre and post ranges tile src and dst exactly once per
+// vmult.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 
 #include "common/env.h"
 #include "concurrency/thread_pool.h"
+#include "incns/analytic_flows.h"
 #include "lung/lung_application.h"
 #include "mesh/generators.h"
 #include "mesh/partition.h"
@@ -433,6 +436,141 @@ TEST(ThreadDeterminismTest, LungStepIsBitwiseIdenticalAtAnyPoolWidth)
       << "velocity differs at " << nt << " threads";
     EXPECT_TRUE(bitwise_equal(run.p, ref.p))
       << "pressure differs at " << nt << " threads";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// right-hand sides: the data terms of assemble_rhs, add_boundary_rhs and the
+// pressure step run on the loop driver, with nonzero Dirichlet and Neumann
+// data and, in the Ethier-Steinman steps, the rotational pressure term
+// ---------------------------------------------------------------------------
+
+namespace
+{
+struct RhsRun
+{
+  Vector<double> laplace, helmholtz, u, p;
+};
+
+/// A deformed cube, refined twice and once more in the octant at the origin:
+/// hanging faces and 15 cell batches, so every pool width splits it.
+Mesh refined_cube()
+{
+  Mesh mesh = make_mesh(2);
+  std::vector<bool> flags(mesh.n_active_cells(), false);
+  for (index_t i = 0; i < mesh.n_active_cells(); ++i)
+  {
+    const auto lo = mesh.cell_lower_corner(i);
+    flags[i] = lo[0] < 0.5 && lo[1] < 0.5 && lo[2] < 0.5;
+  }
+  mesh.refine(flags);
+  return mesh;
+}
+
+/// The Ethier-Steinman boundary conditions: analytic velocity on five
+/// faces, analytic pressure on x = 1.
+FlowBoundaryMap ethier_steinman_bc(const EthierSteinman &es)
+{
+  FlowBoundaryMap bc;
+  for (unsigned int id = 0; id < 6; ++id)
+  {
+    FlowBoundary b;
+    if (id == 1)
+    {
+      b.kind = FlowBoundary::Kind::pressure;
+      b.pressure = [es](const Point &p, double t) { return es.pressure(p, t); };
+      b.backflow_stabilization = false;
+    }
+    else
+    {
+      b.velocity = [es](const Point &p, double t) { return es.velocity(p, t); };
+      b.velocity_dt = [es](const Point &p, double t) {
+        return es.velocity_dt(p, t);
+      };
+    }
+    bc[id] = b;
+  }
+  return bc;
+}
+
+RhsRun run_right_hand_sides(const unsigned int nt)
+{
+  concurrency::ThreadPool::instance().set_n_threads(nt);
+  const Mesh mesh = refined_cube();
+  AnalyticGeometry geom([](index_t, const Point &p) {
+    return Point(p[0] + 0.05 * p[1] * p[2], p[1] - 0.04 * p[0],
+                 p[2] + 0.03 * p[0] * p[1]);
+  });
+  const EthierSteinman es;
+  const FlowBoundaryMap bc = ethier_steinman_bc(es);
+  const VectorFunctionT neumann = [es](const Point &p, const double t) {
+    const auto g = es.velocity_gradient(p, t);
+    return Tensor1<double>(g[0][0], g[1][0], g[2][0]);
+  };
+  RhsRun run;
+  {
+    const unsigned int k = 3;
+    MatrixFree<double> mf;
+    MatrixFree<double>::AdditionalData data;
+    data.degrees = {k, k - 1};
+    data.n_q_points_1d = {k + 1, k, k + 2};
+    mf.reinit(mesh, geom, data);
+
+    BoundaryMap mixed = all_dirichlet();
+    mixed.set(1, BoundaryType::neumann);
+    LaplaceOperator<double> laplace;
+    laplace.reinit(mf, 1, 1, mixed);
+    laplace.assemble_rhs(
+      run.laplace, [](const Point &p) { return std::sin(3. * p[0]) + p[1]; },
+      [es](const Point &p) { return es.pressure(p, 0.1); },
+      [](const Point &p) { return p[2] - 0.5 * p[1]; });
+
+    HelmholtzOperator<double> helmholtz;
+    helmholtz.reinit(mf, 0, 0, bc, 0.01);
+    run.helmholtz.reinit(helmholtz.n_dofs());
+    for (std::size_t i = 0; i < run.helmholtz.size(); ++i)
+      run.helmholtz[i] = std::cos(0.11 * double(i));
+    helmholtz.add_boundary_rhs(run.helmholtz, 0.1, neumann);
+  }
+
+  Mesh es_mesh = make_mesh(2);
+  TrilinearGeometry es_geom(es_mesh.coarse());
+  INSSolver<double>::Parameters prm;
+  prm.degree = 3;
+  prm.viscosity = es.nu;
+  prm.fixed_dt = 0.01;
+  prm.rel_tol_pressure = prm.rel_tol_viscous = prm.rel_tol_projection = 1e-8;
+  prm.velocity_neumann_data = neumann;
+  EXPECT_TRUE(prm.rotational_pressure_bc);
+  INSSolver<double> solver;
+  solver.setup(es_mesh, es_geom, bc, prm);
+  solver.set_initial_condition(
+    [&es](const Point &p) { return es.velocity(p, 0.); },
+    [&es](const Point &p) { return es.pressure(p, 0.); });
+  for (unsigned int step = 0; step < 3; ++step)
+    EXPECT_TRUE(solver.advance().success) << "step " << step;
+  run.u = solver.velocity();
+  run.p = solver.pressure();
+  return run;
+}
+} // namespace
+
+TEST(ThreadDeterminismTest, RightHandSidesAreBitwiseIdenticalAtAnyPoolWidth)
+{
+  ScopedPoolWidth guard;
+  const RhsRun ref = run_right_hand_sides(1);
+  ASSERT_GT(ref.laplace.l2_norm(), 0.);
+  for (const unsigned int nt : {2u, 4u})
+  {
+    const RhsRun run = run_right_hand_sides(nt);
+    EXPECT_TRUE(bitwise_equal(run.laplace, ref.laplace))
+      << "assemble_rhs differs at " << nt << " threads";
+    EXPECT_TRUE(bitwise_equal(run.helmholtz, ref.helmholtz))
+      << "add_boundary_rhs differs at " << nt << " threads";
+    EXPECT_TRUE(bitwise_equal(run.u, ref.u))
+      << "Ethier-Steinman velocity differs at " << nt << " threads";
+    EXPECT_TRUE(bitwise_equal(run.p, ref.p))
+      << "Ethier-Steinman pressure differs at " << nt << " threads";
   }
 }
 
