@@ -3,16 +3,13 @@
 // in stages -
 //   dp:        double V-cycle, double AMG coarse solve
 //   sp_levels: float V-cycle, double AMG (the paper's configuration)
-// and, on the distributed cube case,
-//   sp_ghost:  double storage with single-precision ghost-exchange payloads
-//              (checksummed float wire format)
 // Iteration counts must not degrade (the paper cites [44]) while each stage
 // removes memory traffic. Run on the unit cube and on the lung geometry
 // (the acceptance case: SP-preconditioned DP CG within +-1 iteration of
 // full DP).
 //
 // Machine-readable output: when DGFLOW_BENCH_JSON is set, the results are
-// archived as JSON (schema dgflow-bench-precision-v1); run_benchmarks.sh
+// archived as JSON (schema dgflow-bench-precision-v2); run_benchmarks.sh
 // stores it as bench_results/BENCH_precision.json. A fast smoke variant
 // (--smoke, also run under `ctest -L perf`) shrinks the cases to verify the
 // harness end to end.
@@ -24,10 +21,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "mesh/partition.h"
 #include "multigrid/hybrid_multigrid.h"
 #include "solvers/cg.h"
-#include "vmpi/partitioner.h"
 
 using namespace dgflow;
 using namespace dgflow::bench;
@@ -41,7 +36,6 @@ struct Result
   std::size_t n_dofs;
   unsigned int iterations;
   double seconds;
-  double ghost_bytes_per_vmult = 0; ///< distributed configs only
 };
 
 struct Case
@@ -94,75 +88,6 @@ Result run_mg_config(const Case &c, const char *config)
   return r;
 }
 
-/// Distributed Jacobi-CG on 4 logical ranks with the requested ghost-wire
-/// precision: validates the iteration count and measures the exchange bytes
-/// per vmult (the single wire roughly halves them; the +8-byte checksum
-/// trailer per message is included).
-Result run_ghost_config(const Case &c, const char *config,
-                        const vmpi::WirePrecision wire)
-{
-  const int n_ranks = 4;
-  const std::vector<int> rank_of_cell = partition_cells(*c.mesh, n_ranks);
-
-  MatrixFree<double>::AdditionalData data;
-  data.degrees = {c.degree};
-  data.n_q_points_1d = {c.degree + 1};
-  data.geometry_degree = 1;
-  data.penalty_safety = c.penalty_safety;
-  data.rank_of_cell = rank_of_cell;
-  data.n_ranks = n_ranks;
-  MatrixFree<double> mf;
-  mf.reinit(*c.mesh, *c.geom, data);
-  LaplaceOperator<double> laplace;
-  laplace.reinit(mf, 0, 0, *c.bc);
-  const unsigned int dofs_per_cell = mf.dofs_per_cell(0);
-
-  Vector<double> diag;
-  laplace.compute_diagonal(diag);
-
-  Result r;
-  r.case_name = c.name;
-  r.config = config;
-  r.n_dofs = laplace.n_dofs();
-
-  vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
-    const auto part = vmpi::Partitioner::cell_partitioner(
-      *c.mesh, rank_of_cell, comm.rank(), n_ranks);
-    vmpi::DistributedVector<double> x(part, comm, dofs_per_cell), b, ddiag,
-      dst;
-    b.reinit(part, comm, dofs_per_cell);
-    b = 1.;
-    ddiag.reinit(part, comm, dofs_per_cell);
-    ddiag.copy_owned_from(diag);
-    x.set_wire_precision(wire);
-    b.set_wire_precision(wire);
-    PreconditionJacobi<double> jacobi;
-    jacobi.reinit(ddiag);
-
-    // measured exchange traffic of repeated vmults
-    const unsigned int n_mv = 10;
-    laplace.vmult(dst, x); // warm-up (x carries the wire setting)
-    const auto before = comm.traffic();
-    Timer t;
-    for (unsigned int i = 0; i < n_mv; ++i)
-      laplace.vmult(dst, x);
-    const double seconds = t.seconds() / n_mv;
-    const auto after = comm.traffic();
-
-    SolverControl control;
-    control.rel_tol = 1e-8;
-    control.max_iterations = 2000;
-    const auto solve = solve_cg(laplace, x, b, jacobi, control);
-    if (comm.rank() == 0)
-    {
-      r.iterations = solve.iterations;
-      r.seconds = seconds;
-      r.ghost_bytes_per_vmult = double(after.bytes - before.bytes) / n_mv;
-    }
-  });
-  return r;
-}
-
 void write_json(const char *path, const std::vector<Result> &results,
                 const bool smoke)
 {
@@ -180,7 +105,7 @@ void write_json(const char *path, const std::vector<Result> &results,
     if (r.case_name == "lung_g3_k3" && r.config == "sp_levels")
       lung_sp = int(r.iterations);
   }
-  std::fprintf(f, "{\n  \"schema\": \"dgflow-bench-precision-v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"dgflow-bench-precision-v2\",\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"lung_cg_iterations_dp\": %d,\n", lung_dp);
   std::fprintf(f, "  \"lung_cg_iterations_sp_levels\": %d,\n", lung_sp);
@@ -192,11 +117,9 @@ void write_json(const char *path, const std::vector<Result> &results,
     const Result &r = results[i];
     std::fprintf(f,
                  "    {\"case\": \"%s\", \"config\": \"%s\", \"n_dofs\": "
-                 "%zu, \"iterations\": %u, \"seconds\": %.6e, "
-                 "\"ghost_bytes_per_vmult\": %.6g}%s\n",
+                 "%zu, \"iterations\": %u, \"seconds\": %.6e}%s\n",
                  r.case_name.c_str(), r.config.c_str(), r.n_dofs,
-                 r.iterations, r.seconds, r.ghost_bytes_per_vmult,
-                 i + 1 < results.size() ? "," : "");
+                 r.iterations, r.seconds, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -210,10 +133,9 @@ int main(int argc, char **argv)
   const bool smoke = (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) ||
                      std::getenv("DGFLOW_BENCH_SMOKE") != nullptr;
 
-  print_header("Ablation: mixed-precision multigrid and ghost wire",
-               "paper Section 3.4: dropping the V-cycle (and here also the "
-               "ghost payloads) to single precision must not affect CG "
-               "convergence");
+  print_header("Ablation: mixed-precision multigrid",
+               "paper Section 3.4: dropping the V-cycle to single precision "
+               "must not affect CG convergence");
 
   std::vector<Result> results;
 
@@ -259,29 +181,8 @@ int main(int argc, char **argv)
     table.print();
   }
 
-  // distributed ghost-wire ablation on the cube (4 logical ranks)
-  {
-    Table table(
-      {"ghost wire", "CG its", "vmult [s]", "exchange bytes/vmult"});
-    results.push_back(
-      run_ghost_config(cube, "dp_ghost", vmpi::WirePrecision::storage));
-    results.push_back(
-      run_ghost_config(cube, "sp_ghost", vmpi::WirePrecision::single));
-    for (std::size_t i = results.size() - 2; i < results.size(); ++i)
-    {
-      const Result &r = results[i];
-      table.add_row(r.config.c_str(), r.iterations,
-                    Table::format(r.seconds, 4),
-                    Table::sci(r.ghost_bytes_per_vmult, 4));
-    }
-    std::printf("\ndistributed cube, 4 logical ranks:\n");
-    table.print();
-  }
-
-  std::printf("\nexpected: iteration counts within +-1 across all "
-              "configurations; the single ghost wire roughly halves the "
-              "exchange bytes (plus an 8-byte checksum trailer per "
-              "message).\n");
+  std::printf("\nexpected: iteration counts within +-1 across both "
+              "configurations.\n");
 
   if (const char *path = std::getenv("DGFLOW_BENCH_JSON"))
     write_json(path, results, smoke);

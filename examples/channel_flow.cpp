@@ -40,10 +40,7 @@ int main(int argc, char **argv)
       };
     }
     else if (id == 2 || id == 3)
-    {
-      b.kind = FlowBoundary::Kind::velocity_dirichlet; // no-slip walls
-      b.velocity = [](const Point &, double) { return Tensor1<double>(); };
-    }
+      b.kind = FlowBoundary::Kind::velocity_dirichlet; // no-slip: no data
     else
     {
       b.kind = FlowBoundary::Kind::velocity_dirichlet;

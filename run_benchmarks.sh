@@ -40,16 +40,18 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
 
   # Second verify pass: the fused-kernel equivalence, mixed-precision and
   # ABFT tests under AddressSanitizer — the fused hooks write through raw
-  # pointers into solver vectors mid-traversal, the single-precision ghost
-  # wire packs/unpacks hand-rolled buffers, and the ABFT guard flips bits in
-  # live payloads and checksums raw memory regions; an out-of-range hook
-  # range, wire offset or stale artifact region must fail here, not corrupt
-  # a timing run below. The perf smoke label rides along: it drives the
-  # batch and generic kernel sweeps through a full vmult harness, so a
-  # scratch-buffer overrun in a sweep fails here first. So does the loop
-  # driver's suite (label threading): every operator write, at any pool
-  # width, goes through the chunk view's masked scatter, and an
-  # out-of-range write there must fail here too. The common suites ride
+  # pointers into solver vectors mid-traversal, and the ABFT guard flips
+  # bits in live payloads and checksums raw memory regions; an out-of-range
+  # hook range or stale artifact region must fail here, not corrupt a
+  # timing run below. The Chebyshev suite (label solvers) rides along: its
+  # plain test operators get the smoother's hooks over the whole range
+  # (vmult_hooked), so a range that overruns a vector must fail here too.
+  # The perf smoke label rides along: it drives the batch and generic
+  # kernel sweeps through a full vmult harness, so a scratch-buffer overrun
+  # in a sweep fails here first. So does the loop driver's suite (label
+  # threading): every operator write, at any pool width, goes through the
+  # chunk view's masked scatter, and an out-of-range write there must fail
+  # here too. The common suites ride
   # along: the XXH64 checksum reads a payload's tail in 8-, 4- and 1-byte
   # steps, and its reference vectors sit in buffers of exactly their
   # length, so an over-read fails here. So do the operator suites (label
@@ -62,15 +64,15 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # multigrid suites (label multigrid): the transfers index raw cell and
   # row ranges into the level vectors, so a range that overruns a level
   # must fail here.
-  echo "verify pass: mixed_precision|abft|perf|threading|common|operators|multigrid under DGFLOW_SANITIZE=address"
+  echo "verify pass: mixed_precision|abft|perf|threading|common|operators|multigrid|solvers under DGFLOW_SANITIZE=address"
   cmake -B build-asan -S . -DDGFLOW_SANITIZE=address > /dev/null
   cmake --build build-asan -j \
     --target test_mixed_precision test_abft abft_microbench \
     kernels_microbench ablation_precision threads_microbench \
     test_threading test_checksum test_aligned_vector test_laplace \
     test_incns_operators test_incns_solver test_multigrid test_transfer \
-    > /dev/null
-  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading|common|operators|multigrid" --output-on-failure)
+    test_chebyshev > /dev/null
+  (cd build-asan && ctest -L "mixed_precision|abft|perf|threading|common|operators|multigrid|solvers" --output-on-failure)
 
   # Third verify pass: the resilience and ABFT suites under UBSan — the
   # bit-flip injection and checksum paths reinterpret raw bytes and shift

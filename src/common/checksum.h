@@ -2,8 +2,7 @@
 
 // The one integrity checksum of dgflow: XXH64 (Yann Collet's xxHash, 64-bit
 // variant), as its reference specifies. It checks checkpoint payloads,
-// ABFT-guarded setup artifacts, vmpi allreduce contributions and the
-// single-precision ghost wire.
+// ABFT-guarded setup artifacts and vmpi allreduce contributions.
 //
 // Four independent multiply-rotate lanes consume 32-byte stripes, so one
 // pass over a 24.7 MB checkpoint image runs at about 7 GB/s on one core of

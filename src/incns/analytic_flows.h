@@ -32,11 +32,6 @@ struct EthierSteinman
             std::exp(a * y) * std::cos(a * z + d * x)) * e);
   }
 
-  Tensor1<double> velocity_dt(const Point &p, const double t) const
-  {
-    return (-nu * d * d) * velocity(p, t);
-  }
-
   double pressure(const Point &p, const double t) const
   {
     const double e2 = std::exp(-2. * nu * d * d * t);

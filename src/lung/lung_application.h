@@ -8,6 +8,8 @@
 // kinematic pressure p/rho; the driver converts the ventilation model's
 // Pa values accordingly.
 
+#include <optional>
+
 #include "incns/solver.h"
 #include "lung/lung_mesh.h"
 #include "lung/ventilation.h"
@@ -65,9 +67,8 @@ public:
     const double rho = prm_.lung.air_density;
     FlowBoundaryMap bc;
     {
-      FlowBoundary wall;
+      FlowBoundary wall; // no-slip: velocity Dirichlet, no data
       wall.kind = FlowBoundary::Kind::velocity_dirichlet;
-      wall.velocity = [](const Point &, double) { return Tensor1<double>(); };
       bc[LungMesh::wall_id] = wall;
 
       FlowBoundary inlet;
@@ -131,16 +132,7 @@ public:
   void load_checkpoint(const std::string &path)
   {
     resilience::CheckpointReader reader(path);
-    solver_.deserialize(reader);
-    ventilation_->load_state(reader);
-    const std::uint64_t n = reader.read_u64();
-    DGFLOW_ASSERT(n == outlet_fluxes_.size(),
-                  "checkpoint has " << n << " outlet fluxes, application has "
-                                    << outlet_fluxes_.size());
-    for (double &q : outlet_fluxes_)
-      q = reader.read_double();
-    DGFLOW_ASSERT(reader.exhausted(),
-                  "trailing bytes after the application checkpoint records");
+    load(reader);
   }
 
   /// Enables asynchronous multi-generation checkpointing of the *coupled*
@@ -191,20 +183,31 @@ public:
     ckpt_scheduler_->checkpoint_taken(ckpt_clock_.seconds());
   }
 
-  /// Restores the coupled state from the newest generation whose files all
-  /// verify (falling back generation by generation); false when none does.
+  /// Restores the coupled state from the newest generation whose app.ckpt
+  /// verifies (falling back generation by generation); false when none
+  /// does. Each file is read and checksummed once: the reader verifies it
+  /// before a value is deserialized.
   bool restore_latest()
   {
     DGFLOW_ASSERT(checkpointer_ != nullptr, "checkpointing is not enabled");
     checkpointer_->drain();
-    const auto generation =
-      checkpointer_->store().newest_valid_generation();
-    if (!generation)
-      return false;
-    load_checkpoint(
-      checkpointer_->store().generation_directory(*generation) +
-      "/app.ckpt");
-    return true;
+    const resilience::GenerationStore &store = checkpointer_->store();
+    const std::vector<std::uint64_t> ids = store.generations();
+    for (auto id = ids.rbegin(); id != ids.rend(); ++id)
+    {
+      std::optional<resilience::CheckpointReader> reader;
+      try
+      {
+        reader.emplace(store.generation_directory(*id) + "/app.ckpt");
+      }
+      catch (const resilience::CheckpointError &)
+      {
+        continue; // torn, corrupted or missing: try the next older one
+      }
+      load(*reader);
+      return true;
+    }
+    return false;
   }
 
   resilience::AsyncCheckpointer *checkpointer() { return checkpointer_.get(); }
@@ -220,8 +223,8 @@ public:
   VentilationModel &ventilation() { return *ventilation_; }
 
 private:
-  /// The coupled 0D/3D record layout load_checkpoint() reads back: flow
-  /// solver, ventilation model, outlet-flux coupling buffer.
+  /// The coupled 0D/3D record layout load() reads back: flow solver,
+  /// ventilation model, outlet-flux coupling buffer.
   void serialize(resilience::CheckpointWriter &writer) const
   {
     solver_.serialize(writer);
@@ -229,6 +232,20 @@ private:
     writer.write_u64(outlet_fluxes_.size());
     for (const double q : outlet_fluxes_)
       writer.write_double(q);
+  }
+
+  void load(resilience::CheckpointReader &reader)
+  {
+    solver_.deserialize(reader);
+    ventilation_->load_state(reader);
+    const std::uint64_t n = reader.read_u64();
+    DGFLOW_ASSERT(n == outlet_fluxes_.size(),
+                  "checkpoint has " << n << " outlet fluxes, application has "
+                                    << outlet_fluxes_.size());
+    for (double &q : outlet_fluxes_)
+      q = reader.read_double();
+    DGFLOW_ASSERT(reader.exhausted(),
+                  "trailing bytes after the application checkpoint records");
   }
 
   LungApplicationParameters prm_;

@@ -41,9 +41,10 @@ struct FlowBoundary
     pressure
   };
   Kind kind = Kind::velocity_dirichlet;
-  VectorFunctionT velocity;      ///< g_u (velocity_dirichlet)
-  VectorFunctionT velocity_dt;   ///< dg_u/dt, for the pressure Neumann BC
-  ScalarFunctionT pressure;      ///< g_p (pressure boundaries)
+  /// g_u (velocity_dirichlet); empty = zero data (a no-slip wall), which
+  /// no reader evaluates
+  VectorFunctionT velocity;
+  ScalarFunctionT pressure; ///< g_p (pressure boundaries)
   /// suppress incoming momentum flux at locally reversed flow on pressure
   /// boundaries (energy-stable outflow; disable for analytic test flows
   /// with genuine inflow through the open boundary)
@@ -159,8 +160,11 @@ public:
           Tensor1<VA> flux;
           if (bdata.kind == FlowBoundary::Kind::velocity_dirichlet)
           {
-            const Tensor1<VA> g = point_values(
-              *phi_m, q, [&](const Point &x) { return bdata.velocity(x, t); });
+            Tensor1<VA> g; // zero unless the boundary has data
+            if (bdata.velocity)
+              g = point_values(*phi_m, q, [&](const Point &x) {
+                return bdata.velocity(x, t);
+              });
             // mirror: u+ = 2g - u-
             flux = numerical_flux(um, Number(2) * g - um, n);
           }

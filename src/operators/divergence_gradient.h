@@ -131,7 +131,7 @@ private:
           if (bdata.kind == FlowBoundary::Kind::velocity_dirichlet)
           {
             // ghost mirroring u+ = 2g - u- gives the central flux {u} = g
-            if (use_boundary_values)
+            if (use_boundary_values && bdata.velocity)
               uhat = point_values(*u_m, q, [&](const Point &x) {
                 return bdata.velocity(x, t);
               });

@@ -14,6 +14,8 @@
 // add_boundary_rhs evaluates the boundary integral at zero DoF values with
 // the Dirichlet data.
 
+#include <algorithm>
+
 #include "instrumentation/profiler.h"
 #include "matrixfree/cell_loop.h"
 #include "matrixfree/fe_evaluation.h"
@@ -166,13 +168,24 @@ public:
   }
 
   /// Adds the inhomogeneous boundary contributions to @p rhs: Dirichlet data
-  /// g_u and (optional, analytic tests) Neumann data dg/dn at time @p t.
+  /// g_u and (optional, analytic tests) Neumann data dg/dn at time @p t. An
+  /// empty g_u is zero data and adds nothing; with no data at all (the
+  /// lung's no-slip walls) the pass is skipped.
   void add_boundary_rhs(VectorType &rhs, const double t,
                         const VectorFunctionT &neumann_data = {}) const
   {
+    const bool has_dirichlet_data =
+      std::any_of(bc_->begin(), bc_->end(), [](const auto &id_bc) {
+        return id_bc.second.kind == FlowBoundary::Kind::velocity_dirichlet &&
+               id_bc.second.velocity;
+      });
+    if (!has_dirichlet_data && !neumann_data)
+      return;
     const auto g_u = [t, this](const auto &phi) {
       const VectorFunctionT &g = bc_->at(phi.boundary_id()).velocity;
       return [&phi, &g, t](const unsigned int q) {
+        if (!g)
+          return Tensor1<VA>();
         return point_values(phi, q, [&](const Point &x) { return g(x, t); });
       };
     };

@@ -51,7 +51,6 @@
 
 #include "common/recovery_hooks.h"
 #include "vmpi/communicator.h"
-#include "vmpi/distributed_vector.h"
 
 namespace dgflow::resilience
 {
@@ -186,32 +185,5 @@ DistributedRunReport run_resilient(
   const int n_ranks, const DistributedRecoveryOptions &options,
   const std::function<void(vmpi::Communicator &, RecoveryContext &,
                            const RecoveryAttempt &)> &body);
-
-/// Runs @p f, routing locally caught communication-layer errors —
-/// vmpi::TimeoutError and vmpi::GhostCorruptionError alike — through
-/// ctx.resolve_failure() before rethrowing. A corrupted ghost payload is
-/// indistinguishable, locally, from a flaky link or a dying peer; the
-/// agreement round inside resolve_failure() is what disambiguates: dead
-/// peers surface as RankFailure (shrink rung), while an all-alive verdict
-/// rethrows the original error for the retry rung, with the mailbox drained
-/// and the epoch advanced so the poisoned exchange cannot leak into it.
-template <typename F>
-auto with_failure_resolution(RecoveryContext &ctx, F &&f)
-{
-  try
-  {
-    return std::forward<F>(f)();
-  }
-  catch (const vmpi::TimeoutError &)
-  {
-    ctx.resolve_failure();
-    throw;
-  }
-  catch (const vmpi::GhostCorruptionError &)
-  {
-    ctx.resolve_failure();
-    throw;
-  }
-}
 
 } // namespace dgflow::resilience

@@ -2,12 +2,13 @@
 
 // Fallback-ladder wrapper around linear solves: each rung is a named solve
 // strategy (e.g. hybrid-multigrid CG, then Jacobi CG with relaxed control);
-// on a failed or throwing rung the initial guess is restored and the next
-// rung tried. Rungs marked demote_on_failure are disabled after their first
-// failure (a diverging multigrid V-cycle on a pathological mesh stays
-// broken — retrying it every time step only burns wall time). Recoveries
-// are counted per wrapper and as profiler counters, so production runs
-// report how often the ladder fired.
+// on a failed rung the initial guess is restored and the next rung tried.
+// Rungs report failure in their SolveStats; an exception is an error, not a
+// failure, and reaches the caller unchanged. Rungs marked demote_on_failure
+// are disabled after their first failure (a diverging multigrid V-cycle on a
+// pathological mesh stays broken — retrying it every time step only burns
+// wall time). Recoveries are counted per wrapper and as profiler counters,
+// so production runs report how often the ladder fired.
 
 #include <functional>
 #include <string>
@@ -61,7 +62,8 @@ public:
   /// cannot poison the next; the restore copy is a member, so repeated
   /// solves allocate nothing). Returns the first converged SolveStats, or
   /// the last rung's failed stats when the whole ladder is exhausted.
-  /// Never throws on solver failure; never aborts.
+  /// Never throws on solver failure; an exception thrown by a rung
+  /// propagates, and the rung is neither counted as failed nor demoted.
   SolveStats solve(VectorType &x, const VectorType &b)
   {
     DGFLOW_ASSERT(!rungs_.empty(), "RecoveringSolver has no rungs");
@@ -75,17 +77,7 @@ public:
       if (attempts > 0)
         x = x0_;
       ++attempts;
-      try
-      {
-        stats = rung.solve(x, b);
-      }
-      catch (const std::exception &)
-      {
-        // a diverging V-cycle can overflow inside the preconditioner;
-        // classify as non-finite and fall through to the next rung
-        stats = SolveStats();
-        stats.failure = SolveFailure::non_finite;
-      }
+      stats = rung.solve(x, b);
       if (stats.converged)
       {
         last_rung_ = rung.name;

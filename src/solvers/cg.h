@@ -16,13 +16,13 @@
 // is zero-filled, since each is written before it is read. The 5-argument
 // overload builds a workspace local to the call and runs the same code.
 //
-// Fused loops: when the operator implements the contract-v2 hooked vmult
-// (HookedOperatorFor), the search-direction update p = beta*p + z rides the
-// next vmult's pre hooks (each cell batch's slice updated right before the
+// Fused loops: the search-direction update p = beta*p + z rides the next
+// vmult's pre hooks (each cell batch's slice updated right before the
 // operator reads it) and the x/r updates merge into one sweep — the merged
 // solver kernels of Muething et al., saving two full passes of vector
-// traffic per iteration. Operators without hooks run the classic loop; the
-// arithmetic is element-for-element the same, so both agree bitwise.
+// traffic per iteration. An operator without hooks gets the update over the
+// whole range before its vmult (vmult_hooked); the arithmetic is element
+// for element that of the textbook loop, so every path agrees bitwise.
 //
 // ABFT guard: with SolverControl::abft_replay_interval > 0 the solver
 // periodically replays the true residual and the CG orthogonality relation
@@ -75,11 +75,6 @@ struct SolverControl
   // rollback decision is made from allreduced quantities, so in distributed
   // solves every rank takes it at the same boundary.
   unsigned int abft_replay_interval = 0;
-  /// relative drift threshold of both replay invariants; the default sits
-  /// orders of magnitude above the floating-point drift of a healthy
-  /// recurrence and below any corruption that could survive into a
-  /// converged solution at practical tolerances
-  double abft_drift_tol = 1e-8;
   /// consecutive failed replays tolerated before the solve gives up with
   /// SolveFailure::sdc_detected (persistent corruption the rollback cannot
   /// clear, e.g. a corrupt operator with no scrubber attached)
@@ -186,7 +181,6 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
 {
   using Number = typename VectorType::value_type;
   constexpr bool distributed = is_distributed_vector_v<VectorType>;
-  constexpr bool hooked = HookedOperatorFor<Operator, VectorType>;
   DGFLOW_PROF_SCOPE("cg");
   Timer solve_timer;
   SolveStats result;
@@ -265,7 +259,7 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
   double best_res = res_norm;
   unsigned int last_improvement = 0;
 
-  // fused mode defers p = beta*p + z into the next vmult's pre hooks
+  // p = beta*p + z is deferred into the next vmult's pre hooks
   Number beta = Number(0);
   bool pending_beta = false;
 
@@ -273,6 +267,11 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
   // (r was just computed as b - A x directly), so a drift detected at the
   // very first replay boundary can already roll back
   const unsigned int abft_m = control.abft_replay_interval;
+  // relative drift threshold of both replay invariants: orders of magnitude
+  // above the floating-point drift of a healthy recurrence and below any
+  // corruption that could survive into a converged solution at practical
+  // tolerances
+  constexpr double replay_drift_tol = 1e-8;
   VectorType &snap_x = ws.snap_x, &snap_r = ws.snap_r, &snap_p = ws.snap_p;
   Number snap_rz = rz;
   double snap_res = res_norm;
@@ -377,10 +376,9 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
         std::isfinite(true_res) && std::isfinite(rp) &&
         std::isfinite(p_norm) &&
         res_drift <=
-          control.abft_drift_tol * std::max(b_norm > 0 ? b_norm : 1.,
-                                            res_norm) &&
-        orth_drift <= control.abft_drift_tol *
-                        std::max(res_norm * p_norm, std::abs(double(rz)));
+          replay_drift_tol * std::max(b_norm > 0 ? b_norm : 1., res_norm) &&
+        orth_drift <= replay_drift_tol * std::max(res_norm * p_norm,
+                                                  std::abs(double(rz)));
       if (sound && rebuilt == 0)
       {
         // validated: refresh the rolling snapshot
@@ -404,24 +402,22 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
         continue; // redo the window from the validated state
       }
     }
-    if constexpr (hooked)
+    if (pending_beta)
     {
-      if (pending_beta)
-      {
-        // the operator fires this per cell batch right before reading the
-        // batch's p entries (cut-face batches before the ghost exchange),
-        // so Ap = A * (beta*p + z) without a separate sweep over p
-        const Number beta_c = beta;
-        Number *DGFLOW_RESTRICT pd = p.data();
-        const Number *DGFLOW_RESTRICT zd = z.data();
-        A.vmult(Ap, p, [=](const std::size_t r0, const std::size_t r1) {
+      // the operator fires this per cell batch right before reading the
+      // batch's p entries (cut-face batches before the ghost exchange),
+      // so Ap = A * (beta*p + z) without a separate sweep over p
+      const Number beta_c = beta;
+      Number *DGFLOW_RESTRICT pd = p.data();
+      const Number *DGFLOW_RESTRICT zd = z.data();
+      vmult_hooked(
+        A, Ap, p,
+        [=](const std::size_t r0, const std::size_t r1) {
           for (std::size_t i = r0; i < r1; ++i)
             pd[i] = beta_c * pd[i] + zd[i];
-        });
-        pending_beta = false;
-      }
-      else
-        A.vmult(Ap, p);
+        },
+        NoRangeHook());
+      pending_beta = false;
     }
     else
       A.vmult(Ap, p);
@@ -453,32 +449,24 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
       break;
     }
     const Number alpha = rz / pAp;
-    if constexpr (hooked)
+    // one merged sweep instead of two (bitwise equal: the element updates
+    // are independent and use the textbook expressions)
+    Number *DGFLOW_RESTRICT xd = x.data();
+    Number *DGFLOW_RESTRICT rd = r.data();
+    const Number *DGFLOW_RESTRICT pd = p.data();
+    const Number *DGFLOW_RESTRICT apd = Ap.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      x.size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+        {
+          xd[i] += alpha * pd[i];
+          rd[i] += (-alpha) * apd[i];
+        }
+      });
+    if constexpr (distributed)
     {
-      // one merged sweep instead of two (bitwise equal: the element
-      // updates are independent and use the classic expressions)
-      Number *DGFLOW_RESTRICT xd = x.data();
-      Number *DGFLOW_RESTRICT rd = r.data();
-      const Number *DGFLOW_RESTRICT pd = p.data();
-      const Number *DGFLOW_RESTRICT apd = Ap.data();
-      concurrency::ThreadPool::instance().parallel_for(
-        x.size(), [&](const std::size_t i0, const std::size_t i1) {
-          for (std::size_t i = i0; i < i1; ++i)
-          {
-            xd[i] += alpha * pd[i];
-            rd[i] += (-alpha) * apd[i];
-          }
-        });
-      if constexpr (distributed)
-      {
-        x.invalidate_ghosts();
-        r.invalidate_ghosts();
-      }
-    }
-    else
-    {
-      x.add(alpha, p);
-      r.add(-alpha, Ap);
+      x.invalidate_ghosts();
+      r.invalidate_ghosts();
     }
 
     res_norm = double(r.l2_norm());
@@ -509,8 +497,8 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
         const double true_res = double(z.l2_norm());
         if (!(std::isfinite(true_res) &&
               std::abs(true_res - res_norm) <=
-                control.abft_drift_tol *
-                  std::max(b_norm > 0 ? b_norm : 1., res_norm)))
+                replay_drift_tol * std::max(b_norm > 0 ? b_norm : 1.,
+                                            res_norm)))
         {
           ++result.sdc_detected;
           if (abft_rollback())
@@ -538,10 +526,7 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     const Number rz_new = r.dot(z);
     beta = rz_new / rz;
     rz = rz_new;
-    if constexpr (hooked)
-      pending_beta = true; // p = beta*p + z rides the next vmult
-    else
-      p.sadd(beta, Number(1), z);
+    pending_beta = true; // p = beta*p + z rides the next vmult
   }
   if (!result.converged && result.failure == SolveFailure::none)
     result.failure = SolveFailure::max_iterations;

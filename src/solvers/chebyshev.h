@@ -38,18 +38,13 @@ struct ChebyshevData
   /// (the default) keeps serial smoothing unchanged
   RecoveryHooks *recovery = nullptr;
   /// ABFT sweep guard: scan every sweep's result for non-finite entries and
-  /// against an energy bound (see abft_energy_factor); a violating sweep is
+  /// against an energy bound (see energy_bound_factor); a violating sweep is
   /// discarded — x restored to its input (zeroed for the zero-guess sweep)
   /// — so corruption in smoother scratch surfaces as one weaker smoothing
   /// application plus the abft_smoother_repairs counter instead of NaN
   /// propagating through the V-cycle. The scan is local (no collective) and
   /// off by default.
   bool abft_check = false;
-  /// energy bound of the sweep result: |x|_inf must not exceed
-  /// abft_energy_factor * (|x_in|_inf + |D^{-1} b|_inf / lambda_min); the
-  /// default is loose enough for any healthy Chebyshev polynomial and tight
-  /// enough to catch exponent-range bit flips
-  double abft_energy_factor = 1e3;
 };
 
 namespace internal
@@ -112,21 +107,26 @@ public:
   /// One smoothing sweep: improves x for A x = b, starting from the given x
   /// (pass x = 0 for the pre-smoother on the residual equation).
   ///
-  /// With a contract-v2 hooked operator, every residual/direction/solution
-  /// update rides the operator's post hooks: each cell batch's slice of
-  /// r = D^{-1}(b - Ax), d and x is updated the moment the traversal is done
-  /// with it, while it is still in cache — the whole sweep makes no separate
-  /// BLAS-1 passes. Operators without hooks run the classic sweeps; the
-  /// per-element expressions are the same, so the results agree bitwise.
+  /// Every residual/direction/solution update rides the operator's post
+  /// hooks (vmult_hooked): each cell batch's slice of r = D^{-1}(b - Ax), d
+  /// and x is updated the moment the traversal is done with it, while it is
+  /// still in cache, and the chain may mutate both the vmult's dst (r_) and
+  /// src (x), which the contract permits once a range's last face is
+  /// processed. The Chebyshev coefficients never depend on a reduction, so
+  /// every scalar is known before its vmult: the sweep makes no separate
+  /// BLAS-1 passes. An operator without hooks gets the chain over the whole
+  /// range after its vmult, with the same per-element expressions.
   void smooth(VectorType &x, const VectorType &b,
               const bool zero_initial_guess) const
   {
+    constexpr bool distributed = is_distributed_vector_v<VectorType>;
     if (data_.recovery)
       data_.recovery->at_iteration_boundary(true);
     DGFLOW_PROF_COUNT("chebyshev_sweeps", 1);
     DGFLOW_PROF_COUNT("chebyshev_iterations", data_.degree);
     const double theta = 0.5 * (lambda_max_ + lambda_min_);
     const double delta = 0.5 * (lambda_max_ - lambda_min_);
+    const Number theta_inv = Number(1. / theta);
 
     r_.reinit_like(x, true);
     d_.reinit_like(x, true);
@@ -137,42 +137,61 @@ public:
       abft_in_.equ(Number(1), x);
     }
 
-    if constexpr (HookedOperatorFor<Operator, VectorType>)
-    {
-      smooth_fused(x, b, zero_initial_guess, theta, delta);
-      if (data_.abft_check)
-        abft_check_result(x, b, zero_initial_guess);
-      return;
-    }
+    const auto step = [&](const Number coef_d, const Number coef_r,
+                          const bool first) {
+      vmult_hooked(*op_, r_, x, NoRangeHook(),
+                   [&, coef_d, coef_r, first](const std::size_t r0,
+                                              const std::size_t r1) {
+                     Number *DGFLOW_RESTRICT rd = r_.data();
+                     Number *DGFLOW_RESTRICT dd = d_.data();
+                     Number *DGFLOW_RESTRICT xd = x.data();
+                     const Number *DGFLOW_RESTRICT bd = b.data();
+                     const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
+                     for (std::size_t i = r0; i < r1; ++i)
+                     {
+                       rd[i] = Number(-1) * rd[i] + Number(1) * bd[i];
+                       rd[i] *= invd[i];
+                       dd[i] = first ? coef_r * rd[i]
+                                     : coef_d * dd[i] + coef_r * rd[i];
+                       xd[i] += Number(1) * dd[i];
+                     }
+                   });
+      // the post hooks mutated x (the vmult's src) after the ghost
+      // exchange, so the neighbors' copies are stale now
+      if constexpr (distributed)
+        x.invalidate_ghosts();
+    };
 
-    // r = D^{-1} (b - A x)
     if (zero_initial_guess)
     {
-      r_ = b;
-      x = Number(0);
+      // no matvec needed: r = D^{-1} b, d = r/theta, x = d in one sweep
+      Number *DGFLOW_RESTRICT rd = r_.data();
+      Number *DGFLOW_RESTRICT dd = d_.data();
+      Number *DGFLOW_RESTRICT xd = x.data();
+      const Number *DGFLOW_RESTRICT bd = b.data();
+      const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
+      concurrency::ThreadPool::instance().parallel_for(
+        x.size(), [&](const std::size_t i0, const std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i)
+          {
+            rd[i] = bd[i];
+            rd[i] *= invd[i];
+            dd[i] = theta_inv * rd[i];
+            xd[i] = Number(0) + Number(1) * dd[i];
+          }
+        });
+      if constexpr (distributed)
+        x.invalidate_ghosts();
     }
     else
-    {
-      op_->vmult(r_, x);
-      r_.sadd(Number(-1), Number(1), b);
-    }
-    r_.scale_pointwise(inv_diag_);
-
-    // first step: d = r / theta
-    d_.equ(Number(1. / theta), r_);
-    x.add(Number(1), d_);
+      step(Number(0), theta_inv, /*first=*/true);
 
     const double sigma1 = theta / delta;
     double rho_old = 1. / sigma1;
     for (unsigned int k = 1; k < data_.degree; ++k)
     {
-      op_->vmult(r_, x);
-      r_.sadd(Number(-1), Number(1), b);
-      r_.scale_pointwise(inv_diag_);
       const double rho = 1. / (2. * sigma1 - rho_old);
-      // d = rho*rho_old * d + 2*rho/delta * r
-      d_.sadd(Number(rho * rho_old), Number(2. * rho / delta), r_);
-      x.add(Number(1), d_);
+      step(Number(rho * rho_old), Number(2. * rho / delta), /*first=*/false);
       rho_old = rho;
     }
     if (data_.abft_check)
@@ -215,79 +234,11 @@ private:
   static constexpr double smoothing_range = 20.;
   /// factor on the estimated top eigenvalue of D^{-1} A
   static constexpr double max_eigenvalue_safety = 1.2;
-
-  /// The fused sweep: called only for hooked operators. Each vmult's post
-  /// hook performs the full update chain on the completed DoF range; the
-  /// chain mutates both the vmult's dst (r_) and src (x), which the
-  /// contract permits once a range's last face is processed. The Chebyshev
-  /// coefficients never depend on a reduction, so every scalar is known
-  /// before its vmult — the sweep has no separate vector passes at all.
-  void smooth_fused(VectorType &x, const VectorType &b,
-                    const bool zero_initial_guess, const double theta,
-                    const double delta) const
-  {
-    constexpr bool distributed = is_distributed_vector_v<VectorType>;
-    const Number theta_inv = Number(1. / theta);
-
-    const auto fused_step = [&](const Number coef_d, const Number coef_r,
-                                const bool first) {
-      op_->vmult(r_, x, NoRangeHook(),
-                 [&, coef_d, coef_r, first](const std::size_t r0,
-                                            const std::size_t r1) {
-                   Number *DGFLOW_RESTRICT rd = r_.data();
-                   Number *DGFLOW_RESTRICT dd = d_.data();
-                   Number *DGFLOW_RESTRICT xd = x.data();
-                   const Number *DGFLOW_RESTRICT bd = b.data();
-                   const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
-                   for (std::size_t i = r0; i < r1; ++i)
-                   {
-                     rd[i] = Number(-1) * rd[i] + Number(1) * bd[i];
-                     rd[i] *= invd[i];
-                     dd[i] = first ? coef_r * rd[i]
-                                   : coef_d * dd[i] + coef_r * rd[i];
-                     xd[i] += Number(1) * dd[i];
-                   }
-                 });
-      // the post hooks mutated x (the vmult's src) after the ghost
-      // exchange, so the neighbors' copies are stale now
-      if constexpr (distributed)
-        x.invalidate_ghosts();
-    };
-
-    if (zero_initial_guess)
-    {
-      // no matvec needed: r = D^{-1} b, d = r/theta, x = d in one sweep
-      Number *DGFLOW_RESTRICT rd = r_.data();
-      Number *DGFLOW_RESTRICT dd = d_.data();
-      Number *DGFLOW_RESTRICT xd = x.data();
-      const Number *DGFLOW_RESTRICT bd = b.data();
-      const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
-      concurrency::ThreadPool::instance().parallel_for(
-        x.size(), [&](const std::size_t i0, const std::size_t i1) {
-          for (std::size_t i = i0; i < i1; ++i)
-          {
-            rd[i] = bd[i];
-            rd[i] *= invd[i];
-            dd[i] = theta_inv * rd[i];
-            xd[i] = Number(0) + Number(1) * dd[i];
-          }
-        });
-      if constexpr (distributed)
-        x.invalidate_ghosts();
-    }
-    else
-      fused_step(Number(0), theta_inv, /*first=*/true);
-
-    const double sigma1 = theta / delta;
-    double rho_old = 1. / sigma1;
-    for (unsigned int k = 1; k < data_.degree; ++k)
-    {
-      const double rho = 1. / (2. * sigma1 - rho_old);
-      fused_step(Number(rho * rho_old), Number(2. * rho / delta),
-                 /*first=*/false);
-      rho_old = rho;
-    }
-  }
+  /// energy bound of the ABFT-checked sweep result: |x|_inf must not exceed
+  /// energy_bound_factor * (|x_in|_inf + |D^{-1} b|_inf / lambda_min), loose
+  /// enough for any healthy Chebyshev polynomial and tight enough to catch
+  /// exponent-range bit flips
+  static constexpr double energy_bound_factor = 1e3;
 
   /// The ABFT sweep guard: purely local scan of the sweep result against
   /// non-finite entries and the energy bound; a violation discards the
@@ -310,8 +261,7 @@ private:
         in_linf = std::max(in_linf, std::fabs(double(ind[i])));
     }
     const double bound =
-      data_.abft_energy_factor *
-      (in_linf + r0_linf / std::max(lambda_min_, 1e-300));
+      energy_bound_factor * (in_linf + r0_linf / std::max(lambda_min_, 1e-300));
     bool ok = std::isfinite(bound);
     const Number *DGFLOW_RESTRICT xd = x.data();
     for (std::size_t i = 0; ok && i < n; ++i)

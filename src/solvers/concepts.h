@@ -8,6 +8,7 @@
 
 #include <concepts>
 #include <cstddef>
+#include <utility>
 
 #include "common/loop_hooks.h"
 
@@ -26,9 +27,7 @@ concept PreconditionerFor =
 
 /// An operator whose vmult implements the contract-v2 hooked cell loop
 /// (operators/README.md): vmult(dst, src, pre, post) with per-DoF-range
-/// callbacks. Solvers use this to decide at compile time whether their
-/// BLAS-1 updates can ride the operator's cell loop; operators without
-/// hooks fall back to the classic separate-sweep iteration.
+/// callbacks, so a solver's BLAS-1 updates ride the operator's cell loop.
 template <typename Op, typename VectorType>
 concept HookedOperatorFor =
   requires(const Op &op, VectorType &dst, const VectorType &src) {
@@ -39,5 +38,25 @@ concept HookedOperatorFor =
 template <typename Op, typename VectorType>
 concept OperatorFor = requires(const Op &op, VectorType &dst,
                                const VectorType &src) { op.vmult(dst, src); };
+
+/// dst = op * src with the range hooks of the operator contract: a hooked
+/// operator runs them inside its cell loop; any other operator gets
+/// pre(0, src.size()), its plain vmult, then post(0, dst.size()). The
+/// solvers' hooks compute each element on its own, so both give the same
+/// bits.
+template <typename Op, typename VectorType, typename PreFn, typename PostFn>
+  requires OperatorFor<Op, VectorType>
+void vmult_hooked(const Op &op, VectorType &dst, const VectorType &src,
+                  PreFn &&pre, PostFn &&post)
+{
+  if constexpr (HookedOperatorFor<Op, VectorType>)
+    op.vmult(dst, src, std::forward<PreFn>(pre), std::forward<PostFn>(post));
+  else
+  {
+    pre(std::size_t(0), src.size());
+    op.vmult(dst, src);
+    post(std::size_t(0), dst.size());
+  }
+}
 
 } // namespace dgflow

@@ -17,25 +17,13 @@
 // compress_add() requires it and returns the vector owned-only with a
 // zeroed ghost section.
 //
-// Wire precision: independent of the storage precision Number, the ghost
-// and compress exchanges can run a single-precision wire format
-// (set_wire_precision). The float payload halves the neighbor traffic of a
-// double vector; because the narrowing conversion would otherwise mask the
-// bit-flip faults the resilience layer injects, every single-precision
-// message carries a trailing XXH64 checksum over the payload bytes,
-// verified on receive (GhostCorruptionError). The storage-precision wire
-// stays byte-identical to the pre-knob format (no checksum) so traffic
-// accounting and the epoch/timeout protocol are unchanged.
+// The wire carries the storage precision Number, so the ghosts of a vector
+// are bitwise its owners' values (a float multigrid level exchanges floats).
 
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/aligned_vector.h"
-#include "common/checksum.h"
 #include "common/exceptions.h"
 #include "common/vector.h"
 #include "vmpi/partitioner.h"
@@ -44,25 +32,6 @@ namespace dgflow
 {
 namespace vmpi
 {
-/// A single-precision ghost/compress payload failed its checksum: the
-/// message was corrupted in flight (or deliberately, by fault injection).
-class GhostCorruptionError : public std::runtime_error
-{
-public:
-  explicit GhostCorruptionError(const std::string &what)
-    : std::runtime_error(what)
-  {
-  }
-};
-
-/// Scalar format of the ghost-exchange payload (storage precision stays
-/// whatever Number is; this only affects the bytes on the wire).
-enum class WirePrecision : unsigned char
-{
-  storage, ///< payload in Number (byte-identical to the legacy format)
-  single   ///< float payload + trailing XXH64 checksum
-};
-
 template <typename Number>
 class DistributedVector
 {
@@ -138,19 +107,6 @@ public:
   /// post hooks) call this so the ghost-state guard keeps catching stale
   /// reads; the next vmult re-exchanges regardless.
   void invalidate_ghosts() const { state_ = GhostState::owned_only; }
-
-  /// Selects the scalar format of the ghost/compress wire payload. Takes
-  /// effect at the next exchange; no data conversion happens here.
-  void set_wire_precision(const WirePrecision wp) { wire_ = wp; }
-  WirePrecision wire_precision() const { return wire_; }
-
-  /// Bytes per exchanged scalar on the wire (including the amortized
-  /// checksum trailer for the single-precision format rounds to the scalar
-  /// size; the trailer is 8 bytes per message).
-  std::size_t wire_scalar_size() const
-  {
-    return wire_ == WirePrecision::single ? sizeof(float) : sizeof(Number);
-  }
 
   /// Local storage: [0, size()) owned scalars, then ghost scalars.
   Number &operator()(const std::size_t i) { return data_[i]; }
@@ -339,26 +295,7 @@ public:
   {
     DGFLOW_DEBUG_ASSERT(!exchange_in_flight_, "exchange already in flight");
     for (const auto &[neighbor, list] : part_->send_lists())
-    {
-      if (wire_ == WirePrecision::single)
-      {
-        send_single(neighbor, tag_ghost, list,
-                    [this](const std::size_t g) {
-                      return (g - part_->owned_begin()) * block_;
-                    });
-        continue;
-      }
-      pack_buffer_.resize(list.size() * block_);
-      Number *buf = pack_buffer_.data();
-      for (const std::size_t g : list)
-      {
-        const Number *src = data_.data() + (g - part_->owned_begin()) * block_;
-        for (unsigned int k = 0; k < block_; ++k)
-          *buf++ = src[k];
-      }
-      comm_->send(neighbor, tag_ghost, pack_buffer_.data(),
-                  pack_buffer_.size() * sizeof(Number));
-    }
+      send_blocks(neighbor, tag_ghost, list, owned_offset());
     exchange_in_flight_ = true;
   }
 
@@ -369,27 +306,8 @@ public:
     DGFLOW_DEBUG_ASSERT(exchange_in_flight_,
                         "update_ghost_values_finish without start");
     for (const auto &[neighbor, list] : part_->recv_lists())
-    {
-      if (wire_ == WirePrecision::single)
-      {
-        recv_single(neighbor, tag_ghost, list,
-                    [this](const std::size_t g) {
-                      return part_->local_index(g) * block_;
-                    },
-                    /*accumulate=*/false);
-        continue;
-      }
-      pack_buffer_.resize(list.size() * block_);
-      comm_->recv(neighbor, tag_ghost, pack_buffer_.data(),
-                  pack_buffer_.size() * sizeof(Number));
-      const Number *buf = pack_buffer_.data();
-      for (const std::size_t g : list)
-      {
-        Number *dst = data_.data() + part_->local_index(g) * block_;
-        for (unsigned int k = 0; k < block_; ++k)
-          dst[k] = *buf++;
-      }
-    }
+      recv_blocks(neighbor, tag_ghost, list, local_offset(),
+                  /*accumulate=*/false);
     exchange_in_flight_ = false;
     state_ = GhostState::ghosted;
   }
@@ -420,48 +338,10 @@ public:
     DGFLOW_DEBUG_ASSERT(state_ == GhostState::ghosted,
                         "compress_add on a vector without ghost values");
     for (const auto &[neighbor, list] : part_->recv_lists())
-    {
-      if (wire_ == WirePrecision::single)
-      {
-        send_single(neighbor, tag_compress, list,
-                    [this](const std::size_t g) {
-                      return part_->local_index(g) * block_;
-                    });
-        continue;
-      }
-      pack_buffer_.resize(list.size() * block_);
-      Number *buf = pack_buffer_.data();
-      for (const std::size_t g : list)
-      {
-        const Number *src = data_.data() + part_->local_index(g) * block_;
-        for (unsigned int k = 0; k < block_; ++k)
-          *buf++ = src[k];
-      }
-      comm_->send(neighbor, tag_compress, pack_buffer_.data(),
-                  pack_buffer_.size() * sizeof(Number));
-    }
+      send_blocks(neighbor, tag_compress, list, local_offset());
     for (const auto &[neighbor, list] : part_->send_lists())
-    {
-      if (wire_ == WirePrecision::single)
-      {
-        recv_single(neighbor, tag_compress, list,
-                    [this](const std::size_t g) {
-                      return (g - part_->owned_begin()) * block_;
-                    },
-                    /*accumulate=*/true);
-        continue;
-      }
-      pack_buffer_.resize(list.size() * block_);
-      comm_->recv(neighbor, tag_compress, pack_buffer_.data(),
-                  pack_buffer_.size() * sizeof(Number));
-      const Number *buf = pack_buffer_.data();
-      for (const std::size_t g : list)
-      {
-        Number *dst = data_.data() + (g - part_->owned_begin()) * block_;
-        for (unsigned int k = 0; k < block_; ++k)
-          dst[k] += *buf++;
-      }
-    }
+      recv_blocks(neighbor, tag_compress, list, owned_offset(),
+                  /*accumulate=*/true);
     zero_ghosts();
   }
 
@@ -484,55 +364,61 @@ private:
   static constexpr int tag_ghost = 930;
   static constexpr int tag_compress = 931;
 
-  /// The single-precision wire message: n float scalars followed by an
-  /// 8-byte checksum (two float slots of the same buffer).
+  /// Offset into data_ of an owned element's block.
+  auto owned_offset() const
+  {
+    return [this](const std::size_t g) {
+      return (g - part_->owned_begin()) * block_;
+    };
+  }
+
+  /// Offset into data_ of an owned or ghost element's block.
+  auto local_offset() const
+  {
+    return [this](const std::size_t g) {
+      return part_->local_index(g) * block_;
+    };
+  }
+
+  /// One wire message: the blocks of @p list, read at offset_of(element),
+  /// packed in list order.
   template <typename OffsetFn>
-  void send_single(const int neighbor, const int tag,
+  void send_blocks(const int neighbor, const int tag,
                    const std::vector<std::size_t> &list,
                    OffsetFn &&offset_of) const
   {
-    const std::size_t n = list.size() * block_;
-    wire_buffer_.resize(n + 2);
-    float *buf = wire_buffer_.data();
+    pack_buffer_.resize(list.size() * block_);
+    Number *buf = pack_buffer_.data();
     for (const std::size_t g : list)
     {
       const Number *src = data_.data() + offset_of(g);
       for (unsigned int k = 0; k < block_; ++k)
-        *buf++ = float(src[k]);
+        *buf++ = src[k];
     }
-    const std::uint64_t h = xxh64(wire_buffer_.data(), n * sizeof(float));
-    std::memcpy(wire_buffer_.data() + n, &h, sizeof(h));
-    comm_->send(neighbor, tag, wire_buffer_.data(),
-                n * sizeof(float) + sizeof(h));
+    comm_->send(neighbor, tag, pack_buffer_.data(),
+                pack_buffer_.size() * sizeof(Number));
   }
 
+  /// Receives the message of send_blocks and stores (or adds) each block at
+  /// offset_of(element).
   template <typename OffsetFn>
-  void recv_single(const int neighbor, const int tag,
+  void recv_blocks(const int neighbor, const int tag,
                    const std::vector<std::size_t> &list,
                    OffsetFn &&offset_of, const bool accumulate) const
   {
-    const std::size_t n = list.size() * block_;
-    wire_buffer_.resize(n + 2);
-    comm_->recv(neighbor, tag, wire_buffer_.data(),
-                n * sizeof(float) + sizeof(std::uint64_t));
-    std::uint64_t expected;
-    std::memcpy(&expected, wire_buffer_.data() + n, sizeof(expected));
-    const std::uint64_t actual = xxh64(wire_buffer_.data(), n * sizeof(float));
-    if (actual != expected)
-      throw GhostCorruptionError(
-        "single-precision ghost payload from rank " +
-        std::to_string(neighbor) + " (tag " + std::to_string(tag) +
-        ") failed its checksum: the message was corrupted in flight");
-    const float *buf = wire_buffer_.data();
+    pack_buffer_.resize(list.size() * block_);
+    comm_->recv(neighbor, tag, pack_buffer_.data(),
+                pack_buffer_.size() * sizeof(Number));
+    const Number *buf = pack_buffer_.data();
     for (const std::size_t g : list)
     {
       Number *dst = data_.data() + offset_of(g);
       for (unsigned int k = 0; k < block_; ++k)
       {
         if (accumulate)
-          dst[k] += Number(*buf++);
+          dst[k] += *buf++;
         else
-          dst[k] = Number(*buf++);
+          dst[k] = *buf++;
       }
     }
   }
@@ -540,11 +426,9 @@ private:
   const Partitioner *part_ = nullptr;
   Communicator *comm_ = nullptr;
   unsigned int block_ = 1;
-  WirePrecision wire_ = WirePrecision::storage;
   /// mutable: the const ghost exchange writes the ghost section in place
   mutable AlignedVector<Number> data_;
   mutable std::vector<Number> pack_buffer_;
-  mutable std::vector<float> wire_buffer_;
   /// Ghost exchange touches no owned data, so start/finish are const (the
   /// operator vmult refreshes src ghosts); the ghost section and the state
   /// flag are mutable bookkeeping.

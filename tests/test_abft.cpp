@@ -637,7 +637,7 @@ TEST(MultigridAbftGuard, NonFiniteCoarseLevelIsContainedToAFiniteResult)
 }
 
 // ---------------------------------------------------------------------------
-// satellite: the recovery ladder's SDC-repair rung and GhostCorruptionError
+// satellite: the recovery ladder's SDC-repair rung and a local timeout
 // routed through resolve_failure()
 // ---------------------------------------------------------------------------
 
@@ -685,20 +685,29 @@ TEST(RecoveryLadder, PersistentSdcExhaustsItsOwnBudgetAndRethrows)
     resilience::SdcDetected);
 }
 
-TEST(RecoveryLadder, GhostCorruptionRoutesThroughFailureResolutionToRetry)
+TEST(RecoveryLadder, LocalTimeoutWithAllRanksAliveTakesTheRetryRung)
 {
   resilience::DistributedRecoveryOptions opts;
   const auto report = resilience::run_resilient(
     2, opts,
-    [&](vmpi::Communicator &, resilience::RecoveryContext &ctx,
+    [&](vmpi::Communicator &comm, resilience::RecoveryContext &ctx,
         const resilience::RecoveryAttempt &attempt) {
       if (attempt.attempt == 0)
-        resilience::with_failure_resolution(ctx, [&]() {
-          // a corrupted ghost payload is locally indistinguishable from a
-          // dying peer; resolve_failure()'s agreement round (all alive
-          // here) is what routes it to the plain-retry rung
-          throw vmpi::GhostCorruptionError("injected ghost checksum drift");
-        });
+      {
+        try
+        {
+          throw vmpi::TimeoutError("injected: lost ghost message",
+                                   comm.rank(), 1 - comm.rank(), 930, 0.);
+        }
+        catch (const vmpi::TimeoutError &)
+        {
+          // a lost message is locally indistinguishable from a dying
+          // peer; resolve_failure()'s agreement round (all alive here)
+          // returns, and the rethrow takes the plain-retry rung
+          ctx.resolve_failure();
+          throw;
+        }
+      }
     });
   EXPECT_TRUE(report.succeeded);
   EXPECT_EQ(report.attempts, 2);

@@ -52,9 +52,6 @@ FlowBoundaryMap ethier_steinman_bc(const EthierSteinman &es)
     {
       b.kind = FlowBoundary::Kind::velocity_dirichlet;
       b.velocity = [es](const Point &p, double t) { return es.velocity(p, t); };
-      b.velocity_dt = [es](const Point &p, double t) {
-        return es.velocity_dt(p, t);
-      };
     }
     bc[id] = b;
   }

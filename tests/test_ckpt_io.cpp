@@ -889,6 +889,27 @@ TEST(LungCheckpointing, WriteFailuresNeverKillAHealthySolve)
   EXPECT_FALSE(app.restore_latest());
 }
 
+// On an intact ring restore_latest reads (and checksums) the newest
+// generation's file once: the reader that verifies it also deserializes it.
+TEST(LungCheckpointing, RestoreLatestReadsTheNewestGenerationOnce)
+{
+  const std::string root = scratch_dir("lung_read_once");
+  LungApplication app(small_lung());
+  app.enable_checkpointing(root, {}, every_step());
+  for (int i = 0; i < 2; ++i)
+    app.advance();
+  app.checkpointer()->drain();
+  ASSERT_EQ(app.checkpointer()->status().published, 2ull);
+
+  for (int restore = 0; restore < 2; ++restore)
+  {
+    const auto before = CkptIo::instance().stats();
+    ASSERT_TRUE(app.restore_latest());
+    const auto after = CkptIo::instance().stats();
+    EXPECT_EQ(after.reads - before.reads, 1ull) << "restore " << restore;
+  }
+}
+
 // A torn write on the newest generation: restore_latest falls back to the
 // previous one and the resumed trajectory is exact from there.
 TEST(LungCheckpointing, RestoreFallsBackPastATornGeneration)

@@ -29,9 +29,6 @@ FlowBoundaryMap ethier_steinman_bc(const EthierSteinman &es)
     {
       b.kind = FlowBoundary::Kind::velocity_dirichlet;
       b.velocity = [es](const Point &p, double t) { return es.velocity(p, t); };
-      b.velocity_dt = [es](const Point &p, double t) {
-        return es.velocity_dt(p, t);
-      };
     }
     bc[id] = b;
   }
@@ -150,10 +147,7 @@ TEST(INSSolverPoiseuille, ReachesAnalyticSteadyState)
       };
     }
     else if (id == 2 || id == 3)
-    {
-      b.kind = FlowBoundary::Kind::velocity_dirichlet; // no-slip walls
-      b.velocity = [](const Point &, double) { return Tensor1<double>(); };
-    }
+      b.kind = FlowBoundary::Kind::velocity_dirichlet; // no-slip: no data
     else
     {
       // z-faces carry the analytic profile (flow is z-independent)

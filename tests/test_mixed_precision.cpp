@@ -1,13 +1,12 @@
 // Fused solver loops and end-to-end mixed precision (ctest label
 // mixed_precision; also run under DGFLOW_SANITIZE=address by
-// run_benchmarks.sh): the contract-v2 fused CG and Chebyshev paths must
-// match the classic separate-sweep iteration bitwise in double precision,
-// serially and on 4 logical ranks; the single-precision multigrid
-// preconditioner must not change the outer DP iteration count by more than
-// one on the lung geometry; and the single-precision ghost wire must
-// round-trip values exactly (up to the float conversion), detect in-flight
-// corruption through its checksum trailer, and keep the timeout/epoch
-// semantics of the storage wire under fault injection.
+// run_benchmarks.sh): solve_cg and ChebyshevSmoother, whose vector updates
+// ride the operator's range hooks, must match the textbook separate-sweep
+// iterations below bitwise in double precision, serially and on 4 logical
+// ranks, both with a hooked operator and through the whole-range hooks an
+// operator without them gets (vmult_hooked); and the single-precision
+// multigrid preconditioner must not change the outer DP iteration count by
+// more than one on the lung geometry.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "mesh/partition.h"
 #include "multigrid/hybrid_multigrid.h"
 #include "operators/laplace_operator.h"
-#include "resilience/fault_injection.h"
 #include "solvers/cg.h"
 #include "solvers/chebyshev.h"
 #include "vmpi/distributed_vector.h"
@@ -46,8 +44,8 @@ Mesh make_mesh(const unsigned int refinements)
 }
 
 /// Exposes only the plain vmult(dst, src) of @p Op, hiding the contract-v2
-/// hooked overload: the solvers then take their classic separate-sweep
-/// branch, the reference the fused iteration must match bitwise.
+/// hooked overload: the solvers then run their hooks over the whole range
+/// around this vmult (vmult_hooked).
 template <typename Op>
 struct UnhookedView
 {
@@ -59,13 +57,124 @@ struct UnhookedView
   }
 };
 
-/// A zero-guess and a nonzero-guess Chebyshev sweep with @p op, once through
-/// its contract-v2 hooked vmult (the fused sweep) and once through the
-/// classic separate sweeps: the iterates must agree bitwise after each.
+template <typename VectorType>
+bool bitwise_equal(const VectorType &a, const VectorType &b)
+{
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     a.size() * sizeof(typename VectorType::value_type)) == 0;
+}
+
+struct TextbookStats
+{
+  unsigned int iterations = 0;
+  double final_residual = 0;
+};
+
+/// Preconditioned CG as the textbook writes it: one BLAS-1 pass per vector
+/// update, in the order and with the expressions solve_cg fuses.
+template <typename Op, typename Preconditioner, typename VectorType>
+TextbookStats textbook_cg(const Op &A, VectorType &x, const VectorType &b,
+                          const Preconditioner &P, const double rel_tol,
+                          const unsigned int max_iterations)
+{
+  using Number = typename VectorType::value_type;
+  VectorType r, z, p, Ap;
+  r.reinit_like(b);
+  Ap.reinit_like(b);
+  A.vmult(Ap, x);
+  r.equ(Number(1), b, Number(-1), Ap);
+  const double b_norm = double(b.l2_norm());
+  const double tol = rel_tol * (b_norm > 0 ? b_norm : 1.);
+  TextbookStats stats;
+  stats.final_residual = double(r.l2_norm());
+  if (stats.final_residual <= tol)
+    return stats;
+  P.vmult(z, r);
+  p = z;
+  Number rz = r.dot(z);
+  for (unsigned int it = 1; it <= max_iterations; ++it)
+  {
+    A.vmult(Ap, p);
+    const Number alpha = rz / p.dot(Ap);
+    x.add(alpha, p);
+    r.add(-alpha, Ap);
+    stats.iterations = it;
+    stats.final_residual = double(r.l2_norm());
+    if (stats.final_residual <= tol)
+      break;
+    P.vmult(z, r);
+    const Number rz_new = r.dot(z);
+    const Number beta = rz_new / rz;
+    rz = rz_new;
+    p.sadd(beta, Number(1), z);
+  }
+  return stats;
+}
+
+/// One point-Jacobi Chebyshev sweep of the given degree as the textbook
+/// writes it, on the smoothing band [lambda_max / 20, lambda_max] that
+/// ChebyshevSmoother targets.
 template <typename Op, typename VectorType>
-void expect_fused_chebyshev_matches_classic(const Op &op,
-                                            const VectorType &diag,
-                                            const char *what)
+void textbook_chebyshev(const Op &A, const VectorType &inv_diag,
+                        const double lambda_max, const unsigned int degree,
+                        VectorType &x, const VectorType &b,
+                        const bool zero_initial_guess)
+{
+  using Number = typename VectorType::value_type;
+  const double lambda_min = lambda_max / 20.;
+  const double theta = 0.5 * (lambda_max + lambda_min);
+  const double delta = 0.5 * (lambda_max - lambda_min);
+  VectorType r, d;
+  r.reinit_like(x);
+  d.reinit_like(x);
+  // r = D^{-1} (b - A x)
+  if (zero_initial_guess)
+  {
+    r = b;
+    x = Number(0);
+  }
+  else
+  {
+    A.vmult(r, x);
+    r.sadd(Number(-1), Number(1), b);
+  }
+  r.scale_pointwise(inv_diag);
+  // first step: d = r / theta
+  d.equ(Number(1. / theta), r);
+  x.add(Number(1), d);
+  const double sigma1 = theta / delta;
+  double rho_old = 1. / sigma1;
+  for (unsigned int k = 1; k < degree; ++k)
+  {
+    A.vmult(r, x);
+    r.sadd(Number(-1), Number(1), b);
+    r.scale_pointwise(inv_diag);
+    const double rho = 1. / (2. * sigma1 - rho_old);
+    // d = rho*rho_old * d + 2*rho/delta * r
+    d.sadd(Number(rho * rho_old), Number(2. * rho / delta), r);
+    x.add(Number(1), d);
+    rho_old = rho;
+  }
+}
+
+template <typename VectorType>
+VectorType inverse_of(const VectorType &diag)
+{
+  using Number = typename VectorType::value_type;
+  VectorType inv;
+  inv.reinit_like(diag);
+  for (std::size_t i = 0; i < diag.size(); ++i)
+    inv[i] = Number(1) / diag[i];
+  return inv;
+}
+
+/// A zero-guess and a nonzero-guess Chebyshev sweep with @p op, through its
+/// hooked vmult, through the whole-range hooks of UnhookedView and as the
+/// textbook sweep: all three iterates must agree bitwise after each.
+template <typename Op, typename VectorType>
+void expect_chebyshev_matches_textbook(const Op &op, const VectorType &diag,
+                                       const char *what)
 {
   using Number = typename VectorType::value_type;
   static_assert(HookedOperatorFor<Op, VectorType>);
@@ -73,11 +182,13 @@ void expect_fused_chebyshev_matches_classic(const Op &op,
   cheb.degree = 4;
   ChebyshevSmoother<Op, VectorType> fused;
   fused.reinit(op, diag, cheb);
-  using ClassicOp = UnhookedView<Op>;
-  const ClassicOp classic_op{op};
-  static_assert(!HookedOperatorFor<ClassicOp, VectorType>);
-  ChebyshevSmoother<ClassicOp, VectorType> classic;
-  classic.reinit(classic_op, diag, cheb);
+  using View = UnhookedView<Op>;
+  const View view{op};
+  static_assert(!HookedOperatorFor<View, VectorType>);
+  ChebyshevSmoother<View, VectorType> adapted;
+  adapted.reinit(view, diag, cheb);
+  ASSERT_EQ(fused.max_eigenvalue(), adapted.max_eigenvalue());
+  const VectorType inv_diag = inverse_of(diag);
 
   const std::size_t n = diag.size();
   VectorType b(n);
@@ -85,23 +196,23 @@ void expect_fused_chebyshev_matches_classic(const Op &op,
     b[i] = Number(std::sin(0.37 * double(i)) + 0.2);
 
   // zero initial guess (the pre-smoother) and a nonzero-guess sweep on top
-  VectorType x_fused(n), x_classic(n);
-  fused.smooth(x_fused, b, true);
-  classic.smooth(x_classic, b, true);
-  EXPECT_EQ(std::memcmp(x_fused.data(), x_classic.data(), n * sizeof(Number)),
-            0)
-    << what << ": fused zero-guess sweep deviates";
-
-  fused.smooth(x_fused, b, false);
-  classic.smooth(x_classic, b, false);
-  EXPECT_EQ(std::memcmp(x_fused.data(), x_classic.data(), n * sizeof(Number)),
-            0)
-    << what << ": fused nonzero-guess sweep deviates";
+  VectorType x_fused(n), x_adapted(n), x_textbook(n);
+  for (const bool zero_guess : {true, false})
+  {
+    fused.smooth(x_fused, b, zero_guess);
+    adapted.smooth(x_adapted, b, zero_guess);
+    textbook_chebyshev(op, inv_diag, fused.max_eigenvalue(), cheb.degree,
+                       x_textbook, b, zero_guess);
+    EXPECT_TRUE(bitwise_equal(x_fused, x_textbook))
+      << what << ": hooked sweep deviates, zero guess " << zero_guess;
+    EXPECT_TRUE(bitwise_equal(x_adapted, x_textbook))
+      << what << ": whole-range sweep deviates, zero guess " << zero_guess;
+  }
 }
 } // namespace
 
 // ---------------------------------------------------------------------------
-// fused solver loops: bitwise equivalence with the classic iteration
+// fused solver loops: bitwise equivalence with the textbook iteration
 // ---------------------------------------------------------------------------
 
 TEST(FusedLoops, CGMatchesUnfusedBitwiseSerial)
@@ -131,20 +242,25 @@ TEST(FusedLoops, CGMatchesUnfusedBitwiseSerial)
   control.rel_tol = 1e-10;
   control.max_iterations = 400;
 
-  Vector<double> x_fused(laplace.n_dofs()), x_classic(laplace.n_dofs());
+  const std::size_t n = laplace.n_dofs();
+  Vector<double> x_fused(n), x_adapted(n), x_textbook(n);
   const auto stats_fused = solve_cg(laplace, x_fused, rhs, jacobi, control);
-  const UnhookedView<LaplaceOperator<double>> classic_op{laplace};
-  static_assert(!HookedOperatorFor<decltype(classic_op), Vector<double>>);
-  const auto stats_classic =
-    solve_cg(classic_op, x_classic, rhs, jacobi, control);
+  const UnhookedView<LaplaceOperator<double>> view{laplace};
+  static_assert(!HookedOperatorFor<decltype(view), Vector<double>>);
+  const auto stats_adapted = solve_cg(view, x_adapted, rhs, jacobi, control);
+  const TextbookStats stats_textbook = textbook_cg(
+    laplace, x_textbook, rhs, jacobi, control.rel_tol, control.max_iterations);
 
   ASSERT_TRUE(stats_fused.converged);
-  EXPECT_EQ(stats_fused.iterations, stats_classic.iterations);
-  EXPECT_EQ(stats_fused.final_residual, stats_classic.final_residual);
-  EXPECT_EQ(std::memcmp(x_fused.data(), x_classic.data(),
-                        x_fused.size() * sizeof(double)),
-            0)
-    << "fused CG iterate deviates from the classic iteration";
+  for (const SolveStats &stats : {stats_fused, stats_adapted})
+  {
+    EXPECT_EQ(stats.iterations, stats_textbook.iterations);
+    EXPECT_EQ(stats.final_residual, stats_textbook.final_residual);
+  }
+  EXPECT_TRUE(bitwise_equal(x_fused, x_textbook))
+    << "hooked CG iterate deviates from the textbook iteration";
+  EXPECT_TRUE(bitwise_equal(x_adapted, x_textbook))
+    << "whole-range-hook CG iterate deviates from the textbook iteration";
 }
 
 TEST(FusedLoops, ChebyshevMatchesUnfusedBitwiseSerial)
@@ -162,7 +278,7 @@ TEST(FusedLoops, ChebyshevMatchesUnfusedBitwiseSerial)
     laplace.reinit(mf, 0, 0, all_dirichlet());
     Vector<double> diag;
     laplace.compute_diagonal(diag);
-    expect_fused_chebyshev_matches_classic(laplace, diag, "DG Laplacian");
+    expect_chebyshev_matches_textbook(laplace, diag, "DG Laplacian");
   }
 
   // the float Q1 operator of the multigrid levels on a hanging-node mesh:
@@ -194,7 +310,7 @@ TEST(FusedLoops, ChebyshevMatchesUnfusedBitwiseSerial)
     op.reinit(mf, 0, 0, q1);
     Vector<float> diag;
     op.compute_diagonal(diag);
-    expect_fused_chebyshev_matches_classic(op, diag, "Q1 Laplacian");
+    expect_chebyshev_matches_textbook(op, diag, "Q1 Laplacian");
   }
 }
 
@@ -237,29 +353,38 @@ TEST(FusedLoops, CGAndChebyshevMatchUnfusedBitwiseOn4Ranks)
     control.rel_tol = 1e-10;
     control.max_iterations = 400;
 
-    DVec x_fused(part, comm, block), x_classic(part, comm, block);
-    using ClassicOp = UnhookedView<LaplaceOperator<double>>;
-    const ClassicOp classic_op{laplace};
+    DVec x_fused(part, comm, block), x_adapted(part, comm, block),
+      x_textbook(part, comm, block);
+    using View = UnhookedView<LaplaceOperator<double>>;
+    const View view{laplace};
     const auto sf = solve_cg(laplace, x_fused, b, jacobi, control);
-    const auto sc = solve_cg(classic_op, x_classic, b, jacobi, control);
-    if (sf.iterations != sc.iterations ||
-        std::memcmp(x_fused.data(), x_classic.data(),
-                    x_fused.size() * sizeof(double)) != 0)
+    const auto sa = solve_cg(view, x_adapted, b, jacobi, control);
+    const TextbookStats st = textbook_cg(laplace, x_textbook, b, jacobi,
+                                         control.rel_tol,
+                                         control.max_iterations);
+    if (sf.iterations != st.iterations || sa.iterations != st.iterations ||
+        !bitwise_equal(x_fused, x_textbook) ||
+        !bitwise_equal(x_adapted, x_textbook))
       ++mismatches;
 
     ChebyshevSmoother<LaplaceOperator<double>, DVec> fused;
     fused.reinit(laplace, ddiag);
-    ChebyshevSmoother<ClassicOp, DVec> classic;
-    classic.reinit(classic_op, ddiag);
+    ChebyshevSmoother<View, DVec> adapted;
+    adapted.reinit(view, ddiag);
+    const DVec inv_diag = inverse_of(ddiag);
     x_fused = 0.;
-    x_classic = 0.;
-    fused.smooth(x_fused, b, true);
-    classic.smooth(x_classic, b, true);
-    fused.smooth(x_fused, b, false);
-    classic.smooth(x_classic, b, false);
-    if (std::memcmp(x_fused.data(), x_classic.data(),
-                    x_fused.size() * sizeof(double)) != 0)
-      ++mismatches;
+    x_adapted = 0.;
+    x_textbook = 0.;
+    for (const bool zero_guess : {true, false})
+    {
+      fused.smooth(x_fused, b, zero_guess);
+      adapted.smooth(x_adapted, b, zero_guess);
+      textbook_chebyshev(laplace, inv_diag, fused.max_eigenvalue(),
+                         ChebyshevData().degree, x_textbook, b, zero_guess);
+      if (!bitwise_equal(x_fused, x_textbook) ||
+          !bitwise_equal(x_adapted, x_textbook))
+        ++mismatches;
+    }
   });
   EXPECT_EQ(mismatches.load(), 0);
 }
@@ -320,224 +445,4 @@ TEST(MixedPrecisionMG, LungIterationCountsWithinOneOfDouble)
 
   EXPECT_LE(std::abs(int(its_sp) - int(its_dp)), 1)
     << "SP V-cycle costs iterations: dp=" << its_dp << " sp=" << its_sp;
-}
-
-// ---------------------------------------------------------------------------
-// single-precision ghost wire: round-trip, checksum, fault semantics
-// ---------------------------------------------------------------------------
-
-TEST(SPGhostWire, GhostRoundTripMatchesStorageWireUpToFloat)
-{
-  const Mesh mesh = make_mesh(1);
-  const int n_ranks = 4;
-  const std::vector<int> rank_of_cell = partition_cells(mesh, n_ranks);
-  const unsigned int block = 3;
-
-  std::atomic<int> mismatches{0};
-  vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
-    const auto part = vmpi::Partitioner::cell_partitioner(
-      mesh, rank_of_cell, comm.rank(), n_ranks);
-    vmpi::DistributedVector<double> v(part, comm, block),
-      w(part, comm, block);
-    for (std::size_t i = 0; i < v.size(); ++i)
-    {
-      // values with a fractional part that float actually rounds
-      v[i] = 1. / 3. + 1e-3 * double(v.first_local_index() + i);
-      w[i] = v[i];
-    }
-    w.set_wire_precision(vmpi::WirePrecision::single);
-    v.update_ghost_values();
-    w.update_ghost_values();
-    for (std::size_t i = 0; i < v.ghost_size(); ++i)
-    {
-      const double expected = double(float(v[v.size() + i]));
-      if (w[w.size() + i] != expected)
-        ++mismatches;
-    }
-
-    // compress_add back: the float wire accumulates the float-rounded
-    // ghost contributions
-    vmpi::DistributedVector<double> cv(part, comm, block),
-      cw(part, comm, block);
-    cv = 0.;
-    cw = 0.;
-    cw.set_wire_precision(vmpi::WirePrecision::single);
-    for (std::size_t i = 0; i < cv.ghost_size(); ++i)
-    {
-      cv[cv.size() + i] = 0.1 + 1e-4 * double(i);
-      cw[cw.size() + i] = cv[cv.size() + i];
-    }
-    cv.compress_add();
-    cw.compress_add();
-    for (std::size_t i = 0; i < cv.size(); ++i)
-    {
-      // both wires accumulate the same set of contributions; the float
-      // wire's terms are individually float-rounded
-      const double tol = 1e-6 * (1. + std::abs(cv[i]));
-      if (std::abs(cw[i] - cv[i]) > tol)
-        ++mismatches;
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(SPGhostWire, ChecksumDetectsInFlightCorruption)
-{
-  const Mesh mesh = make_mesh(1);
-  const int n_ranks = 2;
-  const std::vector<int> rank_of_cell = partition_cells(mesh, n_ranks);
-
-  resilience::FaultPlan::Config cfg;
-  cfg.corrupt_rate = 1.; // flip bytes in every message payload
-  cfg.corrupt_bytes = 2;
-  resilience::FaultPlan plan(cfg);
-
-  std::atomic<int> detections{0};
-  vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
-    comm.install_fault_handler(&plan);
-    const auto part = vmpi::Partitioner::cell_partitioner(
-      mesh, rank_of_cell, comm.rank(), n_ranks);
-    vmpi::DistributedVector<double> v(part, comm, 2);
-    v = 1.;
-    v.set_wire_precision(vmpi::WirePrecision::single);
-    try
-    {
-      v.update_ghost_values();
-      ADD_FAILURE() << "corrupted single-precision ghost payload was "
-                       "accepted on rank "
-                    << comm.rank();
-    }
-    catch (const vmpi::GhostCorruptionError &)
-    {
-      ++detections;
-    }
-  });
-  // every rank with an inbound ghost message must detect the corruption
-  EXPECT_EQ(detections.load(), n_ranks);
-  EXPECT_GT(plan.counts().corrupted, 0ull);
-}
-
-TEST(SPGhostWire, DroppedMessageStillSurfacesAsTimeout)
-{
-  // the single wire must preserve the bounded-wait epoch protocol: a lost
-  // payload is a TimeoutError (like the storage wire), never a hang or a
-  // checksum error on garbage
-  const Mesh mesh = make_mesh(1);
-  const int n_ranks = 2;
-  const std::vector<int> rank_of_cell = partition_cells(mesh, n_ranks);
-
-  resilience::FaultPlan::Config cfg;
-  cfg.drop_rate = 1.;
-  resilience::FaultPlan plan(cfg);
-
-  std::atomic<int> timeouts{0};
-  vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
-    comm.install_fault_handler(&plan);
-    comm.set_timeout(0.2);
-    const auto part = vmpi::Partitioner::cell_partitioner(
-      mesh, rank_of_cell, comm.rank(), n_ranks);
-    vmpi::DistributedVector<double> v(part, comm, 2);
-    v = 1.;
-    v.set_wire_precision(vmpi::WirePrecision::single);
-    try
-    {
-      v.update_ghost_values();
-    }
-    catch (const vmpi::TimeoutError &)
-    {
-      ++timeouts;
-    }
-  });
-  EXPECT_EQ(timeouts.load(), n_ranks);
-}
-
-TEST(SPGhostWire, DelayAndReorderDoNotCorruptPayloads)
-{
-  // non-lossy faults: delayed/reordered float payloads must still verify
-  // and land in the right slots across repeated exchanges
-  const Mesh mesh = make_mesh(1);
-  const int n_ranks = 4;
-  const std::vector<int> rank_of_cell = partition_cells(mesh, n_ranks);
-
-  resilience::FaultPlan::Config cfg;
-  cfg.delay_rate = 0.4;
-  cfg.delay_seconds = 2e-3;
-  cfg.reorder_rate = 0.4;
-  resilience::FaultPlan plan(cfg);
-
-  std::atomic<int> mismatches{0};
-  vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
-    comm.install_fault_handler(&plan);
-    const auto part = vmpi::Partitioner::cell_partitioner(
-      mesh, rank_of_cell, comm.rank(), n_ranks);
-    vmpi::DistributedVector<double> v(part, comm, 2);
-    v.set_wire_precision(vmpi::WirePrecision::single);
-    for (unsigned int round = 0; round < 20; ++round)
-    {
-      for (std::size_t i = 0; i < v.size(); ++i)
-        v[i] = double(round) + 0.25 + 1e-3 * double(i % 97);
-      v.update_ghost_values();
-      for (std::size_t i = 0; i < v.ghost_size(); ++i)
-      {
-        const double got = v[v.size() + i];
-        // every payload scalar of this round lies in [round, round+1)
-        if (!(got >= double(round) && got < double(round) + 1.))
-          ++mismatches;
-      }
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(SPGhostWire, SolveWithSingleWireConvergesLikeStorageWire)
-{
-  const Mesh mesh = make_mesh(2);
-  TrilinearGeometry geom(mesh.coarse());
-  const int n_ranks = 4;
-  const std::vector<int> rank_of_cell = partition_cells(mesh, n_ranks);
-
-  MatrixFree<double>::AdditionalData data;
-  data.degrees = {2};
-  data.n_q_points_1d = {3};
-  data.rank_of_cell = rank_of_cell;
-  data.n_ranks = n_ranks;
-  MatrixFree<double> mf;
-  mf.reinit(mesh, geom, data);
-  LaplaceOperator<double> laplace;
-  laplace.reinit(mf, 0, 0, all_dirichlet());
-  const unsigned int block = mf.dofs_per_cell(0);
-  Vector<double> diag;
-  laplace.compute_diagonal(diag);
-
-  unsigned int its_storage = 0, its_single = 0;
-  vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
-    const auto part = vmpi::Partitioner::cell_partitioner(
-      mesh, rank_of_cell, comm.rank(), n_ranks);
-    vmpi::DistributedVector<double> b(part, comm, block),
-      ddiag(part, comm, block);
-    b = 1.;
-    ddiag.copy_owned_from(diag);
-    PreconditionJacobi<double> jacobi;
-    jacobi.reinit(ddiag);
-    SolverControl control;
-    control.rel_tol = 1e-8;
-    control.max_iterations = 1000;
-
-    for (const auto wire :
-         {vmpi::WirePrecision::storage, vmpi::WirePrecision::single})
-    {
-      vmpi::DistributedVector<double> x(part, comm, block);
-      x.set_wire_precision(wire);
-      b.set_wire_precision(wire);
-      const auto stats = solve_cg(laplace, x, b, jacobi, control);
-      EXPECT_TRUE(stats.converged);
-      if (comm.rank() == 0)
-        (wire == vmpi::WirePrecision::storage ? its_storage : its_single) =
-          stats.iterations;
-    }
-  });
-  // float ghost payloads perturb the operator slightly; the Krylov
-  // iteration count must stay essentially unchanged
-  EXPECT_LE(std::abs(int(its_single) - int(its_storage)), 2)
-    << "storage=" << its_storage << " single=" << its_single;
 }

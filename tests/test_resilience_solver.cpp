@@ -82,9 +82,6 @@ FlowBoundaryMap ethier_steinman_bc(const EthierSteinman &es)
     {
       b.kind = FlowBoundary::Kind::velocity_dirichlet;
       b.velocity = [es](const Point &p, double t) { return es.velocity(p, t); };
-      b.velocity_dt = [es](const Point &p, double t) {
-        return es.velocity_dt(p, t);
-      };
     }
     bc[id] = b;
   }
@@ -244,14 +241,21 @@ TEST(RecoveringSolverTest, FallsBackRestoresGuessAndDemotes)
   EXPECT_EQ(ladder.recoveries(), 1ull) << "direct hit is not a recovery";
 }
 
-TEST(RecoveringSolverTest, ThrowingRungIsCaughtAndLadderContinues)
+TEST(RecoveringSolverTest, ThrowingRungPropagatesItsError)
 {
+  // rungs report failure in their SolveStats; an exception is an error
+  // (a failed assertion, an allocation failure) and must reach the caller
+  // instead of silently demoting the rung
   resilience::RecoveringSolver<double> ladder;
-  ladder.add_rung("throws", [](Vector<double> &, const Vector<double> &)
-                    -> SolveStats {
-    throw std::runtime_error("V-cycle overflow");
-  });
-  ladder.add_rung("good", [](Vector<double> &x, const Vector<double> &b) {
+  ladder.add_rung(
+    "throws",
+    [](Vector<double> &, const Vector<double> &) -> SolveStats {
+      throw std::runtime_error("named error inside the rung");
+    },
+    /*demote_on_failure=*/true);
+  bool later_rung_ran = false;
+  ladder.add_rung("good", [&](Vector<double> &x, const Vector<double> &b) {
+    later_rung_ran = true;
     x = b;
     SolveStats s;
     s.converged = true;
@@ -259,10 +263,18 @@ TEST(RecoveringSolverTest, ThrowingRungIsCaughtAndLadderContinues)
   });
   Vector<double> x(4), b(4);
   b = 1.;
-  const SolveStats stats = ladder.solve(x, b);
-  EXPECT_TRUE(stats.converged);
-  EXPECT_EQ(ladder.last_rung(), "good");
-  EXPECT_EQ(ladder.rung_failures(0), 1ull);
+  try
+  {
+    ladder.solve(x, b);
+    ADD_FAILURE() << "the rung's exception was swallowed";
+  }
+  catch (const std::runtime_error &e)
+  {
+    EXPECT_STREQ(e.what(), "named error inside the rung");
+  }
+  EXPECT_FALSE(later_rung_ran);
+  EXPECT_FALSE(ladder.rung_disabled(0));
+  EXPECT_EQ(ladder.rung_failures(0), 0ull);
 }
 
 TEST(RecoveringSolverTest, ExhaustedLadderReturnsFailedStats)

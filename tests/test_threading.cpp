@@ -482,12 +482,7 @@ FlowBoundaryMap ethier_steinman_bc(const EthierSteinman &es)
       b.backflow_stabilization = false;
     }
     else
-    {
       b.velocity = [es](const Point &p, double t) { return es.velocity(p, t); };
-      b.velocity_dt = [es](const Point &p, double t) {
-        return es.velocity_dt(p, t);
-      };
-    }
     bc[id] = b;
   }
   return bc;
