@@ -3,7 +3,11 @@
 // (degree 3, the paper's production configuration) at 1/2/4 pool threads
 // and cross-checks that every threaded result is BITWISE identical to the
 // single-threaded sweep — the determinism contract of the thread-parallel
-// cell loops (docs/DEVELOPING.md, "Shared-memory parallel loops").
+// cell loops (docs/DEVELOPING.md, "Shared-memory parallel loops"). A
+// region-latency section times back-to-back run_chunks(4) regions at width
+// 4 whose chunks carry 5/20/50 us of arithmetic each, and reports the
+// median region time against the chunk time: the pool's fork/join cost
+// with work in the chunks, which an empty region does not show.
 //
 // The speedup columns report honest wall-clock measurements of THIS
 // machine; on a single-core container the threaded sweeps time-slice one
@@ -11,11 +15,13 @@
 // correctness gate, the scaling numbers document the hardware.
 //
 // Machine-readable output: when DGFLOW_BENCH_JSON is set, the results are
-// archived as JSON (schema dgflow-bench-threads-v1); run_benchmarks.sh
+// archived as JSON (schema dgflow-bench-threads-v2); run_benchmarks.sh
 // stores it as bench_results/BENCH_threads.json. The fast --smoke variant
 // (also run under `ctest -L perf`) shrinks the mesh and repetitions to
 // verify harness and bitwise gate end to end.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,13 +50,90 @@ struct Result
   bool bitwise;   ///< memcmp-equal to the 1-thread result
 };
 
+/// Median region time of back-to-back run_chunks(4) regions at width 4
+/// whose chunks each run chunk_target_us of arithmetic.
+struct RegionLatency
+{
+  double chunk_target_us;
+  double chunk_s;  ///< median time of one chunk run inline
+  double region_s; ///< median time of one region of four such chunks
+};
+
 bool bitwise_equal(const Vector<double> &a, const Vector<double> &b)
 {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+double seconds_now()
+{
+  return std::chrono::duration<double>(
+           std::chrono::steady_clock::now().time_since_epoch())
+    .count();
+}
+
+double median_of(std::vector<double> v)
+{
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Dependent arithmetic the compiler cannot fold: @p n steps of a
+/// logistic-map recurrence.
+double arithmetic(const unsigned long n, double x)
+{
+  for (unsigned long i = 0; i < n; ++i)
+    x = 3.9 * x * (1. - x);
+  return x;
+}
+
+std::vector<RegionLatency> measure_region_latency(const bool smoke)
+{
+  auto &pool = concurrency::ThreadPool::instance();
+  pool.set_n_threads(4);
+  const unsigned int n_regions = smoke ? 200 : 4000;
+  // calibrate the arithmetic's rate on the calling thread (the first pass
+  // warms the core up)
+  const unsigned long calib = 1ul << 20;
+  volatile double sink = 0.;
+  double t0 = 0., per_step = 0.;
+  for (unsigned int pass = 0; pass < 2; ++pass)
+  {
+    t0 = seconds_now();
+    sink = arithmetic(calib, 0.3);
+    per_step = (seconds_now() - t0) / double(calib);
+  }
+
+  std::vector<RegionLatency> rows;
+  for (const double target_us : {5., 20., 50.})
+  {
+    const unsigned long steps =
+      static_cast<unsigned long>(target_us * 1e-6 / per_step);
+    std::vector<double> chunk_t(n_regions / 4), region_t(n_regions);
+    for (double &t : chunk_t)
+    {
+      t0 = seconds_now();
+      sink = arithmetic(steps, 0.3);
+      t = seconds_now() - t0;
+    }
+    double out[4] = {0., 0., 0., 0.};
+    for (double &t : region_t)
+    {
+      t0 = seconds_now();
+      pool.run_chunks(4, [&](const unsigned int c) {
+        out[c] = arithmetic(steps, 0.3 + 0.01 * c);
+      });
+      t = seconds_now() - t0;
+    }
+    sink = out[0] + out[1] + out[2] + out[3];
+    rows.push_back({target_us, median_of(chunk_t), median_of(region_t)});
+  }
+  (void)sink;
+  return rows;
+}
+
 void write_json(const char *path, const std::vector<Result> &results,
+                const std::vector<RegionLatency> &latency,
                 const double vmult_speedup4, const double cg_speedup4,
                 const bool all_bitwise, const bool smoke)
 {
@@ -60,7 +143,7 @@ void write_json(const char *path, const std::vector<Result> &results,
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
   }
-  std::fprintf(f, "{\n  \"schema\": \"dgflow-bench-threads-v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"dgflow-bench-threads-v2\",\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
@@ -81,6 +164,14 @@ void write_json(const char *path, const std::vector<Result> &results,
                  r.dofs_per_s, r.speedup, r.bitwise ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"region_latency\": [\n");
+  for (std::size_t i = 0; i < latency.size(); ++i)
+    std::fprintf(f,
+                 "    {\"n_threads\": 4, \"n_chunks\": 4, "
+                 "\"chunk_target_us\": %.0f, \"chunk_s\": %.6e, "
+                 "\"region_median_s\": %.6e}%s\n",
+                 latency[i].chunk_target_us, latency[i].chunk_s,
+                 latency[i].region_s, i + 1 < latency.size() ? "," : "");
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("benchmark JSON archived to %s\n", path);
@@ -202,8 +293,20 @@ int main(int argc, char **argv)
                   Table::format(it_per_s, 2), Table::format(rc.speedup, 2),
                   rv.bitwise && rc.bitwise ? "yes" : "NO");
   }
-  pool.set_n_threads(pool_width0);
   table.print();
+
+  const std::vector<RegionLatency> latency = measure_region_latency(smoke);
+  pool.set_n_threads(pool_width0);
+  std::printf("\nregion latency: back-to-back run_chunks(4) at 4 threads "
+              "(medians)\n");
+  Table latency_table({"chunk target [us]", "chunk [us]", "region [us]",
+                       "region - chunk [us]"});
+  for (const RegionLatency &r : latency)
+    latency_table.add_row(Table::format(r.chunk_target_us, 3),
+                          Table::format(1e6 * r.chunk_s, 3),
+                          Table::format(1e6 * r.region_s, 3),
+                          Table::format(1e6 * (r.region_s - r.chunk_s), 3));
+  latency_table.print();
 
   std::printf("\nbitwise determinism gate: %s\n",
               all_bitwise ? "PASS (all threaded results memcmp-equal to "
@@ -215,8 +318,8 @@ int main(int argc, char **argv)
               cg_speedup4);
 
   if (const char *path = std::getenv("DGFLOW_BENCH_JSON"))
-    write_json(path, results, vmult_speedup4, cg_speedup4, all_bitwise,
-               smoke);
+    write_json(path, results, latency, vmult_speedup4, cg_speedup4,
+               all_bitwise, smoke);
 
   return all_bitwise ? 0 : 1;
 }

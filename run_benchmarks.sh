@@ -29,14 +29,17 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # The distributed suites ride along (label distributed): the
   # distributed instantiation of the multigrid's one DG-level recursion
   # runs on the vmpi rank threads beside the worker pool, so a race
-  # between them must fail here.
-  echo "verify pass: distributed_resilience|io_resilience|threading|distributed under DGFLOW_SANITIZE=thread"
+  # between them must fail here. So do the multigrid suites (label
+  # multigrid): the p-, c- and h-transfers run their cell and row ranges
+  # on the pool's workers.
+  echo "verify pass: distributed_resilience|io_resilience|threading|distributed|multigrid under DGFLOW_SANITIZE=thread"
   cmake -B build-tsan -S . -DDGFLOW_SANITIZE=thread > /dev/null
   cmake --build build-tsan -j \
     --target test_distributed_resilience test_ckpt_io test_threading \
     recovery_microbench threads_microbench test_distributed_solve \
-    test_vmpi_distributed distributed_microbench > /dev/null
-  (cd build-tsan && ctest -L "distributed_resilience|io_resilience|threading|distributed" --output-on-failure)
+    test_vmpi_distributed distributed_microbench test_multigrid \
+    test_transfer > /dev/null
+  (cd build-tsan && ctest -L "distributed_resilience|io_resilience|threading|distributed|multigrid" --output-on-failure)
 
   # Second verify pass: the fused-kernel equivalence, mixed-precision and
   # ABFT tests under AddressSanitizer — the fused hooks write through raw

@@ -20,6 +20,7 @@
 // resume; when and where those records reach disk is decided by the
 // application that owns the run (LungApplication's generation ring).
 
+#include <atomic>
 #include <limits>
 
 #include "common/timer.h"
@@ -205,36 +206,48 @@ public:
   static constexpr unsigned int u_space = 0, p_space = 1;
   static constexpr unsigned int quad_u = 0, quad_p = 1, quad_over = 2;
 
-  /// CFL-admissible time step from the current velocity field (Eq. 6).
+  /// CFL-admissible time step from the current velocity field (Eq. 6). The
+  /// minimum of h/|u| is reduced over ranges of cell batches on the pool; a
+  /// min is exact, so dt does not depend on the split.
   double compute_time_step() const
   {
     if (prm_.fixed_dt > 0)
       return prm_.fixed_dt;
-    double min_h_over_u = 1e300;
-    FEEvaluation<Number, 3> phi(mf_, u_space, quad_u);
-    for (unsigned int b = 0; b < mf_.n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      phi.read_dof_values(u_);
-      // collocated: dof values are the point values
-      VA max_u(Number(0));
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
-      {
-        Tensor1<VA> v;
-        for (unsigned int c = 0; c < dim; ++c)
-          v[c] = phi.begin_dof_values()[c * phi.dofs_per_component + q];
-        max_u = max(max_u, sqrt(dot(v, v)));
-      }
-      const VA h = mf_.cell_width()[b];
-      for (unsigned int l = 0; l < phi.n_filled_lanes(); ++l)
-      {
-        const double hu =
-          double(h[l]) / std::max(1e-12, double(max_u[l]));
-        min_h_over_u = std::min(min_h_over_u, hu);
-      }
-    }
+    constexpr std::size_t batches_per_chunk = 8;
+    std::atomic<double> min_h_over_u{1e300};
+    auto &pool = concurrency::ThreadPool::instance();
+    const std::size_t n_batches = mf_.n_cell_batches();
+    pool.run_ranges(
+      n_batches, pool.n_chunks_for(n_batches, batches_per_chunk),
+      [&](unsigned int, const std::size_t b0, const std::size_t b1) {
+        FEEvaluation<Number, 3> phi(mf_, u_space, quad_u);
+        double chunk_min = 1e300;
+        for (std::size_t b = b0; b < b1; ++b)
+        {
+          phi.reinit(b);
+          phi.read_dof_values(u_);
+          // collocated: dof values are the point values
+          VA max_u(Number(0));
+          for (unsigned int q = 0; q < phi.n_q_points; ++q)
+          {
+            Tensor1<VA> v;
+            for (unsigned int c = 0; c < dim; ++c)
+              v[c] = phi.begin_dof_values()[c * phi.dofs_per_component + q];
+            max_u = max(max_u, sqrt(dot(v, v)));
+          }
+          const VA h = mf_.cell_width()[b];
+          for (unsigned int l = 0; l < phi.n_filled_lanes(); ++l)
+          {
+            const double hu =
+              double(h[l]) / std::max(1e-12, double(max_u[l]));
+            chunk_min = std::min(chunk_min, hu);
+          }
+        }
+        concurrency::atomic_min(min_h_over_u, chunk_min);
+      });
     const TimeStepControl control(prm_.cfl, prm_.degree);
-    return std::min(prm_.max_dt, control.next(min_h_over_u, dt_prev_));
+    return std::min(prm_.max_dt,
+                    control.next(min_h_over_u.load(), dt_prev_));
   }
 
   /// Advances one time step of the dual splitting scheme. A failed substep

@@ -9,7 +9,10 @@
 // constraint expansion; Dirichlet rows/columns are zeroed so level
 // corrections never touch constrained boundary values.
 
+#include <algorithm>
+
 #include "amg/sparse_matrix.h"
+#include "concurrency/thread_pool.h"
 #include "fem/polynomial.h"
 #include "matrixfree/matrix_free.h"
 #include "operators/cfe_space.h"
@@ -21,19 +24,22 @@ namespace dgflow
 /// runs over a range of consecutive cells whose dense per-cell dof blocks
 /// the pointers address: all cells of a serial level vector, or the owned
 /// cells of a DistributedVector. The transfer is cell-local, so a range
-/// needs no communication. The two sweep buffers are members: one transfer
-/// belongs to one multigrid level, whose V-cycle runs on one thread.
+/// needs no communication, and the worker pool sweeps it in contiguous
+/// chunks of cells. Each chunk has its own pair of sweep buffers, one per
+/// thread of the pool width at construction (like MatrixFree's thread
+/// partition, which is fixed at reinit), so a sweep allocates nothing.
 template <typename Number>
 class DGPTransfer
 {
 public:
   DGPTransfer(const MatrixFree<Number> &mf, const unsigned int space_fine,
               const unsigned int space_coarse)
-    : nf_(mf.degree(space_fine) + 1), nc_(mf.degree(space_coarse) + 1)
+    : nf_(mf.degree(space_fine) + 1), nc_(mf.degree(space_coarse) + 1),
+      n_slots_(concurrency::ThreadPool::instance().n_threads())
   {
     const unsigned int mx = std::max(nf_, nc_);
-    t1_.resize(mx * mx * mx);
-    t2_.resize(mx * mx * mx);
+    slot_size_ = mx * mx * mx;
+    scratch_.resize(2 * slot_size_ * n_slots_);
     // 1D nodal interpolation: coarse basis evaluated at fine nodes
     const std::vector<double> nodes_f = gauss_quadrature(nf_).points;
     const LagrangeBasis basis_c(gauss_quadrature(nc_).points);
@@ -48,17 +54,16 @@ public:
                         const index_t n_cells) const
   {
     const std::size_t npc_f = nf_ * nf_ * nf_, npc_c = nc_ * nc_ * nc_;
-    for (index_t c = 0; c < n_cells; ++c)
-    {
+    for_cell_ranges(n_cells, [&](Number *t1, Number *t2, const index_t c) {
       const Number *src = coarse + c * npc_c;
       Number *dst = fine + c * npc_f;
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, src, t1_.data(), 0,
+      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, src, t1, 0,
                                     {{nc_, nc_, nc_}});
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t1_.data(),
-                                    t2_.data(), 1, {{nf_, nc_, nc_}});
-      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t2_.data(), dst, 2,
+      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t1, t2, 1,
+                                    {{nf_, nc_, nc_}});
+      apply_matrix_1d<false, false>(P1d_.data(), nf_, nc_, t2, dst, 2,
                                     {{nf_, nf_, nc_}});
-    }
+    });
   }
 
   /// fine -> coarse (overwrite) on n_cells consecutive cells, the
@@ -67,23 +72,44 @@ public:
                       const index_t n_cells) const
   {
     const std::size_t npc_f = nf_ * nf_ * nf_, npc_c = nc_ * nc_ * nc_;
-    for (index_t c = 0; c < n_cells; ++c)
-    {
+    for_cell_ranges(n_cells, [&](Number *t1, Number *t2, const index_t c) {
       const Number *src = fine + c * npc_f;
       Number *dst = coarse + c * npc_c;
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, src, t1_.data(), 2,
+      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, src, t1, 2,
                                    {{nf_, nf_, nf_}});
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t1_.data(),
-                                   t2_.data(), 1, {{nf_, nf_, nc_}});
-      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t2_.data(), dst, 0,
+      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t1, t2, 1,
+                                   {{nf_, nf_, nc_}});
+      apply_matrix_1d<true, false>(P1d_.data(), nf_, nc_, t2, dst, 0,
                                    {{nf_, nc_, nc_}});
-    }
+    });
   }
 
 private:
+  /// Runs cell(t1, t2, c) for every c in [0, n_cells), on the pool in
+  /// contiguous chunks of at least cells_per_chunk cells; t1 and t2 are
+  /// the chunk's sweep buffers.
+  template <typename CellFn>
+  void for_cell_ranges(const index_t n_cells, CellFn &&cell) const
+  {
+    constexpr std::size_t cells_per_chunk = 16;
+    auto &pool = concurrency::ThreadPool::instance();
+    pool.run_ranges(
+      n_cells,
+      std::min(n_slots_, pool.n_chunks_for(n_cells, cells_per_chunk)),
+      [&](const unsigned int chunk, const std::size_t begin,
+          const std::size_t end) {
+        Number *t1 = scratch_.data() + 2 * std::size_t(chunk) * slot_size_;
+        Number *t2 = t1 + slot_size_;
+        for (std::size_t c = begin; c < end; ++c)
+          cell(t1, t2, static_cast<index_t>(c));
+      });
+  }
+
   unsigned int nf_, nc_;
+  unsigned int n_slots_;
+  std::size_t slot_size_;
   std::vector<Number> P1d_;
-  mutable std::vector<Number> t1_, t2_;
+  mutable std::vector<Number> scratch_;
 };
 
 /// Sparse transfer in the level precision, built from a double CSR
@@ -92,7 +118,10 @@ private:
 /// full coarse vector: all rows of a serial level, or, on the DG side of
 /// the distributed c-transfer, the rows of this rank's cells (DG(1) dofs
 /// are cell-local, so the owned cells are one contiguous row range) with a
-/// replicated coarse vector. fine_rows points at row row_begin.
+/// replicated coarse vector. fine_rows points at row row_begin. Both
+/// directions run on the worker pool: prolongation over ranges of fine
+/// rows, restriction as a gather over ranges of coarse rows of the
+/// transpose, which the constructor stores.
 template <typename Number>
 class SparseTransfer
 {
@@ -101,12 +130,30 @@ public:
 
   explicit SparseTransfer(const SparseMatrix &P)
   {
-    const std::size_t nr = P.n_rows();
+    const std::size_t nr = P.n_rows(), nc = P.n_cols(), nnz = P.n_nonzeros();
     row_ptr_.assign(P.row_ptr(), P.row_ptr() + nr + 1);
-    col_idx_.assign(P.col_idx(), P.col_idx() + P.n_nonzeros());
-    values_.resize(P.n_nonzeros());
+    col_idx_.assign(P.col_idx(), P.col_idx() + nnz);
+    values_.resize(nnz);
     for (std::size_t i = 0; i < values_.size(); ++i)
       values_[i] = Number(P.values()[i]);
+
+    // transpose by a stable counting sort on the column: within a coarse
+    // row the fine rows ascend, in the order the entries are stored
+    t_row_ptr_.assign(nc + 1, 0);
+    for (std::size_t k = 0; k < nnz; ++k)
+      ++t_row_ptr_[col_idx_[k] + 1];
+    for (std::size_t c = 0; c < nc; ++c)
+      t_row_ptr_[c + 1] += t_row_ptr_[c];
+    t_fine_row_.resize(nnz);
+    t_values_.resize(nnz);
+    std::vector<std::size_t> fill(t_row_ptr_.begin(), t_row_ptr_.end() - 1);
+    for (std::size_t r = 0; r < nr; ++r)
+      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
+      {
+        const std::size_t pos = fill[col_idx_[k]]++;
+        t_fine_row_[pos] = r;
+        t_values_[pos] = values_[k];
+      }
   }
 
   /// coarse -> fine (overwrite) on the rows [row_begin, row_end).
@@ -114,35 +161,63 @@ public:
                        const std::size_t row_begin,
                        const std::size_t row_end) const
   {
-    for (std::size_t r = row_begin; r < row_end; ++r)
-    {
-      Number sum = 0;
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-        sum += values_[k] * coarse[col_idx_[k]];
-      fine_rows[r - row_begin] = sum;
-    }
+    const std::size_t n = row_end - row_begin;
+    auto &pool = concurrency::ThreadPool::instance();
+    pool.run_ranges(
+      n, pool.n_chunks_for(n, rows_per_chunk),
+      [&](unsigned int, const std::size_t begin, const std::size_t end) {
+        for (std::size_t r = row_begin + begin; r < row_begin + end; ++r)
+        {
+          Number sum = 0;
+          for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
+            sum += values_[k] * coarse[col_idx_[k]];
+          fine_rows[r - row_begin] = sum;
+        }
+      });
   }
 
   /// fine -> coarse, the transpose: accumulates the contributions of the
   /// rows [row_begin, row_end) into the caller-zeroed coarse vector (a
-  /// distributed caller then sums it over the ranks).
+  /// distributed caller then sums it over the ranks). Each coarse entry
+  /// adds its products in ascending fine-row order, skipping zero fine
+  /// values, so the result is the one of a row-by-row scatter.
   void restrict_rows(Vector<Number> &coarse, const Number *fine_rows,
                      const std::size_t row_begin,
                      const std::size_t row_end) const
   {
-    for (std::size_t r = row_begin; r < row_end; ++r)
-    {
-      const Number v = fine_rows[r - row_begin];
-      if (v == Number(0))
-        continue;
-      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-        coarse[col_idx_[k]] += values_[k] * v;
-    }
+    const std::size_t n = t_row_ptr_.empty() ? 0 : t_row_ptr_.size() - 1;
+    auto &pool = concurrency::ThreadPool::instance();
+    pool.run_ranges(
+      n, pool.n_chunks_for(n, rows_per_chunk),
+      [&](unsigned int, const std::size_t begin, const std::size_t end) {
+        const std::size_t *rows = t_fine_row_.data();
+        for (std::size_t c = begin; c < end; ++c)
+        {
+          const std::size_t k_end = t_row_ptr_[c + 1];
+          Number sum = coarse[c];
+          for (std::size_t k = std::lower_bound(rows + t_row_ptr_[c],
+                                                rows + k_end, row_begin) -
+                               rows;
+               k < k_end && rows[k] < row_end; ++k)
+          {
+            const Number v = fine_rows[rows[k] - row_begin];
+            if (v != Number(0))
+              sum += t_values_[k] * v;
+          }
+          coarse[c] = sum;
+        }
+      });
   }
 
 private:
+  static constexpr std::size_t rows_per_chunk = 64;
+
   std::vector<std::size_t> row_ptr_, col_idx_;
   std::vector<Number> values_;
+  // the transpose: per coarse row, the fine rows and values in ascending
+  // fine-row order
+  std::vector<std::size_t> t_row_ptr_, t_fine_row_;
+  std::vector<Number> t_values_;
 };
 
 /// Builds the c-transfer: prolongation from the continuous Q1 space to the

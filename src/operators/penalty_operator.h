@@ -37,57 +37,71 @@ public:
     zeta_ = zeta;
     tau_div_.resize(mf.n_cell_batches());
     tau_cont_.resize(mf.n_face_batches());
+    cell_norm_.assign(mf.n_cells(), Number(0));
   }
 
   /// Recomputes the penalty parameters from the current velocity field and
   /// sets the time step scaling. The velocity scale is floored at
   /// floor_factor * h/dt: the penalty must not vanish at startup from rest,
   /// where it is the only mechanism damping the spurious pressure-projection
-  /// modes of the L2-conforming splitting (Fehn et al. 2017).
+  /// modes of the L2-conforming splitting (Fehn et al. 2017). Both loops run
+  /// on the pool over batch ranges: each cell batch writes its own entries,
+  /// each face batch its own parameter.
   void update(const VectorType &u, const Number dt,
               const Number floor_factor = Number(0.05))
   {
     dt_ = dt;
     const unsigned int degree = mf_->degree(space_);
+    auto &pool = concurrency::ThreadPool::instance();
 
-    FEEvaluation<Number, 3> phi(*mf_, space_, quad_);
-    std::vector<Number> cell_norm(mf_->n_cells());
-    for (unsigned int b = 0; b < mf_->n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      phi.read_dof_values(u);
-      phi.evaluate(true, false);
-      VA norm_sq(Number(0)), vol(Number(0));
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
-      {
-        const Tensor1<VA> v = phi.get_value(q);
-        const VA jxw = phi.JxW(q);
-        norm_sq += dot(v, v) * jxw;
-        vol += jxw;
-      }
-      const VA h = mf_->cell_width()[b];
-      const VA u_norm =
-        sqrt(norm_sq / vol) + floor_factor * h / (dt > Number(0) ? dt : Number(1));
-      tau_div_[b] = zeta_ * u_norm * h * Number(1. / (degree + 1));
-      const auto &batch = mf_->cell_batch(b);
-      for (unsigned int l = 0; l < batch.n_filled; ++l)
-        cell_norm[batch.cells[l]] = u_norm[l];
-    }
+    const std::size_t n_cell_batches = mf_->n_cell_batches();
+    pool.run_ranges(
+      n_cell_batches, pool.n_chunks_for(n_cell_batches, 8),
+      [&](unsigned int, const std::size_t b0, const std::size_t b1) {
+        FEEvaluation<Number, 3> phi(*mf_, space_, quad_);
+        for (std::size_t b = b0; b < b1; ++b)
+        {
+          phi.reinit(b);
+          phi.read_dof_values(u);
+          phi.evaluate(true, false);
+          VA norm_sq(Number(0)), vol(Number(0));
+          for (unsigned int q = 0; q < phi.n_q_points; ++q)
+          {
+            const Tensor1<VA> v = phi.get_value(q);
+            const VA jxw = phi.JxW(q);
+            norm_sq += dot(v, v) * jxw;
+            vol += jxw;
+          }
+          const VA h = mf_->cell_width()[b];
+          const VA u_norm = sqrt(norm_sq / vol) +
+                            floor_factor * h /
+                              (dt > Number(0) ? dt : Number(1));
+          tau_div_[b] = zeta_ * u_norm * h * Number(1. / (degree + 1));
+          const auto &batch = mf_->cell_batch(b);
+          for (unsigned int l = 0; l < batch.n_filled; ++l)
+            cell_norm_[batch.cells[l]] = u_norm[l];
+        }
+      });
 
     // face parameter: average of the adjacent cells' velocity scales
-    for (unsigned int b = 0; b < mf_->n_face_batches(); ++b)
-    {
-      const auto &fb = mf_->face_batch(b);
-      VA tau(Number(0));
-      for (unsigned int l = 0; l < MatrixFree<Number>::n_lanes; ++l)
-      {
-        Number t = cell_norm[fb.cells_m[l]];
-        if (fb.interior)
-          t = Number(0.5) * (t + cell_norm[fb.cells_p[l]]);
-        tau[l] = zeta_ * t;
-      }
-      tau_cont_[b] = tau;
-    }
+    const std::size_t n_face_batches = mf_->n_face_batches();
+    pool.run_ranges(
+      n_face_batches, pool.n_chunks_for(n_face_batches, 64),
+      [&](unsigned int, const std::size_t b0, const std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b)
+        {
+          const auto &fb = mf_->face_batch(b);
+          VA tau(Number(0));
+          for (unsigned int l = 0; l < MatrixFree<Number>::n_lanes; ++l)
+          {
+            Number t = cell_norm_[fb.cells_m[l]];
+            if (fb.interior)
+              t = Number(0.5) * (t + cell_norm_[fb.cells_p[l]]);
+            tau[l] = zeta_ * t;
+          }
+          tau_cont_[b] = tau;
+        }
+      });
   }
 
   std::size_t n_dofs() const { return mf_->n_dofs(space_, 3); }
@@ -167,6 +181,7 @@ private:
   Number dt_ = Number(0);
   AlignedVector<VA> tau_div_;
   AlignedVector<VA> tau_cont_;
+  std::vector<Number> cell_norm_; ///< velocity scale per cell (update())
 };
 
 } // namespace dgflow

@@ -31,6 +31,7 @@
 // docs/DEVELOPING.md, "Silent data corruption & ABFT"). Off by default: a
 // fault-free solve with the guard off is bit-for-bit the pre-guard solver.
 
+#include <atomic>
 #include <cmath>
 #include <type_traits>
 
@@ -112,21 +113,41 @@ class PreconditionJacobi
 public:
   /// Accepts any vector over the local range (serial Vector or the owned
   /// range of a DistributedVector); the inverse diagonal is stored locally.
+  /// A non-finite or zero entry fails, naming the smallest such index.
   template <typename VectorType>
   void reinit(const VectorType &diagonal)
   {
-    inv_diag_.reinit(diagonal.size(), true);
-    for (std::size_t i = 0; i < diagonal.size(); ++i)
-    {
-      DGFLOW_ASSERT(std::isfinite(double(diagonal[i])),
-                    "non-finite diagonal entry " << double(diagonal[i])
-                      << " at index " << i << " of " << diagonal.size()
-                      << ": the operator produced NaN/Inf during diagonal "
-                         "assembly; refusing to build a Jacobi "
-                         "preconditioner that would propagate it silently");
-      DGFLOW_ASSERT(diagonal[i] != Number(0), "zero diagonal entry");
-      inv_diag_[i] = Number(1) / diagonal[i];
-    }
+    const std::size_t n = diagonal.size();
+    inv_diag_.reinit(n, true);
+    const auto *DGFLOW_RESTRICT d = diagonal.data();
+    Number *DGFLOW_RESTRICT inv = inv_diag_.data();
+    const auto bad = [&](const std::size_t i) {
+      return !std::isfinite(double(d[i])) || d[i] == Number(0);
+    };
+    // each chunk stops at its first bad entry; the smallest index wins
+    std::atomic<std::size_t> first_bad{n};
+    concurrency::ThreadPool::instance().parallel_for(
+      n, [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+        {
+          if (bad(i))
+          {
+            concurrency::atomic_min(first_bad, i);
+            return;
+          }
+          inv[i] = Number(1) / d[i];
+        }
+      });
+    const std::size_t i = first_bad.load();
+    if (i == n)
+      return;
+    DGFLOW_ASSERT(std::isfinite(double(d[i])),
+                  "non-finite diagonal entry " << double(d[i])
+                    << " at index " << i << " of " << n
+                    << ": the operator produced NaN/Inf during diagonal "
+                       "assembly; refusing to build a Jacobi "
+                       "preconditioner that would propagate it silently");
+    DGFLOW_ASSERT(d[i] != Number(0), "zero diagonal entry");
   }
 
   template <typename VectorType>

@@ -582,7 +582,9 @@ Vector<double> laplace_action_backend(const Mesh &mesh, const Geometry &geom,
   data.backend = backend;
   mf.reinit(mesh, geom, data);
   if (backend)
+  {
     EXPECT_EQ(mf.kernel_backend(), *backend);
+  }
 
   LaplaceOperator<double> laplace;
   laplace.reinit(mf, 0, 0, all_dirichlet());

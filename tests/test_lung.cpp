@@ -33,8 +33,10 @@ TEST(AirwayTreeTest, MorphometricScaling)
                   std::pow(prm.diameter_ratio, double(a.generation)),
                 1e-12);
     if (a.generation > 0)
+    {
       EXPECT_NEAR(a.length(), prm.length_to_diameter * a.diameter,
                   1e-12 + prm.jitter * a.length());
+    }
     // frames orthonormal and perpendicular to the axis
     EXPECT_NEAR(norm(a.e1), 1., 1e-12);
     EXPECT_NEAR(dot(a.e1, a.e2), 0., 1e-12);

@@ -49,10 +49,14 @@ TEST_P(MeshFuzz, BalanceAndFaceListInvariants)
     {
       const auto nb = mesh.neighbor(i, f);
       if (nb.kind == Mesh::NeighborInfo::Kind::coarser)
+      {
         ASSERT_EQ(mesh.cell(nb.cell).level + 1, mesh.cell(i).level);
+      }
       if (nb.kind == Mesh::NeighborInfo::Kind::finer)
         for (const index_t c : nb.children)
+        {
           ASSERT_EQ(mesh.cell(c).level, mesh.cell(i).level + 1);
+        }
     }
 
   // face list: each interior conforming face appears exactly once; each

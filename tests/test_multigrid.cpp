@@ -234,3 +234,39 @@ TEST(HybridMultigridTest, OneRankDistributedVcycleMatchesSerialBitwise)
   }
   pool.set_n_threads(saved_width);
 }
+
+TEST(HybridMultigridTest, VcycleIsBitwiseIdenticalAtAnyPoolWidth)
+{
+  // the hanging-node cube at degree 4: the p-, c- and h-transfers all run
+  // on the pool, in chunks that depend on the width the multigrid is built
+  // at; one V-cycle must give the same bytes at every width
+  const Mesh mesh = hanging_node_cube();
+  TrilinearGeometry geom(mesh.coarse());
+  auto &pool = concurrency::ThreadPool::instance();
+  const unsigned int saved_width = pool.n_threads();
+  Vector<double> reference;
+  for (const unsigned int width : {1u, 2u, 4u})
+  {
+    pool.set_n_threads(width);
+    HybridMultigrid<float> mg;
+    mg.setup(mesh, geom, 4, all_dirichlet());
+    ASSERT_EQ(mg.n_levels(), 7u);
+    const std::size_t n = mg.level_dofs(mg.n_levels() - 1);
+    Vector<double> src(n), dst;
+    for (std::size_t i = 0; i < n; ++i)
+      src[i] = std::sin(0.37 * double(i)) + 0.2;
+    mg.vmult(dst, src);
+    ASSERT_EQ(dst.size(), n);
+    if (width == 1)
+    {
+      reference = dst;
+    }
+    else
+    {
+      EXPECT_EQ(std::memcmp(dst.data(), reference.data(), n * sizeof(double)),
+                0)
+        << "V-cycle at pool width " << width << " deviates from width 1";
+    }
+  }
+  pool.set_n_threads(saved_width);
+}

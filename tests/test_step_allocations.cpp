@@ -8,7 +8,8 @@
 // also replaces the plain operator new, which stages checkpoint images
 // (std::vector<char>), and counts those allocations separately: a
 // checkpointed step stages its image in exactly one, and a multigrid
-// p-transfer sweeps in buffers it owns, so it allocates nothing.
+// p-transfer sweeps in buffers it owns on a pool region that allocates
+// nothing, so it allocates nothing at any pool width.
 
 #include <gtest/gtest.h>
 
@@ -164,30 +165,40 @@ TEST(StepAllocations, CheckpointedStepStagesItsImageOnce)
 TEST(StepAllocations, PTransferAllocatesNothing)
 {
   // the pressure multigrid's first p-transfer on the lung g=3 mesh: DG(2)
-  // to DG(1) in the level precision, over every cell
+  // to DG(1) in the level precision, over every cell, at pool widths 1 and
+  // 4 (the transfer is built at the width it runs at, and the workers are
+  // spawned before counting starts)
   AirwayTreeParameters tree;
   tree.n_generations = 3;
   const LungMesh lung = build_lung_mesh(AirwayTree::generate(tree));
   const Mesh mesh(lung.coarse);
   const TrilinearGeometry geometry(mesh.coarse());
-  MatrixFree<float> mf;
-  MatrixFree<float>::AdditionalData data;
-  data.degrees = {2, 1};
-  data.n_q_points_1d = {3, 2};
-  data.geometry_degree = 1;
-  mf.reinit(mesh, geometry, data);
-  const DGPTransfer<float> transfer(mf, 0, 1);
-  Vector<float> fine(mf.n_dofs(0, 1)), coarse(mf.n_dofs(1, 1));
-  fine = 1.f;
+  auto &pool = concurrency::ThreadPool::instance();
+  const unsigned int saved_width = pool.n_threads();
+  for (const unsigned int nt : {1u, 4u})
+  {
+    pool.set_n_threads(nt);
+    pool.run_chunks(nt, [](unsigned int) {});
+    MatrixFree<float> mf;
+    MatrixFree<float>::AdditionalData data;
+    data.degrees = {2, 1};
+    data.n_q_points_1d = {3, 2};
+    data.geometry_degree = 1;
+    mf.reinit(mesh, geometry, data);
+    const DGPTransfer<float> transfer(mf, 0, 1);
+    Vector<float> fine(mf.n_dofs(0, 1)), coarse(mf.n_dofs(1, 1));
+    fine = 1.f;
 
-  count_from_bytes = 0;
-  n_counted = 0;
-  n_counted_plain = 0;
-  counting = true;
-  transfer.restrict_cells(coarse.data(), fine.data(), mf.n_cells());
-  transfer.prolongate_cells(fine.data(), coarse.data(), mf.n_cells());
-  counting = false;
-  EXPECT_EQ(n_counted_plain.load() + n_counted.load(), 0u)
-    << "one restriction and one prolongation over " << mf.n_cells()
-    << " cells allocated";
+    count_from_bytes = 0;
+    n_counted = 0;
+    n_counted_plain = 0;
+    counting = true;
+    transfer.restrict_cells(coarse.data(), fine.data(), mf.n_cells());
+    transfer.prolongate_cells(fine.data(), coarse.data(), mf.n_cells());
+    counting = false;
+    EXPECT_EQ(n_counted_plain.load() + n_counted.load(), 0u)
+      << "one restriction and one prolongation over " << mf.n_cells()
+      << " cells allocated at pool width " << nt;
+  }
+  pool.set_n_threads(saved_width);
 }

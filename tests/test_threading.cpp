@@ -1,16 +1,18 @@
 // Shared-memory thread-parallel cell loops (ctest label threading; also run
 // under DGFLOW_SANITIZE=thread by run_benchmarks.sh): worker-pool basics
-// (every chunk runs exactly once, exceptions propagate, nested regions fall
-// back to inline-serial), strict parsing of the DGFLOW_THREADS knob, and the
-// determinism contract of the threaded loops — vmult, the fused Jacobi-CG
-// solve and the fused Chebyshev sweep must be BITWISE identical to the
-// single-threaded sweep at any thread count, serially and on four vmpi
-// ranks with per-rank thread partitions — of the right-hand sides whose
-// data terms come from the operators' boundary integrals, and of the whole
-// lung time step, which must end in the bitwise same velocity and pressure
-// at any pool width. The hook contract of the loop driver is pinned
-// directly as well: pre and post ranges tile src and dst exactly once per
-// vmult.
+// (every chunk runs exactly once, also over 10,000 back-to-back regions
+// that spinning workers pick up from the resident slot, exceptions
+// propagate, nested regions fall back to inline-serial, a resize right
+// after a region, the external-concurrency cap), strict parsing of the
+// DGFLOW_THREADS knob, and the determinism contract of the threaded loops —
+// vmult, the fused Jacobi-CG solve and the fused Chebyshev sweep must be
+// BITWISE identical to the single-threaded sweep at any thread count,
+// serially and on four vmpi ranks with per-rank thread partitions — of the
+// right-hand sides whose data terms come from the operators' boundary
+// integrals, and of the whole lung time step, which must end in the
+// bitwise same velocity and pressure at any pool width. The hook contract
+// of the loop driver is pinned directly as well: pre and post ranges tile
+// src and dst exactly once per vmult.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/env.h"
@@ -165,6 +168,104 @@ TEST(ThreadPoolTest, NestedRegionsRunInlineSerial)
                     [&](const unsigned int c) { inner_total += int(c); });
   });
   EXPECT_EQ(inner_total.load(), 4 * 6);
+}
+
+namespace
+{
+/// A few microseconds of arithmetic, so a region's chunks overlap on the
+/// workers instead of all running on the caller.
+double busy_work(const unsigned int c)
+{
+  double s = 0.;
+  for (unsigned int i = 1; i <= 400; ++i)
+    s += std::sqrt(double(i + c));
+  return s;
+}
+} // namespace
+
+TEST(ThreadPoolTest, BackToBackRegionsRunEveryChunkOnce)
+{
+  // workers spin between regions and find each new one in the resident
+  // slot: no chunk of one region may run twice or leak into the next
+  ScopedPoolWidth guard;
+  auto &pool = concurrency::ThreadPool::instance();
+  pool.set_n_threads(4);
+  constexpr unsigned int n_regions = 10000, n_chunks = 4;
+  std::vector<std::atomic<unsigned int>> counts(n_chunks);
+  for (auto &c : counts)
+    c = 0;
+  std::atomic<double> sink{0.};
+  unsigned int wrong_regions = 0;
+  for (unsigned int r = 0; r < n_regions; ++r)
+  {
+    pool.run_chunks(n_chunks, [&](const unsigned int c) {
+      sink.store(busy_work(c), std::memory_order_relaxed);
+      counts[c].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (unsigned int c = 0; c < n_chunks; ++c)
+      if (counts[c].load(std::memory_order_relaxed) != r + 1)
+      {
+        ++wrong_regions;
+        break;
+      }
+  }
+  EXPECT_EQ(wrong_regions, 0u);
+  for (unsigned int c = 0; c < n_chunks; ++c)
+    EXPECT_EQ(counts[c].load(), n_regions) << "chunk " << c;
+  EXPECT_GT(sink.load(), 0.);
+}
+
+TEST(ThreadPoolTest, ResizingRightAfterARegionKeepsThePoolWorking)
+{
+  // set_n_threads joins workers that are still spinning on the region
+  // just finished; the resized pool must spawn fresh ones and run
+  ScopedPoolWidth guard;
+  auto &pool = concurrency::ThreadPool::instance();
+  for (unsigned int round = 0; round < 50; ++round)
+  {
+    const unsigned int width = round % 2 ? 2u : 4u;
+    pool.set_n_threads(4);
+    std::atomic<unsigned int> ran{0};
+    pool.run_chunks(8, [&](const unsigned int c) {
+      (void)busy_work(c);
+      ++ran;
+    });
+    pool.set_n_threads(width);
+    pool.run_chunks(8, [&](const unsigned int c) {
+      (void)busy_work(c);
+      ++ran;
+    });
+    ASSERT_EQ(ran.load(), 16u) << "round " << round;
+  }
+}
+
+TEST(ThreadPoolTest, ExternalConcurrencyCapsTheThreadsThatRunChunks)
+{
+  // three rank threads alive at width 4 leave room for one worker beside
+  // the caller; the others sit every region out
+  ScopedPoolWidth guard;
+  auto &pool = concurrency::ThreadPool::instance();
+  pool.set_n_threads(4);
+  struct LiftCap
+  {
+    ~LiftCap()
+    {
+      concurrency::ThreadPool::instance().set_external_concurrency(1);
+    }
+  } lift;
+  pool.set_external_concurrency(3);
+  std::mutex mutex;
+  std::vector<std::thread::id> seen;
+  for (unsigned int r = 0; r < 200; ++r)
+    pool.run_chunks(16, [&](const unsigned int c) {
+      (void)busy_work(c);
+      std::lock_guard<std::mutex> lock(mutex);
+      if (std::find(seen.begin(), seen.end(), std::this_thread::get_id()) ==
+          seen.end())
+        seen.push_back(std::this_thread::get_id());
+    });
+  EXPECT_GE(seen.size(), 1u);
+  EXPECT_LE(seen.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

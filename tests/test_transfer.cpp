@@ -34,6 +34,23 @@ Mesh mesh_with_hanging_nodes()
   return mesh;
 }
 
+/// Two uniform refinements of the unit cube, then one more in the octant
+/// at the origin: 120 cells, 960 DG(1) rows.
+Mesh cube_with_hanging_octant()
+{
+  Mesh mesh(unit_cube());
+  mesh.refine_uniform(2);
+  std::vector<bool> flags(mesh.n_active_cells(), false);
+  for (index_t i = 0; i < mesh.n_active_cells(); ++i)
+  {
+    const auto lo = mesh.cell_lower_corner(i);
+    if (lo[0] < 0.5 && lo[1] < 0.5 && lo[2] < 0.5)
+      flags[i] = true;
+  }
+  mesh.refine(flags);
+  return mesh;
+}
+
 MatrixFree<float> make_mf(const Mesh &mesh, const Geometry &geom,
                           const std::vector<unsigned int> &degrees,
                           const std::vector<BasisType> &bases,
@@ -139,37 +156,65 @@ TEST(CTransferTest, ProlongationOfConstantIsConstant)
 TEST(CTransferTest, RowRangesTileTheFullRangeBitwise)
 {
   // the split the distributed cycle takes (the rows of each rank's cells,
-  // cut at a cell boundary) against the full range the serial cycle takes
-  const Mesh mesh = mesh_with_hanging_nodes();
-  CFEDofHandler dofs;
-  dofs.reinit(mesh);
-  const CFESpace cfe =
-    make_q1_space(dofs, [](unsigned int id) { return id == 0; });
-  const SparseMatrix P = build_c_transfer(mesh, cfe);
-  SparseTransfer<float> transfer(P);
-  const std::size_t n = P.n_rows();
-  const std::size_t m = 8 * (mesh.n_active_cells() / 3);
-  ASSERT_LT(0u, m);
-  ASSERT_LT(m, n);
+  // cut at a cell boundary) against the full range the serial cycle takes,
+  // at pool widths 1 and 4; the larger mesh splits both directions into
+  // several chunks on the pool, and every width gives the same bytes
+  auto &pool = concurrency::ThreadPool::instance();
+  const unsigned int saved_width = pool.n_threads();
   const auto bytes_equal = [](const Vector<float> &a, const Vector<float> &b) {
     return a.size() == b.size() &&
            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
   };
+  for (Mesh (*make_mesh)() :
+       {mesh_with_hanging_nodes, cube_with_hanging_octant})
+  {
+    const Mesh mesh = make_mesh();
+    CFEDofHandler dofs;
+    dofs.reinit(mesh);
+    const CFESpace cfe =
+      make_q1_space(dofs, [](unsigned int id) { return id == 0; });
+    const SparseMatrix P = build_c_transfer(mesh, cfe);
+    const std::size_t n = P.n_rows();
+    const std::size_t m = 8 * (mesh.n_active_cells() / 3);
+    ASSERT_LT(0u, m);
+    ASSERT_LT(m, n);
+    const auto fine = random_vec(n, 3);
+    const auto coarse = random_vec(cfe.n_dofs, 4);
 
-  const auto fine = random_vec(n, 3);
-  Vector<float> full(cfe.n_dofs), split(cfe.n_dofs);
-  transfer.restrict_rows(full, fine.data(), 0, n);
-  transfer.restrict_rows(split, fine.data(), 0, m);
-  transfer.restrict_rows(split, fine.data() + m, m, n);
-  EXPECT_TRUE(bytes_equal(split, full)) << "split restriction deviates";
+    Vector<float> full_at_1, full_fine_at_1;
+    for (const unsigned int width : {1u, 4u})
+    {
+      pool.set_n_threads(width);
+      SparseTransfer<float> transfer(P);
+      Vector<float> full(cfe.n_dofs), split(cfe.n_dofs);
+      transfer.restrict_rows(full, fine.data(), 0, n);
+      transfer.restrict_rows(split, fine.data(), 0, m);
+      transfer.restrict_rows(split, fine.data() + m, m, n);
+      EXPECT_TRUE(bytes_equal(split, full))
+        << "split restriction deviates at pool width " << width;
 
-  const auto coarse = random_vec(cfe.n_dofs, 4);
-  Vector<float> full_fine(n), split_fine(n);
-  transfer.prolongate_rows(full_fine.data(), coarse, 0, n);
-  transfer.prolongate_rows(split_fine.data(), coarse, 0, m);
-  transfer.prolongate_rows(split_fine.data() + m, coarse, m, n);
-  EXPECT_TRUE(bytes_equal(split_fine, full_fine))
-    << "split prolongation deviates";
+      Vector<float> full_fine(n), split_fine(n);
+      transfer.prolongate_rows(full_fine.data(), coarse, 0, n);
+      transfer.prolongate_rows(split_fine.data(), coarse, 0, m);
+      transfer.prolongate_rows(split_fine.data() + m, coarse, m, n);
+      EXPECT_TRUE(bytes_equal(split_fine, full_fine))
+        << "split prolongation deviates at pool width " << width;
+
+      if (width == 1)
+      {
+        full_at_1 = full;
+        full_fine_at_1 = full_fine;
+      }
+      else
+      {
+        EXPECT_TRUE(bytes_equal(full, full_at_1))
+          << "restriction at pool width " << width << " deviates";
+        EXPECT_TRUE(bytes_equal(full_fine, full_fine_at_1))
+          << "prolongation at pool width " << width << " deviates";
+      }
+    }
+  }
+  pool.set_n_threads(saved_width);
 }
 
 TEST(HTransferTest, ProlongationOfLinearFieldIsExact)
