@@ -87,14 +87,18 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # throw, and the checksum's rotates and word reads must stay defined.
   # So does the checkpoint I/O suite (label io_resilience): the writer
   # patches header bytes in place and the readers do size arithmetic on
-  # counts taken from the file.
-  echo "verify pass: resilience|abft|common|io_resilience under DGFLOW_SANITIZE=undefined"
+  # counts taken from the file. So do the operator suites (label
+  # operators): the one operator driver indexes the face batches'
+  # boundary ids, and the flow data binders call the boundary functions
+  # through member pointers and closures over the evaluators.
+  echo "verify pass: resilience|abft|common|io_resilience|operators under DGFLOW_SANITIZE=undefined"
   cmake -B build-ubsan -S . -DDGFLOW_SANITIZE=undefined > /dev/null
   cmake --build build-ubsan -j \
     --target test_resilience_vmpi test_resilience_solver test_checkpoint \
     test_abft abft_microbench test_aligned_vector test_checksum \
-    test_ckpt_io > /dev/null
-  (cd build-ubsan && ctest -L "^(resilience|abft|common|io_resilience)$" --output-on-failure)
+    test_ckpt_io test_laplace test_incns_operators test_incns_solver \
+    > /dev/null
+  (cd build-ubsan && ctest -L "^(resilience|abft|common|io_resilience|operators)$" --output-on-failure)
 
   # Benchmark smoke: the repository benchmark (dgbench/, the harness behind
   # BENCHMARK.json) runs every workload for a few steps, untraced and

@@ -1,14 +1,8 @@
 #pragma once
 
-// Wall-clock timing utilities. Benchmarks follow the paper's protocol of
-// taking the best sample over a series of repetitions (Section 4).
+// Wall-clock stopwatch on the steady clock.
 
-#include <algorithm>
 #include <chrono>
-#include <functional>
-#include <limits>
-#include <map>
-#include <string>
 
 namespace dgflow
 {
@@ -28,74 +22,6 @@ public:
 private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Runs @p f @p n_repetitions times and returns the best wall time of a
-/// single repetition in seconds.
-inline double best_wall_time(const std::function<void()> &f,
-                             const unsigned int n_repetitions = 5)
-{
-  double best = std::numeric_limits<double>::max();
-  for (unsigned int r = 0; r < n_repetitions; ++r)
-  {
-    Timer t;
-    f();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
-
-/// Accumulates named timing sections (used by the splitting solver to report
-/// the per-substep cost breakdown).
-class TimerTree
-{
-public:
-  void add(const std::string &name, const double seconds)
-  {
-    auto &e = entries_[name];
-    e.seconds += seconds;
-    ++e.count;
-  }
-
-  struct Entry
-  {
-    double seconds = 0;
-    unsigned long count = 0;
-  };
-
-  const std::map<std::string, Entry> &entries() const { return entries_; }
-
-  double total() const
-  {
-    double t = 0;
-    for (const auto &[name, e] : entries_)
-      t += e.seconds;
-    return t;
-  }
-
-  void clear() { entries_.clear(); }
-
-private:
-  std::map<std::string, Entry> entries_;
-};
-
-/// RAII section timer feeding a TimerTree.
-class ScopedTimer
-{
-public:
-  ScopedTimer(TimerTree &tree, std::string name)
-    : tree_(tree), name_(std::move(name))
-  {}
-
-  ~ScopedTimer() { tree_.add(name_, timer_.seconds()); }
-
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-private:
-  TimerTree &tree_;
-  std::string name_;
-  Timer timer_;
 };
 
 } // namespace dgflow

@@ -120,18 +120,4 @@ inline Quadrature1D gauss_lobatto_quadrature(const unsigned int n)
   return q;
 }
 
-/// Equidistant points (including endpoints) used for geometry lattices.
-inline std::vector<double> equidistant_points(const unsigned int n)
-{
-  std::vector<double> p(n);
-  if (n == 1)
-  {
-    p[0] = 0.5;
-    return p;
-  }
-  for (unsigned int i = 0; i < n; ++i)
-    p[i] = double(i) / (n - 1);
-  return p;
-}
-
 } // namespace dgflow

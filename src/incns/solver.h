@@ -28,6 +28,7 @@
 #include "instrumentation/solve_stats.h"
 #include "matrixfree/field_tools.h"
 #include "multigrid/hybrid_multigrid.h"
+#include "operators/boundary.h"
 #include "operators/convective_operator.h"
 #include "operators/divergence_gradient.h"
 #include "operators/helmholtz_operator.h"
@@ -598,13 +599,6 @@ private:
   void add_pressure_boundary_rhs(VectorType &rhs, const double t_new,
                                  const BDFCoefficients &bdf)
   {
-    const auto g_p = [t_new, this](const auto &phi) {
-      const ScalarFunctionT &g = bc_.at(phi.boundary_id()).pressure;
-      return [&phi, &g, t_new](const unsigned int q) {
-        return point_values(phi, q,
-                            [&](const Point &x) { return g(x, t_new); });
-      };
-    };
     // The consistent Neumann condition dp/dn = -(du_g/dt + (u.grad)u +
     // nu curl(omega)).n interacts with the divergence term D(u_hat) whose
     // wall trace is replaced by g(t^{n+1}): the BDF combination
@@ -647,7 +641,8 @@ private:
       };
     };
     add_data_terms<1>(mf_, p_space, quad_p, laplace_, rhs, [&] {
-      return DataTerms{std::optional<ZeroData>(), std::optional(g_p),
+      return DataTerms{std::optional<ZeroData>(),
+                       std::optional(pressure_data(bc_, t_new)),
                        prm_.rotational_pressure_bc ? std::optional(rotational())
                                                    : std::nullopt};
     });

@@ -7,7 +7,6 @@
 // polynomial and the analytic map is never consulted again.
 
 #include <functional>
-#include <vector>
 
 #include "common/exceptions.h"
 #include "common/tensor.h"
@@ -63,59 +62,6 @@ public:
 
 private:
   MapFn fn_;
-};
-
-/// Geometry defined by per-tree control-point lattices of (m+1)^3 points on
-/// Gauss-Lobatto nodes (used by the lung mesh generator, which computes the
-/// square-to-disc and patient-deformation maps once per tree).
-class LatticeGeometry : public Geometry
-{
-public:
-  LatticeGeometry(const unsigned int degree_1d,
-                  const std::vector<double> &nodes_1d)
-    : m_(degree_1d), nodes_(nodes_1d), basis_(nodes_1d)
-  {
-    DGFLOW_ASSERT(nodes_1d.size() == degree_1d + 1, "node count mismatch");
-  }
-
-  /// Control points of tree t, lexicographic over the (m+1)^3 lattice.
-  std::vector<Point> &control_points(const index_t t)
-  {
-    if (points_.size() <= t)
-      points_.resize(t + 1);
-    return points_[t];
-  }
-
-  Point map(const index_t tree, const Point &ref) const override
-  {
-    const unsigned int n = m_ + 1;
-    const auto &cp = points_[tree];
-    DGFLOW_DEBUG_ASSERT(cp.size() == std::size_t(n) * n * n,
-                        "control lattice not initialized");
-    // tensor-product Lagrange evaluation at a single point
-    double vx[16], vy[16], vz[16];
-    for (unsigned int i = 0; i < n; ++i)
-    {
-      vx[i] = basis_.value(i, ref[0]);
-      vy[i] = basis_.value(i, ref[1]);
-      vz[i] = basis_.value(i, ref[2]);
-    }
-    Point p;
-    for (unsigned int k = 0; k < n; ++k)
-      for (unsigned int j = 0; j < n; ++j)
-      {
-        const double wyz = vy[j] * vz[k];
-        for (unsigned int i = 0; i < n; ++i)
-          p += (vx[i] * wyz) * cp[(k * n + j) * n + i];
-      }
-    return p;
-  }
-
-private:
-  unsigned int m_;
-  std::vector<double> nodes_;
-  LagrangeBasis basis_;
-  std::vector<std::vector<Point>> points_;
 };
 
 } // namespace dgflow

@@ -82,6 +82,8 @@ public:
     }
   }
 
+  unsigned int cell_batch() const { return batch_; }
+
   unsigned int n_filled_lanes() const
   {
     return mf_.cell_batch(batch_).n_filled;

@@ -411,10 +411,6 @@ public:
   {
     return cell_metric_[quad];
   }
-  FaceMetric &face_metric_mutable(const unsigned int quad)
-  {
-    return face_metric_[quad];
-  }
 
   /// Recomputes every cell/face metric array from the stored geometry
   /// lattice: the ABFT scrub path for a corrupted geometry batch, much

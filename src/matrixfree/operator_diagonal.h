@@ -1,7 +1,12 @@
 #pragma once
 
-// The loop-driver passes that reuse an operator's one weak form
-// (operators/README.md) beside its vmult:
+// The three loop-driver passes of an operator's one weak form
+// (operators/README.md): the operator writes only its integrals, and these
+// passes wrap them in the traversal.
+//
+// apply_weak_form: the operator's action. Each integral runs between the
+// gather of the DoF values and their scatter; vmult passes ZeroData, the
+// time-dependent apply the flow boundary data (operators/boundary.h).
 //
 // probe_diagonal: the operator diagonal by unit-vector probing. For each
 // local DoF i of a cell or face side, load e_i, run the operator's integral
@@ -14,9 +19,9 @@
 // with the data as exterior value and subtracted. Negating an integral is
 // exact, so the SIP data terms need no expression of their own.
 //
-// Both run the driver's chunk masking and order (cell first, then faces
-// ascending, minus side before plus side), so their results are bitwise the
-// same at every pool width.
+// All three run the driver's chunk masking and order (cell first, then
+// faces ascending, minus side before plus side), so their results are
+// bitwise the same at every pool width.
 
 #include <algorithm>
 #include <memory>
@@ -53,6 +58,64 @@ struct DataTerms
   std::optional<G> g; ///< Dirichlet value, through op.boundary_integral
   std::optional<H> h; ///< Neumann flux, tested with v on the other faces
 };
+
+/// dst += the weak form of the operator @p op on @p space with
+/// @p n_components components, applied to src: op provides the member
+/// templates cell_integral(phi), face_integral(phi_m, phi_p),
+/// boundary_integral(phi_m, g) and has_boundary_integral(boundary_id). The
+/// data binder @p g is shared by every thread chunk, so it must be safe to
+/// call concurrently. pre/post are forwarded to cell_face_loop; the caller
+/// zeroes dst.
+template <int n_components, typename Number, typename Operator,
+          typename VectorType, typename Data, typename PreFn, typename PostFn>
+void apply_weak_form(const MatrixFree<Number> &mf, const unsigned int space,
+                     const unsigned int quad, const Operator &op,
+                     VectorType &dst, const VectorType &src, const Data &g,
+                     PreFn &&pre, PostFn &&post)
+{
+  const auto make_kernels = [&](auto &dst_v) {
+    auto phi =
+      std::make_shared<FEEvaluation<Number, n_components>>(mf, space, quad);
+    auto phi_m = std::make_shared<FEFaceEvaluation<Number, n_components>>(
+      mf, space, quad, true);
+    auto phi_p = std::make_shared<FEFaceEvaluation<Number, n_components>>(
+      mf, space, quad, false);
+
+    const auto cell = [phi, &dst_v, &src, &op](const unsigned int b) {
+      phi->reinit(b);
+      phi->read_dof_values(src);
+      op.cell_integral(*phi);
+      phi->distribute_local_to_global(dst_v);
+    };
+
+    const auto inner = [phi_m, phi_p, &dst_v, &src,
+                        &op](const unsigned int b) {
+      phi_m->reinit(b);
+      phi_p->reinit(b);
+      phi_m->read_dof_values(src);
+      phi_p->read_dof_values(src);
+      op.face_integral(*phi_m, *phi_p);
+      phi_m->distribute_local_to_global(dst_v);
+      phi_p->distribute_local_to_global(dst_v);
+    };
+
+    const auto boundary = [phi_m, &dst_v, &src, &op, &g,
+                           &mf](const unsigned int b) {
+      if (!op.has_boundary_integral(mf.face_batch(b).boundary_id))
+        return;
+      phi_m->reinit(b);
+      phi_m->read_dof_values(src);
+      op.boundary_integral(*phi_m, g);
+      phi_m->distribute_local_to_global(dst_v);
+    };
+
+    return LoopKernels{cell, inner, boundary};
+  };
+
+  const unsigned int block = n_components * mf.dofs_per_cell(space);
+  cell_face_loop(mf, dst, src, block, block, make_kernels,
+                 std::forward<PreFn>(pre), std::forward<PostFn>(post));
+}
 
 /// Diagonal of the operator @p op on @p space with @p n_components
 /// components; op provides the member templates cell_integral(phi),

@@ -31,10 +31,6 @@ struct TreeCoord
   {
     return d == 0 ? x : d == 1 ? y : z;
   }
-  void set_coord(const unsigned int d, const std::uint32_t v)
-  {
-    (d == 0 ? x : d == 1 ? y : z) = v;
-  }
 };
 
 class Mesh

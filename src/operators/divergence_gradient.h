@@ -9,15 +9,14 @@
 // Both operators follow the unified evaluation interface documented in
 // operators/README.md (contract v2): hooked vmult(dst, src, pre, post) for
 // the homogeneous action, apply for the time-dependent action with
-// inhomogeneous boundary data. The spaces differ between src and dst, so
-// the pre hooks tile the src space's cell blocks and the post hooks the
-// dst space's.
+// inhomogeneous boundary data; both run one apply_add with a data binder
+// (ZeroData or the flow binders of operators/boundary.h). The spaces
+// differ between src and dst, so the pre hooks tile the src space's cell
+// blocks and the post hooks the dst space's.
 
 #include "instrumentation/profiler.h"
-#include "matrixfree/cell_loop.h"
-#include "matrixfree/fe_evaluation.h"
-#include "matrixfree/fe_face_evaluation.h"
-#include "operators/convective_operator.h"
+#include "matrixfree/operator_diagonal.h"
+#include "operators/boundary.h"
 
 namespace dgflow
 {
@@ -45,7 +44,7 @@ public:
   {
     dst.reinit(mf_->n_dofs(p_space_, 1), true);
     dst = Number(0);
-    apply_add(dst, src, t, true, NoRangeHook(), NoRangeHook());
+    apply_add(dst, src, velocity_data(*bc_, t), NoRangeHook(), NoRangeHook());
   }
 
   /// Homogeneous action (boundary data zeroed).
@@ -55,15 +54,16 @@ public:
   {
     dst.reinit(mf_->n_dofs(p_space_, 1), true);
     dst = Number(0);
-    apply_add(dst, src, 0., false, std::forward<PreFn>(pre),
+    apply_add(dst, src, ZeroData(), std::forward<PreFn>(pre),
               std::forward<PostFn>(post));
   }
 
 private:
-  template <typename PreFn, typename PostFn>
-  void apply_add(VectorType &dst, const VectorType &src, const double t,
-                 const bool use_boundary_values, PreFn &&pre,
-                 PostFn &&post) const
+  /// dst += the weak divergence of src, with the velocity boundary data
+  /// binder g on the velocity Dirichlet faces.
+  template <typename Data, typename PreFn, typename PostFn>
+  void apply_add(VectorType &dst, const VectorType &src, const Data &g,
+                 PreFn &&pre, PostFn &&post) const
   {
     DGFLOW_PROF_SCOPE("divergence");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
@@ -117,27 +117,23 @@ private:
         q_p->distribute_local_to_global(dst_v);
       };
 
-      const auto boundary = [u_m, q_m, &dst_v, &src, t, use_boundary_values,
+      const auto boundary = [u_m, q_m, &dst_v, &src, &g,
                              this](const unsigned int b) {
         u_m->reinit(b);
         q_m->reinit(b);
         const FlowBoundary &bdata = bc_->at(u_m->boundary_id());
         u_m->read_dof_values(src);
         u_m->evaluate(true, false);
+        const auto g_q = g(*u_m);
         for (unsigned int q = 0; q < u_m->n_q_points; ++q)
         {
           const Tensor1<VA> n = u_m->get_normal_vector(q);
-          Tensor1<VA> uhat = u_m->get_value(q);
-          if (bdata.kind == FlowBoundary::Kind::velocity_dirichlet)
-          {
-            // ghost mirroring u+ = 2g - u- gives the central flux {u} = g
-            if (use_boundary_values && bdata.velocity)
-              uhat = point_values(*u_m, q, [&](const Point &x) {
-                return bdata.velocity(x, t);
-              });
-            else
-              uhat = Tensor1<VA>();
-          }
+          // velocity Dirichlet: the mirror u+ = 2g - u- gives the central
+          // flux {u} = g; pressure faces: u+ = u-
+          const Tensor1<VA> uhat =
+            bdata.kind == FlowBoundary::Kind::velocity_dirichlet
+              ? g_q(q)
+              : u_m->get_value(q);
           q_m->submit_value(dot(uhat, n), q);
         }
         q_m->integrate(true, false);
@@ -181,7 +177,7 @@ public:
   {
     dst.reinit(mf_->n_dofs(u_space_, 3), true);
     dst = Number(0);
-    apply_add(dst, src, t, true, NoRangeHook(), NoRangeHook());
+    apply_add(dst, src, pressure_data(*bc_, t), NoRangeHook(), NoRangeHook());
   }
 
   /// Homogeneous action (boundary data zeroed).
@@ -191,15 +187,16 @@ public:
   {
     dst.reinit(mf_->n_dofs(u_space_, 3), true);
     dst = Number(0);
-    apply_add(dst, src, 0., false, std::forward<PreFn>(pre),
+    apply_add(dst, src, ZeroData(), std::forward<PreFn>(pre),
               std::forward<PostFn>(post));
   }
 
 private:
-  template <typename PreFn, typename PostFn>
-  void apply_add(VectorType &dst, const VectorType &src, const double t,
-                 const bool use_boundary_values, PreFn &&pre,
-                 PostFn &&post) const
+  /// dst += the weak gradient of src, with the pressure boundary data
+  /// binder g on the pressure faces.
+  template <typename Data, typename PreFn, typename PostFn>
+  void apply_add(VectorType &dst, const VectorType &src, const Data &g,
+                 PreFn &&pre, PostFn &&post) const
   {
     DGFLOW_PROF_SCOPE("gradient");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
@@ -253,26 +250,21 @@ private:
         v_p->distribute_local_to_global(dst_v);
       };
 
-      const auto boundary = [p_m, v_m, &dst_v, &src, t, use_boundary_values,
+      const auto boundary = [p_m, v_m, &dst_v, &src, &g,
                              this](const unsigned int b) {
         p_m->reinit(b);
         v_m->reinit(b);
         const FlowBoundary &bdata = bc_->at(p_m->boundary_id());
         p_m->read_dof_values(src);
         p_m->evaluate(true, false);
+        const auto g_q = g(*p_m);
         for (unsigned int q = 0; q < p_m->n_q_points; ++q)
         {
-          VA phat = p_m->get_value(q);
-          if (bdata.kind == FlowBoundary::Kind::pressure)
-          {
-            // ghost mirroring p+ = 2g - p- gives the central flux {p} = g
-            if (use_boundary_values)
-              phat = point_values(*p_m, q, [&](const Point &x) {
-                return bdata.pressure(x, t);
-              });
-            else
-              phat = VA(Number(0));
-          }
+          // pressure faces: the mirror p+ = 2g - p- gives the central flux
+          // {p} = g; velocity Dirichlet faces: p+ = p-
+          const VA phat = bdata.kind == FlowBoundary::Kind::pressure
+                            ? g_q(q)
+                            : p_m->get_value(q);
           v_m->submit_value(phat * v_m->get_normal_vector(q), q);
         }
         v_m->integrate(true, false);

@@ -9,19 +9,16 @@
 // vmult(dst, src, pre, post) for the homogeneous action; inhomogeneous
 // boundary data enters via add_boundary_rhs (the operator itself is
 // time-independent). The weak form is written once, as cell/face/boundary
-// integrals for any component count: vmult runs them on the three velocity
-// components, compute_diagonal probes the scalar form with unit vectors,
-// add_boundary_rhs evaluates the boundary integral at zero DoF values with
-// the Dirichlet data.
+// integrals for any component count: vmult applies them to the three
+// velocity components, compute_diagonal probes the scalar form with unit
+// vectors, add_boundary_rhs evaluates the boundary integral at zero DoF
+// values with the Dirichlet data.
 
 #include <algorithm>
 
 #include "instrumentation/profiler.h"
-#include "matrixfree/cell_loop.h"
-#include "matrixfree/fe_evaluation.h"
-#include "matrixfree/fe_face_evaluation.h"
 #include "matrixfree/operator_diagonal.h"
-#include "operators/convective_operator.h"
+#include "operators/boundary.h"
 
 namespace dgflow
 {
@@ -59,54 +56,15 @@ public:
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
     DGFLOW_PROF_THROUGHPUT("helmholtz", std::max(src.size(), dst.size()));
 
-    const auto make_kernels = [&, this](auto &dst_v) {
-      auto phi =
-        std::make_shared<FEEvaluation<Number, 3>>(*mf_, space_, quad_);
-      auto phi_m = std::make_shared<FEFaceEvaluation<Number, 3>>(
-        *mf_, space_, quad_, true);
-      auto phi_p = std::make_shared<FEFaceEvaluation<Number, 3>>(
-        *mf_, space_, quad_, false);
-
-      const auto cell = [phi, &dst_v, &src, this](const unsigned int b) {
-        phi->reinit(b);
-        phi->read_dof_values(src);
-        cell_integral(*phi);
-        phi->distribute_local_to_global(dst_v);
-      };
-
-      const auto inner = [phi_m, phi_p, &dst_v, &src,
-                          this](const unsigned int b) {
-        phi_m->reinit(b);
-        phi_p->reinit(b);
-        phi_m->read_dof_values(src);
-        phi_p->read_dof_values(src);
-        face_integral(*phi_m, *phi_p);
-        phi_m->distribute_local_to_global(dst_v);
-        phi_p->distribute_local_to_global(dst_v);
-      };
-
-      const auto boundary = [phi_m, &dst_v, &src, this](const unsigned int b) {
-        phi_m->reinit(b);
-        if (!has_boundary_integral(phi_m->boundary_id()))
-          return; // natural (do-nothing) on pressure boundaries
-        phi_m->read_dof_values(src);
-        boundary_integral(*phi_m, ZeroData());
-        phi_m->distribute_local_to_global(dst_v);
-      };
-
-      return LoopKernels{cell, inner, boundary};
-    };
-
-    const unsigned int block = 3 * mf_->dofs_per_cell(space_);
-    cell_face_loop(*mf_, dst, src, block, block, make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    apply_weak_form<3>(*mf_, space_, quad_, *this, dst, src, ZeroData(),
+                       std::forward<PreFn>(pre), std::forward<PostFn>(post));
   }
 
   /// The weak form, defined once for any component count (the components
-  /// decouple): vmult runs each integral between the gather of the DoF
-  /// values and their scatter, compute_diagonal probes the scalar
-  /// instantiation with unit vectors and add_boundary_rhs takes the data
-  /// terms from boundary_integral (matrixfree/operator_diagonal.h).
+  /// decouple): vmult applies it through apply_weak_form, compute_diagonal
+  /// probes the scalar instantiation with unit vectors and add_boundary_rhs
+  /// takes the data terms from boundary_integral
+  /// (matrixfree/operator_diagonal.h).
   template <typename CellEval>
   void cell_integral(CellEval &phi) const
   {
@@ -181,14 +139,6 @@ public:
       });
     if (!has_dirichlet_data && !neumann_data)
       return;
-    const auto g_u = [t, this](const auto &phi) {
-      const VectorFunctionT &g = bc_->at(phi.boundary_id()).velocity;
-      return [&phi, &g, t](const unsigned int q) {
-        if (!g)
-          return Tensor1<VA>();
-        return point_values(phi, q, [&](const Point &x) { return g(x, t); });
-      };
-    };
     const auto nu_h = [t, &neumann_data, this](const auto &phi) {
       return [&phi, &neumann_data, t, this](const unsigned int q) {
         return nu_ * point_values(phi, q, [&](const Point &x) {
@@ -197,7 +147,8 @@ public:
       };
     };
     add_data_terms<3>(*mf_, space_, quad_, *this, rhs, [&] {
-      return DataTerms{std::optional<ZeroData>(), std::optional(g_u),
+      return DataTerms{std::optional<ZeroData>(),
+                       std::optional(velocity_data(*bc_, t)),
                        neumann_data ? std::optional(nu_h) : std::nullopt};
     });
   }

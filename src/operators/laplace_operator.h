@@ -10,13 +10,11 @@
 // vmult(dst, src, pre, post) for the homogeneous action, driven by the
 // shared cell_face_loop; inhomogeneous data enters via assemble_rhs. The
 // weak form is written once, as the cell/face/boundary integrals that
-// vmult wraps in gather/scatter, compute_diagonal probes with unit vectors
-// and assemble_rhs evaluates at zero DoF values with the Dirichlet data.
+// vmult applies through apply_weak_form, compute_diagonal probes with unit
+// vectors and assemble_rhs evaluates at zero DoF values with the Dirichlet
+// data.
 
 #include "instrumentation/profiler.h"
-#include "matrixfree/cell_loop.h"
-#include "matrixfree/fe_evaluation.h"
-#include "matrixfree/fe_face_evaluation.h"
 #include "matrixfree/field_tools.h"
 #include "matrixfree/operator_diagonal.h"
 #include "operators/boundary.h"
@@ -76,55 +74,13 @@ public:
     DGFLOW_PROF_GAUGE("laplace_bytes_per_dof",
                       mf_->estimated_vmult_bytes_per_dof(space_, quad_));
 
-    // kernel factory: one evaluator set (with private scratch) per kernel
-    // set the loop driver requests, i.e. per thread chunk
-    const auto make_kernels = [&, this](auto &dst_v) {
-      auto phi =
-        std::make_shared<FEEvaluation<Number, 1>>(*mf_, space_, quad_);
-      auto phi_m = std::make_shared<FEFaceEvaluation<Number, 1>>(
-        *mf_, space_, quad_, true);
-      auto phi_p = std::make_shared<FEFaceEvaluation<Number, 1>>(
-        *mf_, space_, quad_, false);
-
-      const auto cell = [phi, &dst_v, &src, this](const unsigned int b) {
-        phi->reinit(b);
-        phi->read_dof_values(src);
-        cell_integral(*phi);
-        phi->distribute_local_to_global(dst_v);
-      };
-
-      const auto inner = [phi_m, phi_p, &dst_v, &src,
-                          this](const unsigned int b) {
-        phi_m->reinit(b);
-        phi_p->reinit(b);
-        phi_m->read_dof_values(src);
-        phi_p->read_dof_values(src);
-        face_integral(*phi_m, *phi_p);
-        phi_m->distribute_local_to_global(dst_v);
-        phi_p->distribute_local_to_global(dst_v);
-      };
-
-      const auto boundary = [phi_m, &dst_v, &src, this](const unsigned int b) {
-        phi_m->reinit(b);
-        if (!has_boundary_integral(phi_m->boundary_id()))
-          return; // homogeneous operator: no contribution
-        phi_m->read_dof_values(src);
-        boundary_integral(*phi_m, ZeroData());
-        phi_m->distribute_local_to_global(dst_v);
-      };
-
-      return LoopKernels{cell, inner, boundary};
-    };
-
-    const unsigned int block = mf_->dofs_per_cell(space_);
-    cell_face_loop(*mf_, dst, src, block, block, make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    apply_weak_form<1>(*mf_, space_, quad_, *this, dst, src, ZeroData(),
+                       std::forward<PreFn>(pre), std::forward<PostFn>(post));
   }
 
-  /// The weak form, defined once: vmult runs each integral between the
-  /// gather of the DoF values and their scatter, compute_diagonal probes it
-  /// with unit vectors and assemble_rhs takes the data terms from
-  /// boundary_integral (matrixfree/operator_diagonal.h).
+  /// The weak form, defined once: vmult applies it through apply_weak_form,
+  /// compute_diagonal probes it with unit vectors and assemble_rhs takes the
+  /// data terms from boundary_integral (matrixfree/operator_diagonal.h).
   template <typename CellEval>
   void cell_integral(CellEval &phi) const
   {

@@ -11,13 +11,10 @@
 // Evaluation interface per operators/README.md (contract v2): hooked
 // vmult(dst, src, pre, post) (the operator depends on time only through
 // update(), not on boundary data; boundary faces carry no penalty term,
-// so the boundary callback of the shared loop is a no-op).
+// so it has no boundary integral).
 
 #include "instrumentation/profiler.h"
-#include "matrixfree/cell_loop.h"
-#include "matrixfree/fe_evaluation.h"
-#include "matrixfree/fe_face_evaluation.h"
-#include "operators/convective_operator.h"
+#include "matrixfree/operator_diagonal.h"
 
 namespace dgflow
 {
@@ -117,62 +114,51 @@ public:
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
     DGFLOW_PROF_THROUGHPUT("penalty_op", std::max(src.size(), dst.size()));
 
-    const auto make_kernels = [&, this](auto &dst_v) {
-      auto phi =
-        std::make_shared<FEEvaluation<Number, 3>>(*mf_, space_, quad_);
-      auto phi_m = std::make_shared<FEFaceEvaluation<Number, 3>>(
-        *mf_, space_, quad_, true);
-      auto phi_p = std::make_shared<FEFaceEvaluation<Number, 3>>(
-        *mf_, space_, quad_, false);
-
-      const auto cell = [phi, &dst_v, &src, this](const unsigned int b) {
-        phi->reinit(b);
-        phi->read_dof_values(src);
-        phi->evaluate(true, true);
-        for (unsigned int q = 0; q < phi->n_q_points; ++q)
-        {
-          phi->submit_value(phi->get_value(q), q);
-          phi->submit_divergence(dt_ * tau_div_[b] * phi->get_divergence(q),
-                                 q);
-        }
-        phi->integrate(true, true);
-        phi->distribute_local_to_global(dst_v);
-      };
-
-      const auto inner = [phi_m, phi_p, &dst_v, &src,
-                          this](const unsigned int b) {
-        phi_m->reinit(b);
-        phi_p->reinit(b);
-        phi_m->read_dof_values(src);
-        phi_p->read_dof_values(src);
-        phi_m->evaluate(true, false);
-        phi_p->evaluate(true, false);
-        for (unsigned int q = 0; q < phi_m->n_q_points; ++q)
-        {
-          const Tensor1<VA> n = phi_m->get_normal_vector(q);
-          const VA jump_n =
-            dot(phi_m->get_value(q) - phi_p->get_value(q), n);
-          const VA w = dt_ * tau_cont_[b] * jump_n;
-          // each side tests with its own outward normal
-          phi_m->submit_value(w * phi_m->get_normal_vector(q), q);
-          phi_p->submit_value(w * phi_p->get_normal_vector(q), q);
-        }
-        phi_m->integrate(true, false);
-        phi_p->integrate(true, false);
-        phi_m->distribute_local_to_global(dst_v);
-        phi_p->distribute_local_to_global(dst_v);
-      };
-
-      // no boundary penalty term, but the loop still drives the hook schedule
-      const auto boundary = [](const unsigned int) {};
-
-      return LoopKernels{cell, inner, boundary};
-    };
-
-    const unsigned int block = 3 * mf_->dofs_per_cell(space_);
-    cell_face_loop(*mf_, dst, src, block, block, make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    apply_weak_form<3>(*mf_, space_, quad_, *this, dst, src, ZeroData(),
+                       std::forward<PreFn>(pre), std::forward<PostFn>(post));
   }
+
+  /// The weak form, as the integrals apply_weak_form runs: the mass term
+  /// and the divergence penalty on the cells, the normal-continuity
+  /// penalty on the interior faces.
+  template <typename CellEval>
+  void cell_integral(CellEval &phi) const
+  {
+    const VA tau = tau_div_[phi.cell_batch()];
+    phi.evaluate(true, true);
+    for (unsigned int q = 0; q < phi.n_q_points; ++q)
+    {
+      phi.submit_value(phi.get_value(q), q);
+      phi.submit_divergence(dt_ * tau * phi.get_divergence(q), q);
+    }
+    phi.integrate(true, true);
+  }
+
+  template <typename FaceEval>
+  void face_integral(FaceEval &phi_m, FaceEval &phi_p) const
+  {
+    const VA tau = tau_cont_[phi_m.face_batch()];
+    phi_m.evaluate(true, false);
+    phi_p.evaluate(true, false);
+    for (unsigned int q = 0; q < phi_m.n_q_points; ++q)
+    {
+      const Tensor1<VA> n = phi_m.get_normal_vector(q);
+      const VA jump_n = dot(phi_m.get_value(q) - phi_p.get_value(q), n);
+      const VA w = dt_ * tau * jump_n;
+      // each side tests with its own outward normal
+      phi_m.submit_value(w * phi_m.get_normal_vector(q), q);
+      phi_p.submit_value(w * phi_p.get_normal_vector(q), q);
+    }
+    phi_m.integrate(true, false);
+    phi_p.integrate(true, false);
+  }
+
+  /// No boundary penalty term; the faces still drive the hook schedule.
+  bool has_boundary_integral(const unsigned int) const { return false; }
+
+  template <typename FaceEval, typename Data>
+  void boundary_integral(FaceEval &, const Data &) const
+  {}
 
 private:
   const MatrixFree<Number> *mf_ = nullptr;

@@ -43,8 +43,6 @@ public:
       Rung{std::move(name), std::move(solve), demote_on_failure, 0, false});
   }
 
-  std::size_t n_rungs() const { return rungs_.size(); }
-
   /// Total number of solves that needed at least one fallback.
   unsigned long long recoveries() const { return recoveries_; }
 

@@ -50,40 +50,3 @@ TEST(TimerTest, MeasuresElapsedTime)
   EXPECT_LT(t.seconds(), 0.01);
 }
 
-TEST(TimerTreeTest, AccumulatesSections)
-{
-  TimerTree tree;
-  tree.add("a", 1.0);
-  tree.add("a", 0.5);
-  tree.add("b", 2.0);
-  EXPECT_DOUBLE_EQ(tree.entries().at("a").seconds, 1.5);
-  EXPECT_EQ(tree.entries().at("a").count, 2ul);
-  EXPECT_DOUBLE_EQ(tree.total(), 3.5);
-  tree.clear();
-  EXPECT_TRUE(tree.entries().empty());
-}
-
-TEST(ScopedTimerTest, RecordsIntoTree)
-{
-  TimerTree tree;
-  {
-    ScopedTimer st(tree, "section");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(tree.entries().at("section").count, 1ul);
-  EXPECT_GT(tree.entries().at("section").seconds, 0.003);
-}
-
-TEST(BestWallTime, TakesTheMinimum)
-{
-  int call = 0;
-  const double best = best_wall_time(
-    [&]() {
-      // first call slower than the rest
-      std::this_thread::sleep_for(
-        std::chrono::milliseconds(call++ == 0 ? 12 : 2));
-    },
-    4);
-  EXPECT_LT(best, 0.010);
-  EXPECT_GE(best, 0.001);
-}

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "mesh/generators.h"
@@ -94,10 +95,9 @@ TEST(DivergenceGradient, DivergenceOfLinearSolenoidalFieldIsZero)
   DivergenceOperator<double> div;
   div.reinit(s.mf, 0, 1, 0, s.bc);
 
-  // u = (y + z, z - x? ...) choose div-free linear: u = (x, y, -2z)? has
-  // div 0; boundary terms use the actual trace values: pass
-  // use_boundary_values=false and compensate by a field that vanishes
-  // nowhere; instead use the inhomogeneous path with matching g.
+  // u = (x + 2y, y - z, x - 2z) is linear and divergence-free. The wall
+  // faces take their central flux from the boundary data, so apply with
+  // the matching data g = u makes the weak divergence vanish.
   FlowBoundaryMap bc;
   const auto uf = [](const Point &p, double) {
     return Tensor1<double>(p[0] + 2 * p[1], p[1] - p[2], -2 * p[2] + p[0]);
@@ -125,6 +125,44 @@ TEST(DivergenceGradient, DivergenceOfLinearSolenoidalFieldIsZero)
   Vector<double> Du;
   div.apply(Du, u, 0.);
   EXPECT_NEAR(double(Du.l2_norm()), 0., 1e-11);
+}
+
+TEST(DivergenceGradient, ApplyWithZeroDataEqualsVmult)
+{
+  // homogeneous data through the flow binders: walls without velocity
+  // data, a pressure outlet whose data is 0
+  OpSetup s;
+  FlowBoundaryMap bc;
+  for (unsigned int id = 0; id < 6; ++id)
+  {
+    FlowBoundary b;
+    if (id == 1)
+    {
+      b.kind = FlowBoundary::Kind::pressure;
+      b.pressure = [](const Point &, double) { return 0.; };
+    }
+    bc[id] = b;
+  }
+  DivergenceOperator<double> div;
+  GradientOperator<double> grad;
+  div.reinit(s.mf, 0, 1, 0, bc);
+  grad.reinit(s.mf, 0, 1, 0, bc);
+
+  const auto u = random_vec(s.mf.n_dofs(0, 3), 3);
+  const auto p = random_vec(s.mf.n_dofs(1, 1), 4);
+  Vector<double> applied, multiplied;
+  div.apply(applied, u, 0.7);
+  div.vmult(multiplied, u);
+  ASSERT_EQ(applied.size(), multiplied.size());
+  EXPECT_EQ(std::memcmp(applied.data(), multiplied.data(),
+                        applied.size() * sizeof(double)),
+            0);
+  grad.apply(applied, p, 0.7);
+  grad.vmult(multiplied, p);
+  ASSERT_EQ(applied.size(), multiplied.size());
+  EXPECT_EQ(std::memcmp(applied.data(), multiplied.data(),
+                        applied.size() * sizeof(double)),
+            0);
 }
 
 TEST(ConvectiveOperatorTest, VanishesForConstantField)

@@ -103,7 +103,9 @@ TEST(MeshAdaptive, TwoToOneBalanceEnforced)
     {
       const auto nb = mesh.neighbor(i, f); // asserts internally on violation
       if (nb.kind == Mesh::NeighborInfo::Kind::coarser)
+      {
         EXPECT_EQ(mesh.cell(nb.cell).level + 1, mesh.cell(i).level);
+      }
     }
 }
 

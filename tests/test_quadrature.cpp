@@ -39,7 +39,9 @@ TEST_P(GaussQuadrature, PointsInInteriorAndAscending)
     EXPECT_GT(q.points[i], 0.);
     EXPECT_LT(q.points[i], 1.);
     if (i > 0)
+    {
       EXPECT_GT(q.points[i], q.points[i - 1]);
+    }
   }
 }
 
@@ -92,7 +94,9 @@ TEST_P(GaussLobattoQuadrature, AscendingSymmetricPositiveWeights)
   for (unsigned int i = 0; i < n; ++i)
   {
     if (i > 0)
+    {
       EXPECT_GT(q.points[i], q.points[i - 1]);
+    }
     EXPECT_GT(q.weights[i], 0.);
     EXPECT_NEAR(q.points[i] + q.points[n - 1 - i], 1., 1e-13);
   }
