@@ -78,12 +78,11 @@ int main()
               "(paper: 9, level-independent). The elevated and "
               "refinement-dependent counts of this implementation are "
               "caused by the ~20 strongly sheared side-branch junction "
-              "cells of our meshing template, where the point-Jacobi "
-              "Chebyshev smoother is ineffective and the coarse spaces do "
-              "not represent the localized modes (residual localization "
-              "verified; see DESIGN.md). The paper's merged-cylinder meshes "
-              "avoid these cells; a cell-block smoother is the standard "
-              "remedy.\n",
+              "cells of our meshing template, where even the cell-block "
+              "Chebyshev smoother of the DG levels leaves localized modes "
+              "that the coarse spaces do not represent (residual "
+              "localization verified; see DESIGN.md). The paper's "
+              "merged-cylinder meshes avoid these cells.\n",
               measured_iterations);
 
   // model projection of the paper's combined strong/weak scaling study

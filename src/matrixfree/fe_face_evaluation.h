@@ -56,6 +56,7 @@ public:
   void reinit(const unsigned int face_batch)
   {
     batch_index_ = face_batch;
+    zero_ = false;
     const auto &b = mf_.face_batch(face_batch);
     DGFLOW_DEBUG_ASSERT(interior_ || b.interior,
                         "exterior evaluator on a boundary face");
@@ -149,9 +150,24 @@ public:
     }
   }
 
+  /// Holds this side at zero DoF values until the next reinit or
+  /// hold_at_zero(false): evaluate then writes zero quadrature values and
+  /// integrate does nothing. The unit-vector probes
+  /// (matrixfree/operator_diagonal.h) hold the side of an interior face they
+  /// do not probe, whose evaluation and integration would be discarded.
+  void hold_at_zero(const bool hold = true) { zero_ = hold; }
+
   void evaluate(const bool values, const bool gradients)
   {
     (void)values;
+    if (zero_)
+    {
+      std::fill(values_quad_.begin(), values_quad_.end(), VA(Number(0)));
+      if (gradients)
+        std::fill(gradients_quad_.begin(), gradients_quad_.end(),
+                  VA(Number(0)));
+      return;
+    }
     for (int c = 0; c < n_components; ++c)
     {
       const VA *dofs = values_dofs_.data() + c * dofs_per_component;
@@ -193,6 +209,8 @@ public:
 
   void integrate(const bool values, const bool gradients)
   {
+    if (zero_)
+      return;
     if (use_perm_)
     {
       if (values)
@@ -506,6 +524,7 @@ private:
   bool hanging_ = false;
   std::array<unsigned char, 2> subface_{{255, 255}};
   bool use_perm_ = false;
+  bool zero_ = false; ///< held at zero DoF values (hold_at_zero)
 
   AlignedVector<VA> values_dofs_, values_quad_, gradients_quad_;
   AlignedVector<VA> plane_v_, plane_dn_, tmp2_;

@@ -1,6 +1,6 @@
 #pragma once
 
-// The three loop-driver passes of an operator's one weak form
+// The four loop-driver passes of an operator's one weak form
 // (operators/README.md): the operator writes only its integrals, and these
 // passes wrap them in the traversal.
 //
@@ -9,9 +9,13 @@
 // time-dependent apply the flow boundary data (operators/boundary.h).
 //
 // probe_diagonal: the operator diagonal by unit-vector probing. For each
-// local DoF i of a cell or face side, load e_i, run the operator's integral
-// and keep entry i. On an interior face the other side's DoFs stay at zero,
-// so only same-side couplings reach the kept entries.
+// local DoF j of a cell or face side, load e_j, run the operator's integral
+// and keep entry j. On an interior face the other side is held at zero and
+// neither evaluated nor integrated, so only same-side couplings are formed.
+//
+// probe_cell_blocks: the same probe keeping the whole column, which gives
+// each cell's diagonal block (the block-Jacobi smoother of the multigrid's
+// DG levels inverts them).
 //
 // add_data_terms: the inhomogeneous data terms of a right-hand side. A
 // volume source and a Neumann flux are tested with v; Dirichlet data enter
@@ -19,13 +23,14 @@
 // with the data as exterior value and subtracted. Negating an integral is
 // exact, so the SIP data terms need no expression of their own.
 //
-// All three run the driver's chunk masking and order (cell first, then
+// All four run the driver's chunk masking and order (cell first, then
 // faces ascending, minus side before plus side), so their results are
 // bitwise the same at every pool width.
 
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "matrixfree/cell_loop.h"
 #include "matrixfree/fe_evaluation.h"
@@ -117,6 +122,141 @@ void apply_weak_form(const MatrixFree<Number> &mf, const unsigned int space,
                  std::forward<PreFn>(pre), std::forward<PostFn>(post));
 }
 
+namespace internal
+{
+/// The unit-vector probe shared by probe_diagonal and probe_cell_blocks. For
+/// each local DoF j of a cell or face side it loads e_j, runs the
+/// operator's integral and calls sink.column(eval, j): the evaluator's DoF
+/// values then hold column j of the side's block, (A e_j) on its own DoFs.
+/// sink.done(eval) follows the side's last column. The other side of an
+/// interior face is held at zero (FEFaceEvaluation::hold_at_zero), so only
+/// the probed side is evaluated and integrated. make_sink(dst_view) is
+/// called once per thread chunk; @p dst (with @p dst_block scalars per
+/// cell) is the loop's dst and stands in as its src, which no probe reads.
+template <int n_components, typename Number, typename Operator,
+          typename SinkFactory>
+void probe_columns(const MatrixFree<Number> &mf, const unsigned int space,
+                   const unsigned int quad, const Operator &op,
+                   Vector<Number> &dst, const unsigned int dst_block,
+                   SinkFactory &&make_sink)
+{
+  using VA = VectorizedArray<Number>;
+  const unsigned int n = n_components * mf.dofs_per_cell(space);
+
+  const auto make_kernels = [&](auto &dst_v) {
+    auto phi =
+      std::make_shared<FEEvaluation<Number, n_components>>(mf, space, quad);
+    auto phi_m = std::make_shared<FEFaceEvaluation<Number, n_components>>(
+      mf, space, quad, true);
+    auto phi_p = std::make_shared<FEFaceEvaluation<Number, n_components>>(
+      mf, space, quad, false);
+    auto sink = std::make_shared<decltype(make_sink(dst_v))>(make_sink(dst_v));
+
+    const auto probe = [n, sink](auto &eval, const auto &integral) {
+      VA *dofs = eval.begin_dof_values();
+      for (unsigned int j = 0; j < n; ++j)
+      {
+        std::fill_n(dofs, n, VA(Number(0)));
+        dofs[j] = VA(Number(1));
+        integral();
+        sink->column(eval, j);
+      }
+      sink->done(eval);
+    };
+
+    const auto cell = [phi, probe, &op](const unsigned int b) {
+      phi->reinit(b);
+      probe(*phi, [&] { op.cell_integral(*phi); });
+    };
+
+    const auto inner = [phi_m, phi_p, probe, &op](const unsigned int b) {
+      phi_m->reinit(b);
+      phi_p->reinit(b);
+      const auto integral = [&] { op.face_integral(*phi_m, *phi_p); };
+      phi_p->hold_at_zero();
+      probe(*phi_m, integral);
+      phi_p->hold_at_zero(false);
+      phi_m->hold_at_zero();
+      probe(*phi_p, integral);
+    };
+
+    const auto boundary = [phi_m, probe, &op](const unsigned int b) {
+      phi_m->reinit(b);
+      if (op.has_boundary_integral(phi_m->boundary_id()))
+        probe(*phi_m, [&] { op.boundary_integral(*phi_m, ZeroData()); });
+    };
+
+    return LoopKernels{cell, inner, boundary};
+  };
+
+  cell_face_loop(mf, dst, dst, dst_block, dst_block, make_kernels,
+                 NoRangeHook(), NoRangeHook());
+}
+
+/// Probe sink of the diagonal: keeps entry j of column j and scatters the
+/// kept entries after the side's last column.
+template <typename Dst, typename VA>
+struct DiagonalSink
+{
+  Dst &dst;
+  AlignedVector<VA> kept;
+
+  template <typename Eval>
+  void column(Eval &eval, const unsigned int j)
+  {
+    kept[j] = eval.begin_dof_values()[j];
+  }
+  template <typename Eval>
+  void done(Eval &eval)
+  {
+    std::copy(kept.begin(), kept.end(), eval.begin_dof_values());
+    eval.distribute_local_to_global(dst);
+  }
+};
+
+/// Column j of every cell block in a vector of n x n column-major blocks,
+/// as an evaluator's scatter target: the n scalars of @p cell start at its
+/// block's column j.
+template <typename Dst>
+struct BlockColumn
+{
+  using value_type = typename Dst::value_type;
+
+  Dst &blocks;
+  unsigned int n, j;
+
+  value_type *data() { return blocks.data(); }
+  bool is_owned_element(const std::size_t cell) const
+  {
+    return blocks.is_owned_element(cell);
+  }
+  std::size_t local_dof_offset(const std::size_t cell,
+                               const unsigned int) const
+  {
+    return blocks.local_dof_offset(cell, n * n) + std::size_t(j) * n;
+  }
+};
+
+/// Probe sink of the cell blocks: adds each column into column j of the
+/// side's cell blocks.
+template <typename Dst>
+struct BlockSink
+{
+  Dst &dst;
+  unsigned int n;
+
+  template <typename Eval>
+  void column(Eval &eval, const unsigned int j)
+  {
+    BlockColumn<Dst> target{dst, n, j};
+    eval.distribute_local_to_global(target);
+  }
+  template <typename Eval>
+  void done(Eval &)
+  {}
+};
+} // namespace internal
+
 /// Diagonal of the operator @p op on @p space with @p n_components
 /// components; op provides the member templates cell_integral(phi),
 /// face_integral(phi_m, phi_p), boundary_integral(phi_m, g) and
@@ -129,66 +269,30 @@ void probe_diagonal(const MatrixFree<Number> &mf, const unsigned int space,
   using VA = VectorizedArray<Number>;
   const unsigned int n = n_components * mf.dofs_per_cell(space);
   diag.reinit(mf.n_dofs(space, n_components));
+  internal::probe_columns<n_components>(
+    mf, space, quad, op, diag, n, [n](auto &dst_v) {
+      using Dst = std::remove_reference_t<decltype(dst_v)>;
+      return internal::DiagonalSink<Dst, VA>{dst_v, AlignedVector<VA>(n)};
+    });
+}
 
-  const auto make_kernels = [&](auto &dst_v) {
-    auto phi =
-      std::make_shared<FEEvaluation<Number, n_components>>(mf, space, quad);
-    auto phi_m = std::make_shared<FEFaceEvaluation<Number, n_components>>(
-      mf, space, quad, true);
-    auto phi_p = std::make_shared<FEFaceEvaluation<Number, n_components>>(
-      mf, space, quad, false);
-    auto kept = std::make_shared<AlignedVector<VA>>(n);
-
-    const auto zero = [n](auto &eval) {
-      std::fill_n(eval.begin_dof_values(), n, VA(Number(0)));
-    };
-    // e_i into eval, then the integral (which zeroes any other face side),
-    // keeping entry i; the kept entries are scattered at the end
-    const auto probe = [n, kept, zero, &dst_v](auto &eval,
-                                               const auto &integral) {
-      VA *dofs = eval.begin_dof_values();
-      for (unsigned int i = 0; i < n; ++i)
-      {
-        zero(eval);
-        dofs[i] = VA(Number(1));
-        integral();
-        (*kept)[i] = dofs[i];
-      }
-      std::copy(kept->begin(), kept->end(), dofs);
-      eval.distribute_local_to_global(dst_v);
-    };
-
-    const auto cell = [phi, probe, &op](const unsigned int b) {
-      phi->reinit(b);
-      probe(*phi, [&] { op.cell_integral(*phi); });
-    };
-
-    const auto inner = [phi_m, phi_p, probe, zero,
-                        &op](const unsigned int b) {
-      phi_m->reinit(b);
-      phi_p->reinit(b);
-      probe(*phi_m, [&] {
-        zero(*phi_p);
-        op.face_integral(*phi_m, *phi_p);
-      });
-      probe(*phi_p, [&] {
-        zero(*phi_m);
-        op.face_integral(*phi_m, *phi_p);
-      });
-    };
-
-    const auto boundary = [phi_m, probe, &op](const unsigned int b) {
-      phi_m->reinit(b);
-      if (op.has_boundary_integral(phi_m->boundary_id()))
-        probe(*phi_m, [&] { op.boundary_integral(*phi_m, ZeroData()); });
-    };
-
-    return LoopKernels{cell, inner, boundary};
-  };
-
-  // the probe reads no vector: diag stands in as the loop's src
-  cell_face_loop(mf, diag, diag, n, n, make_kernels, NoRangeHook(),
-                 NoRangeHook());
+/// The diagonal blocks of the operator @p op on @p space: for every cell the
+/// n x n block (n = n_components * DoFs per cell) of its couplings with
+/// itself, (A e_j)[i] at blocks[cell * n * n + j * n + i]. The same probe
+/// as probe_diagonal, keeping whole columns: each block's diagonal is
+/// bitwise the probed diagonal.
+template <int n_components, typename Number, typename Operator>
+void probe_cell_blocks(const MatrixFree<Number> &mf, const unsigned int space,
+                       const unsigned int quad, const Operator &op,
+                       Vector<Number> &blocks)
+{
+  const unsigned int n = n_components * mf.dofs_per_cell(space);
+  blocks.reinit(std::size_t(mf.n_cells()) * n * n);
+  internal::probe_columns<n_components>(
+    mf, space, quad, op, blocks, n * n, [n](auto &dst_v) {
+      using Dst = std::remove_reference_t<decltype(dst_v)>;
+      return internal::BlockSink<Dst>{dst_v, n};
+    });
 }
 
 /// Adds the data terms of the operator @p op on @p space to @p rhs, in one

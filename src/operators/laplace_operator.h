@@ -10,9 +10,9 @@
 // vmult(dst, src, pre, post) for the homogeneous action, driven by the
 // shared cell_face_loop; inhomogeneous data enters via assemble_rhs. The
 // weak form is written once, as the cell/face/boundary integrals that
-// vmult applies through apply_weak_form, compute_diagonal probes with unit
-// vectors and assemble_rhs evaluates at zero DoF values with the Dirichlet
-// data.
+// vmult applies through apply_weak_form, compute_diagonal and
+// compute_cell_blocks probe with unit vectors and assemble_rhs evaluates at
+// zero DoF values with the Dirichlet data.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/field_tools.h"
@@ -164,6 +164,14 @@ public:
   void compute_diagonal(VectorType &diag) const
   {
     probe_diagonal<1>(*mf_, space_, quad_, *this, diag);
+  }
+
+  /// Diagonal block of every cell (for the block-Jacobi smoother of the
+  /// multigrid's DG levels), probed like the diagonal: n x n column-major
+  /// per cell, n = dofs_per_cell (probe_cell_blocks).
+  void compute_cell_blocks(VectorType &blocks) const
+  {
+    probe_cell_blocks<1>(*mf_, space_, quad_, *this, blocks);
   }
 
 private:

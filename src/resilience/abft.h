@@ -3,11 +3,12 @@
 // Algorithm-based fault tolerance for setup artifacts: sidecar checksums
 // over data that is computed once and then read for thousands of operator
 // applications — compressed geometry batches, kernel dispatch tables, the
-// partitioner's exchange lists, AMG level matrices. A bit flipped in any of
-// these silently poisons every subsequent vmult; unlike a flipped Krylov
-// vector it is never washed out by the iteration. ArtifactGuard therefore
-// keeps an XXH64 checksum (common/checksum.h) of each registered artifact,
-// chained over its regions, and, on scrub(), re-verifies them all and
+// partitioner's exchange lists, AMG level matrices, the inverse cell blocks
+// of the multigrid smoothers. A bit flipped in any of these silently
+// poisons every subsequent vmult; unlike a flipped Krylov vector it is
+// never washed out by the iteration. ArtifactGuard therefore keeps an
+// XXH64 checksum (common/checksum.h) of each registered artifact, chained
+// over its regions, and, on scrub(), re-verifies them all and
 // rebuilds the corrupt ones from primary data (the mesh, the operator, the
 // instantiation tables).
 //
@@ -209,6 +210,30 @@ void protect_amg(ArtifactGuard &guard, Multigrid &mg,
       return r;
     },
     [&mg]() { mg.rebuild_amg(); });
+}
+
+/// Protects the inverse cell blocks of every DG level smoother of a
+/// multigrid preconditioner (any type exposing
+/// collect_smoother_block_regions() and rebuild_smoother_blocks(), i.e.
+/// HybridMultigrid). A flipped block would bias every smoothing sweep on its
+/// cell. Repair re-probes and re-inverts the blocks in place — a
+/// deterministic rebuild, so the baseline is reproduced bit-for-bit.
+template <typename Multigrid>
+void protect_smoother_blocks(ArtifactGuard &guard, Multigrid &mg,
+                             std::string name = "smoother_blocks")
+{
+  guard.protect(
+    std::move(name),
+    [&mg]() {
+      std::vector<std::pair<const void *, std::size_t>> raw;
+      mg.collect_smoother_block_regions(raw);
+      std::vector<ArtifactGuard::Region> r;
+      for (const auto &[data, bytes] : raw)
+        if (bytes > 0)
+          r.push_back({data, bytes});
+      return r;
+    },
+    [&mg]() { mg.rebuild_smoother_blocks(); });
 }
 
 } // namespace dgflow::resilience

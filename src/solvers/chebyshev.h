@@ -1,11 +1,21 @@
 #pragma once
 
-// Chebyshev smoother with point-Jacobi inner preconditioning (paper Section
-// 3.4): polynomial degree three, i.e. three operator applications per
-// pre-/post-smoothing sweep, built on fast matrix-free mat-vecs. The largest
-// eigenvalue of D^{-1} A is estimated by power iteration at setup; the
-// smoothing range targets the upper part of the spectrum as usual for
-// multigrid smoothers.
+// Chebyshev smoother (paper Section 3.4): polynomial degree three, i.e.
+// three operator applications per pre-/post-smoothing sweep, built on fast
+// matrix-free mat-vecs. The inner preconditioner P is a type parameter: the
+// point-Jacobi DiagonalInverse below by default, or the inverse cell blocks
+// of solvers/cell_block_inverse.h on the DG multigrid levels. The largest
+// eigenvalue of P A is estimated at setup by the Lanczos process of a
+// P-preconditioned CG; the smoothing range targets the upper part of the
+// spectrum as usual for multigrid smoothers.
+//
+// A preconditioner provides block_size() (the ranges it is applied to are
+// whole blocks), apply(r, i0, i1, load, done) (r[i] = load(i) on a block,
+// the block of r <- P r in place, then done(i) on it, for every block in
+// [i0, i1)), n_fallbacks() (entries or blocks it could not invert and
+// replaced) and initialize_vector(v) (the layout of the smoothed vectors).
+// The load and done steps ride the application, so the point-Jacobi sweep
+// is one loop over its range, element by element.
 //
 // Templated on the vector type (vector-space concept): the same smoother
 // runs on the serial Vector and on vmpi::DistributedVector, where the
@@ -14,9 +24,10 @@
 // element index, so serial and distributed runs of the same operator
 // estimate identical spectra regardless of the partition.
 //
-// Failure handling: eigenvalue-estimation breakdown or non-finite input no
-// longer aborts. reinit() records a failed SolveStats (setup_stats()) and
-// falls back to conservative eigenvalue bounds so the V-cycle stays usable;
+// Failure handling: eigenvalue-estimation breakdown, non-finite input or a
+// preconditioner fallback does not abort. reinit() records a failed
+// SolveStats (setup_stats()) and falls back to conservative eigenvalue
+// bounds so the V-cycle stays usable;
 // smooth_checked() additionally detects a non-finite smoothing result, which
 // the outer CG then surfaces as a non_finite solve failure.
 
@@ -24,6 +35,7 @@
 #include <cstdint>
 
 #include "common/vector.h"
+#include "concurrency/thread_pool.h"
 #include "solvers/cg.h"
 
 namespace dgflow
@@ -62,17 +74,64 @@ inline double hash_to_unit_interval(std::uint64_t x)
 }
 } // namespace internal
 
-template <typename Operator, typename VectorType>
+/// Point-Jacobi inner preconditioner: the inverse of the operator diagonal.
+/// An unusable entry (non-finite or zero) inverts to 1 and counts as a
+/// fallback. Converts from the diagonal, so a smoother's reinit takes the
+/// diagonal itself.
+template <typename VectorType>
+class DiagonalInverse
+{
+public:
+  using Number = typename VectorType::value_type;
+
+  DiagonalInverse() = default;
+
+  DiagonalInverse(const VectorType &diagonal)
+  {
+    inv_.reinit_like(diagonal, true);
+    for (std::size_t i = 0; i < diagonal.size(); ++i)
+    {
+      const bool usable =
+        std::isfinite(double(diagonal[i])) && diagonal[i] != Number(0);
+      n_fallbacks_ += usable ? 0 : 1;
+      inv_[i] = usable ? Number(1) / diagonal[i] : Number(1);
+    }
+  }
+
+  unsigned int block_size() const { return 1; }
+  std::size_t n_fallbacks() const { return n_fallbacks_; }
+  void initialize_vector(VectorType &v) const { v.reinit_like(inv_); }
+
+  template <typename Load, typename Done>
+  void apply(Number *r, const std::size_t i0, const std::size_t i1,
+             Load &&load, Done &&done) const
+  {
+    const Number *DGFLOW_RESTRICT invd = inv_.data();
+    for (std::size_t i = i0; i < i1; ++i)
+    {
+      r[i] = load(i);
+      r[i] *= invd[i];
+      done(i);
+    }
+  }
+
+private:
+  VectorType inv_;
+  std::size_t n_fallbacks_ = 0;
+};
+
+template <typename Operator, typename VectorType,
+          typename Preconditioner = DiagonalInverse<VectorType>>
 class ChebyshevSmoother
 {
 public:
   using Number = typename VectorType::value_type;
   using AdditionalData = ChebyshevData;
 
-  void reinit(const Operator &op, const VectorType &diagonal,
+  void reinit(const Operator &op, Preconditioner preconditioner,
               const AdditionalData &data = AdditionalData())
   {
-    initialize(op, diagonal, data);
+    initialize(op, std::move(preconditioner), data);
     if (setup_stats_.failure == SolveFailure::none)
       estimate_eigenvalues();
     else
@@ -85,11 +144,11 @@ public:
   /// Distributed multigrid levels use this to adopt the bounds estimated by
   /// the replicated serial setup, which makes the distributed V-cycle
   /// iterate identically to the serial one.
-  void reinit_with_bounds(const Operator &op, const VectorType &diagonal,
+  void reinit_with_bounds(const Operator &op, Preconditioner preconditioner,
                           const double lambda_max,
                           const AdditionalData &data = AdditionalData())
   {
-    initialize(op, diagonal, data);
+    initialize(op, std::move(preconditioner), data);
     DGFLOW_ASSERT(std::isfinite(lambda_max) && lambda_max > 0,
                   "invalid eigenvalue bound " << lambda_max);
     lambda_max_ = lambda_max;
@@ -108,14 +167,15 @@ public:
   /// (pass x = 0 for the pre-smoother on the residual equation).
   ///
   /// Every residual/direction/solution update rides the operator's post
-  /// hooks (vmult_hooked): each cell batch's slice of r = D^{-1}(b - Ax), d
+  /// hooks (vmult_hooked): each cell batch's slice of r = P (b - Ax), d
   /// and x is updated the moment the traversal is done with it, while it is
   /// still in cache, and the chain may mutate both the vmult's dst (r_) and
   /// src (x), which the contract permits once a range's last face is
   /// processed. The Chebyshev coefficients never depend on a reduction, so
   /// every scalar is known before its vmult: the sweep makes no separate
   /// BLAS-1 passes. An operator without hooks gets the chain over the whole
-  /// range after its vmult, with the same per-element expressions.
+  /// range after its vmult, with the same per-element expressions. A hook
+  /// range is whole cell batches, so a cell-block P applies inside it.
   void smooth(VectorType &x, const VectorType &b,
               const bool zero_initial_guess) const
   {
@@ -146,15 +206,16 @@ public:
                      Number *DGFLOW_RESTRICT dd = d_.data();
                      Number *DGFLOW_RESTRICT xd = x.data();
                      const Number *DGFLOW_RESTRICT bd = b.data();
-                     const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
-                     for (std::size_t i = r0; i < r1; ++i)
-                     {
-                       rd[i] = Number(-1) * rd[i] + Number(1) * bd[i];
-                       rd[i] *= invd[i];
-                       dd[i] = first ? coef_r * rd[i]
-                                     : coef_d * dd[i] + coef_r * rd[i];
-                       xd[i] += Number(1) * dd[i];
-                     }
+                     precond_.apply(
+                       rd, r0, r1,
+                       [&](const std::size_t i) {
+                         return Number(-1) * rd[i] + Number(1) * bd[i];
+                       },
+                       [&](const std::size_t i) {
+                         dd[i] = first ? coef_r * rd[i]
+                                       : coef_d * dd[i] + coef_r * rd[i];
+                         xd[i] += Number(1) * dd[i];
+                       });
                    });
       // the post hooks mutated x (the vmult's src) after the ghost
       // exchange, so the neighbors' copies are stale now
@@ -164,22 +225,20 @@ public:
 
     if (zero_initial_guess)
     {
-      // no matvec needed: r = D^{-1} b, d = r/theta, x = d in one sweep
+      // no matvec needed: r = P b, d = r/theta, x = d in one sweep
       Number *DGFLOW_RESTRICT rd = r_.data();
       Number *DGFLOW_RESTRICT dd = d_.data();
       Number *DGFLOW_RESTRICT xd = x.data();
       const Number *DGFLOW_RESTRICT bd = b.data();
-      const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
-      concurrency::ThreadPool::instance().parallel_for(
-        x.size(), [&](const std::size_t i0, const std::size_t i1) {
-          for (std::size_t i = i0; i < i1; ++i)
-          {
-            rd[i] = bd[i];
-            rd[i] *= invd[i];
+      for_each_block_range(x.size(), [&](const std::size_t i0,
+                                         const std::size_t i1) {
+        precond_.apply(
+          rd, i0, i1, [&](const std::size_t i) { return bd[i]; },
+          [&](const std::size_t i) {
             dd[i] = theta_inv * rd[i];
             xd[i] = Number(0) + Number(1) * dd[i];
-          }
-        });
+          });
+      });
       if constexpr (distributed)
         x.invalidate_ghosts();
     }
@@ -232,10 +291,10 @@ public:
 private:
   /// lambda_max / lambda_min of the smoothed band
   static constexpr double smoothing_range = 20.;
-  /// factor on the estimated top eigenvalue of D^{-1} A
+  /// factor on the estimated top eigenvalue of P A
   static constexpr double max_eigenvalue_safety = 1.2;
   /// energy bound of the ABFT-checked sweep result: |x|_inf must not exceed
-  /// energy_bound_factor * (|x_in|_inf + |D^{-1} b|_inf / lambda_min), loose
+  /// energy_bound_factor * (|x_in|_inf + |P b|_inf / lambda_min), loose
   /// enough for any healthy Chebyshev polynomial and tight enough to catch
   /// exponent-range bit flips
   static constexpr double energy_bound_factor = 1e3;
@@ -249,11 +308,17 @@ private:
                          const bool zero_initial_guess) const
   {
     const std::size_t n = x.size();
+    // the sweep is done with its scratch r_: P b goes there
     const Number *DGFLOW_RESTRICT bd = b.data();
-    const Number *DGFLOW_RESTRICT invd = inv_diag_.data();
+    Number *DGFLOW_RESTRICT r0d = r_.data();
+    for_each_block_range(n, [&](const std::size_t i0, const std::size_t i1) {
+      precond_.apply(
+        r0d, i0, i1, [&](const std::size_t i) { return bd[i]; },
+        [](std::size_t) {});
+    });
     double r0_linf = 0., in_linf = 0.;
     for (std::size_t i = 0; i < n; ++i)
-      r0_linf = std::max(r0_linf, std::fabs(double(invd[i] * bd[i])));
+      r0_linf = std::max(r0_linf, std::fabs(double(r0d[i])));
     if (!zero_initial_guess)
     {
       const Number *DGFLOW_RESTRICT ind = abft_in_.data();
@@ -279,26 +344,43 @@ private:
       x.invalidate_ghosts();
   }
 
-  void initialize(const Operator &op, const VectorType &diagonal,
+  void initialize(const Operator &op, Preconditioner preconditioner,
                   const AdditionalData &data)
   {
     op_ = &op;
     data_ = data;
     abft_repairs_ = 0;
     setup_stats_ = SolveStats();
-    inv_diag_.reinit_like(diagonal, true);
-    for (std::size_t i = 0; i < diagonal.size(); ++i)
-    {
-      const bool usable =
-        std::isfinite(double(diagonal[i])) && diagonal[i] != Number(0);
-      if (!usable)
-        setup_stats_.failure = SolveFailure::non_finite;
-      inv_diag_[i] = usable ? Number(1) / diagonal[i] : Number(1);
-    }
+    precond_ = std::move(preconditioner);
+    if (precond_.n_fallbacks() > 0)
+      setup_stats_.failure = SolveFailure::non_finite;
   }
 
-  /// Estimates the largest eigenvalue of D^{-1} A by the Lanczos process
-  /// embedded in a Jacobi-preconditioned CG run (the deal.II approach): the
+  /// Runs f(i0, i1) over a split of [0, n) at block boundaries on the pool.
+  template <typename F>
+  void for_each_block_range(const std::size_t n, F &&f) const
+  {
+    const std::size_t bs = precond_.block_size();
+    auto &pool = concurrency::ThreadPool::instance();
+    pool.run_ranges(n / bs, pool.n_chunks_for(n * bs, std::size_t(1) << 16),
+                    [&](unsigned int, const std::size_t b0,
+                        const std::size_t b1) { f(b0 * bs, b1 * bs); });
+  }
+
+  /// v <- P v
+  void precondition(VectorType &v) const
+  {
+    Number *vd = v.data();
+    for_each_block_range(v.size(), [&](const std::size_t i0,
+                                       const std::size_t i1) {
+      precond_.apply(
+        vd, i0, i1, [&](const std::size_t i) { return vd[i]; },
+        [](std::size_t) {});
+    });
+  }
+
+  /// Estimates the largest eigenvalue of P A by the Lanczos process
+  /// embedded in a P-preconditioned CG run (the deal.II approach): the
   /// CG coefficients alpha_k, beta_k form a tridiagonal matrix whose Ritz
   /// values converge quickly to the extreme eigenvalues; a Gershgorin bound
   /// of the tridiagonal plus the safety factor guards against
@@ -307,24 +389,24 @@ private:
   /// plain power iteration).
   void estimate_eigenvalues()
   {
-    const std::size_t n = inv_diag_.size();
     VectorType r, z, p, Ap;
-    r.reinit_like(inv_diag_);
-    z.reinit_like(inv_diag_);
-    p.reinit_like(inv_diag_);
-    Ap.reinit_like(inv_diag_);
-    const std::size_t offset = inv_diag_.first_local_index();
+    precond_.initialize_vector(r);
+    z.reinit_like(r);
+    p.reinit_like(r);
+    Ap.reinit_like(r);
+    const std::size_t n = r.size();
+    const std::size_t offset = r.first_local_index();
     for (std::size_t i = 0; i < n; ++i)
       r[i] = Number(internal::hash_to_unit_interval(offset + i));
 
     z = r;
-    z.scale_pointwise(inv_diag_);
+    precondition(z);
     p = z;
     double rz = double(r.dot(z));
 
     std::vector<double> alphas, betas;
-    constexpr unsigned int power_iterations = 20;
-    for (unsigned int it = 0; it < power_iterations && rz > 0; ++it)
+    constexpr unsigned int lanczos_steps = 20;
+    for (unsigned int it = 0; it < lanczos_steps && rz > 0; ++it)
     {
       op_->vmult(Ap, p);
       const double pAp = double(p.dot(Ap));
@@ -334,7 +416,7 @@ private:
       alphas.push_back(alpha);
       r.add(Number(-alpha), Ap);
       z = r;
-      z.scale_pointwise(inv_diag_);
+      precondition(z);
       const double rz_new = double(r.dot(z));
       const double beta = rz_new / rz;
       betas.push_back(beta);
@@ -377,7 +459,7 @@ private:
   }
 
   /// Conservative bounds for a failed estimation: a unit top eigenvalue of
-  /// D^{-1} A (exact for the Jacobi-scaled diagonal part) keeps the sweep
+  /// P A (exact for its point or block diagonal part) keeps the sweep
   /// finite and contractive on the upper spectrum.
   void use_fallback_eigenvalues()
   {
@@ -388,7 +470,7 @@ private:
 
   const Operator *op_ = nullptr;
   AdditionalData data_;
-  VectorType inv_diag_;
+  Preconditioner precond_;
   double lambda_max_ = 1., lambda_min_ = 0.05;
   SolveStats setup_stats_;
   mutable VectorType r_, d_;

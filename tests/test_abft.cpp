@@ -474,6 +474,82 @@ TEST(ArtifactGuard, AmgLevelFlipIsRebuiltBitIdentically)
   EXPECT_TRUE(guard.verify("amg_levels")); // AMG setup is deterministic
 }
 
+TEST(ArtifactGuard, SmootherBlockFlipIsRebuiltBitIdentically)
+{
+  Mesh mesh = make_mesh(1);
+  TrilinearGeometry geom(mesh.coarse());
+  HybridMultigrid<float> mg;
+  mg.setup(mesh, geom, 2, all_dirichlet()); // DG(2) and DG(1) levels
+
+  resilience::ArtifactGuard guard;
+  resilience::protect_smoother_blocks(guard, mg);
+  EXPECT_EQ(guard.scrub(), 0u);
+
+  std::vector<std::pair<const void *, std::size_t>> regions;
+  mg.collect_smoother_block_regions(regions);
+  ASSERT_EQ(regions.size(), 2u);
+  // the DG levels run from DG(1) up: the last region is DG(2)'s 27 x 27
+  const auto [data, bytes] = regions.back();
+  ASSERT_EQ(bytes, mesh.n_active_cells() * 27 * 27 * sizeof(float));
+  const auto *block_bytes = static_cast<const unsigned char *>(data);
+  const std::vector<unsigned char> original(block_bytes, block_bytes + bytes);
+
+  const_cast<unsigned char *>(block_bytes)[bytes / 2 + 1] ^= 0x10;
+  EXPECT_FALSE(guard.verify("smoother_blocks"));
+  EXPECT_EQ(guard.scrub(), 1u);
+  EXPECT_TRUE(guard.verify("smoother_blocks"));
+  // probe and inversion are deterministic: the original bytes are back
+  EXPECT_EQ(std::memcmp(data, original.data(), bytes), 0);
+}
+
+TEST(SmootherBlockGuard, NonFiniteBlockFallsBackToItsPointDiagonal)
+{
+  Mesh mesh = make_mesh(1);
+  TrilinearGeometry geom(mesh.coarse());
+  MatrixFree<float> mf;
+  MatrixFree<float>::AdditionalData data;
+  data.degrees = {2};
+  data.n_q_points_1d = {3};
+  mf.reinit(mesh, geom, data);
+  LaplaceOperator<float> op;
+  op.reinit(mf, 0, 0, all_dirichlet());
+  const unsigned int n = mf.dofs_per_cell(0);
+  const std::size_t n_cells = mesh.n_active_cells();
+
+  Vector<float> blocks, diag;
+  op.compute_cell_blocks(blocks);
+  op.compute_diagonal(diag);
+  const std::size_t cell = 3;
+  float *block = blocks.data() + cell * n * n;
+  block[5 * n + 4] = std::numeric_limits<float>::quiet_NaN(); // entry (4, 5)
+
+  const std::size_t fallbacks = invert_cell_blocks(blocks, n);
+  EXPECT_EQ(fallbacks, 1u);
+  for (unsigned int j = 0; j < n; ++j)
+    for (unsigned int i = 0; i < n; ++i)
+    {
+      const float expected = i == j ? 1.f / diag[cell * n + i] : 0.f;
+      ASSERT_EQ(block[j * n + i], expected)
+        << "entry (" << i << ", " << j << ") of the fallback block";
+    }
+
+  ChebyshevSmoother<LaplaceOperator<float>, Vector<float>,
+                    CellBlockInverse<float>>
+    smoother;
+  smoother.reinit(op, CellBlockInverse<float>(blocks.data(), n, n_cells,
+                                              fallbacks));
+  EXPECT_FALSE(smoother.setup_stats().converged);
+  EXPECT_EQ(smoother.setup_stats().failure, SolveFailure::non_finite);
+
+  Vector<float> b(op.n_dofs()), x(op.n_dofs());
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = float(std::sin(0.05 * double(i)));
+  smoother.smooth(x, b, true);
+  smoother.smooth(x, b, false);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    ASSERT_TRUE(std::isfinite(x[i])) << "non-finite entry " << i;
+}
+
 // ---------------------------------------------------------------------------
 // tentpole: the CG residual-replay guard (serial)
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include "mesh/generators.h"
@@ -215,6 +216,82 @@ TEST_P(LaplaceDegree, ConvergesAtOptimalRate)
 }
 
 INSTANTIATE_TEST_SUITE_P(Degrees, LaplaceDegree, ::testing::Values(1u, 2u, 3u));
+
+TEST(CellBlocks, MatchUnitVectorProbing)
+{
+  // the refined, deformed cube with a Neumann face of
+  // LaplaceDegree.DiagonalMatchesUnitVectorProbing: hanging faces probed from
+  // both sides, skipped boundary integrals beside Dirichlet ones
+  Mesh mesh(unit_cube());
+  mesh.refine_uniform(1);
+  std::vector<bool> flags(8, false);
+  flags[2] = true;
+  mesh.refine(flags);
+  AnalyticGeometry deformed([](index_t, const Point &p) {
+    return Point(p[0] + 0.05 * p[1] * p[2], p[1] - 0.04 * p[0],
+                 p[2] + 0.03 * p[0] * p[1]);
+  });
+  BoundaryMap mixed = all_dirichlet();
+  mixed.set(1, BoundaryType::neumann);
+
+  auto &pool = concurrency::ThreadPool::instance();
+  const unsigned int saved_width = pool.n_threads();
+  for (const unsigned int degree : {1u, 2u, 3u})
+  {
+    Vector<double> reference;
+    for (const unsigned int width : {1u, 4u})
+    {
+      // the loop driver's chunks are fixed when the MatrixFree is built
+      pool.set_n_threads(width);
+      MatrixFree<double> mf;
+      setup_mf(mf, mesh, deformed, degree);
+      LaplaceOperator<double> laplace;
+      laplace.reinit(mf, 0, 0, mixed);
+      const std::size_t n = mf.dofs_per_cell(0);
+      const std::size_t n_cells = mesh.n_active_cells();
+
+      Vector<double> blocks, diag;
+      laplace.compute_cell_blocks(blocks);
+      laplace.compute_diagonal(diag);
+      ASSERT_EQ(blocks.size(), n_cells * n * n);
+      if (width > 1)
+      {
+        EXPECT_EQ(std::memcmp(blocks.data(), reference.data(),
+                              blocks.size() * sizeof(double)),
+                  0)
+          << "degree " << degree << ": blocks at pool width " << width
+          << " deviate from width 1";
+        continue;
+      }
+      reference = blocks;
+
+      for (std::size_t c = 0; c < n_cells; ++c)
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_EQ(std::memcmp(&blocks[(c * n + i) * n + i],
+                                &diag[c * n + i], sizeof(double)),
+                    0)
+            << "degree " << degree << ": block diagonal of cell " << c
+            << " differs from compute_diagonal at " << i;
+
+      Vector<double> e(laplace.n_dofs()), Ae(laplace.n_dofs());
+      e = 0.;
+      for (std::size_t c = 0; c < n_cells; ++c)
+        for (std::size_t j = 0; j < n; ++j)
+        {
+          e[c * n + j] = 1.;
+          laplace.vmult(Ae, e);
+          e[c * n + j] = 0.;
+          const double scale = Ae.linfty_norm();
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_NEAR(blocks[(c * n + j) * n + i], Ae[c * n + i],
+                        1e-12 * scale)
+              << "degree " << degree << ": block entry (" << i << ", " << j
+              << ") of cell " << c;
+        }
+    }
+  }
+  pool.set_n_threads(saved_width);
+}
 
 TEST(Laplace, ConvergesOnDeformedMesh)
 {
