@@ -4,8 +4,9 @@
 //
 //  * detection overhead — wall time of the guarded MG-CG pressure Poisson
 //    solve (residual replay every m iterations + artifact scrub of the
-//    geometry batches, kernel dispatch tables and AMG level matrices +
-//    V-cycle guard) against the unguarded solve, for two replay intervals.
+//    geometry batches, kernel dispatch tables, AMG level matrices and the
+//    smoother's inverse cell blocks + V-cycle guard) against the unguarded
+//    solve, for two replay intervals.
 //    The acceptance bar is < 3% at the default interval;
 //  * scrub throughput — one verification pass over all protected artifacts
 //    (the checksum work a replay boundary pays), with the protected bytes;
@@ -113,6 +114,7 @@ void protect_all(resilience::ArtifactGuard &guard, LungSolve &s)
 {
   resilience::protect_matrix_free(guard, s.mf);
   resilience::protect_amg(guard, s.mg);
+  resilience::protect_smoother_blocks(guard, s.mg);
   resilience::protect_kernel_tables(guard);
 }
 
@@ -151,8 +153,9 @@ ScrubRow time_scrub(LungSolve &s, const unsigned int repetitions)
   protect_all(guard, s);
   ScrubRow row{};
   row.n_artifacts = guard.n_artifacts();
-  // the dominant bytes a scrub hashes: per-quadrature geometry metrics plus
-  // the AMG level matrices (kernel tables are a few KB)
+  // the dominant bytes a scrub hashes: per-quadrature geometry metrics, the
+  // AMG level matrices and the inverse cell blocks (kernel tables are a few
+  // KB)
   std::size_t bytes = 0;
   for (unsigned int q = 0; q < s.mf.n_quads(); ++q)
   {
@@ -169,6 +172,10 @@ ScrubRow time_scrub(LungSolve &s, const unsigned int repetitions)
   }
   for (unsigned int l = 0; l < s.mg.amg().n_levels(); ++l)
     bytes += s.mg.amg().level_nnz(l) * sizeof(double);
+  std::vector<std::pair<const void *, std::size_t>> blocks;
+  s.mg.collect_smoother_block_regions(blocks);
+  for (const auto &region : blocks)
+    bytes += region.second;
   row.protected_bytes = bytes;
   row.seconds_per_scrub = best_of(repetitions, [&]() {
     if (guard.scrub() != 0)

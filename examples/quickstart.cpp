@@ -8,6 +8,8 @@
 //   LaplaceOperator / HybridMultigrid / solve_cg
 //
 // Build and run:  ./examples/quickstart [refinements] [degree]
+// with degree 1 to 8: the multigrid smoother stores (degree+1)^6 floats per
+// cell on the finest level (187 KB per cell at degree 5, 2.1 MB at degree 8)
 
 #include <cstdio>
 
