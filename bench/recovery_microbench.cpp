@@ -375,18 +375,25 @@ RecoveryRow time_recovered_solve(const Mesh &mesh, const unsigned int degree,
 
   RecoveryRow row{};
 
+  const int victim = 2;
+  unsigned long long victim_collectives = 0;
   { // fault-free 4-rank baseline
     Timer t;
     vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
       solve_on(comm, nullptr, false);
+      if (comm.rank() == victim)
+        victim_collectives =
+          comm.traffic().barriers + comm.traffic().allreduces;
     });
     row.faultfree_seconds = t.seconds();
   }
 
-  { // kill rank 2 mid-solve; recover by shrinking to 3 ranks
+  { // kill the victim mid-solve, at the middle collective of its fault-free
+    // run (a fixed index would fall past the end of a solve that makes
+    // fewer collectives); recover by shrinking to 3 ranks
     resilience::FaultPlan::Config cfg;
-    cfg.kill_rank = 2;
-    cfg.kill_step = 12;
+    cfg.kill_rank = victim;
+    cfg.kill_step = victim_collectives / 2;
     resilience::FaultPlan plan(cfg);
     resilience::DistributedRecoveryOptions opts;
     Timer t;

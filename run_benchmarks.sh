@@ -31,15 +31,19 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # runs on the vmpi rank threads beside the worker pool, so a race
   # between them must fail here. So do the multigrid suites (label
   # multigrid): the p-, c- and h-transfers run their cell and row ranges
-  # on the pool's workers.
-  echo "verify pass: distributed_resilience|io_resilience|threading|distributed|multigrid under DGFLOW_SANITIZE=thread"
+  # on the pool's workers. So do the fused-loop and ABFT suites (labels
+  # mixed_precision and abft): solve_cg's one sweep per iteration writes
+  # x and r and the per-chunk partial sums from the pool's workers, at
+  # widths 1 and 4 and on 4 ranks, and the guarded solves run the same
+  # sweep.
+  echo "verify pass: distributed_resilience|io_resilience|threading|distributed|multigrid|mixed_precision|abft under DGFLOW_SANITIZE=thread"
   cmake -B build-tsan -S . -DDGFLOW_SANITIZE=thread > /dev/null
   cmake --build build-tsan -j \
     --target test_distributed_resilience test_ckpt_io test_threading \
     recovery_microbench threads_microbench test_distributed_solve \
     test_vmpi_distributed distributed_microbench test_multigrid \
-    test_transfer > /dev/null
-  (cd build-tsan && ctest -L "distributed_resilience|io_resilience|threading|distributed|multigrid" --output-on-failure)
+    test_transfer test_mixed_precision test_abft abft_microbench > /dev/null
+  (cd build-tsan && ctest -L "distributed_resilience|io_resilience|threading|distributed|multigrid|mixed_precision|abft" --output-on-failure)
 
   # Second verify pass: the fused-kernel equivalence, mixed-precision and
   # ABFT tests under AddressSanitizer — the fused hooks write through raw

@@ -6,6 +6,7 @@
 // (mixed-precision, paper Section 3.4); copy_and_convert() moves data across
 // precisions.
 
+#include <array>
 #include <cmath>
 #include <type_traits>
 #include <utility>
@@ -23,42 +24,65 @@ namespace dgflow
 {
 namespace internal
 {
-/// Deterministically blocked dot product: the vector is cut into at most 64
-/// contiguous chunks of whole 4096-scalar blocks, each chunk accumulates
-/// sequentially in double, and the partials are summed in ascending chunk
-/// order. The blocking depends only on n — never on the thread count — so
-/// the result is bitwise identical whether the chunks run serially or on the
-/// pool. For n <= 4096 there is a single chunk and the result coincides with
-/// the plain sequential sweep this replaces.
-template <typename Number>
-inline double chunked_dot(const Number *DGFLOW_RESTRICT a,
-                          const Number *DGFLOW_RESTRICT b, const std::size_t n)
+/// The deterministic blocking of every reduction over [0, n): the range is
+/// cut into at most 64 contiguous chunks of whole 4096-scalar blocks,
+/// chunk_sums(begin, end) returns the chunk's n_sums partial sums (each
+/// accumulated sequentially in double), and the partials are summed in
+/// ascending chunk order. The blocking depends only on n — never on the
+/// thread count — so the sums are bitwise identical whether the chunks run
+/// serially or on the pool. For n <= 4096 there is a single chunk,
+/// chunk_sums(0, n). Elementwise writes made by chunk_sums ride the same
+/// pass (solve_cg's fused sweeps).
+template <std::size_t n_sums, typename ChunkSums>
+inline std::array<double, n_sums> chunked_sums(const std::size_t n,
+                                               ChunkSums &&chunk_sums)
 {
   constexpr std::size_t block = 4096;
   const std::size_t n_blocks = (n + block - 1) / block;
   if (n_blocks <= 1)
-  {
-    double s = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      s += double(a[i]) * double(b[i]);
-    return s;
-  }
+    return chunk_sums(std::size_t(0), n);
   const std::size_t n_chunks = std::min<std::size_t>(64, n_blocks);
-  double partials[64];
+  std::array<double, n_sums> partials[64];
   concurrency::ThreadPool::instance().run_chunks(
     static_cast<unsigned int>(n_chunks), [&](const unsigned int c) {
       const std::size_t begin = (n_blocks * c) / n_chunks * block;
       const std::size_t end =
         std::min(n, (n_blocks * (c + 1)) / n_chunks * block);
-      double s = 0;
-      for (std::size_t i = begin; i < end; ++i)
-        s += double(a[i]) * double(b[i]);
-      partials[c] = s;
+      partials[c] = chunk_sums(begin, end);
     });
-  double s = 0;
+  std::array<double, n_sums> s{};
   for (std::size_t c = 0; c < n_chunks; ++c)
-    s += partials[c];
+    for (std::size_t k = 0; k < n_sums; ++k)
+      s[k] += partials[c][k];
   return s;
+}
+
+/// The sum of a_i b_i over [i0, i1), accumulated sequentially in double:
+/// one chunk of a dot. An optimizing compiler may vectorize this in-order
+/// sum — on x86 with FMA, GCC rounds the products, adds them lane by lane
+/// and fuses multiply and add only in the scalar tail — so the rounding
+/// depends on the loop's shape. Kept out of line with restrict parameters,
+/// it compiles alike for every caller; solve_cg's fused sweeps share the
+/// shape and so the bits (FusedLoops.SweepSumsMatchTheDotsAtEveryLength).
+template <typename Number>
+[[gnu::noinline]] std::array<double, 1>
+dot_range(const Number *DGFLOW_RESTRICT a, const Number *DGFLOW_RESTRICT b,
+          const std::size_t i0, const std::size_t i1)
+{
+  double s = 0;
+  for (std::size_t i = i0; i < i1; ++i)
+    s += double(a[i]) * double(b[i]);
+  return {s};
+}
+
+/// Deterministically blocked dot product (chunked_sums): bitwise identical
+/// at any thread count.
+template <typename Number>
+inline double chunked_dot(const Number *a, const Number *b, const std::size_t n)
+{
+  return chunked_sums<1>(n, [a, b](const std::size_t i0, const std::size_t i1) {
+    return dot_range(a, b, i0, i1);
+  })[0];
 }
 } // namespace internal
 

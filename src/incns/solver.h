@@ -170,12 +170,7 @@ public:
     // viscous diagonal is affine in the mass factor: precompute both parts
     helmholtz_.set_mass_factor(Number(0));
     helmholtz_.compute_diagonal(diag_viscous_);
-    diag_mass_.reinit(mf_.n_dofs(u_space, 3));
-    {
-      VectorType ones(mf_.n_dofs(u_space, 3));
-      ones = Number(1);
-      mass_u_.vmult(diag_mass_, ones);
-    }
+    inverse_mass_.reinit(mass_u_);
 
     u_.reinit(mf_.n_dofs(u_space, 3));
     u_old_.reinit(u_.size());
@@ -403,9 +398,8 @@ private:
       SolverControl control;
       control.max_iterations = 1000;
       control.rel_tol = prm_.rel_tol_projection;
-      InverseMassPreconditioner precond{&mass_u_};
       const auto result =
-        solve_cg(penalty_, work_u_, rhs_u_, precond, control, cg_u_);
+        solve_cg(penalty_, work_u_, rhs_u_, inverse_mass_, control, cg_u_);
       info.penalty = result;
       DGFLOW_PROF_COUNT("ins_penalty_iterations", result.iterations);
       if (!result.converged)
@@ -540,21 +534,12 @@ public:
   }
 
 private:
-  struct InverseMassPreconditioner
-  {
-    const MassOperator<Number, 3> *mass;
-    void vmult(VectorType &dst, const VectorType &src) const
-    {
-      mass->apply_inverse(dst, src);
-    }
-  };
-
   /// diag_combined_ = diagonal of the Helmholtz operator at @p mass_factor
   void update_viscous_diagonal(const Number mass_factor)
   {
     diag_combined_.reinit(diag_viscous_.size(), true);
     Number *DGFLOW_RESTRICT d = diag_combined_.data();
-    const Number *DGFLOW_RESTRICT dm = diag_mass_.data();
+    const Number *DGFLOW_RESTRICT dm = inverse_mass_.mass_diagonal().data();
     const Number *DGFLOW_RESTRICT dv = diag_viscous_.data();
     concurrency::ThreadPool::instance().parallel_for(
       diag_combined_.size(), [&](const std::size_t i0, const std::size_t i1) {
@@ -658,6 +643,7 @@ private:
   HelmholtzOperator<Number> helmholtz_;
   PenaltyOperator<Number> penalty_;
   MassOperator<Number, 3> mass_u_;
+  InverseMassPreconditioner<Number> inverse_mass_; ///< of the penalty step
   LaplaceOperator<Number> laplace_;
   HybridMultigrid<float> pressure_mg_;
   PreconditionJacobi<Number> pressure_jacobi_;
@@ -667,7 +653,7 @@ private:
   VectorType conv_, conv_old_;
   VectorType vort_, vort_old_;
   VectorType u_hat_, rhs_u_, rhs_p_, work_u_, work_p_;
-  VectorType diag_viscous_, diag_mass_, diag_combined_;
+  VectorType diag_viscous_, diag_combined_;
 
   // resident Krylov vectors: nothing solution-sized is allocated inside
   // advance() once the first step has sized them

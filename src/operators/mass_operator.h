@@ -92,4 +92,57 @@ private:
   unsigned int space_ = 0, quad_ = 0;
 };
 
+/// The inverse mass as a preconditioner (the penalty step's, Eq. 5):
+/// z_i = r_i / (M 1)_i over the stored diagonal M 1 of the collocated mass
+/// matrix, which is bitwise MassOperator::apply_inverse (M 1 holds each
+/// JxW exactly). It acts entry by entry, so solve_cg fuses its map into the
+/// vector sweeps (PointwisePreconditionerFor) and never calls its vmult.
+template <typename Number>
+class InverseMassPreconditioner
+{
+public:
+  using VectorType = Vector<Number>;
+
+  /// M 1 from one application of @p mass. The diagonal is allocated before
+  /// the temporary: freed from the top of the heap, the temporary leaves
+  /// no hole below the diagonal. Such a hole let the heap be trimmed when
+  /// the lung application was torn down, so each following g=3
+  /// construction faulted about 3,900 more pages back in.
+  template <int n_components>
+  void reinit(const MassOperator<Number, n_components> &mass)
+  {
+    diag_.reinit(mass.n_dofs(), true);
+    VectorType ones(mass.n_dofs());
+    ones = Number(1);
+    mass.vmult(diag_, ones);
+  }
+
+  void vmult(VectorType &dst, const VectorType &src) const
+  {
+    dst.reinit(src.size(), true);
+    Number *DGFLOW_RESTRICT d = dst.data();
+    const Number *DGFLOW_RESTRICT s = src.data();
+    const auto f = pointwise();
+    concurrency::ThreadPool::instance().parallel_for(
+      src.size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] = f(i, s[i]);
+      });
+  }
+
+  /// z_i = f(i, r_i), bitwise entry i of vmult (PointwisePreconditionerFor).
+  auto pointwise() const
+  {
+    return [m = diag_.data()](const std::size_t i, const Number r) {
+      return r / m[i];
+    };
+  }
+
+  /// M 1: the diagonal of the mass matrix.
+  const VectorType &mass_diagonal() const { return diag_; }
+
+private:
+  VectorType diag_;
+};
+
 } // namespace dgflow

@@ -13,16 +13,34 @@
 // Workspace: the Krylov vectors (r, z, p, Ap and the ABFT snapshot) live in
 // a caller-owned CGWorkspace, so a caller that solves every time step keeps
 // them resident instead of faulting in fresh pages per solve; none of them
-// is zero-filled, since each is written before it is read. The 5-argument
-// overload builds a workspace local to the call and runs the same code.
+// is zero-filled, since each is written before it is read. z is sized and
+// written only for a preconditioner that is not pointwise, or as the ABFT
+// replay's scratch. The 5-argument overload builds a workspace local to the
+// call and runs the same code.
 //
-// Fused loops: the search-direction update p = beta*p + z rides the next
-// vmult's pre hooks (each cell batch's slice updated right before the
-// operator reads it) and the x/r updates merge into one sweep — the merged
-// solver kernels of Muething et al., saving two full passes of vector
-// traffic per iteration. An operator without hooks gets the update over the
-// whole range before its vmult (vmult_hooked); the arithmetic is element
-// for element that of the textbook loop, so every path agrees bitwise.
+// Fused loops (the merged solver kernels of Muething et al.): an iteration
+// costs the operator sweep, the p.Ap dot and one vector sweep, which updates
+// x += alpha*p and r -= alpha*Ap and accumulates r.r. A pointwise
+// preconditioner (PointwisePreconditionerFor: PreconditionJacobi, and the
+// penalty step's InverseMassPreconditioner) acts entry by entry,
+// z_i = f(i, r_i): the same sweep accumulates r.z, and z is never stored.
+// The search-direction update p = beta*p + z rides the next vmult's pre
+// hooks (each cell batch's slice updated right before the operator reads
+// it), with z formed there from r for a pointwise P. Any other
+// preconditioner (the multigrid V-cycle) adds its vmult and the r.z dot.
+// The set-up is one sweep too: b.b, and r = b - A x with r.r and, for a
+// pointwise P, p = z and r.z. p.Ap stays a separate dot. An operator
+// without hooks gets the p update over the whole range before its vmult
+// (vmult_hooked).
+//
+// Same bits: every sum uses the blocking of every dot
+// (internal::chunked_sums), and each sweep's loop has the shape of the dot's
+// chunk loop (internal::dot_range), because the compiler rounds an in-order
+// sum by the loop's shape (see the sweeps below); the element updates are
+// the textbook expressions. So every path agrees bitwise with the textbook
+// loop at any pool width. On distributed vectors one allreduce carries all
+// sums of a sweep, so a pointwise-preconditioned iteration makes two
+// collectives.
 //
 // ABFT guard: with SolverControl::abft_replay_interval > 0 the solver
 // periodically replays the true residual and the CG orthogonality relation
@@ -31,9 +49,13 @@
 // docs/DEVELOPING.md, "Silent data corruption & ABFT"). Off by default: a
 // fault-free solve with the guard off is bit-for-bit the pre-guard solver.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/abft_hooks.h"
 #include "common/exceptions.h"
@@ -165,18 +187,108 @@ public:
       });
   }
 
+  /// z_i = f(i, r_i), bitwise entry i of vmult (PointwisePreconditionerFor).
+  auto pointwise() const
+  {
+    return [inv = inv_diag_.data()](const std::size_t i, const Number r) {
+      return inv[i] * r;
+    };
+  }
+
   const Vector<Number> &inverse_diagonal() const { return inv_diag_; }
 
 private:
   Vector<Number> inv_diag_;
 };
 
+namespace internal
+{
+// The fused sweeps of solve_cg over one chunk [i0, i1) of the reduction
+// blocking (chunked_sums). Each has the shape of dot_range — out of line,
+// restrict parameters, at most two in-order sums — so the compiler
+// vectorizes it alike and each sum is bitwise that of the separate dot
+// (FusedLoops.SweepSumsMatchTheDotsAtEveryLength checks every tail length;
+// a third sum in one loop rounded its tail differently, which is why the
+// set-up runs dot_range itself for b.b). f is the map z_i = f(i, r_i) of a
+// pointwise preconditioner, nullptr for any other (whose z the caller forms
+// with P.vmult).
+
+/// r = b - Ap with r.r and, for a pointwise f, p = z = f(r) with r.z.
+template <typename Number, typename F>
+[[gnu::noinline]] auto
+cg_residual_sweep(Number *DGFLOW_RESTRICT r, Number *DGFLOW_RESTRICT p,
+                  const Number *DGFLOW_RESTRICT b,
+                  const Number *DGFLOW_RESTRICT ap, const F f,
+                  const std::size_t i0, const std::size_t i1)
+{
+  constexpr bool pointwise = !std::is_null_pointer_v<F>;
+  double rr = 0;
+  [[maybe_unused]] double rz = 0;
+  for (std::size_t i = i0; i < i1; ++i)
+  {
+    r[i] = Number(1) * b[i] + Number(-1) * ap[i];
+    rr += double(r[i]) * double(r[i]);
+    if constexpr (pointwise)
+    {
+      const Number z = f(i, r[i]);
+      p[i] = z;
+      rz += double(r[i]) * double(z);
+    }
+  }
+  if constexpr (pointwise)
+    return std::array<double, 2>{rr, rz};
+  else
+    return std::array<double, 1>{rr};
+}
+
+/// x += alpha*p and r -= alpha*Ap with r.r and, for a pointwise f, r.z.
+template <typename Number, typename F>
+[[gnu::noinline]] auto
+cg_update_sweep(Number *DGFLOW_RESTRICT x, Number *DGFLOW_RESTRICT r,
+                const Number *DGFLOW_RESTRICT p,
+                const Number *DGFLOW_RESTRICT ap, const Number alpha,
+                const F f, const std::size_t i0, const std::size_t i1)
+{
+  constexpr bool pointwise = !std::is_null_pointer_v<F>;
+  double rr = 0;
+  [[maybe_unused]] double rz = 0;
+  for (std::size_t i = i0; i < i1; ++i)
+  {
+    x[i] += alpha * p[i];
+    r[i] += (-alpha) * ap[i];
+    rr += double(r[i]) * double(r[i]);
+    if constexpr (pointwise)
+      rz += double(r[i]) * double(f(i, r[i]));
+  }
+  if constexpr (pointwise)
+    return std::array<double, 2>{rr, rz};
+  else
+    return std::array<double, 1>{rr};
+}
+
+/// The search-direction update p = beta*p + z, z_i = f(i, r_i) for a
+/// pointwise f and the stored z (passed as r) for any other.
+template <typename Number, typename F>
+[[gnu::noinline]] void
+cg_direction_update(Number *DGFLOW_RESTRICT p,
+                    const Number *DGFLOW_RESTRICT r_or_z, const Number beta,
+                    const F f, const std::size_t i0, const std::size_t i1)
+{
+  for (std::size_t i = i0; i < i1; ++i)
+    if constexpr (std::is_null_pointer_v<F>)
+      p[i] = beta * p[i] + r_or_z[i];
+    else
+      p[i] = beta * p[i] + f(i, r_or_z[i]);
+}
+} // namespace internal
+
 /// The Krylov vectors of solve_cg (see the file comment): residual r,
-/// preconditioned residual z, search direction p, operator image Ap, and the
-/// ABFT guard's validated snapshot (x, r, p), sized only when the guard is
-/// on. solve_cg shapes each like b, so a workspace carries no state between
-/// solves and may be shared by consecutive (not concurrent) solves. It must
-/// not alias x or b.
+/// preconditioned residual z (sized and written only for a preconditioner
+/// that is not pointwise, or as the ABFT replay's scratch), search direction
+/// p, operator image Ap, and the ABFT guard's validated snapshot (x, r, p),
+/// sized only when the guard is on. solve_cg shapes each like b, so a
+/// workspace carries no state between solves and may be shared by
+/// consecutive (not concurrent) solves. It must not alias x or b.
 template <typename VectorType>
 struct CGWorkspace
 {
@@ -189,10 +301,10 @@ struct CGWorkspace
 /// nothing once the workspace has reached b's size.
 ///
 /// Templated on the vector type: works unchanged for the serial Vector and
-/// for vmpi::DistributedVector, where every dot/norm is one allreduce and
-/// the operator vmult performs the ghost exchange. For distributed solves
-/// the per-solve vmpi traffic (messages/bytes/allreduces) is published as
-/// cg_vmpi_* gauges.
+/// for vmpi::DistributedVector, where each dot and each fused sweep's sums
+/// are one allreduce and the operator vmult performs the ghost exchange.
+/// For distributed solves the per-solve vmpi traffic
+/// (messages/bytes/allreduces) is published as cg_vmpi_* gauges.
 template <typename Operator, typename Preconditioner, typename VectorType>
   requires PreconditionerFor<Preconditioner, VectorType> &&
            OperatorFor<Operator, VectorType>
@@ -202,6 +314,8 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
 {
   using Number = typename VectorType::value_type;
   constexpr bool distributed = is_distributed_vector_v<VectorType>;
+  constexpr bool pointwise =
+    PointwisePreconditionerFor<Preconditioner, VectorType>;
   DGFLOW_PROF_SCOPE("cg");
   Timer solve_timer;
   SolveStats result;
@@ -211,12 +325,15 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
                   "the CG workspace must not alias the solution or the "
                   "right-hand side");
   VectorType &r = ws.r, &z = ws.z, &p = ws.p, &Ap = ws.Ap;
-  // each is written before it is read (r and z by the first residual and
-  // preconditioner application, p by p = z, Ap by the vmult): no zero fill
+  const unsigned int abft_m = control.abft_replay_interval;
+  // each is written before it is read (r, and p for a pointwise P, by the
+  // set-up sweep, z by the preconditioner or a replay, Ap by the vmult): no
+  // zero fill
   r.reinit_like(b, true);
-  z.reinit_like(b, true);
   p.reinit_like(b, true);
   Ap.reinit_like(b, true);
+  if (!pointwise || abft_m > 0)
+    z.reinit_like(b, true);
 
   unsigned long long messages0 = 0, bytes0 = 0, allreduces0 = 0;
   if constexpr (distributed)
@@ -252,14 +369,49 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     return stats;
   };
 
-  A.vmult(Ap, x);
-  r.equ(Number(1), b, Number(-1), Ap);
+  // The sums of one sweep over all ranks in one allreduce: it folds
+  // elementwise in rank order, so each sum is bitwise the scalar allreduce
+  // of a separate dot.
+  const auto global_sums = [&b](auto sums) {
+    if constexpr (distributed)
+    {
+      auto &comm = b.communicator();
+      using Op = typename std::remove_reference_t<decltype(comm)>::Op;
+      std::vector<double> values(sums.begin(), sums.end());
+      comm.allreduce(values, Op::sum);
+      std::copy(values.begin(), values.end(), sums.begin());
+    }
+    return sums;
+  };
+  // z_i = f(i, r_i) of a pointwise P (never called otherwise)
+  const auto f = [&P] {
+    if constexpr (pointwise)
+      return P.pointwise();
+    else
+      return nullptr;
+  }();
 
-  const double b_norm = double(b.l2_norm());
+  // set-up sweep: b.b, and r = b - A x with r.r and, for a pointwise P, the
+  // first search direction p = z = f(r) with r.z (b.b runs the dot's own
+  // loop over each chunk: as a third sum in the sweep's loop it would round
+  // unlike the dot)
+  A.vmult(Ap, x);
+  const auto setup_sums = global_sums(internal::chunked_sums<pointwise ? 3 : 2>(
+    b.size(), [&](const std::size_t i0, const std::size_t i1) {
+      const double bb = internal::dot_range(b.data(), b.data(), i0, i1)[0];
+      const auto sweep = internal::cg_residual_sweep(
+        r.data(), p.data(), b.data(), std::as_const(Ap).data(), f, i0, i1);
+      if constexpr (pointwise)
+        return std::array<double, 3>{bb, sweep[0], sweep[1]};
+      else
+        return std::array<double, 2>{bb, sweep[0]};
+    }));
+
+  const double b_norm = double(std::sqrt(Number(setup_sums[0])));
   const double tol =
     std::max(control.abs_tol, control.rel_tol * (b_norm > 0 ? b_norm : 1.));
 
-  double res_norm = double(r.l2_norm());
+  double res_norm = double(std::sqrt(Number(setup_sums[1])));
   result.initial_residual = res_norm;
   result.final_residual = res_norm;
   if (!std::isfinite(res_norm))
@@ -273,25 +425,35 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     return finish(result);
   }
 
-  P.vmult(z, r);
-  p = z;
-  Number rz = r.dot(z);
+  Number rz;
+  if constexpr (pointwise)
+    rz = Number(setup_sums[2]);
+  else
+  {
+    P.vmult(z, r);
+    p = z;
+    rz = r.dot(z);
+  }
 
   double best_res = res_norm;
   unsigned int last_improvement = 0;
 
-  // p = beta*p + z is deferred into the next vmult's pre hooks
+  // the search-direction update p = beta*p + z over [i0, i1), z_i = f(i, r_i)
+  // for a pointwise P; deferred into the next vmult's pre hooks, or run over
+  // the whole range at a replay boundary
   Number beta = Number(0);
   bool pending_beta = false;
+  const auto update_p = [&](const std::size_t i0, const std::size_t i1) {
+    internal::cg_direction_update(
+      p.data(), std::as_const(pointwise ? r : z).data(), beta, f, i0, i1);
+  };
 
   // ABFT rolling snapshot: the initial state is validated by construction
   // (r was just computed as b - A x directly), so a drift detected at the
-  // very first replay boundary can already roll back
-  const unsigned int abft_m = control.abft_replay_interval;
-  // relative drift threshold of both replay invariants: orders of magnitude
-  // above the floating-point drift of a healthy recurrence and below any
-  // corruption that could survive into a converged solution at practical
-  // tolerances
+  // very first replay boundary can already roll back. The relative drift
+  // threshold of both replay invariants: orders of magnitude above the
+  // floating-point drift of a healthy recurrence and below any corruption
+  // that could survive into a converged solution at practical tolerances
   constexpr double replay_drift_tol = 1e-8;
   VectorType &snap_x = ws.snap_x, &snap_r = ws.snap_r, &snap_p = ws.snap_p;
   Number snap_rz = rz;
@@ -361,11 +523,13 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     if (abft_m > 0 && it > 1 && (it - 1) % abft_m == 0)
     {
       // materialize the deferred search-direction update first so the
-      // invariant checks and the snapshot see the true p (the element
-      // expression is the one the hook would apply: bitwise identical)
+      // invariant checks and the snapshot see the true p (the hook's own
+      // element expression: bitwise identical)
       if (pending_beta)
       {
-        p.sadd(beta, Number(1), z);
+        concurrency::ThreadPool::instance().parallel_for(p.size(), update_p);
+        if constexpr (distributed)
+          p.invalidate_ghosts();
         pending_beta = false;
       }
       ++result.residual_replays;
@@ -384,8 +548,9 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
           comm.allreduce(double(rebuilt), Op::sum));
       }
       // true-residual replay into z (dead here: consumed by the last p
-      // update, rewritten by the next P.vmult) and the two invariants; all
-      // quantities are allreduced, so every rank takes the same branch
+      // update, rewritten by the next P.vmult, never read for a pointwise
+      // P) and the two invariants; all quantities are allreduced, so every
+      // rank takes the same branch
       A.vmult(Ap, x);
       z.equ(Number(1), b, Number(-1), Ap);
       const double true_res = double(z.l2_norm());
@@ -428,16 +593,7 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
       // the operator fires this per cell batch right before reading the
       // batch's p entries (cut-face batches before the ghost exchange),
       // so Ap = A * (beta*p + z) without a separate sweep over p
-      const Number beta_c = beta;
-      Number *DGFLOW_RESTRICT pd = p.data();
-      const Number *DGFLOW_RESTRICT zd = z.data();
-      vmult_hooked(
-        A, Ap, p,
-        [=](const std::size_t r0, const std::size_t r1) {
-          for (std::size_t i = r0; i < r1; ++i)
-            pd[i] = beta_c * pd[i] + zd[i];
-        },
-        NoRangeHook());
+      vmult_hooked(A, Ap, p, update_p, NoRangeHook());
       pending_beta = false;
     }
     else
@@ -470,27 +626,22 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
       break;
     }
     const Number alpha = rz / pAp;
-    // one merged sweep instead of two (bitwise equal: the element updates
-    // are independent and use the textbook expressions)
-    Number *DGFLOW_RESTRICT xd = x.data();
-    Number *DGFLOW_RESTRICT rd = r.data();
-    const Number *DGFLOW_RESTRICT pd = p.data();
-    const Number *DGFLOW_RESTRICT apd = Ap.data();
-    concurrency::ThreadPool::instance().parallel_for(
+    // one sweep: x += alpha*p and r -= alpha*Ap with r.r and, for a
+    // pointwise P, r.z
+    const auto sums = global_sums(internal::chunked_sums<pointwise ? 2 : 1>(
       x.size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-        {
-          xd[i] += alpha * pd[i];
-          rd[i] += (-alpha) * apd[i];
-        }
-      });
+        return internal::cg_update_sweep(x.data(), r.data(),
+                                         std::as_const(p).data(),
+                                         std::as_const(Ap).data(), alpha, f,
+                                         i0, i1);
+      }));
     if constexpr (distributed)
     {
       x.invalidate_ghosts();
       r.invalidate_ghosts();
     }
 
-    res_norm = double(r.l2_norm());
+    res_norm = double(std::sqrt(Number(sums[0])));
     result.iterations = it;
     result.final_residual = res_norm;
     if (!std::isfinite(res_norm))
@@ -543,8 +694,14 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
       break;
     }
 
-    P.vmult(z, r);
-    const Number rz_new = r.dot(z);
+    Number rz_new;
+    if constexpr (pointwise)
+      rz_new = Number(sums[1]);
+    else
+    {
+      P.vmult(z, r);
+      rz_new = r.dot(z);
+    }
     beta = rz_new / rz;
     rz = rz_new;
     pending_beta = true; // p = beta*p + z rides the next vmult

@@ -25,6 +25,21 @@ concept PreconditionerFor =
     p.vmult(dst, src);
   };
 
+/// A preconditioner that acts entry by entry, z_i = f(i, r_i) over the local
+/// range, and exposes that map: pointwise() returns f as a callable
+/// (std::size_t i, Number r_i) -> Number whose result is bitwise entry i of
+/// its vmult. solve_cg forms such a z where it is consumed — inside its
+/// vector sweep and the operator's pre hooks — and never calls the vmult.
+template <typename P, typename VectorType>
+concept PointwisePreconditionerFor =
+  PreconditionerFor<P, VectorType> &&
+  requires(const P &p, const std::size_t i,
+           const typename VectorType::value_type r) {
+    {
+      p.pointwise()(i, r)
+    } -> std::same_as<typename VectorType::value_type>;
+  };
+
 /// An operator whose vmult implements the contract-v2 hooked cell loop
 /// (operators/README.md): vmult(dst, src, pre, post) with per-DoF-range
 /// callbacks, so a solver's BLAS-1 updates ride the operator's cell loop.
