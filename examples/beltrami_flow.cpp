@@ -51,9 +51,7 @@ int main(int argc, char **argv)
   prm.degree = degree;
   prm.viscosity = es.nu;
   prm.fixed_dt = dt;
-  prm.rel_tol_pressure = 1e-9;
-  prm.rel_tol_viscous = 1e-9;
-  prm.rel_tol_projection = 1e-9;
+  prm.rel_tol = 1e-9;
   prm.velocity_neumann_data = [es](const Point &p, double t) {
     const auto g = es.velocity_gradient(p, t);
     return Tensor1<double>(g[0][0], g[1][0], g[2][0]);

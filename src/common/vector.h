@@ -84,10 +84,105 @@ inline double chunked_dot(const Number *a, const Number *b, const std::size_t n)
     return dot_range(a, b, i0, i1);
   })[0];
 }
+
+/// The elementwise BLAS-1 operations of Vector and vmpi::DistributedVector,
+/// written once over the local range [0, size()) and run on the pool.
+/// Derived provides data(), size() and invalidate_ghosts(), with which a
+/// distributed vector marks its ghost section stale after every write.
+template <typename Derived, typename Number>
+class ElementwiseOps
+{
+public:
+  /// this += a * x
+  void add(const Number a, const Derived &x)
+  {
+    DGFLOW_DEBUG_ASSERT(x.size() == self().size(), "size mismatch");
+    Number *DGFLOW_RESTRICT d = self().data();
+    const Number *DGFLOW_RESTRICT xd = x.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      self().size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] += a * xd[i];
+      });
+    self().invalidate_ghosts();
+  }
+
+  /// this = s * this + a * x
+  void sadd(const Number s, const Number a, const Derived &x)
+  {
+    DGFLOW_DEBUG_ASSERT(x.size() == self().size(), "size mismatch");
+    Number *DGFLOW_RESTRICT d = self().data();
+    const Number *DGFLOW_RESTRICT xd = x.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      self().size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] = s * d[i] + a * xd[i];
+      });
+    self().invalidate_ghosts();
+  }
+
+  /// this = a * x
+  void equ(const Number a, const Derived &x)
+  {
+    DGFLOW_DEBUG_ASSERT(x.size() == self().size(), "size mismatch");
+    Number *DGFLOW_RESTRICT d = self().data();
+    const Number *DGFLOW_RESTRICT xd = x.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      self().size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] = a * xd[i];
+      });
+    self().invalidate_ghosts();
+  }
+
+  /// this = a * x + b * y
+  void equ(const Number a, const Derived &x, const Number b, const Derived &y)
+  {
+    DGFLOW_DEBUG_ASSERT(x.size() == self().size() && y.size() == self().size(),
+                        "size mismatch");
+    Number *DGFLOW_RESTRICT d = self().data();
+    const Number *DGFLOW_RESTRICT xd = x.data();
+    const Number *DGFLOW_RESTRICT yd = y.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      self().size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] = a * xd[i] + b * yd[i];
+      });
+    self().invalidate_ghosts();
+  }
+
+  void scale(const Number a)
+  {
+    Number *DGFLOW_RESTRICT d = self().data();
+    concurrency::ThreadPool::instance().parallel_for(
+      self().size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] *= a;
+      });
+    self().invalidate_ghosts();
+  }
+
+  /// Pointwise multiply: this[i] *= x[i] (Jacobi preconditioning).
+  void scale_pointwise(const Derived &x)
+  {
+    DGFLOW_DEBUG_ASSERT(x.size() == self().size(), "size mismatch");
+    Number *DGFLOW_RESTRICT d = self().data();
+    const Number *DGFLOW_RESTRICT xd = x.data();
+    concurrency::ThreadPool::instance().parallel_for(
+      self().size(), [&](const std::size_t i0, const std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i)
+          d[i] *= xd[i];
+      });
+    self().invalidate_ghosts();
+  }
+
+private:
+  Derived &self() { return static_cast<Derived &>(*this); }
+};
 } // namespace internal
 
 template <typename Number>
-class Vector
+class Vector : public internal::ElementwiseOps<Vector<Number>, Number>
 {
 public:
   using value_type = Number;
@@ -150,6 +245,9 @@ public:
 
   bool is_owned_element(const std::size_t) const { return true; }
 
+  /// A serial vector has no ghost section (vector-space concept).
+  void invalidate_ghosts() const {}
+
   Number &operator()(const std::size_t i) { return data_[i]; }
   Number operator()(const std::size_t i) const { return data_[i]; }
   Number &operator[](const std::size_t i) { return data_[i]; }
@@ -166,83 +264,6 @@ public:
       size(), [&](const std::size_t i0, const std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i)
           d[i] = s;
-      });
-  }
-
-  /// this += a * x
-  void add(const Number a, const Vector &x)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size(), "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] += a * xd[i];
-      });
-  }
-
-  /// this = s * this + a * x
-  void sadd(const Number s, const Number a, const Vector &x)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size(), "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] = s * d[i] + a * xd[i];
-      });
-  }
-
-  /// this = a * x
-  void equ(const Number a, const Vector &x)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size(), "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] = a * xd[i];
-      });
-  }
-
-  /// this = a * x + b * y
-  void equ(const Number a, const Vector &x, const Number b, const Vector &y)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size() && y.size() == size(),
-                        "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    const Number *DGFLOW_RESTRICT yd = y.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] = a * xd[i] + b * yd[i];
-      });
-  }
-
-  void scale(const Number a)
-  {
-    Number *DGFLOW_RESTRICT d = data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] *= a;
-      });
-  }
-
-  /// Pointwise multiply: this[i] *= x[i] (Jacobi preconditioning).
-  void scale_pointwise(const Vector &x)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size(), "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] *= xd[i];
       });
   }
 
@@ -287,6 +308,22 @@ public:
 private:
   AlignedVector<Number> data_;
 };
+
+/// dst_i = f(i, src_i) over the local range, on the pool: the vmult of a
+/// pointwise preconditioner from its own map f = pointwise()
+/// (PointwisePreconditionerFor).
+template <typename VectorType, typename F>
+void apply_pointwise(VectorType &dst, const VectorType &src, const F f)
+{
+  dst.reinit_like(src, true);
+  auto *DGFLOW_RESTRICT d = dst.data();
+  const auto *DGFLOW_RESTRICT s = src.data();
+  concurrency::ThreadPool::instance().parallel_for(
+    src.size(), [&](const std::size_t i0, const std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i)
+        d[i] = f(i, s[i]);
+    });
+}
 
 /// Detects vectors with distributed-memory ghost machinery (the vmpi
 /// DistributedVector) without this header knowing the type: any vector

@@ -11,9 +11,11 @@
 //
 // The sweep structure mirrors the runtime-extent sweeps of KernelBackend
 // exactly (same kernels, same order, same even-odd decomposition); only the
-// extents are compile-time constants. The fast path is therefore bit-identical to the
-// generic path by construction - the equivalence tests in
-// tests/test_tensor_kernels.cpp pin that down.
+// extents are compile-time constants. The compiler may still contract
+// multiplies and adds into FMAs differently once the extents are known, so
+// the fast path agrees with the generic path to rounding, not bitwise:
+// KernelBackend.GenericMatchesBatchEverySize (tests/test_tensor_kernels.cpp)
+// holds them to 1e-13 relative on every dispatched size.
 
 #include "fem/kernel_backend.h"
 #include "fem/kernel_dispatch.h"

@@ -14,9 +14,8 @@
 //  * vmpi traffic metrics fed by vmpi::run at join (messages, bytes,
 //    barriers, allreduces summed over ranks).
 //
-// Cost model: compile-time DGFLOW_PROFILE guard (macros vanish entirely when
-// undefined) plus a runtime enable flag - a disabled build/run costs at most
-// one relaxed atomic load per instrumented scope, so benchmark numbers
+// Cost model: a runtime enable flag - a disabled run costs at most one
+// relaxed atomic load per instrumented scope, so benchmark numbers
 // (fig06/fig07) are unaffected. Enable via Profiler::instance().enable(true)
 // or, for binaries that install an EnvSession, DGFLOW_PROFILE=1 in the
 // environment (DGFLOW_PROFILE_JSON=<path> additionally archives the report).
@@ -350,10 +349,8 @@ public:
 } // namespace dgflow::prof
 
 // ---------------------------------------------------------------------------
-// instrumentation macros: compiled out entirely without DGFLOW_PROFILE
+// instrumentation macros
 // ---------------------------------------------------------------------------
-
-#ifdef DGFLOW_PROFILE
 
 #define DGFLOW_PROF_CONCAT_INNER(a, b) a##b
 #define DGFLOW_PROF_CONCAT(a, b) DGFLOW_PROF_CONCAT_INNER(a, b)
@@ -394,23 +391,3 @@ public:
                                                   __LINE__),                 \
                                n_items)
 
-#else
-
-#define DGFLOW_PROF_SCOPE(name)                                              \
-  do                                                                         \
-  {                                                                          \
-  } while (0)
-#define DGFLOW_PROF_COUNT(name, amount)                                      \
-  do                                                                         \
-  {                                                                          \
-  } while (0)
-#define DGFLOW_PROF_GAUGE(name, value)                                       \
-  do                                                                         \
-  {                                                                          \
-  } while (0)
-#define DGFLOW_PROF_THROUGHPUT(name, n_items)                                \
-  do                                                                         \
-  {                                                                          \
-  } while (0)
-
-#endif

@@ -22,26 +22,13 @@ struct LungApplicationParameters
 {
   unsigned int generations = 3;
   unsigned int degree = 3;
-  /// CFL constant; the paper runs CFL = 0.4 with ExaDG's element-size
-  /// convention, which corresponds to a smaller constant with the minimal
-  /// directional width used here on the sheared junction cells
-  double cfl = 0.2;
-  double rel_tol = 1e-3; ///< paper's application-run tolerance
-  /// upper bound on the CFL step; also the startup step from rest, before
-  /// the pressure impulse has created a velocity scale
-  double max_dt = 2e-4;
-  /// divergence/continuity penalty strength (zeta of Fehn et al. 2018)
-  double penalty_zeta = 1.;
-  /// penalty velocity floor in units of h/dt (see INSSolver::Parameters)
-  double penalty_floor = 0.05;
-  /// extra uniform refinements (paper's level l)
-  unsigned int global_refinements = 0;
   /// refine airway generations <= this value once (255 = off)
   unsigned int refine_upto_generation = 255;
   LungModelParameters lung;
   VentilatorSettings ventilator;
+  /// the airway tree's morphometry; its n_generations is overridden by
+  /// generations above
   AirwayTreeParameters tree;
-  LungMeshParameters meshing;
 };
 
 class LungApplication
@@ -53,13 +40,11 @@ public:
   {
     prm_.tree.n_generations = prm.generations;
     tree_ = AirwayTree::generate(prm_.tree);
-    lung_mesh_ = build_lung_mesh(tree_, prm_.meshing);
+    lung_mesh_ = build_lung_mesh(tree_);
     mesh_ = std::make_unique<Mesh>(lung_mesh_.coarse);
     if (prm_.refine_upto_generation != 255)
       mesh_->refine(
         lung_mesh_.refine_flags_upto_generation(prm_.refine_upto_generation));
-    if (prm_.global_refinements > 0)
-      mesh_->refine_uniform(prm_.global_refinements);
     geometry_ = std::make_unique<TrilinearGeometry>(mesh_->coarse());
     ventilation_ =
       std::make_unique<VentilationModel>(tree_, prm_.lung, prm_.ventilator);
@@ -92,13 +77,14 @@ public:
     Solver::Parameters sp;
     sp.degree = prm_.degree;
     sp.viscosity = prm_.lung.kinematic_viscosity;
-    sp.cfl = prm_.cfl;
-    sp.max_dt = prm_.max_dt;
-    sp.rel_tol_pressure = prm_.rel_tol;
-    sp.rel_tol_viscous = prm_.rel_tol;
-    sp.rel_tol_projection = prm_.rel_tol;
-    sp.penalty_zeta = prm_.penalty_zeta;
-    sp.penalty_floor = prm_.penalty_floor;
+    // the paper runs CFL = 0.4 with ExaDG's element-size convention, which
+    // corresponds to a smaller constant with the minimal directional width
+    // used here on the sheared junction cells
+    sp.cfl = 0.2;
+    // bounds the CFL step; also the startup step from rest, before the
+    // pressure impulse has created a velocity scale
+    sp.max_dt = 2e-4;
+    sp.rel_tol = 1e-3; // the paper's application-run tolerance
     sp.rotational_pressure_bc = false; // see Parameters doc
     sp.geometry_degree = 1; // lung geometry is vertex-based
     solver_.setup(*mesh_, *geometry_, bc, sp);

@@ -84,8 +84,15 @@ Point project_perp(const Point &v, const Point &dir)
 }
 } // namespace
 
-LungMesh build_lung_mesh(const AirwayTree &tree, const LungMeshParameters &prm)
+LungMesh build_lung_mesh(const AirwayTree &tree)
 {
+  // target axial cell length in units of the local diameter
+  constexpr double axial_spacing_factor = 1. / 3.;
+  // axial cells of non-terminal airways are at least this many (the
+  // side-branch patch occupies three of them plus clearance)
+  constexpr unsigned int min_axial_cells_branching = 5;
+  constexpr unsigned int min_axial_cells_terminal = 3;
+
   const auto &airways = tree.airways();
   LungMesh mesh;
 
@@ -94,11 +101,9 @@ LungMesh build_lung_mesh(const AirwayTree &tree, const LungMeshParameters &prm)
   std::vector<std::vector<index_t>> grids(airways.size());
 
   auto axial_cells = [&](const Airway &a) {
-    const unsigned int min_n = a.terminal()
-                                 ? prm.min_axial_cells_terminal
-                                 : prm.min_axial_cells_branching;
-    const double target = a.length() /
-                          (prm.axial_spacing_factor * a.diameter);
+    const unsigned int min_n =
+      a.terminal() ? min_axial_cells_terminal : min_axial_cells_branching;
+    const double target = a.length() / (axial_spacing_factor * a.diameter);
     return std::max(min_n, static_cast<unsigned int>(std::lround(target)));
   };
 

@@ -41,17 +41,6 @@ struct LungMesh
   }
 };
 
-struct LungMeshParameters
-{
-  /// target axial cell length in units of the local diameter
-  double axial_spacing_factor = 1. / 3.;
-  /// axial cells of non-terminal airways are at least this many (the
-  /// side-branch patch occupies three of them plus clearance)
-  unsigned int min_axial_cells_branching = 5;
-  unsigned int min_axial_cells_terminal = 3;
-};
-
-LungMesh build_lung_mesh(const AirwayTree &tree,
-                         const LungMeshParameters &prm = LungMeshParameters());
+LungMesh build_lung_mesh(const AirwayTree &tree);
 
 } // namespace dgflow

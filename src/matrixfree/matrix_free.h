@@ -352,12 +352,6 @@ public:
     return rank < 0 ? whole_thread_partition_ : thread_partitions_[rank];
   }
 
-  /// Batch containing an active cell.
-  unsigned int batch_of_cell(const index_t cell) const
-  {
-    return batch_of_cell_[cell];
-  }
-
   const CellBatch &cell_batch(const unsigned int b) const
   {
     return cell_batches_[b];
@@ -367,7 +361,6 @@ public:
     return face_batches_[b];
   }
 
-  unsigned int n_spaces() const { return degrees_.size(); }
   unsigned int degree(const unsigned int space) const
   {
     return degrees_[space];

@@ -119,15 +119,7 @@ public:
 
   void vmult(VectorType &dst, const VectorType &src) const
   {
-    dst.reinit(src.size(), true);
-    Number *DGFLOW_RESTRICT d = dst.data();
-    const Number *DGFLOW_RESTRICT s = src.data();
-    const auto f = pointwise();
-    concurrency::ThreadPool::instance().parallel_for(
-      src.size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] = f(i, s[i]);
-      });
+    apply_pointwise(dst, src, pointwise());
   }
 
   /// z_i = f(i, r_i), bitwise entry i of vmult (PointwisePreconditionerFor).

@@ -5,8 +5,8 @@
 // normal-velocity continuity after the projection, giving the L2-conforming
 // DG space the robustness of H(div)-conforming discretizations. The penalty
 // step solves (M + dt * A_pen) u = M u_hat with CG preconditioned by the
-// inverse mass operator; the penalty parameters follow Fehn et al. (2018):
-// tau_D = zeta * ||u||_e * h_e / (k+1), tau_C = zeta * ||u||_f.
+// inverse mass operator; the penalty parameters follow Fehn et al. (2018)
+// with zeta = 1: tau_D = ||u||_e * h_e / (k+1), tau_C = ||u||_f.
 //
 // Evaluation interface per operators/README.md (contract v2): hooked
 // vmult(dst, src, pre, post) (the operator depends on time only through
@@ -25,13 +25,15 @@ public:
   using VA = VectorizedArray<Number>;
   using VectorType = Vector<Number>;
 
+  /// Floor of the penalty velocity scale in units of h/dt (see update()).
+  static constexpr double velocity_floor = 0.05;
+
   void reinit(const MatrixFree<Number> &mf, const unsigned int u_space,
-              const unsigned int quad, const Number zeta = Number(1))
+              const unsigned int quad)
   {
     mf_ = &mf;
     space_ = u_space;
     quad_ = quad;
-    zeta_ = zeta;
     tau_div_.resize(mf.n_cell_batches());
     tau_cont_.resize(mf.n_face_batches());
     cell_norm_.assign(mf.n_cells(), Number(0));
@@ -39,13 +41,12 @@ public:
 
   /// Recomputes the penalty parameters from the current velocity field and
   /// sets the time step scaling. The velocity scale is floored at
-  /// floor_factor * h/dt: the penalty must not vanish at startup from rest,
+  /// velocity_floor * h/dt: the penalty must not vanish at startup from rest,
   /// where it is the only mechanism damping the spurious pressure-projection
   /// modes of the L2-conforming splitting (Fehn et al. 2017). Both loops run
   /// on the pool over batch ranges: each cell batch writes its own entries,
   /// each face batch its own parameter.
-  void update(const VectorType &u, const Number dt,
-              const Number floor_factor = Number(0.05))
+  void update(const VectorType &u, const Number dt)
   {
     dt_ = dt;
     const unsigned int degree = mf_->degree(space_);
@@ -71,9 +72,9 @@ public:
           }
           const VA h = mf_->cell_width()[b];
           const VA u_norm = sqrt(norm_sq / vol) +
-                            floor_factor * h /
+                            Number(velocity_floor) * h /
                               (dt > Number(0) ? dt : Number(1));
-          tau_div_[b] = zeta_ * u_norm * h * Number(1. / (degree + 1));
+          tau_div_[b] = u_norm * h * Number(1. / (degree + 1));
           const auto &batch = mf_->cell_batch(b);
           for (unsigned int l = 0; l < batch.n_filled; ++l)
             cell_norm_[batch.cells[l]] = u_norm[l];
@@ -94,7 +95,7 @@ public:
             Number t = cell_norm_[fb.cells_m[l]];
             if (fb.interior)
               t = Number(0.5) * (t + cell_norm_[fb.cells_p[l]]);
-            tau[l] = zeta_ * t;
+            tau[l] = t;
           }
           tau_cont_[b] = tau;
         }
@@ -163,7 +164,6 @@ public:
 private:
   const MatrixFree<Number> *mf_ = nullptr;
   unsigned int space_ = 0, quad_ = 0;
-  Number zeta_ = Number(1);
   Number dt_ = Number(0);
   AlignedVector<VA> tau_div_;
   AlignedVector<VA> tau_cont_;

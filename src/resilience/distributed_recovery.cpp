@@ -20,20 +20,10 @@ std::string rank_list(const std::vector<int> &ranks)
 }
 } // namespace
 
-RecoveryContext::RecoveryContext(vmpi::Communicator &comm)
-  : RecoveryContext(comm, Options())
-{}
-
-RecoveryContext::RecoveryContext(vmpi::Communicator &comm,
-                                 const Options &options)
-  : comm_(comm), options_(options)
-{}
-
 void RecoveryContext::at_iteration_boundary(const bool local_ok)
 {
   ++agreements_;
-  const vmpi::AgreeResult verdict =
-    comm_.agree(local_ok, options_.agree_timeout);
+  const vmpi::AgreeResult verdict = comm_.agree(local_ok);
   if (verdict.all_ok)
     return;
 
@@ -59,8 +49,7 @@ void RecoveryContext::resolve_failure()
   ++agreements_;
   // this rank is alive (it is executing this code); the dead are whoever
   // fails to arrive before the round's deadline
-  const vmpi::AgreeResult verdict =
-    comm_.agree(true, options_.agree_timeout);
+  const vmpi::AgreeResult verdict = comm_.agree(true);
 
   // drain everything queued for the abandoned exchange and enter the next
   // epoch: any message of the old epoch still in flight (a peer's send that
@@ -109,7 +98,7 @@ DistributedRunReport run_resilient(
     {
       vmpi::run(attempt.n_ranks, [&](vmpi::Communicator &comm) {
         comm.advance_epoch(attempt.epoch);
-        RecoveryContext ctx(comm, options.context);
+        RecoveryContext ctx(comm);
         body(comm, ctx, attempt);
       });
       report.succeeded = true;
@@ -130,8 +119,9 @@ DistributedRunReport run_resilient(
       report.failure_history.push_back(dead);
       const int survivors =
         attempt.n_ranks - static_cast<int>(dead.size());
-      if (survivors < options.min_ranks ||
-          report.attempts >= options.max_attempts)
+      // (a failure naming no rank would not shrink the run: rethrow it
+      // rather than retry the same width without bound)
+      if (dead.empty() || survivors < options.min_ranks)
         throw;
       ++report.shrinks;
       ++report.restores;
@@ -152,8 +142,7 @@ DistributedRunReport run_resilient(
       // artifacts) and no checkpoint restore. Does not count toward the
       // per-width retry budget: a scrubbed rerun starts from clean state.
       ++report.sdc_repairs;
-      if (report.sdc_repairs > options.max_sdc_repairs ||
-          report.attempts >= options.max_attempts)
+      if (report.sdc_repairs > options.max_sdc_repairs)
         throw;
       DGFLOW_PROF_COUNT("recovery_sdc_repairs", 1);
       attempt.failed_ranks.clear();
@@ -166,8 +155,7 @@ DistributedRunReport run_resilient(
       // transient failure (timeout, corruption, abandoned solve): climb the
       // retry -> restore rungs at the current width
       ++retries_at_width;
-      if (retries_at_width > options.max_retries_per_width ||
-          report.attempts >= options.max_attempts)
+      if (retries_at_width > options.max_retries_per_width)
         throw;
       attempt.failed_ranks.clear();
       attempt.restore = retries_at_width >= 2;

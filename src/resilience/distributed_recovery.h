@@ -84,23 +84,14 @@ public:
 class RecoveryContext : public RecoveryHooks
 {
 public:
-  struct Options
-  {
-    /// solver iterations between agreement rounds (agreement is a
-    /// collective; probing every iteration of a cheap smoother would
-    /// dominate its cost)
-    int agree_stride = 4;
-    /// per-round agreement deadline in seconds (<= 0: the communicator's
-    /// default timeout)
-    double agree_timeout = 0.;
-  };
-
-  explicit RecoveryContext(vmpi::Communicator &comm);
-  RecoveryContext(vmpi::Communicator &comm, const Options &options);
+  explicit RecoveryContext(vmpi::Communicator &comm) : comm_(comm) {}
 
   vmpi::Communicator &communicator() { return comm_; }
 
-  int stride() const override { return options_.agree_stride; }
+  /// Solver iterations between agreement rounds (agreement is a
+  /// collective; probing every iteration of a cheap smoother would dominate
+  /// its cost). Each round waits up to the communicator's timeout.
+  int stride() const override { return 4; }
 
   /// One agreement round (see file comment): returns normally iff every
   /// rank arrived and voted ok; throws vmpi::RankFailure (absent ranks) or
@@ -121,7 +112,6 @@ public:
 
 private:
   vmpi::Communicator &comm_;
-  Options options_;
   unsigned long long agreements_ = 0;
 };
 
@@ -145,15 +135,13 @@ struct RecoveryAttempt
 
 struct DistributedRecoveryOptions
 {
-  int min_ranks = 1;    ///< give up shrinking below this
-  int max_attempts = 8; ///< total vmpi::run invocations before giving up
+  int min_ranks = 1; ///< give up shrinking below this
   /// non-death failures tolerated at one rank count: the first takes the
   /// plain-retry rung, the second the restore rung, the next rethrows
   int max_retries_per_width = 2;
   /// SDC-repair rungs tolerated over the whole run (they do not count
   /// toward max_retries_per_width: a scrubbed rerun starts clean)
   int max_sdc_repairs = 2;
-  RecoveryContext::Options context;
   /// when set (borrowed), every recovery rung taken reports one observed
   /// failure to the scheduler — the MTBF feed of the Young/Daly checkpoint
   /// interval (resilience/ckpt_scheduler.h), closing the loop between "how
@@ -180,7 +168,9 @@ struct DistributedRunReport
 /// (SolverControl::recovery, HybridMultigrid::set_recovery), wrap solves in
 /// try/catch that routes vmpi::TimeoutError through ctx.resolve_failure(),
 /// and honor attempt.restore / attempt.n_ranks when (re)building its
-/// distributed state. Throws the last error when the ladder is exhausted.
+/// distributed state. Throws the last error when the ladder is exhausted:
+/// below min_ranks, past max_retries_per_width at one width or past
+/// max_sdc_repairs, which bounds the number of attempts.
 DistributedRunReport run_resilient(
   const int n_ranks, const DistributedRecoveryOptions &options,
   const std::function<void(vmpi::Communicator &, RecoveryContext &,

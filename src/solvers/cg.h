@@ -72,7 +72,6 @@ struct SolverControl
 {
   unsigned int max_iterations = 1000;
   double rel_tol = 1e-10;
-  double abs_tol = 0.;
   /// declare stagnation after this many consecutive iterations without any
   /// residual improvement (0 disables the check)
   unsigned int stagnation_window = 100;
@@ -176,15 +175,7 @@ public:
   void vmult(VectorType &dst, const VectorType &src) const
   {
     DGFLOW_DEBUG_ASSERT(src.size() == inv_diag_.size(), "size mismatch");
-    dst.reinit_like(src, true);
-    Number *DGFLOW_RESTRICT d = dst.data();
-    const Number *DGFLOW_RESTRICT s = src.data();
-    const Number *DGFLOW_RESTRICT inv = inv_diag_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      src.size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] = inv[i] * s[i];
-      });
+    apply_pointwise(dst, src, pointwise());
   }
 
   /// z_i = f(i, r_i), bitwise entry i of vmult (PointwisePreconditionerFor).
@@ -408,8 +399,7 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     }));
 
   const double b_norm = double(std::sqrt(Number(setup_sums[0])));
-  const double tol =
-    std::max(control.abs_tol, control.rel_tol * (b_norm > 0 ? b_norm : 1.));
+  const double tol = control.rel_tol * (b_norm > 0 ? b_norm : 1.);
 
   double res_norm = double(std::sqrt(Number(setup_sums[1])));
   result.initial_residual = res_norm;
@@ -482,12 +472,9 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
     res_norm = snap_res;
     result.final_residual = res_norm;
     pending_beta = false;
-    if constexpr (distributed)
-    {
-      x.invalidate_ghosts();
-      r.invalidate_ghosts();
-      p.invalidate_ghosts();
-    }
+    x.invalidate_ghosts();
+    r.invalidate_ghosts();
+    p.invalidate_ghosts();
     return true;
   };
 
@@ -514,11 +501,8 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
                                   r.size() * sizeof(Number));
       control.abft_inject->inject("krylov_p", it, inject_rank, p.data(),
                                   p.size() * sizeof(Number));
-      if constexpr (distributed)
-      {
-        x.invalidate_ghosts();
-        r.invalidate_ghosts();
-      }
+      x.invalidate_ghosts();
+      r.invalidate_ghosts();
     }
     if (abft_m > 0 && it > 1 && (it - 1) % abft_m == 0)
     {
@@ -528,8 +512,7 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
       if (pending_beta)
       {
         concurrency::ThreadPool::instance().parallel_for(p.size(), update_p);
-        if constexpr (distributed)
-          p.invalidate_ghosts();
+        p.invalidate_ghosts();
         pending_beta = false;
       }
       ++result.residual_replays;
@@ -635,11 +618,8 @@ SolveStats solve_cg(const Operator &A, VectorType &x, const VectorType &b,
                                          std::as_const(Ap).data(), alpha, f,
                                          i0, i1);
       }));
-    if constexpr (distributed)
-    {
-      x.invalidate_ghosts();
-      r.invalidate_ghosts();
-    }
+    x.invalidate_ghosts();
+    r.invalidate_ghosts();
 
     res_norm = double(std::sqrt(Number(sums[0])));
     result.iterations = it;

@@ -179,7 +179,6 @@ public:
   void smooth(VectorType &x, const VectorType &b,
               const bool zero_initial_guess) const
   {
-    constexpr bool distributed = is_distributed_vector_v<VectorType>;
     if (data_.recovery)
       data_.recovery->at_iteration_boundary(true);
     DGFLOW_PROF_COUNT("chebyshev_sweeps", 1);
@@ -219,8 +218,7 @@ public:
                    });
       // the post hooks mutated x (the vmult's src) after the ghost
       // exchange, so the neighbors' copies are stale now
-      if constexpr (distributed)
-        x.invalidate_ghosts();
+      x.invalidate_ghosts();
     };
 
     if (zero_initial_guess)
@@ -239,8 +237,7 @@ public:
             xd[i] = Number(0) + Number(1) * dd[i];
           });
       });
-      if constexpr (distributed)
-        x.invalidate_ghosts();
+      x.invalidate_ghosts();
     }
     else
       step(Number(0), theta_inv, /*first=*/true);
@@ -256,9 +253,6 @@ public:
     if (data_.abft_check)
       abft_check_result(x, b, zero_initial_guess);
   }
-
-  /// Sweeps discarded by the ABFT guard since reinit (abft_check on).
-  unsigned long long abft_repairs() const { return abft_repairs_; }
 
   /// smooth() plus a finiteness check of the result, reported as a
   /// SolveStats (failure = non_finite when the sweep produced NaN/Inf).
@@ -333,15 +327,12 @@ private:
       ok = std::fabs(double(xd[i])) <= bound; // NaN fails the comparison
     if (ok)
       return;
-    ++abft_repairs_;
     DGFLOW_PROF_COUNT("abft_sdc_detected", 1);
     DGFLOW_PROF_COUNT("abft_smoother_repairs", 1);
     if (zero_initial_guess)
       x = Number(0);
     else
       x.equ(Number(1), abft_in_);
-    if constexpr (is_distributed_vector_v<VectorType>)
-      x.invalidate_ghosts();
   }
 
   void initialize(const Operator &op, Preconditioner preconditioner,
@@ -349,7 +340,6 @@ private:
   {
     op_ = &op;
     data_ = data;
-    abft_repairs_ = 0;
     setup_stats_ = SolveStats();
     precond_ = std::move(preconditioner);
     if (precond_.n_fallbacks() > 0)
@@ -475,7 +465,6 @@ private:
   SolveStats setup_stats_;
   mutable VectorType r_, d_;
   mutable VectorType abft_in_; ///< sweep input saved by the ABFT guard
-  mutable unsigned long long abft_repairs_ = 0;
 };
 
 } // namespace dgflow

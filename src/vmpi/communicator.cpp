@@ -104,7 +104,6 @@ void Communicator::send(const int dest, const int tag, const void *data,
   DGFLOW_ASSERT(dest >= 0 && dest < size(), "invalid destination rank");
   traffic_.messages += 1;
   traffic_.bytes += bytes;
-  beat();
 
   FaultAction action;
   if (faults_)
@@ -197,7 +196,6 @@ std::size_t Communicator::recv(const int source, const int tag, void *data,
       if (bytes > 0)
         std::memcpy(data, it->data.data(), bytes);
       box.messages.erase(it);
-      beat();
       return bytes;
     }
 
@@ -293,7 +291,6 @@ void Communicator::allreduce_impl(std::vector<double> &values, const Op op,
           rank_, -1, -1, seconds_since(start));
     }
   }
-  beat();
 
   const auto timed_wait = [&](std::unique_lock<std::mutex> &lock,
                               const auto &predicate, const char *phase) {
@@ -403,7 +400,6 @@ AgreeResult Communicator::agree(const bool local_ok,
                                 const double timeout_seconds)
 {
   traffic_.agreements += 1;
-  beat();
   const auto start = clock::now();
   const double budget =
     timeout_seconds > 0. ? timeout_seconds : timeout_seconds_;

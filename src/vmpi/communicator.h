@@ -26,8 +26,6 @@
 //  * Messages carry the sender's epoch; recv only matches the current
 //    epoch, and advance_epoch()/cancel_pending() drain stale traffic so
 //    abandoned in-flight exchanges cannot corrupt the retry of a solve.
-//  * Per-rank heartbeat counters are piggybacked on every send/recv/
-//    collective; vmpi::HealthMonitor turns them into straggler suspicion.
 
 #include <chrono>
 #include <condition_variable>
@@ -36,9 +34,7 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -222,12 +218,8 @@ struct AgreeRound
 struct SharedState
 {
   explicit SharedState(const int n)
-    : mailboxes(n), n_ranks(n), coll_contributions(n), coll_checksums(n, 0),
-      heartbeats(new std::atomic<unsigned long long>[n])
-  {
-    for (int r = 0; r < n; ++r)
-      heartbeats[r].store(0, std::memory_order_relaxed);
-  }
+    : mailboxes(n), n_ranks(n), coll_contributions(n), coll_checksums(n, 0)
+  {}
   std::vector<Mailbox> mailboxes;
   int n_ranks;
   /// default wait deadline for all ranks (seconds; <= 0 waits forever)
@@ -253,11 +245,6 @@ struct SharedState
   std::mutex agree_mutex;
   std::condition_variable agree_cv;
   std::map<long, AgreeRound> agree_rounds;
-
-  /// per-rank progress counters bumped on every send/recv/collective —
-  /// the heartbeat HealthMonitor reads (piggybacked on existing traffic,
-  /// no extra messages)
-  std::unique_ptr<std::atomic<unsigned long long>[]> heartbeats;
 };
 } // namespace internal
 
@@ -378,14 +365,6 @@ public:
   /// number of messages drained (also counted in traffic().drained).
   std::size_t cancel_pending();
 
-  /// This rank's progress heartbeat: bumped on every send, delivered recv
-  /// and collective. Piggybacked on existing traffic — reading a peer's
-  /// counter costs no message (vmpi::HealthMonitor builds on this).
-  unsigned long long heartbeat(const int rank) const
-  {
-    return state_.heartbeats[rank].load(std::memory_order_relaxed);
-  }
-
 private:
   /// Collective rendezvous shared by barrier (empty vector) and allreduce,
   /// so barriers are not double-counted as allreduces.
@@ -395,11 +374,6 @@ private:
   /// Removes messages with an epoch older than the current one from the
   /// locked mailbox deque (caller holds the mailbox mutex).
   std::size_t drain_stale_locked(std::deque<internal::Message> &messages);
-
-  void beat()
-  {
-    state_.heartbeats[rank_].fetch_add(1, std::memory_order_relaxed);
-  }
 
   internal::SharedState &state_;
   int rank_;

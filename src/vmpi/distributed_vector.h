@@ -3,12 +3,12 @@
 // Distributed solution vector over a vmpi Partitioner: owned elements first
 // (one contiguous block of block_size scalars per element, matching the
 // cell-local DG DoF layout), ghost elements appended in ascending global
-// order. Implements the same vector-space concept as the serial Vector
-// (add/sadd/equ/scale, allreduce-backed dot and norms) plus the ghost
-// machinery the distributed operator evaluation needs: a split non-blocking
-// update_ghost_values_start()/finish() pair — post the sends, evaluate owned
-// cells, wait, evaluate cut faces — and compress_add() for the reverse
-// ghost-to-owner accumulation.
+// order. Implements the same vector-space concept as the serial Vector (its
+// elementwise operations, internal::ElementwiseOps, and allreduce-backed dot
+// and norms) plus the ghost machinery the distributed operator evaluation
+// needs: a split non-blocking update_ghost_values_start()/finish() pair —
+// post the sends, evaluate owned cells, wait, evaluate cut faces — and
+// compress_add() for the reverse ghost-to-owner accumulation.
 //
 // Ghost-state contract (operators/README.md "Ghost state"): the vector
 // tracks whether its ghost section is up to date. Reading ghost elements
@@ -34,6 +34,7 @@ namespace vmpi
 {
 template <typename Number>
 class DistributedVector
+  : public dgflow::internal::ElementwiseOps<DistributedVector<Number>, Number>
 {
 public:
   using value_type = Number;
@@ -102,10 +103,11 @@ public:
 
   GhostState ghost_state() const { return state_; }
 
-  /// Marks the ghost section stale without touching any data. Solver hooks
-  /// that mutate owned entries through raw indexing (the fused cell-loop
-  /// post hooks) call this so the ghost-state guard keeps catching stale
-  /// reads; the next vmult re-exchanges regardless.
+  /// Marks the ghost section stale without touching any data. The
+  /// elementwise operations and the solver hooks that mutate owned entries
+  /// through raw indexing (the fused cell-loop post hooks) call this so the
+  /// ghost-state guard keeps catching stale reads; the next vmult
+  /// re-exchanges regardless.
   void invalidate_ghosts() const { state_ = GhostState::owned_only; }
 
   /// Local storage: [0, size()) owned scalars, then ghost scalars.
@@ -141,90 +143,6 @@ public:
   void operator=(const Number s)
   {
     data_.fill(s);
-    state_ = GhostState::owned_only;
-  }
-
-  /// this += a * x
-  void add(const Number a, const DistributedVector &x)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size(), "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] += a * xd[i];
-      });
-    state_ = GhostState::owned_only;
-  }
-
-  /// this = s * this + a * x
-  void sadd(const Number s, const Number a, const DistributedVector &x)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size(), "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] = s * d[i] + a * xd[i];
-      });
-    state_ = GhostState::owned_only;
-  }
-
-  /// this = a * x
-  void equ(const Number a, const DistributedVector &x)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size(), "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] = a * xd[i];
-      });
-    state_ = GhostState::owned_only;
-  }
-
-  /// this = a * x + b * y
-  void equ(const Number a, const DistributedVector &x, const Number b,
-           const DistributedVector &y)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size() && y.size() == size(),
-                        "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    const Number *DGFLOW_RESTRICT yd = y.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] = a * xd[i] + b * yd[i];
-      });
-    state_ = GhostState::owned_only;
-  }
-
-  void scale(const Number a)
-  {
-    Number *DGFLOW_RESTRICT d = data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] *= a;
-      });
-    state_ = GhostState::owned_only;
-  }
-
-  /// Pointwise multiply: this[i] *= x[i] (Jacobi preconditioning).
-  void scale_pointwise(const DistributedVector &x)
-  {
-    DGFLOW_DEBUG_ASSERT(x.size() == size(), "size mismatch");
-    Number *DGFLOW_RESTRICT d = data_.data();
-    const Number *DGFLOW_RESTRICT xd = x.data_.data();
-    concurrency::ThreadPool::instance().parallel_for(
-      size(), [&](const std::size_t i0, const std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i)
-          d[i] *= xd[i];
-      });
     state_ = GhostState::owned_only;
   }
 

@@ -64,9 +64,7 @@ INSSolver<double>::Parameters es_parameters(const EthierSteinman &es)
   prm.degree = 3;
   prm.viscosity = es.nu;
   prm.cfl = 0.2; // adaptive dt: the restart must reproduce the dt sequence
-  prm.rel_tol_pressure = 1e-8;
-  prm.rel_tol_viscous = 1e-8;
-  prm.rel_tol_projection = 1e-8;
+  prm.rel_tol = 1e-8;
   return prm;
 }
 

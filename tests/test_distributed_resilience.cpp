@@ -27,7 +27,6 @@
 #include "resilience/shard_checkpoint.h"
 #include "solvers/cg.h"
 #include "vmpi/distributed_vector.h"
-#include "vmpi/health_monitor.h"
 #include "vmpi/partitioner.h"
 
 using namespace dgflow;
@@ -303,53 +302,6 @@ TEST(Epochs, EpochMustNotGoBackwards)
     EXPECT_EQ(comm.epoch(), 2);
     EXPECT_THROW(comm.advance_epoch(1), std::runtime_error);
   });
-}
-
-// ---------------------------------------------------------------------------
-// heartbeats
-// ---------------------------------------------------------------------------
-
-TEST(Heartbeats, MonitorSuspectsTheSilentRankOnly)
-{
-  const int n_ranks = 3;
-  std::atomic<bool> silent_suspected{false}, peer_suspected{false};
-  vmpi::run(n_ranks, [&](vmpi::Communicator &comm) {
-    comm.set_timeout(5.);
-    if (comm.rank() == 2)
-    {
-      // silent: no traffic for much longer than the suspicion window
-      std::this_thread::sleep_for(std::chrono::milliseconds(700));
-      comm.barrier();
-      return;
-    }
-    vmpi::HealthMonitor monitor(comm, 0.2);
-    const int peer = 1 - comm.rank();
-    const auto start = std::chrono::steady_clock::now();
-    while (seconds_since(start) < 3.)
-    {
-      // ranks 0 and 1 keep chatting (buffered sends bump the sender's
-      // heartbeat; no recv, so neither can block on the other)
-      const int ping = 1;
-      comm.send(peer, 99, &ping, sizeof(ping));
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      const std::vector<int> suspects = monitor.suspects();
-      if (!suspects.empty())
-      {
-        if (comm.rank() == 0)
-        {
-          silent_suspected =
-            std::find(suspects.begin(), suspects.end(), 2) != suspects.end();
-          peer_suspected =
-            std::find(suspects.begin(), suspects.end(), 1) != suspects.end();
-        }
-        break;
-      }
-    }
-    comm.barrier();
-  });
-  EXPECT_TRUE(silent_suspected.load());
-  EXPECT_FALSE(peer_suspected.load())
-    << "a chatty peer must never be suspected";
 }
 
 // ---------------------------------------------------------------------------

@@ -258,7 +258,6 @@ TEST(Instrumentation, VmpiTrafficIgnoredWhenDisabled)
   EXPECT_EQ(report.vmpi.barriers, 0ull);
 }
 
-#ifdef DGFLOW_PROFILE
 TEST(Instrumentation, MacrosRecordScopesAndCounters)
 {
   ProfilerSession session;
@@ -276,4 +275,3 @@ TEST(Instrumentation, MacrosRecordScopesAndCounters)
   EXPECT_EQ(inner->count, 1ul);
   EXPECT_EQ(report.counters.at("macro_counter"), 10ll);
 }
-#endif

@@ -28,9 +28,6 @@ std::string slurp(const std::string &path)
 
 TEST(ProfileSmoke, QuickstartEmitsValidProfileJson)
 {
-#ifndef DGFLOW_PROFILE
-  GTEST_SKIP() << "built without DGFLOW_PROFILE";
-#else
   const std::string json_path = "profile_smoke.json";
   const std::string stdout_path = "profile_smoke_stdout.txt";
   std::remove(json_path.c_str());
@@ -85,5 +82,4 @@ TEST(ProfileSmoke, QuickstartEmitsValidProfileJson)
 
   std::remove(json_path.c_str());
   std::remove(stdout_path.c_str());
-#endif
 }

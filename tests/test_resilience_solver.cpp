@@ -95,9 +95,7 @@ INSSolver<double>::Parameters es_parameters(const EthierSteinman &es,
   prm.degree = 3;
   prm.viscosity = es.nu;
   prm.fixed_dt = dt;
-  prm.rel_tol_pressure = 1e-8;
-  prm.rel_tol_viscous = 1e-8;
-  prm.rel_tol_projection = 1e-8;
+  prm.rel_tol = 1e-8;
   return prm;
 }
 } // namespace

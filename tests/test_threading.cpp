@@ -635,7 +635,7 @@ RhsRun run_right_hand_sides(const unsigned int nt)
   prm.degree = 3;
   prm.viscosity = es.nu;
   prm.fixed_dt = 0.01;
-  prm.rel_tol_pressure = prm.rel_tol_viscous = prm.rel_tol_projection = 1e-8;
+  prm.rel_tol = 1e-8;
   prm.velocity_neumann_data = neumann;
   EXPECT_TRUE(prm.rotational_pressure_bc);
   INSSolver<double> solver;
