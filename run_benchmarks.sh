@@ -98,15 +98,18 @@ if [ -z "$DGFLOW_SKIP_VERIFY" ]; then
   # multigrid and solver suites (labels multigrid and solvers): the DG
   # levels' smoothers index their inverse cell blocks from hook ranges,
   # and the blocks are inverted lane-batched, cell groups padded to the
-  # SIMD width.
-  echo "verify pass: resilience|abft|common|io_resilience|operators|multigrid|solvers under DGFLOW_SANITIZE=undefined"
+  # SIMD width. So does the mixed-precision suite (label mixed_precision):
+  # its fused-sweep pins run the sweeps and their bitwise comparisons at
+  # every length, the empty vector included.
+  echo "verify pass: resilience|abft|common|io_resilience|operators|multigrid|solvers|mixed_precision under DGFLOW_SANITIZE=undefined"
   cmake -B build-ubsan -S . -DDGFLOW_SANITIZE=undefined > /dev/null
   cmake --build build-ubsan -j \
     --target test_resilience_vmpi test_resilience_solver test_checkpoint \
     test_abft abft_microbench test_aligned_vector test_checksum \
     test_ckpt_io test_laplace test_incns_operators test_incns_solver \
-    test_multigrid test_transfer test_chebyshev > /dev/null
-  (cd build-ubsan && ctest -L "^(resilience|abft|common|io_resilience|operators|multigrid|solvers)$" --output-on-failure)
+    test_multigrid test_transfer test_chebyshev test_mixed_precision \
+    > /dev/null
+  (cd build-ubsan && ctest -L "^(resilience|abft|common|io_resilience|operators|multigrid|solvers|mixed_precision)$" --output-on-failure)
 
   # Benchmark smoke: the repository benchmark (dgbench/, the harness behind
   # BENCHMARK.json) runs every workload for a few steps, untraced and

@@ -1,16 +1,15 @@
 #pragma once
 
-// Strict environment-variable parsing. The fault-injection and vmpi timeout
-// knobs steer failure-recovery behavior; a typo'd value silently parsed to 0
-// (the atof/atoi behavior) turns "inject faults" into "inject nothing" and a
-// test that asserts the recovery path fired into a vacuous pass. These
-// helpers therefore fail fast: a set-but-malformed or out-of-range value
-// throws EnvVarError with a message naming the variable, the offending value
-// and the accepted range. Unset variables return the fallback as before.
+// Strict parsing of the numeric environment variables the library reads
+// (DGFLOW_VMPI_TIMEOUT, DGFLOW_THREADS). A typo'd value silently parsed to 0
+// (the atof/atoi behavior) would turn the vmpi deadline into "wait forever"
+// and a pool width into a value nobody asked for. These helpers therefore
+// fail fast: a set-but-malformed or out-of-range value throws EnvVarError
+// with a message naming the variable, the offending value and the accepted
+// range. Unset variables return the fallback as before.
 
 #include <cerrno>
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -72,21 +71,6 @@ inline long long env_integer(const char *name, const long long fallback,
   if (end == v || *end != '\0' || errno == ERANGE || parsed < lo ||
       parsed > hi)
     internal::env_var_failure(name, v, expected.str().c_str());
-  return parsed;
-}
-
-/// Parses @p name as an unsigned 64-bit integer (hash seeds); unset returns
-/// @p fallback, malformed throws EnvVarError naming the variable.
-inline std::uint64_t env_uint64(const char *name, const std::uint64_t fallback)
-{
-  const char *v = std::getenv(name);
-  if (!v)
-    return fallback;
-  errno = 0;
-  char *end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || v[0] == '-')
-    internal::env_var_failure(name, v, "an unsigned 64-bit integer");
   return parsed;
 }
 

@@ -2,14 +2,18 @@
 
 // Compile-time kernel dispatch (paper Section 3.1: fully-unrolled fixed-size
 // sum-factorization kernels are a prerequisite for operating near the
-// memory-bandwidth roofline). For the (degree, n_q_1d) combinations the
-// paper exercises - k = 1..9 with n_q = k+1 (collocated) and
-// ceil(3(k+1)/2) (overintegrated) - dedicated translation units instantiate
-// the fixed-extent kernels of fem/tensor_kernels.h and publish them through
-// small function-pointer tables. The batch KernelBackend
+// memory-bandwidth roofline). For the (degree, n_q_1d) combinations of
+// fem/kernel_dispatch_sizes.h - k = 1..9 with the collocated n_q = k+1,
+// which the programs run, and ceil(3(k+1)/2), of which only (1, 3) runs (the
+// k=2 flow solver's divergence and gradient) - dedicated translation units
+// instantiate the fixed-extent kernels of fem/tensor_kernels.h and publish
+// them through small function-pointer tables. The batch KernelBackend
 // (fem/kernel_backend.h) looks the tables up once at construction and falls
 // back to the runtime-extent kernels whenever no instantiation exists, so
-// uncovered sizes keep working through the verified generic path.
+// uncovered sizes keep working through the verified generic path. Two sizes
+// of the k=3 lung step are uncovered: the over-integrated (n_q = k+2)
+// convective apply at (3, 5) and the divergence/gradient pressure
+// evaluators at (2, 4).
 //
 // Adding a new (degree, n_q_1d) instantiation is a one-line change to
 // DGFLOW_KERNEL_DISPATCH_SIZES in fem/kernel_dispatch_sizes.h; see

@@ -513,22 +513,13 @@ public:
   /// L2 norm of the velocity divergence (diagnostic for the penalty step).
   double divergence_l2() const
   {
-    FEEvaluation<Number, 3> phi(mf_, u_space, quad_u);
-    double err = 0;
-    for (unsigned int b = 0; b < mf_.n_cell_batches(); ++b)
-    {
-      phi.reinit(b);
-      phi.read_dof_values(u_);
-      phi.evaluate(false, true);
-      for (unsigned int q = 0; q < phi.n_q_points; ++q)
-      {
+    return std::sqrt(quadrature_sum<3>(
+      mf_, u_space, quad_u, &u_, true,
+      [](const auto &phi, const unsigned int q, const unsigned int l,
+         double &err) {
         const VA d = phi.get_divergence(q);
-        const VA jxw = phi.JxW(q);
-        for (unsigned int l = 0; l < phi.n_filled_lanes(); ++l)
-          err += double(d[l]) * double(d[l]) * double(jxw[l]);
-      }
-    }
-    return std::sqrt(err);
+        err += double(d[l]) * double(d[l]) * double(phi.JxW(q)[l]);
+      }));
   }
 
 private:

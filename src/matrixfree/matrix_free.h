@@ -123,12 +123,16 @@ public:
 
   /// Metric data at cell quadrature points. Batches classified Cartesian or
   /// affine store one J^{-T} and det(J) per batch instead of per-q tensors
-  /// (JxW reconstructs as det * reference weight) - on the octree lung
-  /// meshes, where nearly all cells are Cartesian, this removes the
-  /// dominant metric stream from the vmult roofline. General batches keep
-  /// the per-q layout; data_index maps a batch into whichever storage its
-  /// class uses. q_points stay per-q for every batch: they are off the
-  /// vmult hot path (rhs assembly, error norms).
+  /// (JxW reconstructs as det * reference weight), which removes the
+  /// dominant metric stream from the vmult roofline. That pays on the
+  /// Cartesian cube benchmarks (kernels_microbench), not on the lung
+  /// meshes, whose cells are general hexahedra: the g=3 mesh has 20
+  /// Cartesian cells of 1,296 and compresses no batch (ratio 1.000), the
+  /// g3r1 mesh 20 of 470 cell batches and 19 of 1,632 face batches (ratio
+  /// 0.978), since a batch compresses only when all its lanes do. General
+  /// batches keep the per-q layout; data_index maps a batch into whichever
+  /// storage its class uses. q_points stay per-q for every batch: they are
+  /// off the vmult hot path (rhs assembly, error norms).
   struct CellMetric
   {
     std::vector<GeometryType> type;       ///< per batch (weakest lane)

@@ -6,7 +6,9 @@
 //
 // apply_weak_form: the operator's action. Each integral runs between the
 // gather of the DoF values and their scatter; vmult passes ZeroData, the
-// time-dependent apply the flow boundary data (operators/boundary.h).
+// time-dependent apply the flow boundary data (operators/boundary.h). A
+// square form reads and integrates on one space; a mixed form (divergence,
+// gradient) reads on its trial space and integrates on its test space.
 //
 // probe_diagonal: the operator diagonal by unit-vector probing. For each
 // local DoF j of a cell or face side, load e_j, run the operator's integral
@@ -64,61 +66,154 @@ struct DataTerms
   std::optional<H> h; ///< Neumann flux, tested with v on the other faces
 };
 
-/// dst += the weak form of the operator @p op on @p space with
-/// @p n_components components, applied to src: op provides the member
-/// templates cell_integral(phi), face_integral(phi_m, phi_p),
-/// boundary_integral(phi_m, g) and has_boundary_integral(boundary_id). The
-/// data binder @p g is shared by every thread chunk, so it must be safe to
-/// call concurrently. pre/post are forwarded to cell_face_loop; the caller
-/// zeroes dst.
+/// The trial space of a mixed weak form (apply_weak_form): the
+/// n_components-component functions of MatrixFree space @p index.
+template <int n_components_>
+struct TrialSpace
+{
+  static constexpr int n_components = n_components_;
+  unsigned int index;
+};
+
+/// apply_weak_form's default trial space: its test space (a square form).
+struct SameSpace
+{};
+
+namespace internal
+{
+/// One thread chunk's evaluators of the n_components-component functions
+/// of one space: a cell evaluator and the two sides of a face.
+template <typename Number, int n_components>
+struct SpaceEvaluators
+{
+  SpaceEvaluators(const MatrixFree<Number> &mf, const unsigned int space,
+                  const unsigned int quad)
+    : cell(std::make_shared<FEEvaluation<Number, n_components>>(mf, space,
+                                                                 quad)),
+      m(std::make_shared<FEFaceEvaluation<Number, n_components>>(
+        mf, space, quad, true)),
+      p(std::make_shared<FEFaceEvaluation<Number, n_components>>(
+        mf, space, quad, false))
+  {}
+
+  std::shared_ptr<FEEvaluation<Number, n_components>> cell;
+  std::shared_ptr<FEFaceEvaluation<Number, n_components>> m, p;
+};
+
+/// A square weak form seen through the mixed integral signatures of
+/// apply_weak_form: its trial and test evaluators are one.
+template <typename Operator>
+struct SquareForm
+{
+  const Operator &op;
+
+  template <typename Eval>
+  void cell_integral(Eval &, Eval &phi) const
+  {
+    op.cell_integral(phi);
+  }
+  template <typename FaceEval>
+  void face_integral(FaceEval &, FaceEval &, FaceEval &phi_m,
+                     FaceEval &phi_p) const
+  {
+    op.face_integral(phi_m, phi_p);
+  }
+  template <typename FaceEval, typename Data>
+  void boundary_integral(FaceEval &, FaceEval &phi_m, const Data &g) const
+  {
+    op.boundary_integral(phi_m, g);
+  }
+};
+} // namespace internal
+
+/// dst += the weak form of the operator @p op applied to src and tested
+/// with the @p n_components-component functions of @p space. op provides
+/// has_boundary_integral(boundary_id) and member templates for the
+/// integrals, on evaluators that already hold the DoF values of src:
+/// - square form (@p trial defaults to SameSpace): cell_integral(phi),
+///   face_integral(phi_m, phi_p) and boundary_integral(phi_m, g), each on
+///   one evaluator per side that both holds src and integrates into dst;
+/// - mixed form (@p trial a TrialSpace): cell_integral(u, v),
+///   face_integral(u_m, u_p, v_m, v_p) and boundary_integral(u_m, v_m, g),
+///   the trial evaluators u holding src and the test evaluators v
+///   integrating into dst; g is bound to u_m.
+/// The pre hooks tile the trial space's cell blocks and the post hooks the
+/// test space's. The data binder @p g is shared by every thread chunk, so it
+/// must be safe to call concurrently. pre/post are forwarded to
+/// cell_face_loop; the caller zeroes dst.
 template <int n_components, typename Number, typename Operator,
-          typename VectorType, typename Data, typename PreFn, typename PostFn>
+          typename VectorType, typename Data, typename PreFn, typename PostFn,
+          typename Trial = SameSpace>
 void apply_weak_form(const MatrixFree<Number> &mf, const unsigned int space,
                      const unsigned int quad, const Operator &op,
                      VectorType &dst, const VectorType &src, const Data &g,
-                     PreFn &&pre, PostFn &&post)
+                     PreFn &&pre, PostFn &&post, const Trial trial = Trial())
 {
+  static constexpr bool mixed = !std::is_same_v<Trial, SameSpace>;
+  using Form = std::conditional_t<mixed, const Operator &,
+                                  internal::SquareForm<Operator>>;
+  const Form form{op};
+
   const auto make_kernels = [&](auto &dst_v) {
-    auto phi =
-      std::make_shared<FEEvaluation<Number, n_components>>(mf, space, quad);
-    auto phi_m = std::make_shared<FEFaceEvaluation<Number, n_components>>(
-      mf, space, quad, true);
-    auto phi_p = std::make_shared<FEFaceEvaluation<Number, n_components>>(
-      mf, space, quad, false);
+    // the trial evaluators read src; a square form reads it into the test
+    // evaluators, which integrate into dst
+    const internal::SpaceEvaluators<Number, n_components> test(mf, space,
+                                                               quad);
+    const auto trial_evals = [&] {
+      if constexpr (mixed)
+        return internal::SpaceEvaluators<Number, Trial::n_components>(
+          mf, trial.index, quad);
+      else
+        return test;
+    }();
 
-    const auto cell = [phi, &dst_v, &src, &op](const unsigned int b) {
-      phi->reinit(b);
-      phi->read_dof_values(src);
-      op.cell_integral(*phi);
-      phi->distribute_local_to_global(dst_v);
+    const auto cell = [u = trial_evals.cell, v = test.cell, &dst_v, &src,
+                       &form](const unsigned int b) {
+      u->reinit(b);
+      if constexpr (mixed)
+        v->reinit(b);
+      u->read_dof_values(src);
+      form.cell_integral(*u, *v);
+      v->distribute_local_to_global(dst_v);
     };
 
-    const auto inner = [phi_m, phi_p, &dst_v, &src,
-                        &op](const unsigned int b) {
-      phi_m->reinit(b);
-      phi_p->reinit(b);
-      phi_m->read_dof_values(src);
-      phi_p->read_dof_values(src);
-      op.face_integral(*phi_m, *phi_p);
-      phi_m->distribute_local_to_global(dst_v);
-      phi_p->distribute_local_to_global(dst_v);
+    const auto inner = [u_m = trial_evals.m, u_p = trial_evals.p,
+                        v_m = test.m, v_p = test.p, &dst_v, &src,
+                        &form](const unsigned int b) {
+      u_m->reinit(b);
+      u_p->reinit(b);
+      if constexpr (mixed)
+      {
+        v_m->reinit(b);
+        v_p->reinit(b);
+      }
+      u_m->read_dof_values(src);
+      u_p->read_dof_values(src);
+      form.face_integral(*u_m, *u_p, *v_m, *v_p);
+      v_m->distribute_local_to_global(dst_v);
+      v_p->distribute_local_to_global(dst_v);
     };
 
-    const auto boundary = [phi_m, &dst_v, &src, &op, &g,
-                           &mf](const unsigned int b) {
+    const auto boundary = [u_m = trial_evals.m, v_m = test.m, &dst_v, &src,
+                           &op, &form, &g, &mf](const unsigned int b) {
       if (!op.has_boundary_integral(mf.face_batch(b).boundary_id))
         return;
-      phi_m->reinit(b);
-      phi_m->read_dof_values(src);
-      op.boundary_integral(*phi_m, g);
-      phi_m->distribute_local_to_global(dst_v);
+      u_m->reinit(b);
+      if constexpr (mixed)
+        v_m->reinit(b);
+      u_m->read_dof_values(src);
+      form.boundary_integral(*u_m, *v_m, g);
+      v_m->distribute_local_to_global(dst_v);
     };
 
     return LoopKernels{cell, inner, boundary};
   };
 
-  const unsigned int block = n_components * mf.dofs_per_cell(space);
-  cell_face_loop(mf, dst, src, block, block, make_kernels,
+  const unsigned int dst_block = n_components * mf.dofs_per_cell(space);
+  unsigned int src_block = dst_block;
+  if constexpr (mixed)
+    src_block = Trial::n_components * mf.dofs_per_cell(trial.index);
+  cell_face_loop(mf, dst, src, dst_block, src_block, make_kernels,
                  std::forward<PreFn>(pre), std::forward<PostFn>(post));
 }
 
@@ -144,12 +239,7 @@ void probe_columns(const MatrixFree<Number> &mf, const unsigned int space,
   const unsigned int n = n_components * mf.dofs_per_cell(space);
 
   const auto make_kernels = [&](auto &dst_v) {
-    auto phi =
-      std::make_shared<FEEvaluation<Number, n_components>>(mf, space, quad);
-    auto phi_m = std::make_shared<FEFaceEvaluation<Number, n_components>>(
-      mf, space, quad, true);
-    auto phi_p = std::make_shared<FEFaceEvaluation<Number, n_components>>(
-      mf, space, quad, false);
+    const SpaceEvaluators<Number, n_components> evals(mf, space, quad);
     auto sink = std::make_shared<decltype(make_sink(dst_v))>(make_sink(dst_v));
 
     const auto probe = [n, sink](auto &eval, const auto &integral) {
@@ -164,12 +254,13 @@ void probe_columns(const MatrixFree<Number> &mf, const unsigned int space,
       sink->done(eval);
     };
 
-    const auto cell = [phi, probe, &op](const unsigned int b) {
+    const auto cell = [phi = evals.cell, probe, &op](const unsigned int b) {
       phi->reinit(b);
       probe(*phi, [&] { op.cell_integral(*phi); });
     };
 
-    const auto inner = [phi_m, phi_p, probe, &op](const unsigned int b) {
+    const auto inner = [phi_m = evals.m, phi_p = evals.p, probe,
+                        &op](const unsigned int b) {
       phi_m->reinit(b);
       phi_p->reinit(b);
       const auto integral = [&] { op.face_integral(*phi_m, *phi_p); };
@@ -180,7 +271,8 @@ void probe_columns(const MatrixFree<Number> &mf, const unsigned int space,
       probe(*phi_p, integral);
     };
 
-    const auto boundary = [phi_m, probe, &op](const unsigned int b) {
+    const auto boundary = [phi_m = evals.m, probe,
+                           &op](const unsigned int b) {
       phi_m->reinit(b);
       if (op.has_boundary_integral(phi_m->boundary_id()))
         probe(*phi_m, [&] { op.boundary_integral(*phi_m, ZeroData()); });

@@ -9,10 +9,12 @@
 // Both operators follow the unified evaluation interface documented in
 // operators/README.md (contract v2): hooked vmult(dst, src, pre, post) for
 // the homogeneous action, apply for the time-dependent action with
-// inhomogeneous boundary data; both run one apply_add with a data binder
-// (ZeroData or the flow binders of operators/boundary.h). The spaces
-// differ between src and dst, so the pre hooks tile the src space's cell
-// blocks and the post hooks the dst space's.
+// inhomogeneous boundary data. Each writes only its mixed weak form, as
+// integrals on trial and test evaluators, and both entry points run them
+// through apply_weak_form with a data binder (ZeroData or the flow binders
+// of operators/boundary.h). The spaces differ between src and dst, so the
+// pre hooks tile the src space's cell blocks and the post hooks the dst
+// space's.
 
 #include "instrumentation/profiler.h"
 #include "matrixfree/operator_diagonal.h"
@@ -44,7 +46,12 @@ public:
   {
     dst.reinit(mf_->n_dofs(p_space_, 1), true);
     dst = Number(0);
-    apply_add(dst, src, velocity_data(*bc_, t), NoRangeHook(), NoRangeHook());
+    DGFLOW_PROF_SCOPE("divergence");
+    DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
+    DGFLOW_PROF_THROUGHPUT("divergence", std::max(src.size(), dst.size()));
+    apply_weak_form<1>(*mf_, p_space_, quad_, *this, dst, src,
+                       velocity_data(*bc_, t), NoRangeHook(), NoRangeHook(),
+                       TrialSpace<3>{u_space_});
   }
 
   /// Homogeneous action (boundary data zeroed).
@@ -54,100 +61,65 @@ public:
   {
     dst.reinit(mf_->n_dofs(p_space_, 1), true);
     dst = Number(0);
-    apply_add(dst, src, ZeroData(), std::forward<PreFn>(pre),
-              std::forward<PostFn>(post));
-  }
-
-private:
-  /// dst += the weak divergence of src, with the velocity boundary data
-  /// binder g on the velocity Dirichlet faces.
-  template <typename Data, typename PreFn, typename PostFn>
-  void apply_add(VectorType &dst, const VectorType &src, const Data &g,
-                 PreFn &&pre, PostFn &&post) const
-  {
     DGFLOW_PROF_SCOPE("divergence");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
     DGFLOW_PROF_THROUGHPUT("divergence", std::max(src.size(), dst.size()));
-
-    const auto make_kernels = [&, this](auto &dst_v) {
-      auto u = std::make_shared<FEEvaluation<Number, 3>>(*mf_, u_space_, quad_);
-      auto q_test =
-        std::make_shared<FEEvaluation<Number, 1>>(*mf_, p_space_, quad_);
-      auto u_m = std::make_shared<FEFaceEvaluation<Number, 3>>(
-        *mf_, u_space_, quad_, true);
-      auto u_p = std::make_shared<FEFaceEvaluation<Number, 3>>(
-        *mf_, u_space_, quad_, false);
-      auto q_m = std::make_shared<FEFaceEvaluation<Number, 1>>(
-        *mf_, p_space_, quad_, true);
-      auto q_p = std::make_shared<FEFaceEvaluation<Number, 1>>(
-        *mf_, p_space_, quad_, false);
-
-      const auto cell = [u, q_test, &dst_v, &src](const unsigned int b) {
-        u->reinit(b);
-        q_test->reinit(b);
-        u->read_dof_values(src);
-        u->evaluate(true, false);
-        for (unsigned int q = 0; q < u->n_q_points; ++q)
-          q_test->submit_gradient(-u->get_value(q), q);
-        q_test->integrate(false, true);
-        q_test->distribute_local_to_global(dst_v);
-      };
-
-      const auto inner = [u_m, u_p, q_m, q_p, &dst_v,
-                          &src](const unsigned int b) {
-        u_m->reinit(b);
-        u_p->reinit(b);
-        q_m->reinit(b);
-        q_p->reinit(b);
-        u_m->read_dof_values(src);
-        u_p->read_dof_values(src);
-        u_m->evaluate(true, false);
-        u_p->evaluate(true, false);
-        for (unsigned int q = 0; q < u_m->n_q_points; ++q)
-        {
-          const Tensor1<VA> n = u_m->get_normal_vector(q);
-          const VA flux =
-            Number(0.5) * dot(u_m->get_value(q) + u_p->get_value(q), n);
-          q_m->submit_value(flux, q);
-          q_p->submit_value(-flux, q);
-        }
-        q_m->integrate(true, false);
-        q_p->integrate(true, false);
-        q_m->distribute_local_to_global(dst_v);
-        q_p->distribute_local_to_global(dst_v);
-      };
-
-      const auto boundary = [u_m, q_m, &dst_v, &src, &g,
-                             this](const unsigned int b) {
-        u_m->reinit(b);
-        q_m->reinit(b);
-        const FlowBoundary &bdata = bc_->at(u_m->boundary_id());
-        u_m->read_dof_values(src);
-        u_m->evaluate(true, false);
-        const auto g_q = g(*u_m);
-        for (unsigned int q = 0; q < u_m->n_q_points; ++q)
-        {
-          const Tensor1<VA> n = u_m->get_normal_vector(q);
-          // velocity Dirichlet: the mirror u+ = 2g - u- gives the central
-          // flux {u} = g; pressure faces: u+ = u-
-          const Tensor1<VA> uhat =
-            bdata.kind == FlowBoundary::Kind::velocity_dirichlet
-              ? g_q(q)
-              : u_m->get_value(q);
-          q_m->submit_value(dot(uhat, n), q);
-        }
-        q_m->integrate(true, false);
-        q_m->distribute_local_to_global(dst_v);
-      };
-
-      return LoopKernels{cell, inner, boundary};
-    };
-
-    cell_face_loop(*mf_, dst, src, mf_->dofs_per_cell(p_space_),
-                   3 * mf_->dofs_per_cell(u_space_), make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    apply_weak_form<1>(*mf_, p_space_, quad_, *this, dst, src, ZeroData(),
+                       std::forward<PreFn>(pre), std::forward<PostFn>(post),
+                       TrialSpace<3>{u_space_});
   }
 
+  /// The weak form, as the integrals apply_weak_form runs: velocity trial
+  /// evaluators u, pressure test evaluators q.
+  template <typename TrialEval, typename TestEval>
+  void cell_integral(TrialEval &u, TestEval &q_test) const
+  {
+    u.evaluate(true, false);
+    for (unsigned int q = 0; q < u.n_q_points; ++q)
+      q_test.submit_gradient(-u.get_value(q), q);
+    q_test.integrate(false, true);
+  }
+
+  template <typename TrialFace, typename TestFace>
+  void face_integral(TrialFace &u_m, TrialFace &u_p, TestFace &q_m,
+                     TestFace &q_p) const
+  {
+    u_m.evaluate(true, false);
+    u_p.evaluate(true, false);
+    for (unsigned int q = 0; q < u_m.n_q_points; ++q)
+    {
+      const Tensor1<VA> n = u_m.get_normal_vector(q);
+      const VA flux = Number(0.5) * dot(u_m.get_value(q) + u_p.get_value(q), n);
+      q_m.submit_value(flux, q);
+      q_p.submit_value(-flux, q);
+    }
+    q_m.integrate(true, false);
+    q_p.integrate(true, false);
+  }
+
+  /// Every boundary face carries a flux.
+  bool has_boundary_integral(const unsigned int) const { return true; }
+
+  /// Velocity Dirichlet faces: the mirror u+ = 2g - u- gives the central
+  /// flux {u} = g from the data binder g; pressure faces: u+ = u-.
+  template <typename TrialFace, typename TestFace, typename Data>
+  void boundary_integral(TrialFace &u_m, TestFace &q_m, const Data &g) const
+  {
+    const FlowBoundary &bdata = bc_->at(u_m.boundary_id());
+    u_m.evaluate(true, false);
+    const auto g_q = g(u_m);
+    for (unsigned int q = 0; q < u_m.n_q_points; ++q)
+    {
+      const Tensor1<VA> n = u_m.get_normal_vector(q);
+      const Tensor1<VA> uhat =
+        bdata.kind == FlowBoundary::Kind::velocity_dirichlet ? g_q(q)
+                                                             : u_m.get_value(q);
+      q_m.submit_value(dot(uhat, n), q);
+    }
+    q_m.integrate(true, false);
+  }
+
+private:
   const MatrixFree<Number> *mf_ = nullptr;
   unsigned int u_space_ = 0, p_space_ = 0, quad_ = 0;
   const FlowBoundaryMap *bc_ = nullptr;
@@ -177,7 +149,12 @@ public:
   {
     dst.reinit(mf_->n_dofs(u_space_, 3), true);
     dst = Number(0);
-    apply_add(dst, src, pressure_data(*bc_, t), NoRangeHook(), NoRangeHook());
+    DGFLOW_PROF_SCOPE("gradient");
+    DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
+    DGFLOW_PROF_THROUGHPUT("gradient", std::max(src.size(), dst.size()));
+    apply_weak_form<3>(*mf_, u_space_, quad_, *this, dst, src,
+                       pressure_data(*bc_, t), NoRangeHook(), NoRangeHook(),
+                       TrialSpace<1>{p_space_});
   }
 
   /// Homogeneous action (boundary data zeroed).
@@ -187,98 +164,64 @@ public:
   {
     dst.reinit(mf_->n_dofs(u_space_, 3), true);
     dst = Number(0);
-    apply_add(dst, src, ZeroData(), std::forward<PreFn>(pre),
-              std::forward<PostFn>(post));
-  }
-
-private:
-  /// dst += the weak gradient of src, with the pressure boundary data
-  /// binder g on the pressure faces.
-  template <typename Data, typename PreFn, typename PostFn>
-  void apply_add(VectorType &dst, const VectorType &src, const Data &g,
-                 PreFn &&pre, PostFn &&post) const
-  {
     DGFLOW_PROF_SCOPE("gradient");
     DGFLOW_PROF_COUNT("mf_dofs", src.size() + dst.size());
     DGFLOW_PROF_THROUGHPUT("gradient", std::max(src.size(), dst.size()));
-
-    const auto make_kernels = [&, this](auto &dst_v) {
-      auto p = std::make_shared<FEEvaluation<Number, 1>>(*mf_, p_space_, quad_);
-      auto v_test =
-        std::make_shared<FEEvaluation<Number, 3>>(*mf_, u_space_, quad_);
-      auto p_m = std::make_shared<FEFaceEvaluation<Number, 1>>(
-        *mf_, p_space_, quad_, true);
-      auto p_p = std::make_shared<FEFaceEvaluation<Number, 1>>(
-        *mf_, p_space_, quad_, false);
-      auto v_m = std::make_shared<FEFaceEvaluation<Number, 3>>(
-        *mf_, u_space_, quad_, true);
-      auto v_p = std::make_shared<FEFaceEvaluation<Number, 3>>(
-        *mf_, u_space_, quad_, false);
-
-      const auto cell = [p, v_test, &dst_v, &src](const unsigned int b) {
-        p->reinit(b);
-        v_test->reinit(b);
-        p->read_dof_values(src);
-        p->evaluate(true, false);
-        for (unsigned int q = 0; q < p->n_q_points; ++q)
-          v_test->submit_divergence(-p->get_value(q), q);
-        v_test->integrate(false, true);
-        v_test->distribute_local_to_global(dst_v);
-      };
-
-      const auto inner = [p_m, p_p, v_m, v_p, &dst_v,
-                          &src](const unsigned int b) {
-        p_m->reinit(b);
-        p_p->reinit(b);
-        v_m->reinit(b);
-        v_p->reinit(b);
-        p_m->read_dof_values(src);
-        p_p->read_dof_values(src);
-        p_m->evaluate(true, false);
-        p_p->evaluate(true, false);
-        for (unsigned int q = 0; q < p_m->n_q_points; ++q)
-        {
-          const VA phat =
-            Number(0.5) * (p_m->get_value(q) + p_p->get_value(q));
-          // {p} [v].n: each side tests with its own outward normal
-          v_m->submit_value(phat * v_m->get_normal_vector(q), q);
-          v_p->submit_value(phat * v_p->get_normal_vector(q), q);
-        }
-        v_m->integrate(true, false);
-        v_p->integrate(true, false);
-        v_m->distribute_local_to_global(dst_v);
-        v_p->distribute_local_to_global(dst_v);
-      };
-
-      const auto boundary = [p_m, v_m, &dst_v, &src, &g,
-                             this](const unsigned int b) {
-        p_m->reinit(b);
-        v_m->reinit(b);
-        const FlowBoundary &bdata = bc_->at(p_m->boundary_id());
-        p_m->read_dof_values(src);
-        p_m->evaluate(true, false);
-        const auto g_q = g(*p_m);
-        for (unsigned int q = 0; q < p_m->n_q_points; ++q)
-        {
-          // pressure faces: the mirror p+ = 2g - p- gives the central flux
-          // {p} = g; velocity Dirichlet faces: p+ = p-
-          const VA phat = bdata.kind == FlowBoundary::Kind::pressure
-                            ? g_q(q)
-                            : p_m->get_value(q);
-          v_m->submit_value(phat * v_m->get_normal_vector(q), q);
-        }
-        v_m->integrate(true, false);
-        v_m->distribute_local_to_global(dst_v);
-      };
-
-      return LoopKernels{cell, inner, boundary};
-    };
-
-    cell_face_loop(*mf_, dst, src, 3 * mf_->dofs_per_cell(u_space_),
-                   mf_->dofs_per_cell(p_space_), make_kernels,
-                   std::forward<PreFn>(pre), std::forward<PostFn>(post));
+    apply_weak_form<3>(*mf_, u_space_, quad_, *this, dst, src, ZeroData(),
+                       std::forward<PreFn>(pre), std::forward<PostFn>(post),
+                       TrialSpace<1>{p_space_});
   }
 
+  /// The weak form, as the integrals apply_weak_form runs: pressure trial
+  /// evaluators p, velocity test evaluators v.
+  template <typename TrialEval, typename TestEval>
+  void cell_integral(TrialEval &p, TestEval &v_test) const
+  {
+    p.evaluate(true, false);
+    for (unsigned int q = 0; q < p.n_q_points; ++q)
+      v_test.submit_divergence(-p.get_value(q), q);
+    v_test.integrate(false, true);
+  }
+
+  template <typename TrialFace, typename TestFace>
+  void face_integral(TrialFace &p_m, TrialFace &p_p, TestFace &v_m,
+                     TestFace &v_p) const
+  {
+    p_m.evaluate(true, false);
+    p_p.evaluate(true, false);
+    for (unsigned int q = 0; q < p_m.n_q_points; ++q)
+    {
+      const VA phat = Number(0.5) * (p_m.get_value(q) + p_p.get_value(q));
+      // {p} [v].n: each side tests with its own outward normal
+      v_m.submit_value(phat * v_m.get_normal_vector(q), q);
+      v_p.submit_value(phat * v_p.get_normal_vector(q), q);
+    }
+    v_m.integrate(true, false);
+    v_p.integrate(true, false);
+  }
+
+  /// Every boundary face carries a flux.
+  bool has_boundary_integral(const unsigned int) const { return true; }
+
+  /// Pressure faces: the mirror p+ = 2g - p- gives the central flux {p} = g
+  /// from the data binder g; velocity Dirichlet faces: p+ = p-.
+  template <typename TrialFace, typename TestFace, typename Data>
+  void boundary_integral(TrialFace &p_m, TestFace &v_m, const Data &g) const
+  {
+    const FlowBoundary &bdata = bc_->at(p_m.boundary_id());
+    p_m.evaluate(true, false);
+    const auto g_q = g(p_m);
+    for (unsigned int q = 0; q < p_m.n_q_points; ++q)
+    {
+      const VA phat = bdata.kind == FlowBoundary::Kind::pressure
+                        ? g_q(q)
+                        : p_m.get_value(q);
+      v_m.submit_value(phat * v_m.get_normal_vector(q), q);
+    }
+    v_m.integrate(true, false);
+  }
+
+private:
   const MatrixFree<Number> *mf_ = nullptr;
   unsigned int u_space_ = 0, p_space_ = 0, quad_ = 0;
   const FlowBoundaryMap *bc_ = nullptr;

@@ -35,7 +35,7 @@
 // power loss right after publish can leave a torn file where a restart
 // would look for a good one. Either call spends the writer.
 // Routing through the shim also makes every checkpoint byte reachable by
-// the DGFLOW_FAULT_IO_* fault injection.
+// the I/O fault injection of resilience/fault_injection.h.
 
 #include <algorithm>
 #include <cstdint>

@@ -13,8 +13,8 @@
 //    the fsyncs the rename can hit the journal before the data blocks do).
 //
 //  * deterministic I/O fault injection — an installed IoFaultHandler (the
-//    FaultPlan of resilience/fault_injection.h implements it, steered by the
-//    DGFLOW_FAULT_IO_* envs) decides per operation whether a write runs out
+//    FaultPlan of resilience/fault_injection.h implements it, steered by
+//    its Config's io_* rates) decides per operation whether a write runs out
 //    of space (ENOSPC), is cut short (short write: a structured error with a
 //    truncated tmp file left behind), is torn (the lying-disk model: only a
 //    prefix reaches the platter but the write *reports success*, so the
@@ -73,8 +73,8 @@ struct IoReadFault
 };
 
 /// Per-operation fault oracle consulted by CkptIo. Implemented by
-/// resilience::FaultPlan (seeded deterministic draws over the
-/// DGFLOW_FAULT_IO_* knobs); @p seq is the per-path operation sequence
+/// resilience::FaultPlan (seeded deterministic draws over its Config's
+/// io_* rates); @p seq is the per-path operation sequence
 /// number maintained by the shim, so decisions are reproducible regardless
 /// of which thread (solver or background writer) performs the operation.
 class IoFaultHandler

@@ -9,73 +9,32 @@
 // interleaving — the property that makes "did the recovery path fire?"
 // assertions in tests meaningful.
 //
-// Env knobs (read by FaultPlan::config_from_env, all optional):
-//   DGFLOW_FAULT_SEED       hash seed (default 1)
-//   DGFLOW_FAULT_DROP       per-message drop probability in [0,1]
-//   DGFLOW_FAULT_DELAY      per-message delay probability in [0,1]
-//   DGFLOW_FAULT_DELAY_MS   injected in-flight latency (default 1 ms)
-//   DGFLOW_FAULT_REORDER    per-message reorder probability in [0,1]
-//   DGFLOW_FAULT_CORRUPT    per-message payload-corruption probability
-//   DGFLOW_FAULT_STALL_RANK rank stalled before collectives (-1 = none)
-//   DGFLOW_FAULT_STALL_MS   stall duration (default 50 ms)
-//   DGFLOW_FAULT_KILL_RANK  rank killed mid-solve (-1 = none): the victim
-//                           throws RankFailure and stops servicing its
-//                           mailbox; survivors recover via agree()
-//   DGFLOW_FAULT_KILL_STEP  collective count at which the victim dies
-//                           (default 0: its very first collective)
-//   DGFLOW_FAULT_CORRUPT_COLL  per-collective payload-corruption probability
-//                           (bit-flips a rank's allreduce contribution in
-//                           flight; the reduction detects the checksum
-//                           mismatch instead of folding garbage in)
+// A plan is configured in code, through FaultPlan::Config. Besides the
+// message faults above it can kill a rank mid-solve (the victim throws
+// RankFailure before its kill_step-th collective and stops servicing its
+// mailbox; survivors recover via agree()) and corrupt collective payloads
+// in flight (the reduction detects the checksum mismatch instead of
+// folding garbage in).
 //
 // Compute-side silent-data-corruption injection (the ABFT test hammer; see
-// resilience/abft.h). Unlike the message faults above these flip a bit in
-// *memory* — a Krylov vector, a geometry batch, an AMG level — emulating a
-// DRAM/register upset that no wire checksum can see:
-//   DGFLOW_FAULT_BITFLIP_TARGET  artifact tag to hit ("krylov_x", "krylov_r",
-//                           "krylov_p", "vector", ... — whatever tag the
-//                           instrumented call site passes; empty = no flips)
-//   DGFLOW_FAULT_BITFLIP_STEP    step/iteration number at which the flip
-//                           lands (default 0)
-//   DGFLOW_FAULT_BITFLIP_RANK    rank whose payload is flipped (default 0)
-//   DGFLOW_FAULT_BITFLIP_BIT     bit index into the payload (-1, the
-//                           default: a seeded deterministic draw)
-// The flip fires exactly once per plan, so a rollback-and-redo repair path
-// is not re-injured by its own retry.
+// resilience/abft.h) flips a bit in *memory* — a Krylov vector, a geometry
+// batch, an AMG level — emulating a DRAM/register upset that no wire
+// checksum can see. The flip fires exactly once per plan, so a
+// rollback-and-redo repair path is not re-injured by its own retry.
 //
-// Checkpoint I/O fault injection (consumed by the resilience/ckpt_io.h shim
-// when the plan is installed via CkptIo::install_fault_handler; decisions
-// are pure hashes of (seed, path, per-path operation sequence)):
-//   DGFLOW_FAULT_IO_SHORT_WRITE  per-write short-write probability: only a
-//                           prefix persists and the write FAILS (structured
-//                           error, truncated .tmp left for GC)
-//   DGFLOW_FAULT_IO_TORN_WRITE   per-write torn-write probability: only a
-//                           prefix persists but the write reports SUCCESS
-//                           (lying-disk/power-cut model — only checksum
-//                           verification on read can find the tear)
-//   DGFLOW_FAULT_IO_ENOSPC       per-write disk-full probability
-//   DGFLOW_FAULT_IO_READ_EIO     per-read I/O-error probability
-//   DGFLOW_FAULT_IO_STALL        per-operation slow-disk probability
-//   DGFLOW_FAULT_IO_STALL_MS     injected disk latency (default 20 ms)
-//   DGFLOW_FAULT_IO_PATH         substring filter: only operations whose
-//                           path contains it are candidates (e.g.
-//                           "gen000002" tears exactly one generation)
-//
-// All values are parsed strictly (common/env.h): a set-but-malformed or
-// out-of-range value throws EnvVarError naming the variable instead of
-// silently becoming 0 and vacuously passing the test that relied on it.
-// Together with DGFLOW_VMPI_TIMEOUT this turns any binary that installs a
-// FaultPlan (Communicator::install_fault_handler) into a fault-injection
-// harness whose behavior is steered entirely from the environment.
+// Checkpoint I/O faults are consumed by the resilience/ckpt_io.h shim when
+// the plan is installed via CkptIo::install_fault_handler; decisions are
+// pure hashes of (seed, path, per-path operation sequence). A short write
+// persists a prefix and fails; a torn write persists a prefix and reports
+// success (the lying-disk/power-cut model — only checksum verification on
+// read can find the tear).
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <initializer_list>
 #include <string>
 
 #include "common/abft_hooks.h"
-#include "common/env.h"
 #include "resilience/ckpt_io.h"
 #include "vmpi/communicator.h"
 
@@ -142,50 +101,6 @@ public:
   };
 
   explicit FaultPlan(const Config &config) : config_(config) {}
-
-  /// Reads every DGFLOW_FAULT_* knob. Parsing is strict: a set-but-malformed
-  /// or out-of-range value throws EnvVarError naming the variable —
-  /// probabilities must lie in [0, 1], durations be non-negative, ranks be
-  /// -1 (disabled) or a plausible rank id — instead of atof's silent 0.
-  static Config config_from_env()
-  {
-    constexpr long long max_rank = 1 << 20;
-    constexpr long long max_step = 1ll << 62;
-    Config c;
-    c.seed = env_uint64("DGFLOW_FAULT_SEED", c.seed);
-    c.drop_rate = env_real("DGFLOW_FAULT_DROP", 0., 0., 1.);
-    c.delay_rate = env_real("DGFLOW_FAULT_DELAY", 0., 0., 1.);
-    c.delay_seconds = env_real("DGFLOW_FAULT_DELAY_MS", 1., 0., 1e9) * 1e-3;
-    c.reorder_rate = env_real("DGFLOW_FAULT_REORDER", 0., 0., 1.);
-    c.corrupt_rate = env_real("DGFLOW_FAULT_CORRUPT", 0., 0., 1.);
-    c.stall_rank = static_cast<int>(
-      env_integer("DGFLOW_FAULT_STALL_RANK", -1, -1, max_rank));
-    c.stall_seconds = env_real("DGFLOW_FAULT_STALL_MS", 50., 0., 1e9) * 1e-3;
-    c.kill_rank = static_cast<int>(
-      env_integer("DGFLOW_FAULT_KILL_RANK", -1, -1, max_rank));
-    c.kill_step = static_cast<unsigned long long>(
-      env_integer("DGFLOW_FAULT_KILL_STEP", 0, 0, max_step));
-    c.corrupt_collective_rate =
-      env_real("DGFLOW_FAULT_CORRUPT_COLL", 0., 0., 1.);
-    if (const char *v = std::getenv("DGFLOW_FAULT_BITFLIP_TARGET"))
-      c.bitflip_target = v;
-    c.bitflip_step = static_cast<unsigned long long>(
-      env_integer("DGFLOW_FAULT_BITFLIP_STEP", 0, 0, max_step));
-    c.bitflip_rank = static_cast<int>(
-      env_integer("DGFLOW_FAULT_BITFLIP_RANK", 0, 0, max_rank));
-    c.bitflip_bit = env_integer("DGFLOW_FAULT_BITFLIP_BIT", -1, -1, max_step);
-    c.io_short_write_rate =
-      env_real("DGFLOW_FAULT_IO_SHORT_WRITE", 0., 0., 1.);
-    c.io_torn_write_rate = env_real("DGFLOW_FAULT_IO_TORN_WRITE", 0., 0., 1.);
-    c.io_enospc_rate = env_real("DGFLOW_FAULT_IO_ENOSPC", 0., 0., 1.);
-    c.io_read_error_rate = env_real("DGFLOW_FAULT_IO_READ_EIO", 0., 0., 1.);
-    c.io_stall_rate = env_real("DGFLOW_FAULT_IO_STALL", 0., 0., 1.);
-    c.io_stall_seconds =
-      env_real("DGFLOW_FAULT_IO_STALL_MS", 20., 0., 1e9) * 1e-3;
-    if (const char *v = std::getenv("DGFLOW_FAULT_IO_PATH"))
-      c.io_path_filter = v;
-    return c;
-  }
 
   const Config &config() const { return config_; }
 

@@ -77,105 +77,17 @@ private:
 
 bool bitwise_equal(const Vector<double> &a, const Vector<double> &b)
 {
+  // an empty vector may hold a null data(), which memcmp must not see
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 } // namespace
 
 // ---------------------------------------------------------------------------
-// satellite: strict parsing of every DGFLOW_FAULT_* / DGFLOW_VMPI_TIMEOUT
-// knob (the atof-silently-zero regression: a typo'd knob must fail fast
-// naming the variable, not turn fault injection into a vacuous no-op)
+// strict parsing of DGFLOW_VMPI_TIMEOUT (the atof-silently-zero regression:
+// a typo'd value must fail fast naming the variable)
 // ---------------------------------------------------------------------------
-
-namespace
-{
-void expect_env_rejects(const char *name, const char *value)
-{
-  ScopedEnv env(name, value);
-  try
-  {
-    resilience::FaultPlan::config_from_env();
-    FAIL() << name << "='" << value << "' was accepted";
-  }
-  catch (const EnvVarError &e)
-  {
-    EXPECT_NE(std::strstr(e.what(), name), nullptr)
-      << "message does not name " << name << ": " << e.what();
-  }
-}
-} // namespace
-
-TEST(EnvHardening, MalformedFaultKnobsFailFastNamingTheVariable)
-{
-  for (const char *name :
-       {"DGFLOW_FAULT_SEED", "DGFLOW_FAULT_DROP", "DGFLOW_FAULT_DELAY",
-        "DGFLOW_FAULT_DELAY_MS", "DGFLOW_FAULT_REORDER",
-        "DGFLOW_FAULT_CORRUPT", "DGFLOW_FAULT_CORRUPT_COLL",
-        "DGFLOW_FAULT_STALL_RANK", "DGFLOW_FAULT_STALL_MS",
-        "DGFLOW_FAULT_KILL_RANK", "DGFLOW_FAULT_KILL_STEP",
-        "DGFLOW_FAULT_BITFLIP_STEP", "DGFLOW_FAULT_BITFLIP_RANK",
-        "DGFLOW_FAULT_BITFLIP_BIT"})
-  {
-    expect_env_rejects(name, "banana");
-    expect_env_rejects(name, "0.5x"); // trailing junk must not parse
-  }
-}
-
-TEST(EnvHardening, OutOfRangeFaultKnobsFailFast)
-{
-  expect_env_rejects("DGFLOW_FAULT_SEED", "-4");
-  expect_env_rejects("DGFLOW_FAULT_DROP", "1.5");
-  expect_env_rejects("DGFLOW_FAULT_DROP", "-0.1");
-  expect_env_rejects("DGFLOW_FAULT_DELAY", "2");
-  expect_env_rejects("DGFLOW_FAULT_DELAY_MS", "-3");
-  expect_env_rejects("DGFLOW_FAULT_REORDER", "-1");
-  expect_env_rejects("DGFLOW_FAULT_CORRUPT", "nan");
-  expect_env_rejects("DGFLOW_FAULT_CORRUPT_COLL", "1.01");
-  expect_env_rejects("DGFLOW_FAULT_STALL_RANK", "-2");
-  expect_env_rejects("DGFLOW_FAULT_STALL_MS", "-1");
-  expect_env_rejects("DGFLOW_FAULT_KILL_RANK", "-5");
-  expect_env_rejects("DGFLOW_FAULT_KILL_STEP", "-1");
-  expect_env_rejects("DGFLOW_FAULT_BITFLIP_STEP", "-1");
-  expect_env_rejects("DGFLOW_FAULT_BITFLIP_RANK", "-1");
-  expect_env_rejects("DGFLOW_FAULT_BITFLIP_BIT", "-2");
-}
-
-TEST(EnvHardening, WellFormedKnobsRoundTrip)
-{
-  ScopedEnv seed("DGFLOW_FAULT_SEED", "42");
-  ScopedEnv drop("DGFLOW_FAULT_DROP", "0.25");
-  ScopedEnv delay("DGFLOW_FAULT_DELAY", "0.5");
-  ScopedEnv delay_ms("DGFLOW_FAULT_DELAY_MS", "2");
-  ScopedEnv reorder("DGFLOW_FAULT_REORDER", "0.1");
-  ScopedEnv corrupt("DGFLOW_FAULT_CORRUPT", "0.01");
-  ScopedEnv corrupt_coll("DGFLOW_FAULT_CORRUPT_COLL", "0.02");
-  ScopedEnv stall_rank("DGFLOW_FAULT_STALL_RANK", "1");
-  ScopedEnv stall_ms("DGFLOW_FAULT_STALL_MS", "3");
-  ScopedEnv kill_rank("DGFLOW_FAULT_KILL_RANK", "2");
-  ScopedEnv kill_step("DGFLOW_FAULT_KILL_STEP", "7");
-  ScopedEnv bf_target("DGFLOW_FAULT_BITFLIP_TARGET", "krylov_r");
-  ScopedEnv bf_step("DGFLOW_FAULT_BITFLIP_STEP", "9");
-  ScopedEnv bf_rank("DGFLOW_FAULT_BITFLIP_RANK", "3");
-  ScopedEnv bf_bit("DGFLOW_FAULT_BITFLIP_BIT", "17");
-
-  const auto c = resilience::FaultPlan::config_from_env();
-  EXPECT_EQ(c.seed, 42u);
-  EXPECT_DOUBLE_EQ(c.drop_rate, 0.25);
-  EXPECT_DOUBLE_EQ(c.delay_rate, 0.5);
-  EXPECT_DOUBLE_EQ(c.delay_seconds, 2e-3);
-  EXPECT_DOUBLE_EQ(c.reorder_rate, 0.1);
-  EXPECT_DOUBLE_EQ(c.corrupt_rate, 0.01);
-  EXPECT_DOUBLE_EQ(c.corrupt_collective_rate, 0.02);
-  EXPECT_EQ(c.stall_rank, 1);
-  EXPECT_DOUBLE_EQ(c.stall_seconds, 3e-3);
-  EXPECT_EQ(c.kill_rank, 2);
-  EXPECT_EQ(c.kill_step, 7u);
-  EXPECT_EQ(c.bitflip_target, "krylov_r");
-  EXPECT_EQ(c.bitflip_step, 9u);
-  EXPECT_EQ(c.bitflip_rank, 3);
-  EXPECT_EQ(c.bitflip_bit, 17);
-}
 
 TEST(EnvHardening, VmpiTimeoutRejectsMalformedAndAcceptsValid)
 {

@@ -265,30 +265,6 @@ TEST(CkptIoShim, SlowDiskStallInjectsLatency)
 // the seeded FaultPlan as I/O fault oracle
 // ---------------------------------------------------------------------------
 
-TEST(IoFaultPlan, EnvKnobsParseStrictly)
-{
-  setenv("DGFLOW_FAULT_IO_TORN_WRITE", "0.25", 1);
-  setenv("DGFLOW_FAULT_IO_ENOSPC", "0.5", 1);
-  setenv("DGFLOW_FAULT_IO_STALL_MS", "7", 1);
-  setenv("DGFLOW_FAULT_IO_PATH", "gen000002", 1);
-  auto cfg = resilience::FaultPlan::config_from_env();
-  EXPECT_EQ(cfg.io_torn_write_rate, 0.25);
-  EXPECT_EQ(cfg.io_enospc_rate, 0.5);
-  EXPECT_EQ(cfg.io_stall_seconds, 7e-3);
-  EXPECT_EQ(cfg.io_path_filter, "gen000002");
-  unsetenv("DGFLOW_FAULT_IO_ENOSPC");
-  unsetenv("DGFLOW_FAULT_IO_STALL_MS");
-  unsetenv("DGFLOW_FAULT_IO_PATH");
-
-  // a malformed or out-of-range value throws instead of becoming 0 and
-  // vacuously passing whatever test relied on it
-  setenv("DGFLOW_FAULT_IO_TORN_WRITE", "1.5", 1);
-  EXPECT_THROW(resilience::FaultPlan::config_from_env(), EnvVarError);
-  setenv("DGFLOW_FAULT_IO_TORN_WRITE", "banana", 1);
-  EXPECT_THROW(resilience::FaultPlan::config_from_env(), EnvVarError);
-  unsetenv("DGFLOW_FAULT_IO_TORN_WRITE");
-}
-
 TEST(IoFaultPlan, DecisionsAreDeterministicAndScopedByThePathFilter)
 {
   resilience::FaultPlan::Config cfg;

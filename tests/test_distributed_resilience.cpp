@@ -350,17 +350,6 @@ TEST(KillInjection, VictimDiesAtTheConfiguredCollectiveDeterministically)
   }
 }
 
-TEST(KillInjection, ConfigFromEnvPicksUpKillKnobs)
-{
-  setenv("DGFLOW_FAULT_KILL_RANK", "3", 1);
-  setenv("DGFLOW_FAULT_KILL_STEP", "17", 1);
-  const auto cfg = resilience::FaultPlan::config_from_env();
-  unsetenv("DGFLOW_FAULT_KILL_RANK");
-  unsetenv("DGFLOW_FAULT_KILL_STEP");
-  EXPECT_EQ(cfg.kill_rank, 3);
-  EXPECT_EQ(cfg.kill_step, 17ull);
-}
-
 // Survivors that catch the dead rank's absence as a TimeoutError route it
 // through RecoveryContext::resolve_failure and all reach the identical
 // RankFailure verdict.

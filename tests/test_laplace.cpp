@@ -673,8 +673,10 @@ Vector<double> laplace_action_backend(const Mesh &mesh, const Geometry &geom,
 
 bool vectors_bitwise_equal(const Vector<double> &a, const Vector<double> &b)
 {
+  // an empty vector may hold a null data(), which memcmp must not see
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 } // namespace
 

@@ -67,9 +67,12 @@ struct UnhookedView
 template <typename VectorType>
 bool bitwise_equal(const VectorType &a, const VectorType &b)
 {
+  // an empty vector may hold a null data(), which memcmp must not see
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(),
-                     a.size() * sizeof(typename VectorType::value_type)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      a.size() * sizeof(typename VectorType::value_type)) ==
+            0);
 }
 
 struct TextbookStats

@@ -69,25 +69,6 @@ TEST(FaultPlanTest, DecisionsAreDeterministic)
   EXPECT_GT(counts.corrupted, 0u);
 }
 
-TEST(FaultPlanTest, ConfigFromEnvReadsKnobs)
-{
-  setenv("DGFLOW_FAULT_SEED", "42", 1);
-  setenv("DGFLOW_FAULT_DROP", "0.25", 1);
-  setenv("DGFLOW_FAULT_DELAY_MS", "2.5", 1);
-  setenv("DGFLOW_FAULT_STALL_RANK", "3", 1);
-  const auto cfg = resilience::FaultPlan::config_from_env();
-  unsetenv("DGFLOW_FAULT_SEED");
-  unsetenv("DGFLOW_FAULT_DROP");
-  unsetenv("DGFLOW_FAULT_DELAY_MS");
-  unsetenv("DGFLOW_FAULT_STALL_RANK");
-  EXPECT_EQ(cfg.seed, 42u);
-  EXPECT_DOUBLE_EQ(cfg.drop_rate, 0.25);
-  EXPECT_DOUBLE_EQ(cfg.delay_seconds, 2.5e-3);
-  EXPECT_EQ(cfg.stall_rank, 3);
-  EXPECT_DOUBLE_EQ(cfg.delay_rate, 0.);
-  EXPECT_DOUBLE_EQ(cfg.corrupt_rate, 0.);
-}
-
 TEST(ResilienceVmpiTest, DefaultTimeoutComesFromEnv)
 {
   setenv("DGFLOW_VMPI_TIMEOUT", "0.25", 1);

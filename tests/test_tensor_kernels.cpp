@@ -566,7 +566,8 @@ bool batches_bitwise_equal(const AlignedVector<VAd> &a,
                            const AlignedVector<VAd> &b)
 {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(VAd)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(VAd)) == 0);
 }
 
 /// First @p count entries of @p v: the face-plane buffers are sized for the

@@ -62,8 +62,10 @@ Mesh make_mesh(const unsigned int refinements)
 
 bool bitwise_equal(const Vector<double> &a, const Vector<double> &b)
 {
+  // an empty vector may hold a null data(), which memcmp must not see
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Sets an environment variable for the lifetime of one scope.

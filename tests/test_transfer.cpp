@@ -163,7 +163,8 @@ TEST(CTransferTest, RowRangesTileTheFullRangeBitwise)
   const unsigned int saved_width = pool.n_threads();
   const auto bytes_equal = [](const Vector<float> &a, const Vector<float> &b) {
     return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+           (a.size() == 0 ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
   };
   for (Mesh (*make_mesh)() :
        {mesh_with_hanging_nodes, cube_with_hanging_octant})
